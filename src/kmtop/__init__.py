@@ -9,7 +9,6 @@ from .valued import (
     INFINITY,
     DivisionByZero,
     FieldMismatch,
-    NotIntegral,
     PAdicField,
     RationalFunctionField,
     ValuedScalar,
@@ -20,7 +19,6 @@ __all__ = [
     "INFINITY",
     "DivisionByZero",
     "FieldMismatch",
-    "NotIntegral",
     "PAdicField",
     "RationalFunctionField",
     "ValuedScalar",

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import affine, exprs, harness, roots, sl2
-from .valued import NotIntegral, parse_field
+from .valued import parse_field
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
@@ -120,6 +120,13 @@ def _level(name: str, arg: str) -> int:
     return int(arg)
 
 
+def _fraction(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise exprs.ValidationError(f"{what} has a zero denominator") from None
+
+
 def _sl2_spec(name: str, arg: str) -> sl2.SL2SubgroupSpec:
     if name == "kerpi":
         return sl2.SL2SubgroupSpec.kerpi(_level(name, arg))
@@ -130,7 +137,7 @@ def _sl2_spec(name: str, arg: str) -> sl2.SL2SubgroupSpec:
     if name == "vlambda":
         return sl2.SL2SubgroupSpec.v_lambda(_level(name, arg))
     if name == "fixpoint":
-        return sl2.SL2SubgroupSpec.fix_point(Fraction(arg))
+        return sl2.SL2SubgroupSpec.fix_point(_fraction(arg, f"spec {name!r}"))
     return sl2.SL2SubgroupSpec.big_cell_integral()
 
 
@@ -262,6 +269,8 @@ def cmd_kp_witness(args):
 
 
 def cmd_verify(args):
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     field = parse_field(args.field)
     cfg = harness.SamplerConfig(field=field, seed=args.seed, trials=args.trials)
     names = harness.all_suite_names() if args.suite == "all" else [args.suite]
@@ -289,7 +298,7 @@ def cmd_verify(args):
 
 def cmd_tits(args):
     system = roots.load_system(args.system)
-    coords = [Fraction(c) for c in args.coords.split(",")]
+    coords = [_fraction(c, "--coords") for c in args.coords.split(",")]
     result = roots.tits_classify(system, coords, args.max_steps)
     if result is None:
         _emit(args, {"command": "tits", "classified": False}, ["not classified"])
@@ -325,7 +334,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (exprs.ExprSyntaxError, exprs.ValidationError, affine.NotTorus,
-            sl2.NotInBigCell, NotIntegral, roots.NotRegular, ValueError,
+            sl2.NotInBigCell, roots.NotRegular, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import affine, sl2
-from .valued import Field, PAdicField, ValuedScalar
+from .valued import Field, ValuedScalar
 
 
 class ExprSyntaxError(ValueError):
@@ -154,7 +154,7 @@ class _Parser:
             base = self.field.scalar(value)
         elif kind == "name" and value == "t":
             self.take()
-            if isinstance(self.field, PAdicField):
+            if self.field.uniformizer_name != "t":
                 raise ValidationError("variable t only exists in fq fields")
             base = self.field.uniformizer()
         elif kind == "(":
@@ -187,6 +187,8 @@ class _Parser:
         if self.peek()[0] == "/":
             self.take()
             den = self.take("int")[1]
+            if den == 0:
+                raise ValidationError("zero denominator in rational")
             return Fraction(num, den)
         return Fraction(num)
 

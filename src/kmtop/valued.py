@@ -3,14 +3,27 @@
 Two field kinds are supported:
 
 * ``PAdicField(p)`` -- K = Q with the p-adic valuation, ϖ = p, O = rationals
-  with no p in the denominator.
+  with no p in the denominator.  Raw values are ``Fraction``.
 * ``RationalFunctionField(q)`` -- K = F_q(t) (q prime) with the order-at-zero
-  valuation, ϖ = t, O = ratios whose denominator is a unit at t = 0.
+  valuation, ϖ = t, O = ratios whose denominator is a unit at t = 0.  Raw
+  values are pairs (num, den) of coefficient tuples over F_q.
 
-Values are immutable and kept in canonical form (rationals in lowest terms;
-polynomial ratios reduced with monic denominator), so equality is structural
-and every operation is pure.  ω(0) is the distinguished tag ``INFINITY``,
-never an integer sentinel.
+``ValuedScalar`` pairs a field with a raw value and never looks inside the
+raw value: every operation is delegated to the field.  A field kind is a
+``Field`` subclass that provides
+
+* raw-value methods ``_add(a, b)``, ``_neg(a)``, ``_mul(a, b)``, ``_inv(a)``
+  (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when k < 0),
+  ``_is_zero(a)``, ``_val(a)`` and ``_format(a)``;
+* ``scalar(value)``, ``uniformizer()``, ``sample_unit(rng)``,
+  ``spec_string()``, ``__eq__``/``__hash__``;
+* attributes ``uniformizer_name`` (the name of ϖ in the scalar grammar) and
+  ``char`` (the residue characteristic).
+
+Raw values are immutable and kept in canonical form (rationals in lowest
+terms; polynomial ratios reduced with monic denominator), so equality is
+structural and every operation is pure.  ω(0) is the distinguished tag
+``INFINITY``, never an integer sentinel.
 """
 
 from __future__ import annotations
@@ -26,10 +39,6 @@ class DivisionByZero(ZeroDivisionError):
 
 
 class FieldMismatch(TypeError):
-    pass
-
-
-class NotIntegral(ValueError):
     pass
 
 
@@ -151,12 +160,11 @@ def _pformat(a) -> str:
 
 
 class Field:
-    """Base of the two field kinds; subclasses store raw values."""
+    """Base of the field kinds; the module docstring lists what a subclass
+    implements."""
 
     uniformizer_name: str
-
-    def scalar(self, value):
-        raise NotImplementedError
+    char: int
 
     def zero(self) -> "ValuedScalar":
         return self.scalar(0)
@@ -164,14 +172,8 @@ class Field:
     def one(self) -> "ValuedScalar":
         return self.scalar(1)
 
-    def uniformizer(self) -> "ValuedScalar":
-        raise NotImplementedError
-
     def pi_power(self, n: int) -> "ValuedScalar":
         return self.uniformizer() ** n
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<field {self.spec_string()}>"
@@ -185,7 +187,7 @@ class PAdicField(Field):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        self.p = p
+        self.p = self.char = p
 
     def __eq__(self, other):
         return isinstance(other, PAdicField) and other.p == self.p
@@ -201,12 +203,40 @@ class PAdicField(Field):
             if value.field != self:
                 raise FieldMismatch("scalar belongs to a different field")
             return value
-        return ValuedScalar(self, Fraction(value))
+        if isinstance(value, (int, Fraction)):
+            return ValuedScalar(self, Fraction(value))
+        raise TypeError(f"cannot build a p-adic scalar from {value!r}")
 
     def uniformizer(self) -> "ValuedScalar":
         return self.scalar(self.p)
 
+    def sample_unit(self, rng) -> "ValuedScalar":
+        p = self.p
+        num = rng.choice([k for k in range(1, 4 * p) if k % p] + [-1, -2])
+        while num % p == 0:
+            num = rng.randrange(1, 4 * p)
+        den = rng.choice([k for k in range(1, 2 * p + 1) if k % p])
+        return self.scalar(Fraction(num, den))
+
     # raw ops on Fraction values
+    def _add(self, a: Fraction, b: Fraction) -> Fraction:
+        return a + b
+
+    def _neg(self, a: Fraction) -> Fraction:
+        return -a
+
+    def _mul(self, a: Fraction, b: Fraction) -> Fraction:
+        return a * b
+
+    def _inv(self, a: Fraction) -> Fraction:
+        return 1 / a
+
+    def _pow(self, a: Fraction, k: int) -> Fraction:
+        return a ** k
+
+    def _is_zero(self, a: Fraction) -> bool:
+        return a == 0
+
     def _val(self, raw: Fraction):
         if raw == 0:
             return INFINITY
@@ -220,13 +250,6 @@ class PAdicField(Field):
             d //= self.p
             v -= 1
         return v
-
-    def _reduce(self, raw: Fraction, n: int):
-        mod = self.p ** n
-        den = raw.denominator
-        if den % self.p == 0:
-            raise NotIntegral(f"{raw} has negative valuation")
-        return (raw.numerator * pow(den, -1, mod)) % mod
 
     def _format(self, raw: Fraction) -> str:
         return str(raw)
@@ -248,7 +271,7 @@ class RationalFunctionField(Field):
             raise ValueError(f"q must be a prime power, got {q}")
         if pk[1] != 1:
             raise ValueError(f"only prime q is supported (got {q} = {pk[0]}^{pk[1]})")
-        self.q = q
+        self.q = self.char = q
 
     def __eq__(self, other):
         return isinstance(other, RationalFunctionField) and other.q == self.q
@@ -296,34 +319,56 @@ class RationalFunctionField(Field):
     def uniformizer(self) -> "ValuedScalar":
         return ValuedScalar(self, ((0, 1), (1,)))
 
+    def sample_unit(self, rng) -> "ValuedScalar":
+        q = self.q
+        deg = rng.randrange(0, 3)
+        num = [rng.randrange(q) for _ in range(deg + 1)]
+        num[0] = rng.randrange(1, q)
+        if not any(num[1:]):
+            num = num[:1]
+        den = [1]
+        if rng.random() < 0.4:
+            den = [rng.randrange(1, q), rng.randrange(q)]
+        return self.ratio(num, den)
+
+    # raw ops on (num, den) pairs
+    def _add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        q = self.q
+        return self._canonical(_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q), _pmul(d1, d2, q))
+
+    def _neg(self, a):
+        num, den = a
+        return (_pneg(num, self.q), den)
+
+    def _mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        q = self.q
+        return self._canonical(_pmul(n1, n2, q), _pmul(d1, d2, q))
+
+    def _inv(self, a):
+        num, den = a
+        return self._canonical(den, num)
+
+    def _pow(self, a, k: int):
+        base = a if k > 0 else self._inv(a)
+        out = ((1,), (1,))
+        e = abs(k)
+        while e:
+            if e & 1:
+                out = self._mul(out, base)
+            base = self._mul(base, base) if e > 1 else base
+            e >>= 1
+        return out
+
+    def _is_zero(self, a) -> bool:
+        return not a[0]
+
     def _val(self, raw):
         num, den = raw
         if not num:
             return INFINITY
         return _pord(num) - _pord(den)
-
-    def _reduce(self, raw, n: int):
-        num, den = raw
-        if not num:
-            return ()
-        if _pord(den) > 0:
-            raise NotIntegral("negative valuation")
-        # power-series inverse of den to order n
-        p = self.q
-        inv0 = pow(den[0], -1, p)
-        inv = [inv0] + [0] * (n - 1)
-        for i in range(1, n):
-            s = 0
-            for j in range(1, min(i, len(den) - 1) + 1):
-                s += den[j] * inv[i - j]
-            inv[i] = (-inv0 * s) % p
-        out = [0] * n
-        for i, x in enumerate(num[:n]):
-            if x == 0:
-                continue
-            for j in range(n - i):
-                out[i + j] = (out[i + j] + x * inv[j]) % p
-        return _ptrim(out)
 
     def _format(self, raw) -> str:
         num, den = raw
@@ -366,21 +411,13 @@ class ValuedScalar:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        if isinstance(f, PAdicField):
-            return ValuedScalar(f, self.raw + other.raw)
-        (n1, d1), (n2, d2) = self.raw, other.raw
-        q = f.q
-        num = _padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q)
-        return ValuedScalar(f, f._canonical(num, _pmul(d1, d2, q)))
+        return ValuedScalar(f, f._add(self.raw, other.raw))
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        if isinstance(f, PAdicField):
-            return ValuedScalar(f, -self.raw)
-        num, den = self.raw
-        return ValuedScalar(f, (_pneg(num, f.q), den))
+        return ValuedScalar(f, f._neg(self.raw))
 
     def __sub__(self, other):
         other = self._peer(other)
@@ -396,11 +433,7 @@ class ValuedScalar:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        if isinstance(f, PAdicField):
-            return ValuedScalar(f, self.raw * other.raw)
-        (n1, d1), (n2, d2) = self.raw, other.raw
-        q = f.q
-        return ValuedScalar(f, f._canonical(_pmul(n1, n2, q), _pmul(d1, d2, q)))
+        return ValuedScalar(f, f._mul(self.raw, other.raw))
 
     __rmul__ = __mul__
 
@@ -408,10 +441,7 @@ class ValuedScalar:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         f = self.field
-        if isinstance(f, PAdicField):
-            return ValuedScalar(f, 1 / self.raw)
-        num, den = self.raw
-        return ValuedScalar(f, f._canonical(den, num))
+        return ValuedScalar(f, f._inv(self.raw))
 
     def __truediv__(self, other):
         other = self._peer(other)
@@ -423,40 +453,30 @@ class ValuedScalar:
         return self.inv() * other
 
     def __pow__(self, k: int):
+        f = self.field
         if k == 0:
-            return self.field.one()
-        if isinstance(self.field, PAdicField):
-            if self.raw == 0 and k < 0:
-                raise DivisionByZero("inverse of zero")
-            return ValuedScalar(self.field, self.raw ** k)
-        base = self if k > 0 else self.inv()
-        out = self.field.one()
-        e = abs(k)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+            return f.one()
+        if k < 0 and self.is_zero():
+            raise DivisionByZero("inverse of zero")
+        return ValuedScalar(f, f._pow(self.raw, k))
 
     # predicates and views ---------------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            try:
-                other = self.field.scalar(other)
-            except TypeError:
+        if isinstance(other, ValuedScalar):
+            if other.field != self.field:
                 return NotImplemented
-        if not isinstance(other, ValuedScalar) or other.field != self.field:
-            return NotImplemented
-        return self.raw == other.raw
+            return self.raw == other.raw
+        if isinstance(other, (int, Fraction)):
+            # A Fraction raw (p-adic) equals the same number and hashes like
+            # it; a polynomial-pair raw (F_q(t)) equals no Python number.
+            return self.raw == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.raw))
+        return hash(self.raw)
 
     def is_zero(self) -> bool:
-        if isinstance(self.field, PAdicField):
-            return self.raw == 0
-        return not self.raw[0]
+        return self.field._is_zero(self.raw)
 
     def is_one(self) -> bool:
         return self == self.field.one()
@@ -477,60 +497,11 @@ class ValuedScalar:
     def in_one_plus_pi_power(self, n: int) -> bool:
         return (self - 1).valuation() >= n
 
-    def reduce_mod(self, n: int) -> "ResidueElt":
-        """Image in O/ϖ^n O; raises NotIntegral when ω(x) < 0."""
-        if n < 1:
-            raise ValueError("level must be >= 1")
-        return ResidueElt(self.field, n, self.field._reduce(self.raw, n))
-
     def __str__(self):
         return self.field._format(self.raw)
 
     def __repr__(self):
         return f"<{self} @ {self.field.spec_string()}>"
-
-
-class ResidueElt:
-    """Canonical representative in O/ϖ^n O (int mod p^n, or poly mod t^n)."""
-
-    __slots__ = ("field", "level", "raw")
-
-    def __init__(self, field: Field, level: int, raw):
-        self.field = field
-        self.level = level
-        self.raw = raw
-
-    def _peer(self, other):
-        if not isinstance(other, ResidueElt) or other.field != self.field \
-                or other.level != self.level:
-            raise FieldMismatch("mismatched residue rings")
-        return other
-
-    def __add__(self, other):
-        other = self._peer(other)
-        f, n = self.field, self.level
-        if isinstance(f, PAdicField):
-            return ResidueElt(f, n, (self.raw + other.raw) % f.p ** n)
-        return ResidueElt(f, n, _ptrim(list(_padd(self.raw, other.raw, f.q))[:n]))
-
-    def __mul__(self, other):
-        other = self._peer(other)
-        f, n = self.field, self.level
-        if isinstance(f, PAdicField):
-            return ResidueElt(f, n, (self.raw * other.raw) % f.p ** n)
-        return ResidueElt(f, n, _ptrim(list(_pmul(self.raw, other.raw, f.q))[:n]))
-
-    def __eq__(self, other):
-        return (isinstance(other, ResidueElt) and other.field == self.field
-                and other.level == self.level and other.raw == self.raw)
-
-    def __hash__(self):
-        return hash((self.field, self.level, self.raw))
-
-    def __repr__(self):
-        if isinstance(self.field, PAdicField):
-            return f"<{self.raw} mod {self.field.uniformizer_name}^{self.level}>"
-        return f"<{_pformat(self.raw)} mod t^{self.level}>"
 
 
 def parse_field(text: str) -> Field:

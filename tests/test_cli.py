@@ -147,3 +147,28 @@ def test_roots_from_fixture_file(capsys, tmp_path):
     code, _, err = run(capsys, "roots", "--system", str(tmp_path / "nope.json"),
                        "--height", "3")
     assert code == 2
+
+
+def test_verify_rejects_nonpositive_trials(capsys):
+    for trials in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "--suite", "commutation", "--trials", trials)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error:") and "--trials" in err
+
+
+def test_verify_one_trial_checks_every_level(capsys):
+    # these suites run trials // 2 per level; one trial must still check each level
+    for suite in ("hn-closure", "rank1-refinement", "h2n-in-v"):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--trials", "1")
+        assert code == 0 and out.splitlines()[0] == f"{suite}: pass (2 trials)"
+        _, out, _ = run(capsys, "verify", "--suite", suite, "--trials", "4")
+        assert out.splitlines()[0] == f"{suite}: pass (4 trials)"
+
+
+def test_zero_denominator_is_a_validation_error(capsys):
+    for argv in (("member", "--spec", "fixpoint:1/0", "xp(1)"),
+                 ("retract", "point(xp(1), 1/0)"),
+                 ("tits", "--coords", "1/0,1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "zero denominator" in err

@@ -126,3 +126,10 @@ def test_parenthesized_products():
     assert elt == elt2
     printed = E.print_expr(ast)
     assert E.parse_element(printed, E.SL2, F3)[0] == ast
+
+
+def test_zero_denominator_rational_rejected():
+    with pytest.raises(E.ValidationError, match="zero denominator"):
+        E.parse_element("point(xp(1), 1/0)", E.TREEPOINT, F3)
+    _, p = E.parse_element("point(xp(1), -1/2)", E.TREEPOINT, F3)
+    assert p.y == Fraction(-1, 2)

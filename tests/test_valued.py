@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmtop.valued import (
     INFINITY,
     DivisionByZero,
     FieldMismatch,
-    NotIntegral,
     PAdicField,
     RationalFunctionField,
     parse_field,
@@ -58,16 +59,6 @@ def test_valuation_examples():
     assert F3.scalar(Fraction(1, 3)).valuation() == -1
 
 
-def test_reduce_mod_examples():
-    assert F3.scalar(Fraction(7, 2)).reduce_mod(1).raw == 2
-    with pytest.raises(NotIntegral):
-        F3.scalar(Fraction(1, 3)).reduce_mod(1)
-    t = F2T.uniformizer()
-    assert (F2T.one() + t ** 3).reduce_mod(2).raw == (1,)
-    with pytest.raises(NotIntegral):
-        t.inv().reduce_mod(1)
-
-
 def test_ring_predicates():
     assert F3.scalar(10).in_one_plus_pi_power(2)       # ω(9) = 2
     assert F3.one().in_integers()
@@ -108,19 +99,6 @@ def test_ultrametric_and_multiplicativity(field):
             assert (x * y).valuation() == vx + vy
 
 
-@pytest.mark.parametrize("field", [F3, F2T], ids=["p3", "f2t"])
-def test_reduce_mod_is_ring_morphism(field):
-    rng = random.Random(7)
-    for _ in range(400):
-        x = _random_scalar(rng, field)
-        y = _random_scalar(rng, field)
-        if x.valuation() < 0 or y.valuation() < 0:
-            continue
-        n = rng.randint(1, 4)
-        assert (x + y).reduce_mod(n) == x.reduce_mod(n) + y.reduce_mod(n)
-        assert (x * y).reduce_mod(n) == x.reduce_mod(n) * y.reduce_mod(n)
-
-
 def test_canonical_idempotence():
     # building the same value along different routes lands on one raw form
     a = F2T.ratio((0, 2, 4), (1, 2))          # coefficients get reduced mod 2
@@ -139,3 +117,156 @@ def test_formatting_is_stable():
     assert str((F2T.one() + t * t) / t) == "(1+t^2)/t"
     assert str(F2T.zero()) == "0"
     assert math.isinf(INFINITY)
+
+
+def test_hash_agrees_with_equality():
+    # p-adic scalars equal to a Python number hash like it
+    assert F3.scalar(1) == 1 and hash(F3.scalar(1)) == hash(1)
+    assert len({F3.scalar(1), 1}) == 1
+    half = F3.scalar(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert {F3.scalar(Fraction(6, 4)): "x"}[Fraction(3, 2)] == "x"
+    # F_q(t) scalars equal no Python number: ints are reduced mod q, so
+    # 1 and 4 would both have to equal one() in F_3(t)
+    f3t = RationalFunctionField(3)
+    assert f3t.scalar(1) == f3t.scalar(4)
+    assert f3t.scalar(1) != 1 and f3t.scalar(1) != 4
+    assert len({f3t.one(), 1}) == 2
+    assert f3t.one() + 1 == f3t.scalar(2)       # ints still coerce in arithmetic
+
+
+def test_scalar_rejects_floats_and_strings():
+    for bad in (0.1, 1.0, "1/3", None):
+        with pytest.raises(TypeError):
+            F3.scalar(bad)
+        with pytest.raises(TypeError):
+            F2T.scalar(bad)
+    with pytest.raises(TypeError):
+        F3.one() + 0.5
+    assert F3.scalar(True) == 1                  # bool is an int
+    with pytest.raises(FieldMismatch):
+        F3.scalar(PAdicField(5).one())
+
+
+# --- property tests: the field axioms and the valuation ------------------------
+
+FIELDS = ["p:2", "p:3", "fq:2", "fq:3"]
+PROPERTY = settings(deadline=None, max_examples=60)
+
+
+def scalars(field):
+    """Ratios of small integers (p-adic) or small polynomials (F_q(t)) times ϖ^v,
+    v in [-5, 5], built through the public API; zero included."""
+    if field.uniformizer_name == "p":
+        base = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 300)).map(field.scalar)
+    else:
+        coeffs = st.lists(st.integers(0, field.q - 1), max_size=4)
+        base = st.builds(field.ratio, coeffs, coeffs.map(lambda c: c if any(c) else c + [1]))
+    return st.builds(lambda x, v: x * field.pi_power(v), base, st.integers(-5, 5))
+
+
+def _draw(data, spec, n, nonzero=False):
+    field = parse_field(spec)
+    strategy = scalars(field)
+    if nonzero:
+        strategy = strategy.filter(lambda x: not x.is_zero())
+    return field, [data.draw(strategy) for _ in range(n)]
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+@PROPERTY
+@given(data=st.data())
+def test_field_axioms(spec, data):
+    field, (x, y, z) = _draw(data, spec, 3)
+    zero, one = field.zero(), field.one()
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x * zero == zero
+    assert (x + (-x)).is_zero() and x - y == x + (-y)
+    assert x ** 1 == x and x ** 2 == x * x and x ** 3 == x * x * x and (x ** 0).is_one()
+    if not x.is_zero():
+        assert (x * x.inv()).is_one() and x / x == one
+        assert x.inv().inv() == x
+        assert x ** -2 == x.inv() * x.inv()
+        assert (x * y) / x == y
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+@PROPERTY
+@given(data=st.data())
+def test_valuation_properties(spec, data):
+    field, (x, y) = _draw(data, spec, 2)
+    vx, vy, vs = x.valuation(), y.valuation(), (x + y).valuation()
+    assert (vx == INFINITY) == x.is_zero()
+    assert vs >= min(vx, vy)                     # ultrametric inequality
+    if vx != vy:
+        assert vs == min(vx, vy)
+    assert (x * y).valuation() == vx + vy        # ∞ absorbs a zero factor
+    assert (-x).valuation() == vx
+    if not x.is_zero():
+        assert x.inv().valuation() == -vx
+    assert field.uniformizer().valuation() == 1
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+@PROPERTY
+@given(data=st.data())
+def test_inverse_and_hash_properties(spec, data):
+    field, (x, y) = _draw(data, spec, 2, nonzero=True)
+    assert (x * y).inv() == x.inv() * y.inv()
+    assert (-x).inv() == -(x.inv())
+    assert x.inv() * x == field.one()
+    with pytest.raises(DivisionByZero):
+        field.zero().inv()
+    with pytest.raises(DivisionByZero):
+        field.zero() ** -1
+    route = (x * y) / y                           # the same value, built another way
+    assert route == x and hash(route) == hash(x)
+
+
+# --- F_q(t) against an independent oracle --------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_fq_matches_sympy_rational_functions(q, data):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.fields import field as sympy_field
+
+    K, t = sympy_field("t", sympy.GF(q))
+    F = RationalFunctionField(q)
+
+    def to_sympy(x):
+        num, den = x.raw
+        return (sum((c * t ** i for i, c in enumerate(num)), K(0))
+                / sum((c * t ** i for i, c in enumerate(den)), K(0)))
+
+    def coeffs(poly, scale):
+        # low-to-high coefficients in [0, q), times scale
+        out = [0] * (poly.degree() + 1) if poly else []
+        for (i,), c in poly.terms():
+            out[i] = int(c) * scale % q
+        return tuple(out)
+
+    def canonical(e):
+        # sympy cancels the gcd; make the denominator monic to compare
+        lead_inv = pow(int(e.denom.LC) % q, -1, q)
+        return coeffs(e.numer, lead_inv), coeffs(e.denom, lead_inv)
+
+    def order_at_zero(e):
+        if not e.numer:
+            return INFINITY
+        return min(i for (i,), _ in e.numer.terms()) - min(i for (i,), _ in e.denom.terms())
+
+    x, y = data.draw(scalars(F)), data.draw(scalars(F))
+    ex, ey = to_sympy(x), to_sympy(y)
+    assert canonical(ex) == x.raw
+    assert (x + y).raw == canonical(ex + ey)
+    assert (x - y).raw == canonical(ex - ey)
+    assert (x * y).raw == canonical(ex * ey)
+    assert x.valuation() == order_at_zero(ex)
+    if not y.is_zero():
+        assert y.inv().raw == canonical(ey ** -1)
+        assert (x / y).raw == canonical(ex / ey)
