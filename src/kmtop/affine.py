@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import roots
+from .sl2 import LEVEL, SubgroupSpec
 from .valued import Field, ValuedScalar
 
 
@@ -270,55 +271,39 @@ def fixes_test_point(g: AffElt, i: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Subgroup membership.
 
-@dataclass(frozen=True)
-class AffSubgroupSpec:
-    kind: str
-    n: int | None = None
-
-    @staticmethod
-    def kerpi(n: int) -> "AffSubgroupSpec":
-        return AffSubgroupSpec("kerpi", _check_level(n))
-
-    @staticmethod
-    def hn(n: int) -> "AffSubgroupSpec":
-        return AffSubgroupSpec("hn", _check_level(n))
-
-    @staticmethod
-    def tn(n: int) -> "AffSubgroupSpec":
-        return AffSubgroupSpec("tn", _check_level(n))
-
-    @staticmethod
-    def tnphi(n: int) -> "AffSubgroupSpec":
-        return AffSubgroupSpec("tnphi", _check_level(n))
-
-    @staticmethod
-    def center() -> "AffSubgroupSpec":
-        return AffSubgroupSpec("center")
-
-    @staticmethod
-    def center_integral() -> "AffSubgroupSpec":
-        return AffSubgroupSpec("centero")
-
-    @staticmethod
-    def vform(n: int) -> "AffSubgroupSpec":
-        return AffSubgroupSpec("vform", _check_level(n))
+AFF_SPEC_KINDS = {
+    "kerpi": LEVEL,
+    "hn": LEVEL,
+    "tn": LEVEL,
+    "tnphi": LEVEL,
+    "center": None,
+    "centero": None,
+    "vform": LEVEL,
+}
 
 
-def _check_level(n: int) -> int:
-    if n < 1:
-        raise ValueError("filtration level must be >= 1")
-    return n
+class AffSubgroupSpec(SubgroupSpec):
+    GROUP = "affine"
+    KINDS = AFF_SPEC_KINDS
+
+    def violations(self, g: AffElt) -> list[str]:
+        return aff_violations(g, self)
 
 
-def _kerpi_violations(g: AffElt, n: int) -> list[str]:
-    out = []
+def deviation(g: AffElt):
+    """(r, c, k, coefficient) for each nonzero coefficient of M − I, entry by
+    entry in row order and by increasing exponent within an entry."""
     one = LaurentPoly.one(g.field)
     for r in range(2):
         for c in range(2):
             dev = g.m[r][c] - one if r == c else g.m[r][c]
             for k, coeff in sorted(dev.coeffs.items()):
-                if coeff.valuation() < n:
-                    out.append(f"entry ({r + 1},{c + 1}) u^{k}: ω = {coeff.valuation()} < {n}")
+                yield r, c, k, coeff
+
+
+def _kerpi_violations(g: AffElt, n: int) -> list[str]:
+    out = [f"entry ({r + 1},{c + 1}) u^{k}: ω = {coeff.valuation()} < {n}"
+           for r, c, k, coeff in deviation(g) if coeff.valuation() < n]
     if (g.z - 1).valuation() < n:
         out.append(f"ω(z-1) = {(g.z - 1).valuation()} < {n}")
     return out
@@ -336,7 +321,7 @@ def _hn_ring_violations(g: AffElt, n: int) -> list[str]:
 
 
 def aff_violations(g: AffElt, spec: AffSubgroupSpec) -> list[str]:
-    kind, n = spec.kind, spec.n
+    kind, n = spec.kind, spec.arg
     if kind == "kerpi":
         return _kerpi_violations(g, n)
     if kind == "hn":
@@ -365,9 +350,7 @@ def aff_violations(g: AffElt, spec: AffSubgroupSpec) -> list[str]:
         if kind == "centero" and f.valuation() != 0:
             out.append("ω(f) != 0")
         return out
-    if kind == "vform":
-        return vform_violations(g, n)
-    raise ValueError(f"unknown affine subgroup kind {kind!r}")
+    return vform_violations(g, n)   # vform
 
 
 def aff_member(g: AffElt, spec: AffSubgroupSpec) -> bool:

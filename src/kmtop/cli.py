@@ -102,22 +102,16 @@ def _emit(args, payload: dict, text_lines: list[str]):
             print(line)
 
 
-_SL2_SPECS = {"kerpi", "tn", "tnunits", "vlambda", "fixpoint", "bigcello"}
-_AFF_SPECS = {"kerpi", "hn", "tn", "tnphi", "center", "centero", "vform"}
+# member --spec: the spec class for each element group, each with its kind table.
+_MEMBER_SPECS = {exprs.SL2: sl2.SL2SubgroupSpec, exprs.AFFINE: affine.AffSubgroupSpec}
 
 
 def _parse_spec(text: str):
     name, _, arg = text.partition(":")
     name = name.lower()
-    if name not in _SL2_SPECS | _AFF_SPECS:
+    if not any(name in spec.KINDS for spec in _MEMBER_SPECS.values()):
         raise exprs.ValidationError(f"unknown subgroup spec {name!r}")
     return name, arg
-
-
-def _level(name: str, arg: str) -> int:
-    if not arg.isdigit() or int(arg) < 1:
-        raise exprs.ValidationError(f"spec {name!r} needs a level, e.g. {name}:2")
-    return int(arg)
 
 
 def _fraction(text: str, what: str) -> Fraction:
@@ -127,34 +121,16 @@ def _fraction(text: str, what: str) -> Fraction:
         raise exprs.ValidationError(f"{what} has a zero denominator") from None
 
 
-def _sl2_spec(name: str, arg: str) -> sl2.SL2SubgroupSpec:
-    if name == "kerpi":
-        return sl2.SL2SubgroupSpec.kerpi(_level(name, arg))
-    if name == "tn":
-        return sl2.SL2SubgroupSpec.tn(_level(name, arg))
-    if name == "tnunits":
-        return sl2.SL2SubgroupSpec.tn_units()
-    if name == "vlambda":
-        return sl2.SL2SubgroupSpec.v_lambda(_level(name, arg))
-    if name == "fixpoint":
-        return sl2.SL2SubgroupSpec.fix_point(_fraction(arg, f"spec {name!r}"))
-    return sl2.SL2SubgroupSpec.big_cell_integral()
-
-
-def _aff_spec(name: str, arg: str) -> affine.AffSubgroupSpec:
-    if name == "kerpi":
-        return affine.AffSubgroupSpec.kerpi(_level(name, arg))
-    if name == "hn":
-        return affine.AffSubgroupSpec.hn(_level(name, arg))
-    if name == "tn":
-        return affine.AffSubgroupSpec.tn(_level(name, arg))
-    if name == "tnphi":
-        return affine.AffSubgroupSpec.tnphi(_level(name, arg))
-    if name == "center":
-        return affine.AffSubgroupSpec.center()
-    if name == "centero":
-        return affine.AffSubgroupSpec.center_integral()
-    return affine.AffSubgroupSpec.vform(_level(name, arg))
+def _spec_arg(name: str, want: str | None, arg: str):
+    """The argument of a --spec as its kind table asks; text after the name
+    of a kind that takes no argument is ignored."""
+    if want == sl2.LEVEL:
+        if not arg.isdigit() or int(arg) < 1:
+            raise exprs.ValidationError(f"spec {name!r} needs a level, e.g. {name}:2")
+        return int(arg)
+    if want == sl2.RATIONAL:
+        return _fraction(arg, f"spec {name!r}")
+    return None
 
 
 def cmd_roots(args):
@@ -188,16 +164,12 @@ def cmd_member(args):
     field = parse_field(args.field)
     name, arg = _parse_spec(args.spec)
     target, _, elt = exprs.parse_auto(args.expr, field)
-    if target == exprs.SL2:
-        if name not in _SL2_SPECS:
-            raise exprs.ValidationError(f"spec {name!r} does not apply to SL2 elements")
-        violations = sl2.sl2_violations(elt, _sl2_spec(name, arg))
-    elif target == exprs.AFFINE:
-        if name not in _AFF_SPECS:
-            raise exprs.ValidationError(f"spec {name!r} does not apply to affine elements")
-        violations = affine.aff_violations(elt, _aff_spec(name, arg))
-    else:
+    spec = _MEMBER_SPECS.get(target)
+    if spec is None:
         raise exprs.ValidationError("member does not apply to tree points")
+    if name not in spec.KINDS:
+        raise exprs.ValidationError(f"spec {name!r} does not apply to {spec.GROUP} elements")
+    violations = spec(name, _spec_arg(name, spec.KINDS[name], arg)).violations(elt)
     ok = not violations
     lines = ["true" if ok else "false"]
     lines.extend(f"  violated: {v}" for v in violations)
@@ -269,10 +241,11 @@ def cmd_kp_witness(args):
 
 
 def cmd_verify(args):
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     field = parse_field(args.field)
-    cfg = harness.SamplerConfig(field=field, seed=args.seed, trials=args.trials)
+    try:
+        cfg = harness.SamplerConfig(field=field, seed=args.seed, trials=args.trials)
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None
     names = harness.all_suite_names() if args.suite == "all" else [args.suite]
     try:
         reports = harness.run_suites(names, cfg)
@@ -334,8 +307,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (exprs.ExprSyntaxError, exprs.ValidationError, affine.NotTorus,
-            sl2.NotInBigCell, roots.NotRegular, ValueError,
-            OSError) as exc:
+            sl2.NotInBigCell, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
 

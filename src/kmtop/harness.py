@@ -1,7 +1,7 @@
 """Reproducible randomized samplers and named verification suites.
 
 Each suite is bound to one algebraic statement and reports machine-readable
-pass/fail with replayable counterexample expressions.  Determinism: every
+pass/fail with the sampled inputs of every failing trial.  Determinism: every
 trial draws from a substream seeded by (seed, label), so identical configs
 produce byte-identical reports; failures are sorted by trial index.
 """
@@ -29,6 +29,10 @@ class SamplerConfig:
     laurent_support: int = 6
     word_length: int = 8
     trials: int = 500
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
     def rng(self, label) -> random.Random:
         return random.Random(f"{self.seed}:{label}")
@@ -268,35 +272,52 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
     return " ".join(words), u_plus * u_minus * affine.aff_torus(f, z)
 
 
-_SAMPLERS = {
-    "SL2Generic": lambda rng, cfg, n: sample_sl2_generic(rng, cfg),
-    "SL2KerPi": sample_sl2_kerpi,
-    "AffWord": lambda rng, cfg, n: sample_aff_word(rng, cfg),
-    "AffHn": sample_aff_hn,
-    "AffTorus": lambda rng, cfg, n: sample_aff_torus(rng, cfg),
-    "AffVForm": sample_aff_vform,
-}
-
-
-def sample_element(cls: str, cfg: SamplerConfig, index: int, n: int | None = None):
-    """Deterministic sample stream: same (cls, cfg, index, n) -> same output."""
-    if cls not in _SAMPLERS:
-        raise KeyError(f"unknown sampler class {cls!r}")
-    rng = cfg.rng(f"{cls}:{n}:{index}")
-    return _SAMPLERS[cls](rng, cfg, n)
-
-
 # ---------------------------------------------------------------------------
-# Suites.
+# Suites.  A suite is a generator over its trials: it yields one item per
+# counted trial, None when the check held or (inputs, expected, got) when it
+# failed.  It may return one more (inputs, expected, got) for a check that is
+# not a trial, numbered like the last trial, and raises NotApplicable before
+# its first trial when the field lacks what its witness needs.  Failures are
+# numbered by the 1-based index of their trial.
 
-def _suite(name):
-    def deco(fn):
-        SUITES[name] = fn
-        return fn
-    return deco
+class NotApplicable(Exception):
+    pass
 
 
 SUITES: dict = {}
+
+
+def _suite(name, *args):
+    """Register a trial generator, called as trials(cfg, *args), as suite name."""
+    def deco(trials):
+        SUITES[name] = lambda cfg: _tally(trials(cfg, *args))
+        return trials
+    return deco
+
+
+def _tally(trials) -> tuple[int, list[Failure], str]:
+    """Run a suite's trials: (trial count, failures, not-applicable reason)."""
+    count, failures = 0, []
+    try:
+        while True:
+            outcome = next(trials)
+            count += 1
+            if outcome is not None:
+                failures.append(Failure(count, *outcome))
+    except StopIteration as stop:
+        if stop.value is not None:
+            failures.append(Failure(count, *stop.value))
+    except NotApplicable as exc:
+        return 0, [], str(exc)
+    return count, failures, ""
+
+
+def _draws(cfg: SamplerConfig, label: str, levels=(None,), per_level: int | None = None):
+    """(n, i, rng) for trial i at each level n, per_level (default cfg.trials)
+    trials a level; rng is seeded by label:n:i, or label:i without a level."""
+    for n in levels:
+        for i in range(cfg.trials if per_level is None else per_level):
+            yield n, i, cfg.rng(f"{label}:{i}" if n is None else f"{label}:{n}:{i}")
 
 
 def run_suite(name: str, cfg: SamplerConfig) -> SuiteReport:
@@ -319,123 +340,72 @@ def all_suite_names() -> list[str]:
 def _commutation(cfg: SamplerConfig):
     """x_-(b)·x_+(a) = x_+(a r^{-1})·diag(r^{-1}, r)·x_-(b r^{-1}) with
     r = 1 + ab, plus the form with the torus moved right."""
-    failures = []
     field = cfg.field
-    for i in range(cfg.trials):
-        rng = cfg.rng(f"commutation:{i}")
+    for _, _, rng in _draws(cfg, "commutation"):
         a = sample_scalar(rng, field, cfg.valuation_range)
         b = sample_scalar(rng, field, cfg.valuation_range)
         r = field.one() + a * b
         if r.is_zero():
+            yield None
             continue
         lhs = sl2.x_minus(b) * sl2.x_plus(a)
         rinv = r.inv()
         form1 = sl2.x_plus(a * rinv) * sl2.diag_torus(rinv) * sl2.x_minus(b * rinv)
         form2 = sl2.x_plus(a * rinv) * sl2.x_minus(b * r) * sl2.diag_torus(rinv)
-        if lhs != form1 or lhs != form2:
-            failures.append(Failure(i, f"a={a}, b={b}", str(lhs),
-                                    f"form1={form1}, form2={form2}"))
-    return cfg.trials, failures, ""
+        yield (None if lhs == form1 and lhs == form2
+               else (f"a={a}, b={b}", str(lhs), f"form1={form1}, form2={form2}"))
 
 
 @_suite("uut-uniqueness")
 def _uut(cfg: SamplerConfig):
-    failures = []
     field = cfg.field
-    for i in range(cfg.trials):
-        rng = cfg.rng(f"uut:{i}")
+    for _, _, rng in _draws(cfg, "uut"):
         b = sample_scalar(rng, field, cfg.valuation_range)
         c = sample_scalar(rng, field, cfg.valuation_range)
         d = sample_scalar(rng, field, cfg.valuation_range, allow_zero=False)
-        g = sl2.compose_upt(b, c, d)
-        got = sl2.upt_decompose(g)
-        if got != (b, c, d):
-            failures.append(Failure(i, f"b={b}, c={c}, δ={d}",
-                                    f"({b}, {c}, {d})", str(tuple(map(str, got)))))
-    return cfg.trials, failures, ""
+        got = sl2.upt_decompose(sl2.compose_upt(b, c, d))
+        yield (None if got == (b, c, d)
+               else (f"b={b}, c={c}, δ={d}", f"({b}, {c}, {d})", str(tuple(map(str, got)))))
 
 
 @_suite("kerpi-sl2")
 def _kerpi_sl2(cfg: SamplerConfig):
-    """Entry congruences agree with the product form, n ≤ 3, both directions."""
-    failures = []
-    total = 0
-    for n in (1, 2, 3):
-        for i in range(cfg.trials):
-            total += 1
-            rng = cfg.rng(f"kerpi:{n}:{i}")
-            if i % 2 == 0:
-                expr, g = sample_sl2_kerpi(rng, cfg, n)
-                expected = True
-            else:
-                expr, g = sample_sl2_generic(rng, cfg)
-                expected = None
-            cong = sl2.sl2_member(g, sl2.SL2SubgroupSpec.kerpi(n))
-            prod = sl2.kerpi_product_member(g, n)
-            if cong != prod or (expected is True and not cong):
-                failures.append(Failure(total, f"n={n}: {expr}",
-                                        "congruence == product-form",
-                                        f"congruence={cong}, product={prod}"))
-    return total, failures, ""
+    """Entry congruences agree with the product form, n ≤ 3, both directions;
+    even trials sample ker π_n itself, odd ones a generic element."""
+    for n, i, rng in _draws(cfg, "kerpi", (1, 2, 3)):
+        in_kernel = i % 2 == 0
+        expr, g = sample_sl2_kerpi(rng, cfg, n) if in_kernel else sample_sl2_generic(rng, cfg)
+        cong = sl2.sl2_member(g, sl2.SL2SubgroupSpec("kerpi", n))
+        prod = sl2.kerpi_product_member(g, n)
+        yield (None if cong == prod and (cong or not in_kernel)
+               else (f"n={n}: {expr}", "congruence == product-form",
+                     f"congruence={cong}, product={prod}"))
 
 
-@_suite("rank1-refinement")
-def _rank1_refinement(cfg: SamplerConfig):
-    """x_+(ω≥2n)·x_-(ω≥2n)·T_{4n} is closed under products and inverses."""
-    failures = []
-    total = 0
-    for n in (1, 2):
-        spec = sl2.SL2SubgroupSpec.v_lambda(n)
-        for i in range(max(1, cfg.trials // 2)):
-            total += 1
-            rng = cfg.rng(f"rank1:{n}:{i}")
-            e1, g = sample_sl2_vlambda(rng, cfg, n)
-            e2, h = sample_sl2_vlambda(rng, cfg, n)
-            if not sl2.sl2_member(g * h, spec):
-                failures.append(Failure(total, f"n={n}: ({e1})·({e2})",
-                                        "product stays in the set", "escape"))
-            if not sl2.sl2_member(g.inverse(), spec):
-                failures.append(Failure(total, f"n={n}: inv({e1})",
-                                        "inverse stays in the set", "escape"))
-    return total, failures, ""
-
-
-@_suite("hn-closure")
-def _hn_closure(cfg: SamplerConfig):
-    failures = []
-    total = 0
-    for n in (1, 2):
-        spec = affine.AffSubgroupSpec.hn(n)
-        for i in range(max(1, cfg.trials // 2)):
-            total += 1
-            rng = cfg.rng(f"hncl:{n}:{i}")
-            e1, g = sample_aff_hn(rng, cfg, n)
-            e2, h = sample_aff_hn(rng, cfg, n)
-            if not affine.aff_member(g * h, spec):
-                failures.append(Failure(total, f"n={n}: ({e1})·({e2})",
-                                        "product in H_n", "escape"))
-            if not affine.aff_member(g.inverse(), spec):
-                failures.append(Failure(total, f"n={n}: inv({e1})",
-                                        "inverse in H_n", "escape"))
-    return total, failures, ""
+@_suite("hn-closure", "hncl", "sample_aff_hn", affine.AffSubgroupSpec, "hn")
+@_suite("rank1-refinement", "rank1", "sample_sl2_vlambda", sl2.SL2SubgroupSpec, "vlambda")
+def _closure(cfg: SamplerConfig, label, sampler, spec_class, kind):
+    """The sampled set at levels 1 and 2 is closed under products and
+    inverses: H_n, or x_+(ω≥2n)·x_-(ω≥2n)·T_{4n} for rank1-refinement."""
+    sample = globals()[sampler]     # looked up per run, so a wrapped sampler is called
+    for n, _, rng in _draws(cfg, label, (1, 2), max(1, cfg.trials // 2)):
+        spec = spec_class(kind, n)
+        e1, g = sample(rng, cfg, n)
+        e2, h = sample(rng, cfg, n)
+        escaped = [what for what, x in (("product", g * h), ("inverse", g.inverse()))
+                   if spec.violations(x)]
+        yield (None if not escaped
+               else (f"n={n}: ({e1})·({e2})", f"product and inverse in {kind}:{n}",
+                     " and ".join(escaped) + " escaped"))
 
 
 @_suite("v-in-h")
 def _v_in_h(cfg: SamplerConfig):
     """Sampled λ-segment subgroup elements all land in H_n (n ≤ 2)."""
-    failures = []
-    total = 0
-    for n in (1, 2):
-        spec = affine.AffSubgroupSpec.hn(n)
-        for i in range(cfg.trials):
-            total += 1
-            rng = cfg.rng(f"vinh:{n}:{i}")
-            expr, g = sample_aff_vform(rng, cfg, n)
-            viol = affine.aff_violations(g, spec)
-            if viol:
-                failures.append(Failure(total, f"n={n}: {expr}",
-                                        "member of H_n", "; ".join(viol)))
-    return total, failures, ""
+    for n, _, rng in _draws(cfg, "vinh", (1, 2)):
+        expr, g = sample_aff_vform(rng, cfg, n)
+        viol = affine.aff_violations(g, affine.AffSubgroupSpec("hn", n))
+        yield (f"n={n}: {expr}", "member of H_n", "; ".join(viol)) if viol else None
 
 
 @_suite("h2n-in-v")
@@ -443,31 +413,17 @@ def _h2n_in_v(cfg: SamplerConfig):
     """Conjugating H_{2n} by t_{-nλ'} (λ' = å∨ + d) shifts each coefficient by
     exactly ϖ^{n·i + 2n·w(entry)}; the suite checks the shifted bounds
     ω ≥ 2n·max(1,|i|) + n·i + 2n·w and z ∈ O^×."""
-    failures = []
-    total = 0
     weight = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): -1}
-    for n in (1, 2):
-        t_conj = affine.aff_t_mu(cfg.field, -n, -n)
-        for i in range(max(1, cfg.trials // 2)):
-            total += 1
-            rng = cfg.rng(f"h2nv:{n}:{i}")
-            expr, g = sample_aff_hn(rng, cfg, 2 * n)
-            h = t_conj.conj(g)
-            bad = []
-            if h.z.valuation() != 0:
-                bad.append("z not a unit")
-            one = affine.LaurentPoly.one(cfg.field)
-            for r in range(2):
-                for c in range(2):
-                    dev = h.m[r][c] - one if r == c else h.m[r][c]
-                    for k, coeff in dev.coeffs.items():
-                        bound = 2 * n * max(1, abs(k)) + n * k + 2 * n * weight[(r, c)]
-                        if coeff.valuation() < bound:
-                            bad.append(f"({r + 1},{c + 1}) u^{k}: ω < {bound}")
-            if bad:
-                failures.append(Failure(total, f"n={n}: {expr}",
-                                        "shifted valuation bounds", "; ".join(bad)))
-    return total, failures, ""
+    t_conj = {n: affine.aff_t_mu(cfg.field, -n, -n) for n in (1, 2)}
+    for n, _, rng in _draws(cfg, "h2nv", (1, 2), max(1, cfg.trials // 2)):
+        expr, g = sample_aff_hn(rng, cfg, 2 * n)
+        h = t_conj[n].conj(g)
+        bad = [] if h.z.valuation() == 0 else ["z not a unit"]
+        for r, c, k, coeff in affine.deviation(h):
+            bound = 2 * n * max(1, abs(k)) + n * k + 2 * n * weight[(r, c)]
+            if coeff.valuation() < bound:
+                bad.append(f"({r + 1},{c + 1}) u^{k}: ω < {bound}")
+        yield (f"n={n}: {expr}", "shifted valuation bounds", "; ".join(bad)) if bad else None
 
 
 def conj_generator_list(field: Field):
@@ -494,13 +450,12 @@ def find_conjugation_bound(g: affine.AffElt, n: int, m_max: int, cfg: SamplerCon
                            _cache: dict | None = None):
     """Least m ≤ m_max with conj(g, sample(H_m)) ⊆ H_n on cfg.trials samples;
     None when exhausted (an outcome, not an error)."""
-    spec = affine.AffSubgroupSpec.hn(n)
+    spec = affine.AffSubgroupSpec("hn", n)
     for m in range(1, m_max + 1):
         if _cache is not None and m in _cache:
             samples = _cache[m]
         else:
-            samples = [sample_aff_hn(cfg.rng(f"conj:{m}:{i}"), cfg, m)
-                       for i in range(cfg.trials)]
+            samples = [sample_aff_hn(rng, cfg, m) for _, _, rng in _draws(cfg, "conj", (m,))]
             if _cache is not None:
                 _cache[m] = samples
         if all(affine.aff_member(g.conj(s), spec) for _, s in samples):
@@ -510,46 +465,32 @@ def find_conjugation_bound(g: affine.AffElt, n: int, m_max: int, cfg: SamplerCon
 
 @_suite("conj-invariance")
 def _conj_invariance(cfg: SamplerConfig):
-    failures = []
-    total = 0
     cache: dict = {}
     m_max = 6
     for expr, g in conj_generator_list(cfg.field):
         for n in (1, 2):
-            total += 1
             m = find_conjugation_bound(g, n, m_max, cfg, _cache=cache)
-            if m is None:
-                failures.append(Failure(total, f"g={expr}, n={n}",
-                                        f"some m <= {m_max}", "exhausted"))
-    return total, failures, ""
+            yield (f"g={expr}, n={n}", f"some m <= {m_max}", "exhausted") if m is None else None
 
 
 @_suite("hausdorff")
 def _hausdorff(cfg: SamplerConfig):
     """Every sampled non-identity element escapes H_n at a computable level."""
-    failures = []
-    total = 0
-    one = affine.LaurentPoly.one(cfg.field)
-    for i in range(cfg.trials):
-        total += 1
-        rng = cfg.rng(f"hausdorff:{i}")
+    for _, _, rng in _draws(cfg, "hausdorff"):
         expr, g = sample_aff_word(rng, cfg)
         if g.is_identity():
+            yield None
             continue
         candidates = []
         vz = (g.z - 1).valuation()
         if vz != INFINITY:
             candidates.append(max(1, int(vz) + 1))
-        for r in range(2):
-            for c in range(2):
-                dev = g.m[r][c] - one if r == c else g.m[r][c]
-                for k, coeff in dev.coeffs.items():
-                    v = coeff.valuation()
-                    candidates.append(max(1, int(v // max(1, abs(k))) + 1) if v >= 0 else 1)
+        for _, _, k, coeff in affine.deviation(g):
+            v = coeff.valuation()
+            candidates.append(max(1, int(v // max(1, abs(k))) + 1) if v >= 0 else 1)
         n_escape = min(candidates)
-        if affine.aff_member(g, affine.AffSubgroupSpec.hn(n_escape)):
-            failures.append(Failure(i, expr, f"escape by n = {n_escape}", "still inside"))
-    return total, failures, ""
+        inside = affine.aff_member(g, affine.AffSubgroupSpec("hn", n_escape))
+        yield (expr, f"escape by n = {n_escape}", "still inside") if inside else None
 
 
 @_suite("center-separation")
@@ -559,53 +500,45 @@ def _center_separation(cfg: SamplerConfig):
     characteristic ≠ 2."""
     field = cfg.field
     if field.char == 2:
-        return 0, [], ("witness needs p != 2 (-1 ≡ 1 mod 2)" if field.uniformizer_name == "p"
-                       else "witness needs odd residue characteristic")
+        raise NotApplicable("witness needs p != 2 (-1 ≡ 1 mod 2)" if field.uniformizer_name == "p"
+                            else "witness needs odd residue characteristic")
     minus_i = affine.aff_torus(-field.one(), field.one())
-    failures = []
     checks = [
-        ("passes CenterO", affine.aff_member(minus_i, affine.AffSubgroupSpec.center_integral())),
-        ("fails KerPi(1)", not affine.aff_member(minus_i, affine.AffSubgroupSpec.kerpi(1))),
+        ("passes CenterO", affine.aff_member(minus_i, affine.AffSubgroupSpec("centero"))),
+        ("fails KerPi(1)", not affine.aff_member(minus_i, affine.AffSubgroupSpec("kerpi", 1))),
     ]
     for i in (0, 1):
         for n in range(1, 11):
             checks.append((f"fixes test point i={i}, n={n}",
                            affine.fixes_test_point(minus_i, i, n)))
-    for idx, (what, ok) in enumerate(checks):
-        if not ok:
-            failures.append(Failure(idx, "torus(-1; 1)", what, "false"))
-    return len(checks), failures, ""
+    for what, ok in checks:
+        yield None if ok else ("torus(-1; 1)", what, "false")
 
 
 @_suite("coset-count")
 def _coset_count(cfg: SamplerConfig):
-    """Exhibits ≥ 10 pairwise-distinct H_2-cosets inside H_1 among x_-(k, ϖ^j)."""
+    """Exhibits ≥ 10 pairwise-distinct H_2-cosets inside H_1 among x_-(k, ϖ^j);
+    each element is a trial, the census is checked after the last."""
     field = cfg.field
-    elements = []
+    spec1 = affine.AffSubgroupSpec("hn", 1)
+    spec2 = affine.AffSubgroupSpec("hn", 2)
+    reps: list[affine.AffElt] = []
     for k in range(-3, 4):
-        low = max(1, abs(k))
-        for j in range(low, 2 * max(1, abs(k))):
-            elements.append((f"xm({k}; {field.pi_power(j)})",
-                             affine.aff_x_minus(field, k, field.pi_power(j))))
-    spec2 = affine.AffSubgroupSpec.hn(2)
-    spec1 = affine.AffSubgroupSpec.hn(1)
-    failures = []
-    reps: list[tuple[str, affine.AffElt]] = []
-    for expr, g in elements:
-        if not affine.aff_member(g, spec1):
-            failures.append(Failure(len(failures), expr, "in H_1", "outside"))
-            continue
-        if all(not affine.aff_member(r.inverse() * g, spec2) for _, r in reps):
-            reps.append((expr, g))
+        for j in range(max(1, abs(k)), 2 * max(1, abs(k))):
+            expr = f"xm({k}; {field.pi_power(j)})"
+            g = affine.aff_x_minus(field, k, field.pi_power(j))
+            if not affine.aff_member(g, spec1):
+                yield expr, "in H_1", "outside"
+                continue
+            if all(not affine.aff_member(r.inverse() * g, spec2) for r in reps):
+                reps.append(g)
+            yield None
     if len(reps) < 10:
-        failures.append(Failure(len(elements), "coset census",
-                                ">= 10 distinct H_2-cosets", str(len(reps))))
-    return len(elements), failures, ""
+        return "coset census", ">= 10 distinct H_2-cosets", str(len(reps))
 
 
 @_suite("tree-retraction")
 def _tree_retraction(cfg: SamplerConfig):
-    failures = []
     field = cfg.field
     pi = field.uniformizer()
     closed_cases = [
@@ -613,21 +546,14 @@ def _tree_retraction(cfg: SamplerConfig):
         ("point(xp(0), 1/4)", sl2.apartment_point(field, Fraction(1, 4)), Fraction(1, 4)),
         ("point(xp(0), -2)", sl2.apartment_point(field, -2), Fraction(-2)),
     ]
-    total = 0
     for expr, p, want in closed_cases:
-        total += 1
         got = sl2.tree_retract(p)
-        if got != want:
-            failures.append(Failure(total, expr, str(want), str(got)))
-    for i in range(cfg.trials):
-        total += 1
-        rng = cfg.rng(f"retract:{i}")
+        yield None if got == want else (expr, str(want), str(got))
+    for _, _, rng in _draws(cfg, "retract"):
         expr, p = sample_tree_point(rng, cfg)
         got = sl2.tree_retract(p)
         oracle = _retract_oracle(p)
-        if oracle is None or got != oracle:
-            failures.append(Failure(total, expr, str(oracle), str(got)))
-    return total, failures, ""
+        yield None if oracle is not None and got == oracle else (expr, str(oracle), str(got))
 
 
 def _retract_oracle(p: sl2.TreePoint):
@@ -658,20 +584,14 @@ def _retract_oracle(p: sl2.TreePoint):
 @_suite("fix-criterion")
 def _fix_criterion(cfg: SamplerConfig):
     """For SL2 tori, ω(α(t)−1) ≥ n iff t fixes the point x_+(ϖ^{-n})·0."""
-    failures = []
     field = cfg.field
-    total = 0
-    for i in range(cfg.trials):
-        rng = cfg.rng(f"fixcrit:{i}")
+    for _, _, rng in _draws(cfg, "fixcrit"):
         expr, t = sample_sl2_torus(rng, cfg)
         s = t.a
         for n in range(1, 5):
-            total += 1
             valuation_side = (s * s - 1).valuation() >= n
             base = sl2.tree_act(sl2.x_plus(field.pi_power(-n)), sl2.apartment_point(field, 0))
             geometric_side = sl2.tree_point_equal(sl2.tree_act(t, base), base)
-            if valuation_side != geometric_side:
-                failures.append(Failure(total, f"{expr}, n={n}",
-                                        f"criterion={valuation_side}",
-                                        f"geometric={geometric_side}"))
-    return total, failures, ""
+            yield (None if valuation_side == geometric_side
+                   else (f"{expr}, n={n}", f"criterion={valuation_side}",
+                         f"geometric={geometric_side}"))

@@ -23,10 +23,6 @@ class NotGCM(ValueError):
         super().__init__(f"Kac-Moody axiom ({axiom}) fails at {position}")
 
 
-class NotRegular(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class KacMoodyMatrix:
     entries: tuple[tuple[int, ...], ...]
@@ -93,15 +89,6 @@ def eval_pairing(chi, v) -> Fraction:
     if len(chi) != len(v):
         raise ValueError("dimension mismatch")
     return sum((Fraction(a) * b for a, b in zip(chi, v)), Fraction(0))
-
-
-def eval_root(system: RootGenSys, beta: RootVec, v) -> Fraction:
-    """β(v) for β = Σ n_i α_i given by its root-lattice coordinates."""
-    total = Fraction(0)
-    for n, alpha in zip(beta, system.simple_roots):
-        if n:
-            total += n * eval_pairing(alpha, v)
-    return total
 
 
 def height(beta: RootVec) -> int:
@@ -250,34 +237,6 @@ def tits_classify(system: RootGenSys, v, max_steps: int):
         cur = reflect(system, neg, cur)
         word.append(neg)
     return None
-
-
-def n_of_lambda(system: RootGenSys, lam) -> int:
-    """N(λ) = min over real roots α of |α(λ)| for regular integral λ.
-
-    Scans real roots up to the height beyond which |α(λ)| must exceed the
-    running minimum (height h forces dominant value ≥ h·min_i α_i(λ++)).
-    """
-    lam = system.apartment_vec(lam)
-    if any(x.denominator != 1 for x in lam):
-        raise ValueError("lambda must have integer coordinates")
-    cls = tits_classify(system, lam, max_steps=1000)
-    if cls is None or cls.zero_set:
-        raise NotRegular(f"{lam} is not a regular point of the Tits cone")
-    dominant = cls.w.inverse().apply(lam)
-    simple_values = [eval_pairing(a, dominant) for a in system.simple_roots]
-    floor_step = min(simple_values)
-    best = min(simple_values)
-    bound = int(best // floor_step)
-    for beta in real_roots_up_to_height(system, max(1, bound)):
-        if is_positive_root_vec(beta):
-            best = min(best, eval_root(system, beta, dominant))
-    return int(best)
-
-
-def half_apartment_contains(system: RootGenSys, alpha: RootVec, k: int, v) -> bool:
-    """Membership in D(α, k) = {x : α(x) + k ≥ 0}, exactly."""
-    return eval_root(system, alpha, system.apartment_vec(v)) + k >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .valued import INFINITY, Field, ValuedScalar
 
@@ -111,46 +112,55 @@ def birkhoff_decompose(g: SL2Elt):
 # ---------------------------------------------------------------------------
 # Subgroup specifications and membership.
 
+# Argument kinds of a subgroup spec: a filtration level n >= 1, or an
+# apartment coordinate y (any rational).  A kind mapped to None takes none.
+LEVEL = "level"
+RATIONAL = "rational"
+
+SL2_SPEC_KINDS = {
+    "kerpi": LEVEL,
+    "tn": LEVEL,
+    "tnunits": None,
+    "vlambda": LEVEL,
+    "fixpoint": RATIONAL,
+    "bigcello": None,
+}
+
+
 @dataclass(frozen=True)
-class SL2SubgroupSpec:
+class SubgroupSpec:
+    """A subgroup kind and its argument, checked against the family's
+    KINDS table on construction."""
     kind: str
-    n: int | None = None
-    y: Fraction | None = None
+    arg: int | Fraction | None = None
 
-    @staticmethod
-    def kerpi(n: int) -> "SL2SubgroupSpec":
-        return SL2SubgroupSpec("kerpi", n=_positive(n))
+    GROUP: ClassVar[str] = ""
+    KINDS: ClassVar[dict[str, str | None]] = {}
 
-    @staticmethod
-    def tn(n: int) -> "SL2SubgroupSpec":
-        return SL2SubgroupSpec("tn", n=_positive(n))
-
-    @staticmethod
-    def tn_units() -> "SL2SubgroupSpec":
-        return SL2SubgroupSpec("tnunits")
-
-    @staticmethod
-    def v_lambda(n: int) -> "SL2SubgroupSpec":
-        return SL2SubgroupSpec("vlambda", n=_positive(n))
-
-    @staticmethod
-    def fix_point(y) -> "SL2SubgroupSpec":
-        return SL2SubgroupSpec("fixpoint", y=Fraction(y))
-
-    @staticmethod
-    def big_cell_integral() -> "SL2SubgroupSpec":
-        return SL2SubgroupSpec("bigcello")
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown {self.GROUP} subgroup kind {self.kind!r}")
+        want = self.KINDS[self.kind]
+        if want == LEVEL:
+            if not isinstance(self.arg, int) or self.arg < 1:
+                raise ValueError("filtration level must be >= 1")
+        elif want == RATIONAL:
+            object.__setattr__(self, "arg", Fraction(self.arg))
+        elif self.arg is not None:
+            raise ValueError(f"subgroup kind {self.kind!r} takes no argument")
 
 
-def _positive(n: int) -> int:
-    if n < 1:
-        raise ValueError("filtration level must be >= 1")
-    return n
+class SL2SubgroupSpec(SubgroupSpec):
+    GROUP = "SL2"
+    KINDS = SL2_SPEC_KINDS
+
+    def violations(self, g: SL2Elt) -> list[str]:
+        return sl2_violations(g, self)
 
 
 def sl2_violations(g: SL2Elt, spec: SL2SubgroupSpec) -> list[str]:
     """Empty list iff g belongs to the described subgroup."""
-    kind, n = spec.kind, spec.n
+    kind, n = spec.kind, spec.arg
     out: list[str] = []
     if kind == "kerpi":
         for name, e, target in (("a", g.a, 1), ("b", g.b, 0), ("c", g.c, 0), ("d", g.d, 1)):
@@ -178,12 +188,12 @@ def sl2_violations(g: SL2Elt, spec: SL2SubgroupSpec) -> list[str]:
         if (delta - 1).valuation() < 4 * n:
             out.append(f"ω(δ-1) = {(delta - 1).valuation()} < {4 * n}")
     elif kind == "fixpoint":
-        y = spec.y
+        y = spec.arg
         for name, e, bound in (("a", g.a, 0), ("d", g.d, 0),
                                ("b", g.b, -2 * y), ("c", g.c, 2 * y)):
             if e.valuation() < bound:
                 out.append(f"ω({name}) = {e.valuation()} < {bound}")
-    elif kind == "bigcello":
+    else:  # bigcello
         try:
             b, c, delta = upt_decompose(g)
         except NotInBigCell:
@@ -194,8 +204,6 @@ def sl2_violations(g: SL2Elt, spec: SL2SubgroupSpec) -> list[str]:
             out.append(f"ω(c) = {c.valuation()} < 0")
         if delta.valuation() != 0:
             out.append(f"ω(δ) = {delta.valuation()} != 0")
-    else:
-        raise ValueError(f"unknown SL2 subgroup kind {kind!r}")
     return out
 
 

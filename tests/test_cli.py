@@ -1,5 +1,9 @@
+import hashlib
 import json
 
+import pytest
+
+from kmtop import affine, sl2
 from kmtop.cli import main
 
 
@@ -172,3 +176,69 @@ def test_zero_denominator_is_a_validation_error(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "zero denominator" in err
+
+
+# SHA-256 of `verify --suite all --seed 42 --trials 8`, recorded before the
+# suites were rewritten as trial generators: a report may not change a byte.
+VERIFY_DIGESTS = {
+    ("p:2", False): "25a4a887f19f17829fc7ceaad331eaa3cd13ea915cd50d4367f34f5ea1d581b1",
+    ("p:2", True): "985935965d974dff8531b3ea366fcaffc6625863b4770c491c1aa11b2df8f79d",
+    ("p:3", False): "bc84b103161fe039a6e1b519d6395daf107d47e8279462a7c51fcf7635501917",
+    ("p:3", True): "f2189baf585c16b9157bbb5d1011858d4bc2dd612508db8971a43cbaab0ef296",
+    ("fq:2", False): "8e6b59faa336d54b2d99a45d5b0364f1fe67054597634dd327d21eb08bcf76ee",
+    ("fq:2", True): "fe52f838b68aeead6ee34087789e8f7949c680cf81f3e123f7a959f2e9998dda",
+    ("fq:3", False): "bc84b103161fe039a6e1b519d6395daf107d47e8279462a7c51fcf7635501917",
+    ("fq:3", True): "fe266852b48ba5ca12505107a8e4c0bb2df2cc14fb6c85059a635424277b3760",
+}
+
+
+@pytest.mark.parametrize("field,as_json", sorted(VERIFY_DIGESTS))
+def test_verify_report_digest(capsys, field, as_json):
+    argv = ["verify", "--suite", "all", "--field", field, "--seed", "42", "--trials", "8"]
+    code, out, _ = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[field, as_json]
+
+
+def test_failing_suite_numbers_and_lists_its_failures(capsys, monkeypatch):
+    retract = sl2.tree_retract
+    monkeypatch.setattr(sl2, "tree_retract", lambda p: retract(p) + 1)
+    argv = ("verify", "--suite", "tree-retraction", "--trials", "12")
+    code, text, _ = run(capsys, *argv)
+    assert code == 3
+    assert text.splitlines()[0] == "tree-retraction: fail (15 trials)"
+    assert len([line for line in text.splitlines() if line.startswith("  trial ")]) == 10
+    code, out, _ = run(capsys, "--json", *argv)
+    suite = json.loads(out)["suites"][0]
+    assert code == 3 and suite["verdict"] == "fail" and suite["trials"] == 15
+    # every trial fails, each once, numbered 1..trials in order
+    assert [f["trial"] for f in suite["failures"]] == list(range(1, 16))
+
+
+def test_closure_failure_says_what_escaped(capsys, monkeypatch):
+    argv = ("--json", "verify", "--suite", "hn-closure", "--trials", "4")
+    with monkeypatch.context() as m:
+        m.setattr(affine.AffElt, "inverse", lambda g: affine.aff_t_mu(g.field, 1, 0))
+        code, out, _ = run(capsys, *argv)
+    failures = json.loads(out)["suites"][0]["failures"]
+    assert code == 3 and [f["trial"] for f in failures] == [1, 2, 3, 4]
+    assert {f["got"] for f in failures} == {"inverse escaped"}
+    assert {f["expected"] for f in failures} == {"product and inverse in hn:1",
+                                                 "product and inverse in hn:2"}
+    monkeypatch.setattr(affine, "aff_violations", lambda g, spec: ["forced"])
+    code, out, _ = run(capsys, *argv)
+    failures = json.loads(out)["suites"][0]["failures"]
+    assert code == 3 and {f["got"] for f in failures} == {"product and inverse escaped"}
+
+
+def test_member_accepts_every_table_kind(capsys):
+    args = {sl2.LEVEL: ":2", sl2.RATIONAL: ":1/2", None: ""}
+    for table, expr in ((sl2.SL2_SPEC_KINDS, "diag(2)"), (affine.AFF_SPEC_KINDS, "s1 s1")):
+        for kind, want in table.items():
+            code, out, err = run(capsys, "member", "--spec", kind + args[want], expr)
+            assert code == 0 and out.splitlines()[0] in ("true", "false"), (kind, err)
+            if want == sl2.LEVEL:
+                code, _, err = run(capsys, "member", "--spec", kind, expr)
+                assert code == 2 and f"needs a level, e.g. {kind}:2" in err
+    code, _, err = run(capsys, "member", "--spec", "nope:1", "xp(")
+    assert code == 2 and "unknown subgroup spec" in err

@@ -14,24 +14,24 @@ ONE = F3.one()
 def test_kerpi_borderline_levels():
     for n in (1, 2, 3):
         g = S.x_plus(PI ** n) * S.x_minus(PI ** n) * S.diag_torus(ONE + PI ** n)
-        assert S.sl2_member(g, S.SL2SubgroupSpec.kerpi(n))
+        assert S.sl2_member(g, S.SL2SubgroupSpec("kerpi", n))
         assert S.kerpi_product_member(g, n)
-        assert not S.sl2_member(g, S.SL2SubgroupSpec.kerpi(n + 1))
+        assert not S.sl2_member(g, S.SL2SubgroupSpec("kerpi", n + 1))
         assert not S.kerpi_product_member(g, n + 1)
         # one factor short of the level
         h = S.x_plus(PI ** (n - 1)) * S.x_minus(PI ** n) if n > 1 else S.x_plus(ONE)
-        assert S.sl2_member(h, S.SL2SubgroupSpec.kerpi(n)) == \
+        assert S.sl2_member(h, S.SL2SubgroupSpec("kerpi", n)) == \
             S.kerpi_product_member(h, n) == False  # noqa: E712
 
 
 def test_vlambda_borderlines():
     for n in (1, 2):
         good = S.compose_upt(PI ** (2 * n), PI ** (2 * n), ONE + PI ** (4 * n))
-        assert S.sl2_member(good, S.SL2SubgroupSpec.v_lambda(n))
+        assert S.sl2_member(good, S.SL2SubgroupSpec("vlambda", n))
         shy_b = S.compose_upt(PI ** (2 * n - 1), PI ** (2 * n), ONE + PI ** (4 * n))
         shy_t = S.compose_upt(PI ** (2 * n), PI ** (2 * n), ONE + PI ** (4 * n - 1))
-        assert not S.sl2_member(shy_b, S.SL2SubgroupSpec.v_lambda(n))
-        assert not S.sl2_member(shy_t, S.SL2SubgroupSpec.v_lambda(n))
+        assert not S.sl2_member(shy_b, S.SL2SubgroupSpec("vlambda", n))
+        assert not S.sl2_member(shy_t, S.SL2SubgroupSpec("vlambda", n))
 
 
 def test_hn_borderlines():
@@ -40,24 +40,24 @@ def test_hn_borderlines():
             need = n * max(1, abs(k))
             ok = A.aff_x_minus(F3, k, PI ** need)
             shy = A.aff_x_minus(F3, k, PI ** (need - 1))
-            assert A.aff_member(ok, A.AffSubgroupSpec.hn(n))
-            assert not A.aff_member(shy, A.AffSubgroupSpec.hn(n))
+            assert A.aff_member(ok, A.AffSubgroupSpec("hn", n))
+            assert not A.aff_member(shy, A.AffSubgroupSpec("hn", n))
 
 
 def test_vform_near_misses():
     # torus factor one level short of T_{2n}
     t_shy = A.aff_torus(ONE + PI, ONE + PI ** 2)
-    assert not A.aff_member(t_shy, A.AffSubgroupSpec.vform(1))
+    assert not A.aff_member(t_shy, A.AffSubgroupSpec("vform", 1))
     t_ok = A.aff_torus(ONE + PI ** 2, ONE + PI ** 2)
-    assert A.aff_member(t_ok, A.AffSubgroupSpec.vform(1))
+    assert A.aff_member(t_ok, A.AffSubgroupSpec("vform", 1))
     # one-root factors at the exact pattern boundary, n = 1
-    assert A.aff_member(A.aff_x_plus(F3, 1, PI ** 5), A.AffSubgroupSpec.vform(1))
-    assert not A.aff_member(A.aff_x_plus(F3, 1, PI ** 4), A.AffSubgroupSpec.vform(1))
-    assert A.aff_member(A.aff_x_minus(F3, 1, PI), A.AffSubgroupSpec.vform(1))
-    assert not A.aff_member(A.aff_x_minus(F3, 1, ONE), A.AffSubgroupSpec.vform(1))
-    assert A.aff_member(A.aff_x_minus(F3, 0, PI ** 2), A.AffSubgroupSpec.vform(1))
-    assert not A.aff_member(A.aff_x_minus(F3, -1, PI ** 4), A.AffSubgroupSpec.vform(1))
-    assert A.aff_member(A.aff_x_minus(F3, -1, PI ** 5), A.AffSubgroupSpec.vform(1))
+    assert A.aff_member(A.aff_x_plus(F3, 1, PI ** 5), A.AffSubgroupSpec("vform", 1))
+    assert not A.aff_member(A.aff_x_plus(F3, 1, PI ** 4), A.AffSubgroupSpec("vform", 1))
+    assert A.aff_member(A.aff_x_minus(F3, 1, PI), A.AffSubgroupSpec("vform", 1))
+    assert not A.aff_member(A.aff_x_minus(F3, 1, ONE), A.AffSubgroupSpec("vform", 1))
+    assert A.aff_member(A.aff_x_minus(F3, 0, PI ** 2), A.AffSubgroupSpec("vform", 1))
+    assert not A.aff_member(A.aff_x_minus(F3, -1, PI ** 4), A.AffSubgroupSpec("vform", 1))
+    assert A.aff_member(A.aff_x_minus(F3, -1, PI ** 5), A.AffSubgroupSpec("vform", 1))
 
 
 def test_vform_factor_order_matters_only_as_pattern():
@@ -67,7 +67,7 @@ def test_vform_factor_order_matters_only_as_pattern():
     u_minus = t_l * A.aff_x_minus(F3, 0, F3.scalar(2)) * t_l.inverse()
     g = u_minus * u_plus * A.aff_torus(ONE + PI ** 2, ONE)
     # reordering changes the element; the predicate answers for the element
-    assert isinstance(A.aff_member(g, A.AffSubgroupSpec.vform(1)), bool)
+    assert isinstance(A.aff_member(g, A.AffSubgroupSpec("vform", 1)), bool)
 
 
 def test_conjugation_shift_law_is_sharp():
@@ -75,7 +75,7 @@ def test_conjugation_shift_law_is_sharp():
     # exponent -1: the bound 2n·max(1,|k|) + n·k - 2n is attained
     n = 1
     g = A.aff_x_minus(F3, -1, PI ** 2)
-    assert A.aff_member(g, A.AffSubgroupSpec.hn(2))
+    assert A.aff_member(g, A.AffSubgroupSpec("hn", 2))
     conj = A.aff_t_mu(F3, -n, -n).conj(g)
     coeff = conj.m[1][0].get(-1)
     assert coeff.valuation() == -1          # = 2n - n - 2n
@@ -139,13 +139,13 @@ def test_vform_with_larger_loop_exponents():
     u_minus = t_l * (A.aff_x_minus(F3, -4, F3.scalar(7))
                      * A.aff_x_plus(F3, -5, ONE)) * t_l.inverse()
     g = u_plus * u_minus * A.aff_torus(ONE + PI ** 3, ONE + PI ** 2)
-    assert A.aff_member(g, A.AffSubgroupSpec.vform(1))
-    assert not A.aff_member(g, A.AffSubgroupSpec.vform(2))
+    assert A.aff_member(g, A.AffSubgroupSpec("vform", 1))
+    assert not A.aff_member(g, A.AffSubgroupSpec("vform", 2))
 
 
 def test_hn_group_axioms_under_mixed_generators():
     rng = random.Random(33)
-    spec = A.AffSubgroupSpec.hn(2)
+    spec = A.AffSubgroupSpec("hn", 2)
     cfg = H.SamplerConfig(field=F3, trials=1)
     elems = [H.sample_aff_hn(rng, cfg, 2)[1] for _ in range(40)]
     for g, h in zip(elems[::2], elems[1::2]):

@@ -17,6 +17,13 @@ def test_unknown_suite():
         H.run_suite("no-such-suite", small_cfg())
 
 
+def test_config_rejects_nonpositive_trials():
+    # a suite with no trials would pass having checked nothing
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            small_cfg(trials=trials)
+
+
 def test_determinism_identical_reports():
     for name in ("commutation", "hn-closure", "tree-retraction"):
         r1 = H.run_suite(name, small_cfg())
@@ -30,31 +37,33 @@ def test_determinism_identical_reports():
 
 def test_sample_element_determinism_and_self_validation():
     cfg = small_cfg()
-    for cls, n in [("SL2Generic", None), ("SL2KerPi", 2), ("AffWord", None),
-                   ("AffHn", 2), ("AffTorus", None), ("AffVForm", 1)]:
-        e1, g1 = H.sample_element(cls, cfg, 7, n)
-        e2, g2 = H.sample_element(cls, cfg, 7, n)
+    for sampler, n in [(H.sample_sl2_generic, None), (H.sample_sl2_kerpi, 2),
+                       (H.sample_aff_word, None), (H.sample_aff_hn, 2),
+                       (H.sample_aff_torus, None), (H.sample_aff_vform, 1)]:
+        args = () if n is None else (n,)
+        e1, g1 = sampler(cfg.rng(f"{sampler.__name__}:{n}:7"), cfg, *args)
+        e2, g2 = sampler(cfg.rng(f"{sampler.__name__}:{n}:7"), cfg, *args)
         assert e1 == e2
-        if cls == "SL2KerPi":
-            assert sl2.sl2_member(g1, sl2.SL2SubgroupSpec.kerpi(n))
-        if cls == "AffHn":
-            assert affine.aff_member(g1, affine.AffSubgroupSpec.hn(n))
-        if cls == "AffVForm":
-            assert affine.aff_member(g1, affine.AffSubgroupSpec.hn(n))
-            assert affine.aff_member(g1, affine.AffSubgroupSpec.vform(n))
+        if sampler is H.sample_sl2_kerpi:
+            assert sl2.sl2_member(g1, sl2.SL2SubgroupSpec("kerpi", n))
+        if sampler is H.sample_aff_hn:
+            assert affine.aff_member(g1, affine.AffSubgroupSpec("hn", n))
+        if sampler is H.sample_aff_vform:
+            assert affine.aff_member(g1, affine.AffSubgroupSpec("hn", n))
+            assert affine.aff_member(g1, affine.AffSubgroupSpec("vform", n))
 
 
 def test_sample_expressions_replay():
     # recorded expressions rebuild the recorded element exactly
     cfg = small_cfg()
     for idx in range(12):
-        expr, g = H.sample_element("SL2KerPi", cfg, idx, 1)
+        expr, g = H.sample_sl2_kerpi(cfg.rng(f"kerpi:1:{idx}"), cfg, 1)
         _, rebuilt = exprs.parse_element(expr, exprs.SL2, F3)
         assert rebuilt == g
-        expr, g = H.sample_element("AffHn", cfg, idx, 2)
+        expr, g = H.sample_aff_hn(cfg.rng(f"hn:2:{idx}"), cfg, 2)
         _, rebuilt = exprs.parse_element(expr, exprs.AFFINE, F3)
         assert rebuilt.m == g.m and rebuilt.z == g.z
-        expr, g = H.sample_element("AffVForm", cfg, idx, 1)
+        expr, g = H.sample_aff_vform(cfg.rng(f"vform:1:{idx}"), cfg, 1)
         _, rebuilt = exprs.parse_element(expr, exprs.AFFINE, F3)
         assert rebuilt.m == g.m and rebuilt.z == g.z
 
@@ -102,7 +111,7 @@ def test_find_conjugation_bound_examples():
 def test_retract_oracle_is_independent_and_agrees():
     cfg = small_cfg(trials=60)
     for i in range(60):
-        _, p = H.sample_element("SL2Generic", cfg, i, None)
+        _, p = H.sample_sl2_generic(cfg.rng(f"generic:{i}"), cfg)
         point = sl2.TreePoint.make(p, 0)
         assert H._retract_oracle(point) == sl2.tree_retract(point)
 
@@ -110,7 +119,7 @@ def test_retract_oracle_is_independent_and_agrees():
 def test_failures_are_replayable():
     # a deliberately wrong expectation exercises the failure payload path
     cfg = small_cfg(trials=5)
-    expr, g = H.sample_element("AffHn", cfg, 0, 1)
+    expr, g = H.sample_aff_hn(cfg.rng("hn:1:0"), cfg, 1)
     failure = H.Failure(0, expr, "x", "y")
     report = H.SuiteReport("demo", 1, [failure], 0.0)
     assert report.verdict == "fail"

@@ -137,30 +137,6 @@ def test_weyl_matrix_equality():
     assert w.compose(w.inverse()) == R.WeylElt(AFF, ())
 
 
-def test_n_of_lambda():
-    assert R.n_of_lambda(AFF, (1, 3)) == 1
-    assert R.n_of_lambda(AFF, (2, 6)) == 2
-    assert R.n_of_lambda(A1, (1,)) == 2
-    for m in (2, 3, 5):
-        assert R.n_of_lambda(AFF, (m, 3 * m)) == m * R.n_of_lambda(AFF, (1, 3))
-    with pytest.raises(R.NotRegular):
-        R.n_of_lambda(AFF, (0, 1))      # on both walls
-    with pytest.raises(R.NotRegular):
-        R.n_of_lambda(AFF, (1, 0))      # å∨: α0 < 0 and δ = 0, outside T
-    with pytest.raises(ValueError):
-        R.n_of_lambda(A1, (Fraction(1, 2),))
-    # a regular non-dominant lambda: w.λ for λ dominant
-    w = R.WeylElt(AFF, (0, 1))
-    moved = w.apply(AFF.apartment_vec((1, 3)))
-    assert R.n_of_lambda(AFF, moved) == 1
-
-
-def test_half_apartment():
-    assert R.half_apartment_contains(AFF, (0, 1), 0, (0, 0))
-    assert R.half_apartment_contains(AFF, (1, 0), -1, (1, 3))
-    assert not R.half_apartment_contains(A1, (1,), -3, (1,))
-
-
 def test_fixture_roundtrip(tmp_path):
     data = {
         "cartan": [[2, -2], [-2, 2]],
