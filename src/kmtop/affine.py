@@ -164,17 +164,26 @@ class AffElt:
         if not _mat_det(self.m).is_one():
             raise ValueError("determinant must be 1")
 
+    @classmethod
+    def _trusted(cls, m: Matrix, z: ValuedScalar) -> "AffElt":
+        """Build without the z != 0 and det checks, for products and inverses
+        of elements that passed them: the semidirect law keeps both."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "m", m)
+        object.__setattr__(g, "z", z)
+        return g
+
     @property
     def field(self) -> Field:
         return self.z.field
 
     def __mul__(self, other: "AffElt") -> "AffElt":
-        return AffElt(_mat_mul(self.m, _mat_subst(other.m, self.z)), self.z * other.z)
+        return AffElt._trusted(_mat_mul(self.m, _mat_subst(other.m, self.z)), self.z * other.z)
 
     def inverse(self) -> "AffElt":
         adj = ((self.m[1][1], -self.m[0][1]), (-self.m[1][0], self.m[0][0]))
         zi = self.z.inv()
-        return AffElt(_mat_subst(adj, zi), zi)
+        return AffElt._trusted(_mat_subst(adj, zi), zi)
 
     def conj(self, h: "AffElt") -> "AffElt":
         return self * h * self.inverse()
@@ -524,17 +533,21 @@ def kp_witness(n: int, depth: int):
     if n < 1 or depth < 1:
         raise ValueError("n and depth must be >= 1")
     system = roots.affine_sl2_system()
+    simple = ((1, 0), (0, 1))
+    # r(α_j) for each letter r; the action on Q-coordinates is linear, so
+    # (w·r)(α_j) = Σ_k r(α_j)_k · w(α_k) steps the prefix w one letter on.
+    reflected = [[roots.co_reflect(system, r, a) for a in simple] for r in (0, 1)]
+    images = simple          # w(α_0), w(α_1) for the prefix w read so far
     betas = []
     witness = None
-    word: list[int] = []
-    letters = [1, 0]
     for i in range(1, depth + 1):
-        next_letter = letters[(i - 1) % 2]
-        beta = roots.WeylElt(system, tuple(word)).apply_root(
-            (1, 0) if next_letter == 0 else (0, 1))
+        letter = i % 2           # r1 r0 r1 ...
+        beta = images[letter]
         ht = roots.height(beta)
         betas.append((beta, ht))
         if witness is None and n * ht < factorial(ht):
             witness = i
-        word.append(next_letter)
+        images = tuple(
+            tuple(sum(c * img[m] for c, img in zip(r_a, images)) for m in range(2))
+            for r_a in reflected[letter])
     return betas, witness

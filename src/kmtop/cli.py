@@ -122,14 +122,15 @@ def _fraction(text: str, what: str) -> Fraction:
 
 
 def _spec_arg(name: str, want: str | None, arg: str):
-    """The argument of a --spec as its kind table asks; text after the name
-    of a kind that takes no argument is ignored."""
+    """The argument of a --spec as its kind table asks."""
     if want == sl2.LEVEL:
         if not arg.isdigit() or int(arg) < 1:
             raise exprs.ValidationError(f"spec {name!r} needs a level, e.g. {name}:2")
         return int(arg)
     if want == sl2.RATIONAL:
         return _fraction(arg, f"spec {name!r}")
+    if arg:
+        raise exprs.ValidationError(f"spec {name!r} takes no argument")
     return None
 
 

@@ -31,12 +31,23 @@ class SL2Elt:
         if not (self.a * self.d - self.b * self.c).is_one():
             raise ValueError("determinant must be 1")
 
+    @classmethod
+    def _trusted(cls, a, b, c, d) -> "SL2Elt":
+        """Build without the det check, for products and inverses of
+        elements that passed it: exact arithmetic keeps det 1."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "a", a)
+        object.__setattr__(g, "b", b)
+        object.__setattr__(g, "c", c)
+        object.__setattr__(g, "d", d)
+        return g
+
     @property
     def field(self) -> Field:
         return self.a.field
 
     def __mul__(self, other: "SL2Elt") -> "SL2Elt":
-        return SL2Elt(
+        return SL2Elt._trusted(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -44,7 +55,7 @@ class SL2Elt:
         )
 
     def inverse(self) -> "SL2Elt":
-        return SL2Elt(self.d, -self.b, -self.c, self.a)
+        return SL2Elt._trusted(self.d, -self.b, -self.c, self.a)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)

@@ -331,10 +331,14 @@ class RationalFunctionField(Field):
             den = [rng.randrange(1, q), rng.randrange(q)]
         return self.ratio(num, den)
 
-    # raw ops on (num, den) pairs
+    # raw ops on (num, den) pairs.  _add and _mul of two polynomials
+    # (denominator (1,)) skip _canonical: a trimmed numerator over (1,) is
+    # already canonical, and zero comes out as ((), (1,)).
     def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
         q = self.q
+        if d1 == d2 == (1,):
+            return (_padd(n1, n2, q), (1,))
         return self._canonical(_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q), _pmul(d1, d2, q))
 
     def _neg(self, a):
@@ -344,6 +348,8 @@ class RationalFunctionField(Field):
     def _mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
         q = self.q
+        if d1 == d2 == (1,):
+            return (_pmul(n1, n2, q), (1,))
         return self._canonical(_pmul(n1, n2, q), _pmul(d1, d2, q))
 
     def _inv(self, a):
@@ -397,7 +403,7 @@ class ValuedScalar:
 
     def _peer(self, other) -> "ValuedScalar":
         if isinstance(other, ValuedScalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     f"mixed fields: {self.field.spec_string()} vs {other.field.spec_string()}")
             return other
@@ -463,7 +469,7 @@ class ValuedScalar:
     # predicates and views ---------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, ValuedScalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 return NotImplemented
             return self.raw == other.raw
         if isinstance(other, (int, Fraction)):

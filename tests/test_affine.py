@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmtop import affine as A
-from kmtop.valued import PAdicField, RationalFunctionField
+from kmtop import harness, roots
+from kmtop.valued import PAdicField, RationalFunctionField, parse_field
 
 F3 = PAdicField(3)
 PI = F3.uniformizer()
@@ -193,9 +197,96 @@ def test_kp_witness():
     assert A.kp_witness(1, 1)[1] is None      # depth too small
 
 
+def test_kp_witness_matches_weyl_word_action():
+    """Differential check of the stepped simple-root images against the
+    WeylElt action of each whole prefix word."""
+    system = roots.affine_sl2_system()
+    word, expected = [], []
+    for i in range(60):
+        letter = (1, 0)[i % 2]
+        beta = roots.WeylElt(system, tuple(word)).apply_root(((1, 0), (0, 1))[letter])
+        expected.append((beta, roots.height(beta)))
+        word.append(letter)
+    for n in (1, 2, 5):
+        witness = next((i for i, (_, ht) in enumerate(expected, 1)
+                        if n * ht < math.factorial(ht)), None)
+        for depth in range(1, 61):
+            want = witness if witness is not None and witness <= depth else None
+            assert A.kp_witness(n, depth) == (expected[:depth], want), (n, depth)
+
+
 def test_function_field_variant():
     f2 = RationalFunctionField(2)
     t = f2.uniformizer()
     g = A.aff_x_plus(f2, 1, t)
     assert A.aff_member(g, A.AffSubgroupSpec("hn", 1))
     assert A.eval_char(A.ALPHA_1, A.aff_torus(t, f2.one())) == t ** 2
+
+
+# --- the det check sits at the trust boundary ------------------------------------
+
+def test_constructor_rejects_bad_entries():
+    one, zero = A.LaurentPoly.one(F3), A.LaurentPoly.zero(F3)
+    with pytest.raises(ValueError, match="determinant must be 1"):
+        A.AffElt(((one, one), (one, one)), ONE)
+    with pytest.raises(ValueError, match="determinant must be 1"):
+        A.AffElt(((A.LaurentPoly.const(PI), zero), (zero, one)), ONE)
+    with pytest.raises(ValueError, match="semidirect scalar must be nonzero"):
+        A.AffElt(((one, zero), (zero, one)), F3.zero())
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+def test_products_inverses_and_conjugates_keep_det_one(spec):
+    """Products, inverses and conjugates are built unchecked; recompute the
+    invariants they must keep from the entries."""
+    cfg = harness.SamplerConfig(field=parse_field(spec), seed=11, trials=1)
+    rng = cfg.rng("det")
+    affs = ([harness.sample_aff_word(rng, cfg)[1] for _ in range(10)]
+            + [harness.sample_aff_hn(rng, cfg, n)[1] for n in (1, 2) for _ in range(5)])
+    for g, h in zip(affs, affs[1:] + affs[:1]):
+        for x in (g * h, g.inverse(), g.conj(h), (g * h).inverse()):
+            assert A._mat_det(x.m).is_one() and not x.z.is_zero()
+    sl2s = ([harness.sample_sl2_generic(rng, cfg)[1] for _ in range(10)]
+            + [harness.sample_sl2_kerpi(rng, cfg, n)[1] for n in (1, 2) for _ in range(5)])
+    for g, h in zip(sl2s, sl2s[1:] + sl2s[:1]):
+        for x in (g * h, g.inverse(), g * h * g.inverse(), (g * h).inverse()):
+            assert (x.a * x.d - x.b * x.c).is_one()
+
+
+# --- the semidirect law -----------------------------------------------------------
+
+def _aff_elements(field):
+    """Words of up to five generators: one-root elements x_±(k; c), tori,
+    translations t(l, n) and the two simple reflections, with small scalars
+    times ϖ^v."""
+    if field.uniformizer_name == "p":
+        base = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)).map(field.scalar)
+    else:
+        coeffs = st.lists(st.integers(0, field.q - 1), max_size=3)
+        base = st.builds(field.ratio, coeffs, coeffs.map(lambda c: c if any(c) else c + [1]))
+    scalar = st.builds(lambda x, v: x * field.pi_power(v), base, st.integers(-2, 2))
+    unit = scalar.filter(lambda x: not x.is_zero())
+    gen = st.one_of(
+        st.builds(lambda k, c: A.aff_x_plus(field, k, c), st.integers(-2, 2), scalar),
+        st.builds(lambda k, c: A.aff_x_minus(field, k, c), st.integers(-2, 2), scalar),
+        st.builds(A.aff_torus, unit, unit),
+        st.builds(lambda ell, n: A.aff_t_mu(field, ell, n), st.integers(-2, 2), st.integers(1, 2)),
+        st.sampled_from([A.aff_s0(field), A.aff_s1(field)]))
+
+    def product(word):
+        g = word[0]
+        for h in word[1:]:
+            g = g * h
+        return g
+    return st.lists(gen, min_size=1, max_size=5).map(product)
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_semidirect_law(spec, data):
+    field = parse_field(spec)
+    g, h, k = (data.draw(_aff_elements(field)) for _ in range(3))
+    assert (g * h) * k == g * (h * k)
+    assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
+    assert g.conj(h) == g * h * g.inverse()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -242,3 +243,22 @@ def test_member_accepts_every_table_kind(capsys):
                 assert code == 2 and f"needs a level, e.g. {kind}:2" in err
     code, _, err = run(capsys, "member", "--spec", "nope:1", "xp(")
     assert code == 2 and "unknown subgroup spec" in err
+
+
+def test_no_argument_spec_rejects_an_argument(capsys):
+    for spec, expr in (("center:xyz", "s1 s1"), ("centerO:1", "s1 s1"),
+                       ("tnunits:-7", "diag(2)"), ("bigcellO:0", "diag(2)")):
+        code, out, err = run(capsys, "member", "--spec", spec, expr)
+        name = spec.partition(":")[0].lower()
+        assert code == 2 and out == "", spec
+        assert err.splitlines() == [f"error: spec {name!r} takes no argument"]
+    code, out, _ = run(capsys, "member", "--spec", "center", "s1 s1")
+    assert code == 0 and out.strip() == "true"
+
+
+def test_kp_witness_deep_word_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "kp-witness", "-n", "1000000", "--depth", "3000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and out.splitlines()[-2:] == ["beta[3000] = (2999, 3000) ht=5999",
+                                                   "witness: 6"]

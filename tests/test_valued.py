@@ -270,3 +270,35 @@ def test_fq_matches_sympy_rational_functions(q, data):
     if not y.is_zero():
         assert y.inv().raw == canonical(ey ** -1)
         assert (x / y).raw == canonical(ex / ey)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_fq_polynomial_fast_path(q, data):
+    """_add/_mul of two polynomials skip _canonical; they must equal it applied
+    to the general formula, and sympy's arithmetic mod q."""
+    from kmtop.valued import _padd, _pmul
+
+    F = RationalFunctionField(q)
+    poly = st.lists(st.integers(0, q - 1), max_size=6).map(lambda c: F.ratio(c).raw)
+    a = data.draw(poly)
+    b = data.draw(st.one_of(poly, st.just(F._neg(a))))      # includes a + b = 0
+    (n1, one), (n2, _) = a, b
+    assert one == (1,) and a == F._canonical(*a)
+    assert F._add(a, b) == F._canonical(_padd(_pmul(n1, one, q), _pmul(n2, one, q), q),
+                                        _pmul(one, one, q))
+    assert F._mul(a, b) == F._canonical(_pmul(n1, n2, q), _pmul(one, one, q))
+
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def to_poly(n):
+        return sympy.Poly(list(reversed(n)) or [0], t, modulus=q)
+
+    def raw(p):
+        # sympy's symmetric residues, low-to-high in [0, q)
+        return F.ratio(reversed([int(c) for c in p.all_coeffs()])).raw
+
+    assert F._add(a, b) == raw(to_poly(n1) + to_poly(n2))
+    assert F._mul(a, b) == raw(to_poly(n1) * to_poly(n2))
