@@ -83,14 +83,7 @@ class LaurentPoly:
         """u ← z·u: the exponent-k coefficient is multiplied by z^k."""
         if not self.coeffs or z.is_one():
             return self
-        powers: dict[int, ValuedScalar] = {}
-        out = {}
-        for k, v in self.coeffs.items():
-            zp = powers.get(k)
-            if zp is None:
-                zp = powers[k] = z ** k
-            out[k] = v * zp
-        return LaurentPoly(self.field, out)
+        return LaurentPoly(self.field, {k: v * z ** k for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and other.field == self.field
@@ -115,9 +108,6 @@ class LaurentPoly:
 
     def max_exponent(self) -> int:
         return max(self.coeffs, default=0)
-
-    def min_exponent(self) -> int:
-        return min(self.coeffs, default=0)
 
     def __str__(self):
         if not self.coeffs:
@@ -299,20 +289,20 @@ class AffSubgroupSpec(SubgroupSpec):
         return aff_violations(g, self)
 
 
-def deviation(g: AffElt):
-    """(r, c, k, coefficient) for each nonzero coefficient of M − I, entry by
+def deviation(m: Matrix):
+    """(r, c, k, coefficient) for each nonzero coefficient of m − I, entry by
     entry in row order and by increasing exponent within an entry."""
-    one = LaurentPoly.one(g.field)
+    one = LaurentPoly.one(m[0][0].field)
     for r in range(2):
         for c in range(2):
-            dev = g.m[r][c] - one if r == c else g.m[r][c]
+            dev = m[r][c] - one if r == c else m[r][c]
             for k, coeff in sorted(dev.coeffs.items()):
                 yield r, c, k, coeff
 
 
 def _kerpi_violations(g: AffElt, n: int) -> list[str]:
     out = [f"entry ({r + 1},{c + 1}) u^{k}: ω = {coeff.valuation()} < {n}"
-           for r, c, k, coeff in deviation(g) if coeff.valuation() < n]
+           for r, c, k, coeff in deviation(g.m) if coeff.valuation() < n]
     if (g.z - 1).valuation() < n:
         out.append(f"ω(z-1) = {(g.z - 1).valuation()} < {n}")
     return out
@@ -374,43 +364,21 @@ def aff_member(g: AffElt, spec: AffSubgroupSpec) -> bool:
 # with B(∞) lower-unitriangular) is unique when it exists and is found by two
 # small exact linear solves; each factor is then checked entry-wise.
 
-def _pos_pattern_violations(a: Matrix, n: int) -> list[str]:
-    """t_{-nλ}·U0^{pm+}·t_{nλ} entry conditions (λ = å∨ + 3d)."""
+def _pattern_violations(a: Matrix, n: int, sign: int) -> list[str]:
+    """Entry conditions of u_+ ∈ t_{-nλ}·U0^{pm+}·t_{nλ} (sign 1) or of its
+    mirror u_- ∈ t_{nλ}·U0^{nm-}·t_{-nλ} (sign −1): entry (r, c) of u_- at
+    exponent k obeys the u_+ rule for entry (c, r) at exponent −k."""
+    name, beyond = ("u_+", "<") if sign > 0 else ("u_-", ">")
     out = []
-    bounds = ((lambda k: 3 * n * k, lambda k: 2 * n + 3 * n * k),
-              (lambda k: 3 * n * k - 2 * n, lambda k: 3 * n * k))
-    for r in range(2):
-        for c in range(2):
-            dev = a[r][c]
-            if r == c:
-                dev = dev - LaurentPoly.one(dev.field)
-            lowest = 1 if r == c or (r, c) == (1, 0) else 0
-            for k, coeff in sorted(dev.coeffs.items()):
-                if k < lowest:
-                    out.append(f"u_+ entry ({r + 1},{c + 1}) has exponent {k} < {lowest}")
-                elif coeff.valuation() < bounds[r][c](k):
-                    out.append(
-                        f"u_+ entry ({r + 1},{c + 1}) u^{k}: ω < {bounds[r][c](k)}")
-    return out
-
-
-def _neg_pattern_violations(b: Matrix, n: int) -> list[str]:
-    """t_{nλ}·U0^{nm-}·t_{-nλ} entry conditions (mirror of the + pattern)."""
-    out = []
-    bounds = ((lambda k: 3 * n * k, lambda k: 3 * n * k - 2 * n),
-              (lambda k: 2 * n + 3 * n * k, lambda k: 3 * n * k))
-    for r in range(2):
-        for c in range(2):
-            dev = b[r][c]
-            if r == c:
-                dev = dev - LaurentPoly.one(dev.field)
-            highest = -1 if r == c or (r, c) == (0, 1) else 0
-            for k, coeff in sorted(dev.coeffs.items()):
-                if k > highest:
-                    out.append(f"u_- entry ({r + 1},{c + 1}) has exponent {k} > {highest}")
-                elif coeff.valuation() < bounds[r][c](abs(k)):
-                    out.append(
-                        f"u_- entry ({r + 1},{c + 1}) u^{k}: ω < {bounds[r][c](abs(k))}")
+    for r, c, k, coeff in deviation(a):
+        pr, pc = (r, c) if sign > 0 else (c, r)
+        lowest = 0 if (pr, pc) == (0, 1) else 1
+        bound = 3 * n * sign * k + 2 * n * (pc - pr)
+        if sign * k < lowest:
+            out.append(f"{name} entry ({r + 1},{c + 1}) has exponent {k} "
+                       f"{beyond} {sign * lowest}")
+        elif coeff.valuation() < bound:
+            out.append(f"{name} entry ({r + 1},{c + 1}) u^{k}: ω < {bound}")
     return out
 
 
@@ -516,8 +484,8 @@ def vform_violations(g: AffElt, n: int) -> list[str]:
     out = []
     if (f - 1).valuation() < 2 * n:
         out.append(f"torus factor: ω(f-1) = {(f - 1).valuation()} < {2 * n}")
-    out.extend(_pos_pattern_violations(A, n))
-    out.extend(_neg_pattern_violations(B, n))
+    out.extend(_pattern_violations(A, n, 1))
+    out.extend(_pattern_violations(B, n, -1))
     return out
 
 

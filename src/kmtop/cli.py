@@ -278,8 +278,8 @@ def cmd_tits(args):
         _emit(args, {"command": "tits", "classified": False}, ["not classified"])
         return 0
     _emit(args, {"command": "tits", "classified": True,
-                 "word": list(result.w.word), "walls": sorted(result.zero_set)},
-          [f"word: {''.join(f'r{i}' for i in result.w.word) or 'e'}",
+                 "word": list(result.word), "walls": sorted(result.zero_set)},
+          [f"word: {''.join(f'r{i}' for i in result.word) or 'e'}",
            f"walls: {sorted(result.zero_set)}"])
     return 0
 

@@ -21,13 +21,18 @@ class UnknownSuite(KeyError):
     pass
 
 
+# Fixed sampler shape, echoed in every report's config block: the valuation
+# window of generic scalars, the largest |exponent| of an affine generator
+# and the longest sampled word.
+VALUATION_RANGE = (-3, 6)
+LAURENT_SUPPORT = 6
+WORD_LENGTH = 8
+
+
 @dataclass
 class SamplerConfig:
     field: Field
     seed: int = 42
-    valuation_range: tuple[int, int] = (-3, 6)
-    laurent_support: int = 6
-    word_length: int = 8
     trials: int = 500
 
     def __post_init__(self):
@@ -41,9 +46,9 @@ class SamplerConfig:
         return {
             "field": self.field.spec_string(),
             "seed": self.seed,
-            "valuation_range": list(self.valuation_range),
-            "laurent_support": self.laurent_support,
-            "word_length": self.word_length,
+            "valuation_range": list(VALUATION_RANGE),
+            "laurent_support": LAURENT_SUPPORT,
+            "word_length": WORD_LENGTH,
             "trials": self.trials,
         }
 
@@ -109,7 +114,7 @@ def sample_scalar_min_val(rng: random.Random, field: Field, low: int, spread: in
 
 def sample_sl2_generic(rng: random.Random, cfg: SamplerConfig):
     field = cfg.field
-    length = rng.randrange(1, max(2, cfg.word_length))
+    length = rng.randrange(1, WORD_LENGTH)
     words = []
     elt = sl2.identity(field)
     for _ in range(length):
@@ -118,11 +123,11 @@ def sample_sl2_generic(rng: random.Random, cfg: SamplerConfig):
             words.append("w")
             elt = elt * sl2.weyl_w(field)
         elif kind == "diag":
-            f = sample_scalar(rng, field, cfg.valuation_range, allow_zero=False)
+            f = sample_scalar(rng, field, VALUATION_RANGE, allow_zero=False)
             words.append(f"diag({f})")
             elt = elt * sl2.diag_torus(f)
         else:
-            c = sample_scalar(rng, field, cfg.valuation_range)
+            c = sample_scalar(rng, field, VALUATION_RANGE)
             words.append(f"{kind}({c})")
             elt = elt * (sl2.x_plus(c) if kind == "xp" else sl2.x_minus(c))
     return " ".join(words), elt
@@ -155,11 +160,11 @@ def sample_sl2_torus(rng: random.Random, cfg: SamplerConfig):
 
 def sample_tree_point(rng: random.Random, cfg: SamplerConfig):
     expr, g = sample_sl2_generic(rng, cfg)
-    y = Fraction(rng.randint(2 * cfg.valuation_range[0], 2 * cfg.valuation_range[1]), 2)
+    y = Fraction(rng.randint(2 * VALUATION_RANGE[0], 2 * VALUATION_RANGE[1]), 2)
     return f"point({expr}, {y})", sl2.TreePoint.make(g, y)
 
 
-def _aff_gen(rng, cfg, kind, k, c):
+def _aff_gen(cfg, kind, k, c):
     if kind == "xp":
         return f"xp({k}; {c})", affine.aff_x_plus(cfg.field, k, c)
     return f"xm({k}; {c})", affine.aff_x_minus(cfg.field, k, c)
@@ -167,15 +172,15 @@ def _aff_gen(rng, cfg, kind, k, c):
 
 def sample_aff_word(rng: random.Random, cfg: SamplerConfig):
     field = cfg.field
-    length = rng.randrange(1, max(2, min(cfg.word_length, 5)))
+    length = rng.randrange(1, min(WORD_LENGTH, 5))
     words = []
     elt = affine.aff_identity(field)
     for _ in range(length):
         kind = rng.choice(["xp", "xm", "t", "torus", "s0", "s1"])
         if kind in ("xp", "xm"):
-            k = rng.randint(-min(2, cfg.laurent_support), min(2, cfg.laurent_support))
+            k = rng.randint(-min(2, LAURENT_SUPPORT), min(2, LAURENT_SUPPORT))
             c = sample_scalar(rng, field, (-2, 4))
-            w, g = _aff_gen(rng, cfg, kind, k, c)
+            w, g = _aff_gen(cfg, kind, k, c)
         elif kind == "t":
             ell, nn = rng.randint(-1, 1), rng.randint(-1, 1)
             w, g = f"t({ell}, {nn})", affine.aff_t_mu(field, ell, nn)
@@ -194,8 +199,8 @@ def sample_aff_word(rng: random.Random, cfg: SamplerConfig):
 def sample_aff_hn(rng: random.Random, cfg: SamplerConfig, n: int):
     """Products of x_±(k, c) with ω(c) ≥ n·max(1, |k|) and T_n tori: all in H_n."""
     field = cfg.field
-    support = min(3, cfg.laurent_support)
-    length = rng.randrange(1, max(2, min(cfg.word_length, 5)))
+    support = min(3, LAURENT_SUPPORT)
+    length = rng.randrange(1, min(WORD_LENGTH, 5))
     words = []
     elt = affine.aff_identity(field)
     for _ in range(length):
@@ -208,7 +213,7 @@ def sample_aff_hn(rng: random.Random, cfg: SamplerConfig, n: int):
             kind = rng.choice(["xp", "xm"])
             k = rng.randint(-support, support)
             c = sample_scalar_min_val(rng, field, n * max(1, abs(k)))
-            w, g = _aff_gen(rng, cfg, kind, k, c)
+            w, g = _aff_gen(cfg, kind, k, c)
             words.append(w)
             elt = elt * g
     return " ".join(words), elt
@@ -231,41 +236,28 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
     """
     field = cfg.field
     t_nl = affine.aff_t_mu(field, n, 3 * n)      # translation by nλ
-    t_nl_inv = t_nl.inverse()
+    shift = (f"t({n}, {3 * n})", t_nl)
+    unshift = (f"t(-{n}, -{3 * n})", t_nl.inverse())
     words = []
 
-    def plus_part():
+    def part(sign, left, right):
+        """1-3 factors left·x·right: u_+ for sign 1, x = x_+(k) with k ≥ 0 or
+        x_-(k) with k ≥ 1; u_- for sign −1, its mirror x_-(−k) or x_+(−k)."""
+        near, far = ("xp", "xm") if sign > 0 else ("xm", "xp")
         out = affine.aff_identity(field)
         for _ in range(rng.randrange(1, 4)):
             if rng.random() < 0.6:
-                k = rng.randrange(0, 3)
-                c = sample_scalar_min_val(rng, field, 0)
-                w, g = _aff_gen(rng, cfg, "xp", k, c)
+                kind, k = near, sign * rng.randrange(0, 3)
             else:
-                k = rng.randrange(1, 3)
-                c = sample_scalar_min_val(rng, field, 0)
-                w, g = _aff_gen(rng, cfg, "xm", k, c)
-            words.append(f"t(-{n}, -{3 * n}) {w} t({n}, {3 * n})")
-            out = out * (t_nl_inv * g * t_nl)
+                kind, k = far, sign * rng.randrange(1, 3)
+            c = sample_scalar_min_val(rng, field, 0)
+            w, g = _aff_gen(cfg, kind, k, c)
+            words.append(f"{left[0]} {w} {right[0]}")
+            out = out * (left[1] * g * right[1])
         return out
 
-    def minus_part():
-        out = affine.aff_identity(field)
-        for _ in range(rng.randrange(1, 4)):
-            if rng.random() < 0.6:
-                k = -rng.randrange(0, 3)
-                c = sample_scalar_min_val(rng, field, 0)
-                w, g = _aff_gen(rng, cfg, "xm", k, c)
-            else:
-                k = -rng.randrange(1, 3)
-                c = sample_scalar_min_val(rng, field, 0)
-                w, g = _aff_gen(rng, cfg, "xp", k, c)
-            words.append(f"t({n}, {3 * n}) {w} t(-{n}, -{3 * n})")
-            out = out * (t_nl * g * t_nl_inv)
-        return out
-
-    u_plus = plus_part()
-    u_minus = minus_part()
+    u_plus = part(1, unshift, shift)
+    u_minus = part(-1, shift, unshift)
     f = field.one() + sample_scalar_min_val(rng, field, 2 * n)
     z = field.one() + sample_scalar_min_val(rng, field, 2 * n)
     words.append(f"torus({f}; {z})")
@@ -342,8 +334,8 @@ def _commutation(cfg: SamplerConfig):
     r = 1 + ab, plus the form with the torus moved right."""
     field = cfg.field
     for _, _, rng in _draws(cfg, "commutation"):
-        a = sample_scalar(rng, field, cfg.valuation_range)
-        b = sample_scalar(rng, field, cfg.valuation_range)
+        a = sample_scalar(rng, field, VALUATION_RANGE)
+        b = sample_scalar(rng, field, VALUATION_RANGE)
         r = field.one() + a * b
         if r.is_zero():
             yield None
@@ -360,9 +352,9 @@ def _commutation(cfg: SamplerConfig):
 def _uut(cfg: SamplerConfig):
     field = cfg.field
     for _, _, rng in _draws(cfg, "uut"):
-        b = sample_scalar(rng, field, cfg.valuation_range)
-        c = sample_scalar(rng, field, cfg.valuation_range)
-        d = sample_scalar(rng, field, cfg.valuation_range, allow_zero=False)
+        b = sample_scalar(rng, field, VALUATION_RANGE)
+        c = sample_scalar(rng, field, VALUATION_RANGE)
+        d = sample_scalar(rng, field, VALUATION_RANGE, allow_zero=False)
         got = sl2.upt_decompose(sl2.compose_upt(b, c, d))
         yield (None if got == (b, c, d)
                else (f"b={b}, c={c}, δ={d}", f"({b}, {c}, {d})", str(tuple(map(str, got)))))
@@ -419,7 +411,7 @@ def _h2n_in_v(cfg: SamplerConfig):
         expr, g = sample_aff_hn(rng, cfg, 2 * n)
         h = t_conj[n].conj(g)
         bad = [] if h.z.valuation() == 0 else ["z not a unit"]
-        for r, c, k, coeff in affine.deviation(h):
+        for r, c, k, coeff in affine.deviation(h.m):
             bound = 2 * n * max(1, abs(k)) + n * k + 2 * n * weight[(r, c)]
             if coeff.valuation() < bound:
                 bad.append(f"({r + 1},{c + 1}) u^{k}: ω < {bound}")
@@ -485,7 +477,7 @@ def _hausdorff(cfg: SamplerConfig):
         vz = (g.z - 1).valuation()
         if vz != INFINITY:
             candidates.append(max(1, int(vz) + 1))
-        for _, _, k, coeff in affine.deviation(g):
+        for _, _, k, coeff in affine.deviation(g.m):
             v = coeff.valuation()
             candidates.append(max(1, int(v // max(1, abs(k))) + 1) if v >= 0 else 1)
         n_escape = min(candidates)

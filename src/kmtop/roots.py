@@ -73,10 +73,6 @@ class RootGenSys:
                     raise ValueError(
                         f"pairing alpha_{j}(alpha_{i}^) != a[{i}][{j}]")
 
-    @property
-    def index_set(self) -> range:
-        return range(self.matrix.size)
-
     def apartment_vec(self, coords) -> ApartmentVec:
         v = tuple(Fraction(c) for c in coords)
         if len(v) != self.rank:
@@ -138,78 +134,9 @@ def real_roots_up_to_height(system: RootGenSys, max_height: int) -> frozenset[Ro
     return frozenset(b for b in seen if abs(height(b)) <= max_height)
 
 
-def is_positive_root_vec(beta: RootVec) -> bool:
-    return any(x > 0 for x in beta) and all(x >= 0 for x in beta)
-
-
-class WeylElt:
-    """A Weyl group element: a word in simple reflections plus its exact
-    matrix on A; equality is by matrix (the A-representation)."""
-
-    __slots__ = ("system", "word", "matrix")
-
-    def __init__(self, system: RootGenSys, word=(), matrix=None):
-        self.system = system
-        self.word = tuple(word)
-        if matrix is None:
-            matrix = _word_matrix(system, self.word)
-        self.matrix = matrix
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylElt) and other.system == self.system
-                and other.matrix == self.matrix)
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return "w[" + ("".join(f"r{i}" for i in self.word) or "e") + "]"
-
-    def apply(self, v) -> ApartmentVec:
-        return tuple(sum(row[c] * v[c] for c in range(len(v))) for row in self.matrix)
-
-    def apply_root(self, beta: RootVec) -> RootVec:
-        # (w.β) via co-reflections, rightmost letter acting first
-        for i in reversed(self.word):
-            beta = co_reflect(self.system, i, beta)
-        return beta
-
-    def compose(self, other: "WeylElt") -> "WeylElt":
-        mat = tuple(
-            tuple(sum(self.matrix[r][k] * other.matrix[k][c]
-                      for k in range(len(self.matrix)))
-                  for c in range(len(self.matrix)))
-            for r in range(len(self.matrix)))
-        return WeylElt(self.system, self.word + other.word, mat)
-
-    def inverse(self) -> "WeylElt":
-        return WeylElt(self.system, tuple(reversed(self.word)))
-
-
-def _reflection_matrix(system: RootGenSys, i: int):
-    n = system.rank
-    alpha = system.simple_roots[i]
-    cov = system.simple_coroots[i]
-    return tuple(
-        tuple(Fraction((1 if r == c else 0) - cov[r] * alpha[c]) for c in range(n))
-        for r in range(n))
-
-
-def _word_matrix(system: RootGenSys, word):
-    n = system.rank
-    mat = tuple(tuple(Fraction(1 if r == c else 0) for c in range(n)) for r in range(n))
-    elt = WeylElt.__new__(WeylElt)
-    elt.system, elt.word, elt.matrix = system, (), mat
-    for i in word:
-        step = WeylElt.__new__(WeylElt)
-        step.system, step.word, step.matrix = system, (i,), _reflection_matrix(system, i)
-        elt = elt.compose(step)
-    return elt.matrix
-
-
 @dataclass(frozen=True)
 class TitsClassification:
-    w: WeylElt
+    word: tuple[int, ...]
     zero_set: frozenset[int]
 
 
@@ -217,26 +144,25 @@ def tits_classify(system: RootGenSys, v, max_steps: int):
     """Descend v into the closed fundamental chamber, or give up.
 
     While some α_i(current) < 0 apply r_i for the least such i. On success
-    returns TitsClassification(w, J) with v ∈ w.F̄ and J the wall set; returns
-    None (NotClassified) once max_steps reflections are spent -- points
-    outside the Tits cone never terminate the descent.
+    returns TitsClassification(word, J) with v ∈ w.F̄ for w = r_{word[0]}
+    r_{word[1]} ... and J the wall set; returns None (NotClassified) once
+    max_steps reflections are spent -- points outside the Tits cone never
+    terminate the descent.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     cur = system.apartment_vec(v)
     word = []
-    for _ in range(max_steps + 1):
+    while True:
         values = [eval_pairing(a, cur) for a in system.simple_roots]
         neg = next((i for i, val in enumerate(values) if val < 0), None)
         if neg is None:
-            w = WeylElt(system, tuple(word))
             zero = frozenset(i for i, val in enumerate(values) if val == 0)
-            return TitsClassification(w, zero)
-        if len(word) >= max_steps:
+            return TitsClassification(tuple(word), zero)
+        if len(word) == max_steps:
             return None
         cur = reflect(system, neg, cur)
         word.append(neg)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -491,18 +491,6 @@ class ValuedScalar:
         """ω(x): an integer, or INFINITY iff x = 0."""
         return self.field._val(self.raw)
 
-    def in_integers(self) -> bool:
-        return self.valuation() >= 0
-
-    def is_integral_unit(self) -> bool:
-        return self.valuation() == 0
-
-    def in_pi_power(self, n: int) -> bool:
-        return self.valuation() >= n
-
-    def in_one_plus_pi_power(self, n: int) -> bool:
-        return (self - 1).valuation() >= n
-
     def __str__(self):
         return self.field._format(self.raw)
 

@@ -136,7 +136,7 @@ def test_11_root_enumeration():
     assert found == frozenset(closed)
     for h in range(1, 10):
         positives = sum(1 for b in roots.real_roots_up_to_height(aff, h)
-                        if roots.is_positive_root_vec(b))
+                        if any(x > 0 for x in b) and all(x >= 0 for x in b))
         assert positives == 2 * ((h + 1) // 2)   # 2·⌈h/2⌉ per window
     assert roots.real_roots_up_to_height(roots.a1_system(), 9) == \
         frozenset({(1,), (-1,)})

@@ -199,12 +199,15 @@ def test_kp_witness():
 
 def test_kp_witness_matches_weyl_word_action():
     """Differential check of the stepped simple-root images against the
-    WeylElt action of each whole prefix word."""
+    action of each whole prefix word, co-reflected letter by letter with the
+    last letter acting first."""
     system = roots.affine_sl2_system()
     word, expected = [], []
     for i in range(60):
         letter = (1, 0)[i % 2]
-        beta = roots.WeylElt(system, tuple(word)).apply_root(((1, 0), (0, 1))[letter])
+        beta = ((1, 0), (0, 1))[letter]
+        for r in reversed(word):
+            beta = roots.co_reflect(system, r, beta)
         expected.append((beta, roots.height(beta)))
         word.append(letter)
     for n in (1, 2, 5):

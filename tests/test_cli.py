@@ -262,3 +262,57 @@ def test_kp_witness_deep_word_is_fast(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0 and out.splitlines()[-2:] == ["beta[3000] = (2999, 3000) ht=5999",
                                                    "witness: 6"]
+
+
+# SHA-256 of the concatenated `tits` outputs (text, and `--json`) for these
+# coordinates, recorded before the Weyl-element matrices were removed: the
+# words, the wall sets and the unclassified points may not change a byte.
+TITS_COORDS = {
+    "affine-sl2": ("0,0", "1,1", "-3,1", "5,1", "1/2,1", "7/3,2", "-10,1", "-100,1", "4,1",
+                   "1,0", "3,-1"),
+    "a1": ("1", "-2", "0", "1/3", "-5/2"),
+}
+TITS_DIGESTS = {
+    ("affine-sl2", False): "ca9516e319085d9c3d99e40cd278d7d3dad1f60fec4bc76516b87ba695b0d548",
+    ("affine-sl2", True): "da171d35712d509273c89f7dd1afd2765198f8f68516ac146a0cbb16c8986ea3",
+    ("a1", False): "3b754ff9d66cc3ebdf4bc4805607e7f130b08b09027e3f165d72a4bf19c8745e",
+    ("a1", True): "f46a049c77e20e567af70e4defc11f7798012dbb2a324edc186e5774cf3667bf",
+}
+
+
+@pytest.mark.parametrize("system,as_json", sorted(TITS_DIGESTS))
+def test_tits_output_digest(capsys, system, as_json):
+    text = ""
+    for coords in TITS_COORDS[system]:
+        code, out, _ = run(capsys, *(["--json"] if as_json else []),
+                           "tits", "--system", system, f"--coords={coords}")
+        assert code == 0
+        text += out
+    assert text.count("not classified" if not as_json else '"classified": false') == \
+        (3 if system == "affine-sl2" else 0)
+    assert hashlib.sha256(text.encode()).hexdigest() == TITS_DIGESTS[system, as_json]
+
+
+# SHA-256 of the concatenated `member --json --spec vform:n` outputs on p:3
+# for these words, recorded before the u_+ and u_- pattern rules were folded
+# into one: every violation message keeps its text and its order.
+VFORM_WORDS = ("xp(0; 1)", "xm(0; 1)", "xp(1; 1)", "xm(1; 1)", "xp(-1; 1)", "xm(-1; 1)",
+               "s1", "s0", "xp(2; 3) xm(-1; 1)", "t(1, 3) xm(0; 1) t(-1, -3)",
+               "xm(2; 1/3) xp(-2; 27)", "xp(1; 9) xm(-1; 3) torus(4; 10)",
+               "xm(1; 1) xp(0; 1)", "xp(-1; 1) xm(0; 1)",
+               "xm(1; 27) xp(0; 9) xp(-1; 9) xm(0; 27)")
+VFORM_DIGESTS = {
+    1: "b7e126170041a8ff0fd0640a3ea9d041583644d5bdb3715d3f65346515c54e1c",
+    2: "ea589aa0f393010e97792a225d548ad2ec5f3dca76ed65792660e8ff8697af09",
+}
+
+
+@pytest.mark.parametrize("level", sorted(VFORM_DIGESTS))
+def test_member_vform_output_digest(capsys, level):
+    text = ""
+    for word in VFORM_WORDS:
+        code, out, _ = run(capsys, "--json", "member", "--spec", f"vform:{level}", word)
+        assert code == 0
+        text += out
+    assert "u_+ entry" in text and "u_- entry" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == VFORM_DIGESTS[level]
