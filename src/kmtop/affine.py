@@ -106,9 +106,6 @@ class LaurentPoly:
             return self.coeffs[0]
         return None
 
-    def max_exponent(self) -> int:
-        return max(self.coeffs, default=0)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -361,8 +358,12 @@ def aff_member(g: AffElt, spec: AffSubgroupSpec) -> bool:
 # λ = å∨ + 3d.  g must factor as u_+ · u_- · t with u_± in the t_{∓nλ}-shifted
 # unit-at-0 patterns and t in T_{2n}.  The factorization M = A·B·diag(f,f^{-1})
 # (A polynomial in u with A(0) upper-unitriangular, B polynomial in u^{-1}
-# with B(∞) lower-unitriangular) is unique when it exists and is found by two
-# small exact linear solves; each factor is then checked entry-wise.
+# with B(∞) lower-unitriangular) is unique when it exists.  It is found by row
+# reduction: x_±(c·u^k), k ≥ 0, lowers the larger row degree of M until both
+# are 0 and what is left lies in K[u^{-1}].  Each step lowers the sum of the
+# row degrees, which starts at most 2N (N the largest u-exponent of M) and
+# never falls below deg det = 0, so at most 2N steps run.  Each factor is then
+# checked entry-wise.
 
 def _pattern_violations(a: Matrix, n: int, sign: int) -> list[str]:
     """Entry conditions of u_+ ∈ t_{-nλ}·U0^{pm+}·t_{nλ} (sign 1) or of its
@@ -382,105 +383,49 @@ def _pattern_violations(a: Matrix, n: int, sign: int) -> list[str]:
     return out
 
 
-def _solve_linear(rows, rhs, nvars, field):
-    """One exact solution of rows·x = rhs with free variables zeroed, or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(nvars):
-        pivot = next((r for r in range(row, len(aug)) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col].inv()
-        aug[row] = [e * inv for e in aug[row]]
-        for r in range(len(aug)):
-            if r != row and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(aug):
-            break
-    for r in range(row, len(aug)):
-        if not aug[r][nvars].is_zero():
-            return None
-    x = [field.zero()] * nvars
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][nvars]
-    return x
+def _birkhoff(m: Matrix):
+    """(A, C) with m = A·C, A ∈ SL2(K[u]) with A(0) upper unitriangular and
+    C = B·diag(f, f^{-1}) ∈ SL2(K[u^{-1}]) with C(∞) lower triangular; None
+    when m has no such factorization.
 
-
-def _birkhoff_row_solve(m: Matrix, top_row: bool, field: Field):
-    """Solve for one row pair of the polynomial factor A.
-
-    For the bottom row: A11 = 1 + Σ a_k u^k, A21 = Σ c_k u^k (k = 1..N) with
-    A11·M2j − A21·M1j ∈ K[u^{-1}]; top row mirrors it with A22 (constant 1)
-    and A12 (free constant term).  The top row additionally imposes the
-    normalization coefficient (A22·M12 − A12·M22)(u^0) = 0, without which the
-    system has the spurious one-parameter family A ← A·x_+(q0).  Returns the
-    pair (diag_poly, off_poly).
+    Row operations E reduce m to R = E·m in SL2(K[u^{-1}]).  A tie in row
+    degree reduces the top row, so every k = 0 step is an x_+ and E(0) is
+    upper unitriangular; A = E^{-1}·x_+(s) and C = x_+(−s)·R for the one s
+    that makes C(∞) lower triangular.
     """
-    N = max(0, max(e.max_exponent() for row in m for e in row))
-    if top_row:
-        diag_ref, off_ref = (m[0][0], m[0][1]), (m[1][0], m[1][1])
-        off_lowest = 0
-    else:
-        diag_ref, off_ref = (m[1][0], m[1][1]), (m[0][0], m[0][1])
-        off_lowest = 1
-    n_diag = N                       # unknowns u^1..u^N on the diagonal factor
-    n_off = N + 1 - off_lowest       # unknowns u^{off_lowest}..u^N off diagonal
-    nvars = n_diag + n_off
-    rows, rhs = [], []
-    for j in range(2):
-        ref_d, ref_o = diag_ref[j], off_ref[j]
-        max_e = N + max(ref_d.max_exponent(), ref_o.max_exponent(), 0)
-        lowest_e = 0 if (top_row and j == 1) else 1
-        for e in range(lowest_e, max_e + 1):
-            row = [field.zero()] * nvars
-            for k in range(1, N + 1):
-                row[k - 1] = ref_d.get(e - k)
-            for idx, k in enumerate(range(off_lowest, N + 1)):
-                row[n_diag + idx] = -ref_o.get(e - k)
-            rows.append(row)
-            rhs.append(-ref_d.get(e))   # constant-term-1 contribution moved right
-    sol = _solve_linear(rows, rhs, nvars, field)
-    if sol is None:
-        return None
-    diag = {0: field.one()}
-    for k in range(1, N + 1):
-        diag[k] = sol[k - 1]
-    off = {}
-    for idx, k in enumerate(range(off_lowest, N + 1)):
-        off[k] = sol[n_diag + idx]
-    return LaurentPoly(field, diag), LaurentPoly(field, off)
+    field = m[0][0].field
+    rows = [list(m[0]), list(m[1])]
+    while True:
+        deg = [max(k for e in row for k in e.coeffs) for row in rows]
+        hi = 0 if deg[0] >= deg[1] else 1
+        lo = 1 - hi
+        if deg[hi] <= 0:
+            break           # both 0: the row degrees sum to at least deg det = 0
+        lead_hi = [e.get(deg[hi]) for e in rows[hi]]
+        lead_lo = [e.get(deg[lo]) for e in rows[lo]]
+        if not (lead_hi[0] * lead_lo[1] - lead_hi[1] * lead_lo[0]).is_zero():
+            return None     # reduced with row degrees (d, −d), d > 0: outside the big cell
+        j = 0 if not lead_lo[0].is_zero() else 1
+        c = LaurentPoly.monomial(field, deg[hi] - deg[lo], lead_hi[j] * lead_lo[j].inv())
+        rows[hi] = [a - c * b for a, b in zip(rows[hi], rows[lo])]
+    r22 = rows[1][1].get(0)
+    if r22.is_zero():
+        return None         # every candidate C(∞) = x_+(·)·R(∞) has (2,2) entry 0
+    s = LaurentPoly.const(rows[0][1].get(0) * r22.inv())
+    C: Matrix = (tuple(a - s * b for a, b in zip(*rows)), tuple(rows[1]))
+    return _mat_mul(m, ((C[1][1], -C[0][1]), (-C[1][0], C[0][0]))), C
 
 
 def vform_violations(g: AffElt, n: int) -> list[str]:
-    field = g.field
     if (g.z - 1).valuation() < 2 * n:
         return [f"ω(z-1) = {(g.z - 1).valuation()} < {2 * n}"]
-    bottom = _birkhoff_row_solve(g.m, False, field)
-    top = _birkhoff_row_solve(g.m, True, field)
-    if bottom is None or top is None:
+    factors = _birkhoff(g.m)
+    if factors is None:
         return ["no polynomial factorization"]
-    a11, a21 = bottom
-    a22, a12 = top
-    A: Matrix = ((a11, a12), (a21, a22))
-    if not _mat_det(A).is_one():
-        return ["factorization candidate has det != 1"]
-    adj = ((a22, -a12), (-a21, a11))
-    C = _mat_mul(adj, g.m)
-    if any(e.max_exponent() > 0 for row in C for e in row if not e.is_zero()):
-        return ["residual factor is not polynomial in u^{-1}"]
-    if not C[0][1].get(0).is_zero():
-        return ["residual factor is not lower triangular at u = ∞"]
+    A, C = factors
     f = C[0][0].get(0)
-    if f.is_zero():
-        return ["torus factor vanishes"]
-    D_inv: Matrix = ((LaurentPoly.const(f.inv()), LaurentPoly.zero(field)),
-                     (LaurentPoly.zero(field), LaurentPoly.const(f)))
-    B = _mat_mul(C, D_inv)
+    zero = LaurentPoly.zero(g.field)
+    B = _mat_mul(C, ((LaurentPoly.const(f.inv()), zero), (zero, LaurentPoly.const(f))))
     out = []
     if (f - 1).valuation() < 2 * n:
         out.append(f"torus factor: ω(f-1) = {(f - 1).valuation()} < {2 * n}")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kmtop import affine as A
 from kmtop import harness, roots
-from kmtop.valued import PAdicField, RationalFunctionField, parse_field
+from kmtop.valued import Field, PAdicField, RationalFunctionField, parse_field
 
 F3 = PAdicField(3)
 PI = F3.uniformizer()
@@ -258,16 +258,21 @@ def test_products_inverses_and_conjugates_keep_det_one(spec):
 
 # --- the semidirect law -----------------------------------------------------------
 
-def _aff_elements(field):
-    """Words of up to five generators: one-root elements x_±(k; c), tori,
-    translations t(l, n) and the two simple reflections, with small scalars
-    times ϖ^v."""
+def _scalars(field):
+    """Small scalars times ϖ^v, |v| ≤ 2."""
     if field.uniformizer_name == "p":
         base = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)).map(field.scalar)
     else:
         coeffs = st.lists(st.integers(0, field.q - 1), max_size=3)
         base = st.builds(field.ratio, coeffs, coeffs.map(lambda c: c if any(c) else c + [1]))
-    scalar = st.builds(lambda x, v: x * field.pi_power(v), base, st.integers(-2, 2))
+    return st.builds(lambda x, v: x * field.pi_power(v), base, st.integers(-2, 2))
+
+
+def _aff_elements(field):
+    """Words of up to five generators: one-root elements x_±(k; c), tori,
+    translations t(l, n) and the two simple reflections, with small scalars
+    times ϖ^v."""
+    scalar = _scalars(field)
     unit = scalar.filter(lambda x: not x.is_zero())
     gen = st.one_of(
         st.builds(lambda k, c: A.aff_x_plus(field, k, c), st.integers(-2, 2), scalar),
@@ -293,3 +298,163 @@ def test_semidirect_law(spec, data):
     assert (g * h) * k == g * (h * k)
     assert (g * g.inverse()).is_identity() and (g.inverse() * g).is_identity()
     assert g.conj(h) == g * h * g.inverse()
+
+
+# --- the vform factorization -------------------------------------------------------
+# The dense solver that row reduction replaced, kept as the differential
+# oracle: each row pair of A solved as one exact linear system over K with the
+# entry degrees bounded by the largest u-exponent of M.
+
+def _max_exponent(e):
+    return max(e.coeffs, default=0)
+
+
+def _solve_linear(rows, rhs, nvars, field):
+    """One exact solution of rows·x = rhs with free variables zeroed, or None."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = []
+    row = 0
+    for col in range(nvars):
+        pivot = next((r for r in range(row, len(aug)) if not aug[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = aug[row][col].inv()
+        aug[row] = [e * inv for e in aug[row]]
+        for r in range(len(aug)):
+            if r != row and not aug[r][col].is_zero():
+                factor = aug[r][col]
+                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(aug):
+            break
+    for r in range(row, len(aug)):
+        if not aug[r][nvars].is_zero():
+            return None
+    x = [field.zero()] * nvars
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][nvars]
+    return x
+
+
+def _birkhoff_row_solve(m: A.Matrix, top_row: bool, field: Field):
+    """Solve for one row pair of the polynomial factor A.
+
+    For the bottom row: A11 = 1 + Σ a_k u^k, A21 = Σ c_k u^k (k = 1..N) with
+    A11·M2j − A21·M1j ∈ K[u^{-1}]; top row mirrors it with A22 (constant 1)
+    and A12 (free constant term).  The top row additionally imposes the
+    normalization coefficient (A22·M12 − A12·M22)(u^0) = 0, without which the
+    system has the spurious one-parameter family A ← A·x_+(q0).  Returns the
+    pair (diag_poly, off_poly).
+    """
+    N = max(0, max(_max_exponent(e) for row in m for e in row))
+    if top_row:
+        diag_ref, off_ref = (m[0][0], m[0][1]), (m[1][0], m[1][1])
+        off_lowest = 0
+    else:
+        diag_ref, off_ref = (m[1][0], m[1][1]), (m[0][0], m[0][1])
+        off_lowest = 1
+    n_diag = N                       # unknowns u^1..u^N on the diagonal factor
+    n_off = N + 1 - off_lowest       # unknowns u^{off_lowest}..u^N off diagonal
+    nvars = n_diag + n_off
+    rows, rhs = [], []
+    for j in range(2):
+        ref_d, ref_o = diag_ref[j], off_ref[j]
+        max_e = N + max(_max_exponent(ref_d), _max_exponent(ref_o), 0)
+        lowest_e = 0 if (top_row and j == 1) else 1
+        for e in range(lowest_e, max_e + 1):
+            row = [field.zero()] * nvars
+            for k in range(1, N + 1):
+                row[k - 1] = ref_d.get(e - k)
+            for idx, k in enumerate(range(off_lowest, N + 1)):
+                row[n_diag + idx] = -ref_o.get(e - k)
+            rows.append(row)
+            rhs.append(-ref_d.get(e))   # constant-term-1 contribution moved right
+    sol = _solve_linear(rows, rhs, nvars, field)
+    if sol is None:
+        return None
+    diag = {0: field.one()}
+    for k in range(1, N + 1):
+        diag[k] = sol[k - 1]
+    off = {}
+    for idx, k in enumerate(range(off_lowest, N + 1)):
+        off[k] = sol[n_diag + idx]
+    return A.LaurentPoly(field, diag), A.LaurentPoly(field, off)
+
+
+def _dense_birkhoff(m):
+    """(A, C) as the dense solver found them, None where it found no
+    factorization, or the message of whichever later check rejected its
+    candidate."""
+    field = m[0][0].field
+    bottom = _birkhoff_row_solve(m, False, field)
+    top = _birkhoff_row_solve(m, True, field)
+    if bottom is None or top is None:
+        return None
+    a11, a21 = bottom
+    a22, a12 = top
+    a = ((a11, a12), (a21, a22))
+    if not A._mat_det(a).is_one():
+        return "factorization candidate has det != 1"
+    c = A._mat_mul(((a22, -a12), (-a21, a11)), m)
+    if any(_max_exponent(e) > 0 for row in c for e in row if not e.is_zero()):
+        return "residual factor is not polynomial in u^{-1}"
+    if not c[0][1].get(0).is_zero():
+        return "residual factor is not lower triangular at u = ∞"
+    if c[0][0].get(0).is_zero():
+        return "torus factor vanishes"
+    return a, c
+
+
+@pytest.mark.parametrize("spec,count", [("p:3", 300), ("fq:3", 42)])
+def test_birkhoff_matches_dense_solver(spec, count):
+    """Row reduction and the dense solver agree on every sampled matrix:
+    words, products of two words, H_n and vform draws, with z set to 1 so that
+    vform_violations reaches the factorization."""
+    field = parse_field(spec)
+    cfg = harness.SamplerConfig(field=field, seed=1, trials=1)
+    rng = cfg.rng("birkhoff")
+    draws = (lambda: harness.sample_aff_word(rng, cfg)[1],
+             lambda: harness.sample_aff_word(rng, cfg)[1] * harness.sample_aff_word(rng, cfg)[1],
+             lambda: harness.sample_aff_hn(rng, cfg, 1)[1],
+             lambda: harness.sample_aff_hn(rng, cfg, 2)[1],
+             lambda: harness.sample_aff_vform(rng, cfg, 1)[1],
+             lambda: harness.sample_aff_vform(rng, cfg, 2)[1])
+    outcomes = []
+    for i in range(count):
+        g = A.AffElt(draws[i % len(draws)]().m, field.one())
+        want = _dense_birkhoff(g.m)
+        assert A._birkhoff(g.m) == want, (i, str(g))
+        assert (A.vform_violations(g, 1) == ["no polynomial factorization"]) == (want is None)
+        outcomes.append(want is None)
+    assert any(outcomes) and not all(outcomes)
+
+
+def _unipotent(field, sign):
+    """Products of x_+(c·u^k), k ≥ 0, and x_-(c·u^k), k ≥ 1 (sign 1), or of
+    their mirrors x_-(c·u^{-k}) and x_+(c·u^{-k}) (sign −1), |k| ≤ 6."""
+    near, far = (A.aff_x_plus, A.aff_x_minus) if sign > 0 else (A.aff_x_minus, A.aff_x_plus)
+    gen = st.one_of(
+        st.builds(lambda k, c: near(field, sign * k, c), st.integers(0, 6), _scalars(field)),
+        st.builds(lambda k, c: far(field, sign * k, c), st.integers(1, 6), _scalars(field)))
+
+    def product(word):
+        g = A.aff_identity(field)
+        for h in word:
+            g = g * h
+        return g
+    return st.lists(gen, max_size=4).map(product)
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_birkhoff_recovers_built_factors(spec, data):
+    """A·B·diag(f, f^{-1}) built from its factors factors back into exactly
+    A and B·diag(f, f^{-1})."""
+    field = parse_field(spec)
+    a, b = data.draw(_unipotent(field, 1)), data.draw(_unipotent(field, -1))
+    f = data.draw(_scalars(field).filter(lambda x: not x.is_zero()))
+    c = b * A.aff_torus(f, field.one())
+    assert A._birkhoff((a * c).m) == (a.m, c.m)

@@ -264,6 +264,18 @@ def test_kp_witness_deep_word_is_fast(capsys):
                                                    "witness: 6"]
 
 
+def test_vform_over_function_field_is_fast(capsys):
+    """A 16-letter fq:3 vform draw whose largest u-exponent is 5: the dense
+    linear solves this replaced took over 30 s of CPU on it."""
+    word = ("t(-2, -6) xp(2; 1) t(2, 6) t(-2, -6) xm(2; 2*t^2) t(2, 6) "
+            "t(-2, -6) xp(1; 1/(2+t)) t(2, 6) t(2, 6) xm(-2; t^3+2*t^4) t(-2, -6) "
+            "t(2, 6) xm(0; (1+2*t)/(1+t)) t(-2, -6) torus(1+2*t^5+t^6; 1+t^5)")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "member", "--field", "fq:3", "--spec", "vform:1", word)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and out.strip() == "true"
+
+
 # SHA-256 of the concatenated `tits` outputs (text, and `--json`) for these
 # coordinates, recorded before the Weyl-element matrices were removed: the
 # words, the wall sets and the unclassified points may not change a byte.
