@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success/pass, 1 usage error, 2 validation error, 3 suite
-failure.  Default output is plain text with no timestamps, so identical
-invocations are byte-identical; --json switches to the documented schema
-(top-level "schema": 1) and --timing adds elapsed seconds to verify output.
+Exit codes: 0 success/pass, 1 usage error or failed write of the output,
+2 validation error, 3 suite failure.  Default output is plain text with no
+timestamps, so identical invocations are byte-identical; --json switches to
+the documented schema (top-level "schema": 1) and --timing adds elapsed
+seconds to verify output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from . import affine, exprs, harness, roots, sl2
 from .valued import parse_field
 
 USAGE_ERROR = 1
+WRITE_FAILURE = 1
 VALIDATION_ERROR = 2
 SUITE_FAILURE = 3
 
@@ -299,18 +302,37 @@ _COMMANDS = {
 }
 
 
+def _discard_stdout():
+    """Point a file-backed stdout at os.devnull, so that the output still
+    buffered after a failed write is dropped instead of failing again when
+    the interpreter flushes stdout on exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):   # not a file: nothing to drop
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()      # a failed write shows here, not at exit
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (exprs.ExprSyntaxError, exprs.ValidationError, affine.NotTorus,
-            sl2.NotInBigCell, ValueError, OSError) as exc:
+            sl2.NotInBigCell, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
+    except OSError as exc:      # a fixture that cannot be read is a ValueError
+        _discard_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return WRITE_FAILURE
 
 
 if __name__ == "__main__":

@@ -42,6 +42,10 @@ SL2 = "sl2"
 AFFINE = "affine"
 TREEPOINT = "treepoint"
 
+# Largest |k| accepted in a scalar power x^k, checked before the power is
+# computed: F_q(t) powers cost time quadratic in k, p-adic ones grow without bound.
+MAX_EXPONENT = 1000
+
 _SL2_KINDS = {"xp": 1, "xm": 1, "diag": 1, "w": 0}
 _AFF_KINDS = {"xp": 2, "xm": 2, "t": 2, "torus": 2, "s0": 0, "s1": 0}
 
@@ -170,6 +174,8 @@ class _Parser:
                 self.take()
                 sign = -1
             exp = sign * self.take("int")[1]
+            if abs(exp) > MAX_EXPONENT:
+                raise ValidationError(f"exponent {exp} exceeds the limit of {MAX_EXPONENT}")
             if exp < 0 and base.is_zero():
                 raise ValidationError("zero to a negative power")
             base = base ** exp

@@ -441,23 +441,36 @@ def conj_generator_list(field: Field):
 def find_conjugation_bound(g: affine.AffElt, n: int, m_max: int, cfg: SamplerConfig,
                            _cache: dict | None = None):
     """Least m ≤ m_max with conj(g, sample(H_m)) ⊆ H_n on cfg.trials samples;
-    None when exhausted (an outcome, not an error)."""
+    None when exhausted (an outcome, not an error).
+
+    A _cache shared across calls keeps the samples of each m, and the
+    conjugates g·s·g^{-1} built so far for the g of the last call, so a
+    search at another n for the same g reuses them; a new g replaces them.
+    """
+    if _cache is None:
+        _cache = {}
+    held = _cache.get("conjugates")
+    if held is None or held[0] is not g:
+        held = _cache["conjugates"] = (g, g.inverse(), {})
+    _, g_inv, conjugates = held
     spec = affine.AffSubgroupSpec("hn", n)
     for m in range(1, m_max + 1):
-        if _cache is not None and m in _cache:
-            samples = _cache[m]
+        if m not in _cache:
+            _cache[m] = [sample_aff_hn(rng, cfg, m) for _, _, rng in _draws(cfg, "conj", (m,))]
+        made = conjugates.setdefault(m, [])
+        for i, (_, s) in enumerate(_cache[m]):
+            if i == len(made):
+                made.append(g * s * g_inv)
+            if not affine.aff_member(made[i], spec):
+                break
         else:
-            samples = [sample_aff_hn(rng, cfg, m) for _, _, rng in _draws(cfg, "conj", (m,))]
-            if _cache is not None:
-                _cache[m] = samples
-        if all(affine.aff_member(g.conj(s), spec) for _, s in samples):
             return m
     return None
 
 
 @_suite("conj-invariance")
 def _conj_invariance(cfg: SamplerConfig):
-    cache: dict = {}
+    cache: dict = {}    # samples for the whole suite, conjugates for one g at a time
     m_max = 6
     for expr, g in conj_generator_list(cfg.field):
         for n in (1, 2):
@@ -550,7 +563,9 @@ def _tree_retraction(cfg: SamplerConfig):
 
 def _retract_oracle(p: sl2.TreePoint):
     """Candidate scan over half-integers with solvable-unipotent checks,
-    independent of the closed-form valuation formula."""
+    independent of the closed-form valuation formula: y' is a candidate when
+    some x_+(c0)·p_{y'} equals p, i.e. h = x_+(-c0)·g maps p_y to p_{y'}.
+    Only y' varies in the scan, so each h is computed once."""
     field = p.g.field
     vals = [v for v in (e.valuation() for e in p.g.entries()) if v != INFINITY]
     width = int(max(abs(v) for v in vals)) + int(abs(p.y)) + 2
@@ -561,13 +576,11 @@ def _retract_oracle(p: sl2.TreePoint):
         c_options.append(g.a / g.c)
     if not g.d.is_zero():
         c_options.append(g.b / g.d)
+    hs = [sl2.x_plus(-c0) * g for c0 in c_options]
     for twice in range(-2 * width, 2 * width + 1):
         y2 = Fraction(twice, 2)
-        for c0 in c_options:
-            q = sl2.TreePoint.make(sl2.x_plus(c0), y2)
-            if sl2.tree_point_equal(q, p):
-                candidates.append(y2)
-                break
+        if any(sl2.maps_apartment_point(h, y2, p.y) for h in hs):
+            candidates.append(y2)
     if len(candidates) != 1:
         return None
     return candidates[0]

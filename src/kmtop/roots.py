@@ -208,5 +208,9 @@ def load_system(name_or_path: str) -> RootGenSys:
     """Resolve --system: a built-in name or a JSON fixture file path."""
     if name_or_path in BUILTIN_SYSTEMS:
         return BUILTIN_SYSTEMS[name_or_path]()
-    with open(name_or_path) as fh:
-        return system_from_fixture(json.load(fh))
+    try:
+        with open(name_or_path) as fh:
+            data = json.load(fh)
+    except OSError as exc:      # an unreadable fixture is a bad input
+        raise ValueError(str(exc)) from None
+    return system_from_fixture(data)

@@ -253,14 +253,17 @@ def apartment_point(field: Field, y) -> TreePoint:
 
 
 def tree_point_equal(p: TreePoint, q: TreePoint) -> bool:
-    """Defined equivalence: h = g_P^{-1} g_Q maps p_{y_Q} to p_{y_P}.
+    """Defined equivalence: h = g_P^{-1} g_Q maps p_{y_Q} to p_{y_P}."""
+    return maps_apartment_point(p.g.inverse() * q.g, p.y, q.y)
+
+
+def maps_apartment_point(h: SL2Elt, yp, yq) -> bool:
+    """Whether h maps p_{yq} to p_{yp}.
 
     Conjugating the SL2(O) fixator of 0 by the formal diagonal translation
     gives the four valuation conditions below (exact for half-integral y,
     extension-by-formula for other rationals).
     """
-    h = p.g.inverse() * q.g
-    yp, yq = p.y, q.y
     return (h.a.valuation() >= yq - yp
             and h.b.valuation() >= -(yp + yq)
             and h.c.valuation() >= yp + yq

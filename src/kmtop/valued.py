@@ -331,15 +331,29 @@ class RationalFunctionField(Field):
             den = [rng.randrange(1, q), rng.randrange(q)]
         return self.ratio(num, den)
 
-    # raw ops on (num, den) pairs.  _add and _mul of two polynomials
-    # (denominator (1,)) skip _canonical: a trimmed numerator over (1,) is
-    # already canonical, and zero comes out as ((), (1,)).
+    # raw ops on (num, den) pairs.  Operands are canonical, so _add and _mul
+    # need no _canonical: they cancel only the factors two reduced fractions
+    # can share (Henrici's reduced-fraction arithmetic, as in Fraction).  A
+    # trimmed numerator over (1,) is canonical, and zero is ((), (1,)).
+    # Denominators stay monic, since _pgcd returns monic gcds.
     def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
         q = self.q
         if d1 == d2 == (1,):
             return (_padd(n1, n2, q), (1,))
-        return self._canonical(_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q), _pmul(d1, d2, q))
+        g = (1,) if d1 == (1,) or d2 == (1,) else _pgcd(d1, d2, q)
+        if g == (1,):
+            # a prime factor of d1 divides n1·d2 + n2·d1 iff it divides n1·d2:
+            # never, so the sum is reduced (and nonzero, as d1 or d2 is not (1,))
+            return (_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q), _pmul(d1, d2, q))
+        # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and only
+        # factors of g can cancel.  A zero sum has d1 = d2 = g = g2: ((), (1,)).
+        e1, e2 = _pdivmod(d1, g, q)[0], _pdivmod(d2, g, q)[0]
+        num = _padd(_pmul(n1, e2, q), _pmul(n2, e1, q), q)
+        g2 = _pgcd(num, g, q)
+        if g2 != (1,):
+            num, d2 = _pdivmod(num, g2, q)[0], _pdivmod(d2, g2, q)[0]
+        return (num, _pmul(e1, d2, q))
 
     def _neg(self, a):
         num, den = a
@@ -350,7 +364,18 @@ class RationalFunctionField(Field):
         q = self.q
         if d1 == d2 == (1,):
             return (_pmul(n1, n2, q), (1,))
-        return self._canonical(_pmul(n1, n2, q), _pmul(d1, d2, q))
+        if not n1 or not n2:
+            return ((), (1,))
+        # n1/d1 and n2/d2 are reduced, so only n1 with d2 and n2 with d1 can cancel
+        if d2 != (1,):
+            g = _pgcd(n1, d2, q)
+            if g != (1,):
+                n1, d2 = _pdivmod(n1, g, q)[0], _pdivmod(d2, g, q)[0]
+        if d1 != (1,):
+            g = _pgcd(n2, d1, q)
+            if g != (1,):
+                n2, d1 = _pdivmod(n2, g, q)[0], _pdivmod(d1, g, q)[0]
+        return (_pmul(n1, n2, q), _pmul(d1, d2, q))
 
     def _inv(self, a):
         num, den = a

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import kmtop
 from kmtop import affine, sl2
 from kmtop.cli import main
 
@@ -328,3 +332,69 @@ def test_member_vform_output_digest(capsys, level):
         text += out
     assert "u_+ entry" in text and "u_- entry" in text
     assert hashlib.sha256(text.encode()).hexdigest() == VFORM_DIGESTS[level]
+
+
+def test_unreadable_fixture_is_a_validation_error(capsys, tmp_path):
+    # reading a --system fixture fails as a bad input: exit 2, the OS message
+    for path in (tmp_path / "nope.json", tmp_path):
+        code, out, err = run(capsys, "roots", "--system", str(path), "--height", "3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: [Errno ")
+        assert str(path) in err and "cannot write output" not in err
+
+
+def _kmtop(*argv, stdout):
+    """Run the CLI in a fresh interpreter; (exit code, stderr text)."""
+    src = os.path.dirname(os.path.dirname(kmtop.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "kmtop.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+    return done.returncode, done.stderr.decode()
+
+
+def test_failed_write_exits_one_without_traceback():
+    """A write of the output that fails is not a bad input: one line, exit 1,
+    and no second report when the interpreter flushes stdout on exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)                   # every write to the pipe is a broken pipe
+    try:
+        code, err = _kmtop("roots", "--height", "30", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert code == 1 and err == "error: cannot write output: [Errno 32] Broken pipe\n"
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full to fill")
+    with open("/dev/full", "wb") as full:
+        code, err = _kmtop("verify", "--suite", "commutation", "--trials", "3", stdout=full)
+    assert code == 1
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_failed_write_in_process(capsys, monkeypatch):
+    class Full:
+        def write(self, _):
+            raise OSError(28, "No space left on device")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr("sys.stdout", Full())
+    code = main(["roots", "--height", "3"])
+    err = capsys.readouterr().err
+    assert code == 1 and err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_exponent_budget_is_checked_before_the_power(capsys):
+    """|k| > 1000 in x^k is a validation error before x^k is computed;
+    (1+t)^200000 alone took over 20 s."""
+    start = time.perf_counter()
+    for field, expr in (("fq:3", "xp((1+t)^200000)"), ("fq:3", "xp(t^-200000)"),
+                        ("p:3", "xp(3^200000)"), ("p:3", "xp(3^1001)")):
+        code, out, err = run(capsys, "mul", "--field", field, expr)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: exponent ")
+        assert "exceeds the limit of 1000" in err
+    assert time.perf_counter() - start < 1.0
+    for field, expr in (("fq:3", "xp((1+t)^1000)"), ("p:3", "xp(3^-1000)")):
+        code, _, _ = run(capsys, "mul", "--field", field, expr)
+        assert code == 0

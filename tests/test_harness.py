@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from kmtop import affine, exprs, harness as H, sl2
-from kmtop.valued import PAdicField, RationalFunctionField
+from kmtop.valued import INFINITY, PAdicField, RationalFunctionField
 
 F3 = PAdicField(3)
 
@@ -114,6 +115,60 @@ def test_retract_oracle_is_independent_and_agrees():
         _, p = H.sample_sl2_generic(cfg.rng(f"generic:{i}"), cfg)
         point = sl2.TreePoint.make(p, 0)
         assert H._retract_oracle(point) == sl2.tree_retract(point)
+
+
+def _per_candidate_retract_oracle(p: sl2.TreePoint):
+    """The retraction oracle as it was before it computed h = x_+(-c0)·g once
+    per c0: one tree_point_equal, with its own product, per candidate."""
+    field = p.g.field
+    vals = [v for v in (e.valuation() for e in p.g.entries()) if v != INFINITY]
+    width = int(max(abs(v) for v in vals)) + int(abs(p.y)) + 2
+    candidates = []
+    g = p.g
+    c_options = [field.zero()]
+    if not g.c.is_zero():
+        c_options.append(g.a / g.c)
+    if not g.d.is_zero():
+        c_options.append(g.b / g.d)
+    for twice in range(-2 * width, 2 * width + 1):
+        y2 = Fraction(twice, 2)
+        for c0 in c_options:
+            q = sl2.TreePoint.make(sl2.x_plus(c0), y2)
+            if sl2.tree_point_equal(q, p):
+                candidates.append(y2)
+                break
+    if len(candidates) != 1:
+        return None
+    return candidates[0]
+
+
+@pytest.mark.parametrize("field", [PAdicField(3), PAdicField(2), RationalFunctionField(3)],
+                         ids=["p:3", "p:2", "fq:3"])
+def test_retract_oracle_matches_the_per_candidate_scan(field):
+    cfg = small_cfg(field=field)
+    pi = field.uniformizer()
+    points = [sl2.TreePoint.make(sl2.x_minus(pi), 1),         # the suite's closed cases
+              sl2.apartment_point(field, Fraction(1, 4)),
+              sl2.apartment_point(field, -2)]
+    points += [H.sample_tree_point(cfg.rng(f"retract:{i}"), cfg)[1] for i in range(100)]
+    for p in points:
+        assert H._retract_oracle(p) == _per_candidate_retract_oracle(p)
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+def test_conjugation_bound_shared_cache_matches_fresh_calls(field):
+    """One cache shared in suite order (samples for every g, conjugates for
+    the current g only) gives the m of a fresh search."""
+    cfg = small_cfg(trials=10, field=field)
+    cache: dict = {}
+    found = []
+    for _, g in H.conj_generator_list(field):
+        for n in (1, 2):
+            m = H.find_conjugation_bound(g, n, 6, cfg, _cache=cache)
+            assert m == H.find_conjugation_bound(g, n, 6, cfg, _cache=None)
+            assert cache["conjugates"][0] is g      # no conjugate of an earlier g is kept
+            found.append(m)
+    assert len(found) == 24 and set(found) > {1}
 
 
 def test_failures_are_replayable():

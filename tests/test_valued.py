@@ -12,6 +12,10 @@ from kmtop.valued import (
     FieldMismatch,
     PAdicField,
     RationalFunctionField,
+    _padd,
+    _pgcd,
+    _pmul,
+    _pneg,
     parse_field,
 )
 
@@ -228,18 +232,16 @@ def test_inverse_and_hash_properties(spec, data):
 
 # --- F_q(t) against an independent oracle --------------------------------------
 
-@pytest.mark.parametrize("q", [2, 3])
-@settings(deadline=None, max_examples=100)
-@given(data=st.data())
-def test_fq_matches_sympy_rational_functions(q, data):
+def _sympy_rational_functions(q):
+    """(to_sympy, canonical): a raw F_q(t) value as an element of sympy's
+    field("t", GF(q)), and a sympy element as a raw value."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.fields import field as sympy_field
 
     K, t = sympy_field("t", sympy.GF(q))
-    F = RationalFunctionField(q)
 
-    def to_sympy(x):
-        num, den = x.raw
+    def to_sympy(raw):
+        num, den = raw
         return (sum((c * t ** i for i, c in enumerate(num)), K(0))
                 / sum((c * t ** i for i, c in enumerate(den)), K(0)))
 
@@ -254,6 +256,19 @@ def test_fq_matches_sympy_rational_functions(q, data):
         # sympy cancels the gcd; make the denominator monic to compare
         lead_inv = pow(int(e.denom.LC) % q, -1, q)
         return coeffs(e.numer, lead_inv), coeffs(e.denom, lead_inv)
+
+    return to_sympy, canonical
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_fq_matches_sympy_rational_functions(q, data):
+    to_sympy_raw, canonical = _sympy_rational_functions(q)
+    F = RationalFunctionField(q)
+
+    def to_sympy(x):
+        return to_sympy_raw(x.raw)
 
     def order_at_zero(e):
         if not e.numer:
@@ -278,8 +293,6 @@ def test_fq_matches_sympy_rational_functions(q, data):
 def test_fq_polynomial_fast_path(q, data):
     """_add/_mul of two polynomials skip _canonical; they must equal it applied
     to the general formula, and sympy's arithmetic mod q."""
-    from kmtop.valued import _padd, _pmul
-
     F = RationalFunctionField(q)
     poly = st.lists(st.integers(0, q - 1), max_size=6).map(lambda c: F.ratio(c).raw)
     a = data.draw(poly)
@@ -302,3 +315,93 @@ def test_fq_polynomial_fast_path(q, data):
 
     assert F._add(a, b) == raw(to_poly(n1) + to_poly(n2))
     assert F._mul(a, b) == raw(to_poly(n1) * to_poly(n2))
+
+
+# --- F_q(t) sums and products by cross-gcds ------------------------------------
+
+def _assert_canonical(raw, q):
+    num, den = raw
+    assert all(0 <= c < q for c in num + den)
+    assert den and den[-1] == 1                        # monic denominator
+    if not num:
+        assert den == (1,)                             # zero is ((), (1,))
+    else:
+        assert num[-1] != 0 and _pgcd(num, den, q) == (1,)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
+    """_add cancels only a factor of g = gcd(d1, d2), by one more gcd with the
+    new numerator; _mul cancels n1 against d2 and n2 against d1.  Operands
+    are built to share factors (denominators r·s and r·t, each numerator a
+    multiple of the other operand's denominator piece, and sums that cancel),
+    every branch must run, and each result equals _canonical of the general
+    formula and sympy's field("t", GF(q))."""
+    from kmtop import valued
+
+    to_sympy, sympy_canonical = _sympy_rational_functions(q)
+    F = RationalFunctionField(q)
+    gcds = []
+
+    def recording_gcd(a, b, p):
+        g = _pgcd(a, b, p)
+        gcds.append((a, b, g))
+        return g
+
+    monkeypatch.setattr(valued, "_pgcd", recording_gcd)
+    fired = set()
+
+    def run(op, a, b):
+        gcds.clear()
+        out = op(a, b)
+        return out, list(gcds)
+
+    polys = st.lists(st.integers(0, q - 1), min_size=1, max_size=3).filter(any)
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def check(data):
+        r, s, t, x, y, z = (tuple(data.draw(polys)) for _ in range(6))
+        a = F.ratio(_pmul(x, t, q), _pmul(r, s, q)).raw
+        shape = data.draw(st.sampled_from(["shared", "cancelling", "negation",
+                                           "polynomial", "zero"]))
+        if shape == "shared":
+            b = F.ratio(_pmul(y, s, q), _pmul(r, t, q)).raw
+        elif shape == "cancelling":                    # b = z/s − a, so a + b = z/s
+            an, ad = a
+            b = F._canonical(_padd(_pmul(z, ad, q), _pneg(_pmul(an, s, q), q), q),
+                             _pmul(s, ad, q))
+        elif shape == "negation":
+            b = F._neg(a)
+        else:
+            b = F.ratio(y if shape == "polynomial" else ()).raw
+        if data.draw(st.booleans()):
+            a, b = b, a
+        (n1, d1), (n2, d2) = a, b
+
+        total, seen = run(F._add, a, b)
+        _assert_canonical(total, q)
+        assert total == F._canonical(_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q),
+                                     _pmul(d1, d2, q))
+        assert total == sympy_canonical(to_sympy(a) + to_sympy(b))
+        if (1,) in (d1, d2):
+            assert seen == []                          # g is 1 without a gcd
+        else:
+            assert seen[0][:2] == (d1, d2) and len(seen) <= 2
+            g = seen[0][2]
+            fired.add("add: g = 1" if g == (1,) else "add: g != 1")
+            if len(seen) == 2 and seen[1][2] != (1,):
+                fired.add("add: second gcd cancels")
+
+        product, seen = run(F._mul, a, b)
+        _assert_canonical(product, q)
+        assert product == F._canonical(_pmul(n1, n2, q), _pmul(d1, d2, q))
+        assert product == sympy_canonical(to_sympy(a) * to_sympy(b))
+        for num, den, g in seen:
+            assert (num, den) in ((n1, d2), (n2, d1))
+            if g != (1,):
+                fired.add("mul: n1 with d2" if (num, den) == (n1, d2) else "mul: n2 with d1")
+
+    check()
+    assert fired == {"add: g = 1", "add: g != 1", "add: second gcd cancels",
+                     "mul: n1 with d2", "mul: n2 with d1"}
