@@ -1,17 +1,15 @@
 """Shared element-expression grammar for the CLI and the harness.
 
     element   := factor factor ...          (juxtaposition = product)
-    factor    := 'xp' '(' scalar ')'                      [SL2]
-               | 'xm' '(' scalar ')'                      [SL2]
-               | 'diag' '(' scalar ')' | 'w'              [SL2]
-               | 'xp' '(' int ';' scalar ')'              [affine]
-               | 'xm' '(' int ';' scalar ')'              [affine]
-               | 't' '(' int ',' int ')'                  [affine]
-               | 'torus' '(' scalar ';' scalar ')'        [affine]
-               | 's0' | 's1'                              [affine]
-               | '(' element ')'
+    factor    := generator | '(' element ')'
+    generator := NAME | NAME '(' arguments ')'
     point     := 'point' '(' element ',' rational ')'
     scalar    := sum over INT, 't', '+', '-', '*', '/', '^', parentheses
+
+GENERATORS is the one place a generator is defined: per target (SL2 or
+affine) it gives each name its argument shape and its constructor.  The
+parser reads the arguments, print_expr writes them and build constructs the
+element, all from that entry.
 
 The ';' separator keeps exponent arguments apart from rational scalars.  In
 scalar position the name 't' is the uniformizer variable of F_q(t) fields; in
@@ -43,11 +41,50 @@ AFFINE = "affine"
 TREEPOINT = "treepoint"
 
 # Largest |k| accepted in a scalar power x^k, checked before the power is
-# computed: F_q(t) powers cost time quadratic in k, p-adic ones grow without bound.
+# computed: F_q(t) powers cost time quadratic in k, p-adic ones grow without
+# bound.  A power of a power counts the product of the two exponents.
 MAX_EXPONENT = 1000
 
-_SL2_KINDS = {"xp": 1, "xm": 1, "diag": 1, "w": 0}
-_AFF_KINDS = {"xp": 2, "xm": 2, "t": 2, "torus": 2, "s0": 0, "s1": 0}
+
+def _nonzero(s: ValuedScalar, what: str) -> ValuedScalar:
+    if s.is_zero():
+        raise ValidationError(f"zero scalar where nonzero required ({what})")
+    return s
+
+
+# GENERATORS[target][name] = (shape, constructor).  A shape spells the
+# arguments in order, 'i' an integer and 's' a scalar, with the separator
+# between two of them; the constructor takes the field and the arguments.
+GENERATORS = {
+    SL2: {
+        "xp": ("s", lambda field, c: sl2.x_plus(c)),
+        "xm": ("s", lambda field, c: sl2.x_minus(c)),
+        "diag": ("s", lambda field, f: sl2.diag_torus(_nonzero(f, "diag"))),
+        "w": ("", sl2.weyl_w),
+    },
+    AFFINE: {
+        "xp": ("i;s", affine.aff_x_plus),
+        "xm": ("i;s", affine.aff_x_minus),
+        "t": ("i,i", affine.aff_t_mu),
+        "torus": ("s;s", lambda field, f, z: affine.aff_torus(_nonzero(f, "torus"),
+                                                              _nonzero(z, "torus"))),
+        "s0": ("", affine.aff_s0),
+        "s1": ("", affine.aff_s1),
+    },
+}
+
+
+def _template(name: str, shape: str) -> str:
+    """print_expr's format string for a generator, e.g. "xp({}; {})"."""
+    if not shape:
+        return name
+    return name + "(" + "".join("{}" if ch in "is" else ch + " " for ch in shape) + ")"
+
+
+# Templates by generator name and argument count: the count tells the SL2
+# xp(s) from the affine xp(i; s).
+_TEMPLATES = {(name, sum(ch in "is" for ch in shape)): _template(name, shape)
+              for table in GENERATORS.values() for name, (shape, _) in table.items()}
 
 
 @dataclass(frozen=True)
@@ -108,6 +145,7 @@ class _Parser:
         self.toks = _tokenize(src)
         self.pos = 0
         self.field = field
+        self.power = 1      # the largest product of nested exponents read so far
 
     def peek(self):
         return self.toks[self.pos]
@@ -153,6 +191,7 @@ class _Parser:
 
     def scalar_atom(self) -> ValuedScalar:
         kind, value, pos = self.peek()
+        inner = 1       # the largest product of nested exponents in the base
         if kind == "int":
             self.take()
             base = self.field.scalar(value)
@@ -163,22 +202,23 @@ class _Parser:
             base = self.field.uniformizer()
         elif kind == "(":
             self.take()
+            outer, self.power = self.power, 1
             base = self.scalar()
             self.take(")")
+            inner, self.power = self.power, outer
         else:
             raise ExprSyntaxError(pos, "a scalar")
+        exp = 1
         if self.peek()[0] == "^":
             self.take()
-            sign = 1
-            if self.peek()[0] == "-":
-                self.take()
-                sign = -1
-            exp = sign * self.take("int")[1]
-            if abs(exp) > MAX_EXPONENT:
-                raise ValidationError(f"exponent {exp} exceeds the limit of {MAX_EXPONENT}")
+            exp = self.integer()
+            if inner * abs(exp) > MAX_EXPONENT:
+                what = exp if inner == 1 else f"{inner * abs(exp)} of nested powers"
+                raise ValidationError(f"exponent {what} exceeds the limit of {MAX_EXPONENT}")
             if exp < 0 and base.is_zero():
                 raise ValidationError("zero to a negative power")
             base = base ** exp
+        self.power = max(self.power, inner * abs(exp))
         return base
 
     def integer(self) -> int:
@@ -214,36 +254,24 @@ class _Parser:
             return inner
         if kind != "name":
             raise ExprSyntaxError(pos, "a generator name")
-        table = _SL2_KINDS if target == SL2 else _AFF_KINDS
+        table = GENERATORS[target]
         if value not in table:
             raise ExprSyntaxError(pos, f"one of {sorted(table)}")
         self.take()
-        name = value
-        if table[name] == 0:
-            return Gen(name, ())
+        shape = table[value][0]
+        if not shape:
+            return Gen(value, ())
         self.take("(")
-        if target == SL2:
-            arg = self.scalar()
-            self.take(")")
-            return Gen(name, (arg,))
-        if name in ("xp", "xm"):
-            k = self.integer()
-            self.take(";")
-            c = self.scalar()
-            self.take(")")
-            return Gen(name, (k, c))
-        if name == "t":
-            ell = self.integer()
-            self.take(",")
-            n = self.integer()
-            self.take(")")
-            return Gen(name, (ell, n))
-        # torus(f; z)
-        f = self.scalar()
-        self.take(";")
-        z = self.scalar()
+        args = []
+        for ch in shape:
+            if ch == "i":
+                args.append(self.integer())
+            elif ch == "s":
+                args.append(self.scalar())
+            else:
+                self.take(ch)
         self.take(")")
-        return Gen(name, (f, z))
+        return Gen(value, tuple(args))
 
     def point(self) -> Point:
         kind, value, pos = self.peek()
@@ -260,60 +288,33 @@ class _Parser:
 
 # --- construction -----------------------------------------------------------
 
-def _nonzero(s: ValuedScalar, what: str) -> ValuedScalar:
-    if s.is_zero():
-        raise ValidationError(f"zero scalar where nonzero required ({what})")
-    return s
-
-
-def build_sl2(node, field: Field) -> sl2.SL2Elt:
+def build(node, target: str, field: Field, _built: dict | None = None):
+    """The element a node names: an SL2Elt or AffElt for target SL2 or
+    AFFINE, a TreePoint for a Point.  Products multiply in the node's
+    grouping; _built maps each Gen built so far in this call to its element,
+    so an equal Gen is not built again."""
+    if _built is None:
+        _built = {}
+    if isinstance(node, Point):
+        return sl2.TreePoint.make(build(node.elt, SL2, field, _built), node.y)
     if isinstance(node, Product):
-        out = sl2.identity(field)
-        for f in node.factors:
-            out = out * build_sl2(f, field)
+        factors = iter(node.factors)    # the grammar gives a product at least one
+        out = build(next(factors), target, field, _built)
+        for f in factors:
+            out = out * build(f, target, field, _built)
         return out
-    kind, args = node.kind, node.args
-    if kind == "xp":
-        return sl2.x_plus(args[0])
-    if kind == "xm":
-        return sl2.x_minus(args[0])
-    if kind == "diag":
-        return sl2.diag_torus(_nonzero(args[0], "diag"))
-    return sl2.weyl_w(field)
-
-
-def build_affine(node, field: Field) -> affine.AffElt:
-    if isinstance(node, Product):
-        out = affine.aff_identity(field)
-        for f in node.factors:
-            out = out * build_affine(f, field)
-        return out
-    kind, args = node.kind, node.args
-    if kind == "xp":
-        return affine.aff_x_plus(field, args[0], args[1])
-    if kind == "xm":
-        return affine.aff_x_minus(field, args[0], args[1])
-    if kind == "t":
-        return affine.aff_t_mu(field, args[0], args[1])
-    if kind == "torus":
-        return affine.aff_torus(_nonzero(args[0], "torus"), _nonzero(args[1], "torus"))
-    if kind == "s0":
-        return affine.aff_s0(field)
-    return affine.aff_s1(field)
+    elt = _built.get(node)
+    if elt is None:
+        elt = _built[node] = GENERATORS[target][node.kind][1](field, *node.args)
+    return elt
 
 
 def parse_element(src: str, target: str, field: Field):
     """Parse and construct; returns (ast, element) per the target grammar."""
     p = _Parser(src, field)
-    if target == TREEPOINT:
-        ast = p.point()
-        p.expect_end()
-        return ast, sl2.TreePoint.make(build_sl2(ast.elt, field), ast.y)
-    ast = p.product(target)
+    ast = p.point() if target == TREEPOINT else p.product(target)
     p.expect_end()
-    if target == SL2:
-        return ast, build_sl2(ast, field)
-    return ast, build_affine(ast, field)
+    return ast, build(ast, target, field)
 
 
 def parse_auto(src: str, field: Field):
@@ -341,16 +342,4 @@ def print_expr(node) -> str:
         return " ".join(
             f"({print_expr(f)})" if isinstance(f, Product) else print_expr(f)
             for f in node.factors)
-    kind, args = node.kind, node.args
-    if not args:
-        return kind
-    rendered = []
-    for a in args:
-        rendered.append(str(a))
-    if kind in ("xp", "xm") and len(args) == 2:
-        return f"{kind}({rendered[0]}; {rendered[1]})"
-    if kind == "torus":
-        return f"torus({rendered[0]}; {rendered[1]})"
-    if kind == "t":
-        return f"t({rendered[0]}, {rendered[1]})"
-    return f"{kind}({rendered[0]})"
+    return _TEMPLATES[node.kind, len(node.args)].format(*node.args)

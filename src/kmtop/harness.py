@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import affine, sl2
+from .exprs import AFFINE, SL2, Gen, Point, Product, build, print_expr
 from .valued import INFINITY, Field, ValuedScalar
 
 
@@ -95,7 +96,14 @@ class SuiteReport:
 
 # ---------------------------------------------------------------------------
 # Scalar and element samplers.  Every sampler returns (expression, element)
-# and its output passes its defining predicate by construction.
+# and its output passes its defining predicate by construction.  Element
+# samplers draw an expression node and take both from it, so the text always
+# parses back to the element.
+
+def _made(node, target: str, field: Field):
+    """(printed text, built element) of an expression node."""
+    return print_expr(node), build(node, target, field)
+
 
 def sample_unit(rng: random.Random, field: Field) -> ValuedScalar:
     return field.sample_unit(rng)
@@ -115,22 +123,15 @@ def sample_scalar_min_val(rng: random.Random, field: Field, low: int, spread: in
 def sample_sl2_generic(rng: random.Random, cfg: SamplerConfig):
     field = cfg.field
     length = rng.randrange(1, WORD_LENGTH)
-    words = []
-    elt = sl2.identity(field)
+    factors = []
     for _ in range(length):
         kind = rng.choice(["xp", "xm", "diag", "w"])
         if kind == "w":
-            words.append("w")
-            elt = elt * sl2.weyl_w(field)
-        elif kind == "diag":
-            f = sample_scalar(rng, field, VALUATION_RANGE, allow_zero=False)
-            words.append(f"diag({f})")
-            elt = elt * sl2.diag_torus(f)
+            factors.append(Gen("w", ()))
         else:
-            c = sample_scalar(rng, field, VALUATION_RANGE)
-            words.append(f"{kind}({c})")
-            elt = elt * (sl2.x_plus(c) if kind == "xp" else sl2.x_minus(c))
-    return " ".join(words), elt
+            c = sample_scalar(rng, field, VALUATION_RANGE, allow_zero=kind != "diag")
+            factors.append(Gen(kind, (c,)))
+    return _made(Product(tuple(factors)), SL2, field)
 
 
 def sample_sl2_kerpi(rng: random.Random, cfg: SamplerConfig, n: int):
@@ -138,8 +139,7 @@ def sample_sl2_kerpi(rng: random.Random, cfg: SamplerConfig, n: int):
     b = sample_scalar_min_val(rng, field, n)
     c = sample_scalar_min_val(rng, field, n)
     d = field.one() + sample_scalar_min_val(rng, field, n)
-    expr = f"xp({b}) xm({c}) diag({d})"
-    return expr, sl2.compose_upt(b, c, d)
+    return _upt(b, c, d)
 
 
 def sample_sl2_vlambda(rng: random.Random, cfg: SamplerConfig, n: int):
@@ -147,15 +147,19 @@ def sample_sl2_vlambda(rng: random.Random, cfg: SamplerConfig, n: int):
     b = sample_scalar_min_val(rng, field, 2 * n)
     c = sample_scalar_min_val(rng, field, 2 * n)
     d = field.one() + sample_scalar_min_val(rng, field, 4 * n)
-    expr = f"xp({b}) xm({c}) diag({d})"
-    return expr, sl2.compose_upt(b, c, d)
+    return _upt(b, c, d)
+
+
+def _upt(b: ValuedScalar, c: ValuedScalar, d: ValuedScalar):
+    """x_+(b)·x_-(c)·diag(d, d^{-1})."""
+    return _made(Product((Gen("xp", (b,)), Gen("xm", (c,)), Gen("diag", (d,)))), SL2, d.field)
 
 
 def sample_sl2_torus(rng: random.Random, cfg: SamplerConfig):
     s = sample_scalar(rng, cfg.field, (-2, 4), allow_zero=False)
     if rng.random() < 0.5:
         s = cfg.field.one() + sample_scalar_min_val(rng, cfg.field, rng.randrange(1, 5))
-    return f"diag({s})", sl2.diag_torus(s)
+    return _made(Gen("diag", (s,)), SL2, cfg.field)
 
 
 def sample_tree_point(rng: random.Random, cfg: SamplerConfig):
@@ -164,36 +168,24 @@ def sample_tree_point(rng: random.Random, cfg: SamplerConfig):
     return f"point({expr}, {y})", sl2.TreePoint.make(g, y)
 
 
-def _aff_gen(cfg, kind, k, c):
-    if kind == "xp":
-        return f"xp({k}; {c})", affine.aff_x_plus(cfg.field, k, c)
-    return f"xm({k}; {c})", affine.aff_x_minus(cfg.field, k, c)
-
-
 def sample_aff_word(rng: random.Random, cfg: SamplerConfig):
     field = cfg.field
     length = rng.randrange(1, min(WORD_LENGTH, 5))
-    words = []
-    elt = affine.aff_identity(field)
+    factors = []
     for _ in range(length):
         kind = rng.choice(["xp", "xm", "t", "torus", "s0", "s1"])
         if kind in ("xp", "xm"):
             k = rng.randint(-min(2, LAURENT_SUPPORT), min(2, LAURENT_SUPPORT))
-            c = sample_scalar(rng, field, (-2, 4))
-            w, g = _aff_gen(cfg, kind, k, c)
+            args = (k, sample_scalar(rng, field, (-2, 4)))
         elif kind == "t":
-            ell, nn = rng.randint(-1, 1), rng.randint(-1, 1)
-            w, g = f"t({ell}, {nn})", affine.aff_t_mu(field, ell, nn)
+            args = (rng.randint(-1, 1), rng.randint(-1, 1))
         elif kind == "torus":
             f = sample_scalar(rng, field, (-1, 2), allow_zero=False)
-            z = sample_scalar(rng, field, (-1, 2), allow_zero=False)
-            w, g = f"torus({f}; {z})", affine.aff_torus(f, z)
+            args = (f, sample_scalar(rng, field, (-1, 2), allow_zero=False))
         else:
-            w = kind
-            g = affine.aff_s0(field) if kind == "s0" else affine.aff_s1(field)
-        words.append(w)
-        elt = elt * g
-    return " ".join(words), elt
+            args = ()
+        factors.append(Gen(kind, args))
+    return _made(Product(tuple(factors)), AFFINE, field)
 
 
 def sample_aff_hn(rng: random.Random, cfg: SamplerConfig, n: int):
@@ -201,22 +193,17 @@ def sample_aff_hn(rng: random.Random, cfg: SamplerConfig, n: int):
     field = cfg.field
     support = min(3, LAURENT_SUPPORT)
     length = rng.randrange(1, min(WORD_LENGTH, 5))
-    words = []
-    elt = affine.aff_identity(field)
+    factors = []
     for _ in range(length):
         if rng.random() < 0.2:
             f = field.one() + sample_scalar_min_val(rng, field, n)
             z = field.one() + sample_scalar_min_val(rng, field, n)
-            words.append(f"torus({f}; {z})")
-            elt = elt * affine.aff_torus(f, z)
+            factors.append(Gen("torus", (f, z)))
         else:
             kind = rng.choice(["xp", "xm"])
             k = rng.randint(-support, support)
-            c = sample_scalar_min_val(rng, field, n * max(1, abs(k)))
-            w, g = _aff_gen(cfg, kind, k, c)
-            words.append(w)
-            elt = elt * g
-    return " ".join(words), elt
+            factors.append(Gen(kind, (k, sample_scalar_min_val(rng, field, n * max(1, abs(k))))))
+    return _made(Product(tuple(factors)), AFFINE, field)
 
 
 def sample_aff_torus(rng: random.Random, cfg: SamplerConfig):
@@ -227,7 +214,7 @@ def sample_aff_torus(rng: random.Random, cfg: SamplerConfig):
         f = field.one() + sample_scalar_min_val(rng, field, rng.randrange(1, 4))
     if rng.random() < 0.5:
         z = field.one() + sample_scalar_min_val(rng, field, rng.randrange(1, 4))
-    return f"torus({f}; {z})", affine.aff_torus(f, z)
+    return _made(Gen("torus", (f, z)), AFFINE, field)
 
 
 def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
@@ -235,33 +222,32 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
     t_{∓nλ} (λ = å∨ + 3d): a deliberate under-approximation of the full sets.
     """
     field = cfg.field
-    t_nl = affine.aff_t_mu(field, n, 3 * n)      # translation by nλ
-    shift = (f"t({n}, {3 * n})", t_nl)
-    unshift = (f"t(-{n}, -{3 * n})", t_nl.inverse())
-    words = []
+    shift, unshift = Gen("t", (n, 3 * n)), Gen("t", (-n, -3 * n))     # t_{±nλ}
 
     def part(sign, left, right):
         """1-3 factors left·x·right: u_+ for sign 1, x = x_+(k) with k ≥ 0 or
         x_-(k) with k ≥ 1; u_- for sign −1, its mirror x_-(−k) or x_+(−k)."""
         near, far = ("xp", "xm") if sign > 0 else ("xm", "xp")
-        out = affine.aff_identity(field)
+        conjugated = []
         for _ in range(rng.randrange(1, 4)):
             if rng.random() < 0.6:
                 kind, k = near, sign * rng.randrange(0, 3)
             else:
                 kind, k = far, sign * rng.randrange(1, 3)
-            c = sample_scalar_min_val(rng, field, 0)
-            w, g = _aff_gen(cfg, kind, k, c)
-            words.append(f"{left[0]} {w} {right[0]}")
-            out = out * (left[1] * g * right[1])
-        return out
+            x = Gen(kind, (k, sample_scalar_min_val(rng, field, 0)))
+            conjugated.append(Product((left, x, right)))
+        return Product(tuple(conjugated))
 
     u_plus = part(1, unshift, shift)
     u_minus = part(-1, shift, unshift)
     f = field.one() + sample_scalar_min_val(rng, field, 2 * n)
     z = field.one() + sample_scalar_min_val(rng, field, 2 * n)
-    words.append(f"torus({f}; {z})")
-    return " ".join(words), u_plus * u_minus * affine.aff_torus(f, z)
+    torus = Gen("torus", (f, z))
+    # built as u_+ · u_- · torus, each left·x·right a factor, with t_{±nλ}
+    # built once; printed flat
+    flat = [g for u in (u_plus, u_minus) for lxr in u.factors for g in lxr.factors]
+    return (print_expr(Product((*flat, torus))),
+            build(Product((u_plus, u_minus, torus)), AFFINE, field))
 
 
 # ---------------------------------------------------------------------------
@@ -420,22 +406,12 @@ def _h2n_in_v(cfg: SamplerConfig):
 
 def conj_generator_list(field: Field):
     """The fixed 12-element list of conjugators for the invariance suite."""
-    pi = field.uniformizer()
-    one = field.one()
-    return [
-        ("xp(0; 1)", affine.aff_x_plus(field, 0, one)),
-        (f"xp(0; {pi.inv()})", affine.aff_x_plus(field, 0, pi.inv())),
-        ("xp(1; 1)", affine.aff_x_plus(field, 1, one)),
-        ("xp(-1; 1)", affine.aff_x_plus(field, -1, one)),
-        (f"xm(0; {pi.inv()})", affine.aff_x_minus(field, 0, pi.inv())),
-        ("xm(1; 1)", affine.aff_x_minus(field, 1, one)),
-        ("xm(-1; 1)", affine.aff_x_minus(field, -1, one)),
-        ("s0", affine.aff_s0(field)),
-        ("s1", affine.aff_s1(field)),
-        ("t(1, 0)", affine.aff_t_mu(field, 1, 0)),
-        ("t(0, 1)", affine.aff_t_mu(field, 0, 1)),
-        (f"torus({pi}; {pi})", affine.aff_torus(pi, pi)),
-    ]
+    pi, one = field.uniformizer(), field.one()
+    gens = [Gen("xp", (0, one)), Gen("xp", (0, pi.inv())), Gen("xp", (1, one)),
+            Gen("xp", (-1, one)), Gen("xm", (0, pi.inv())), Gen("xm", (1, one)),
+            Gen("xm", (-1, one)), Gen("s0", ()), Gen("s1", ()), Gen("t", (1, 0)),
+            Gen("t", (0, 1)), Gen("torus", (pi, pi))]
+    return [_made(g, AFFINE, field) for g in gens]
 
 
 def find_conjugation_bound(g: affine.AffElt, n: int, m_max: int, cfg: SamplerConfig,
@@ -507,7 +483,7 @@ def _center_separation(cfg: SamplerConfig):
     if field.char == 2:
         raise NotApplicable("witness needs p != 2 (-1 ≡ 1 mod 2)" if field.uniformizer_name == "p"
                             else "witness needs odd residue characteristic")
-    minus_i = affine.aff_torus(-field.one(), field.one())
+    expr, minus_i = _made(Gen("torus", (-field.one(), field.one())), AFFINE, field)
     checks = [
         ("passes CenterO", affine.aff_member(minus_i, affine.AffSubgroupSpec("centero"))),
         ("fails KerPi(1)", not affine.aff_member(minus_i, affine.AffSubgroupSpec("kerpi", 1))),
@@ -517,7 +493,7 @@ def _center_separation(cfg: SamplerConfig):
             checks.append((f"fixes test point i={i}, n={n}",
                            affine.fixes_test_point(minus_i, i, n)))
     for what, ok in checks:
-        yield None if ok else ("torus(-1; 1)", what, "false")
+        yield None if ok else (expr, what, "false")
 
 
 @_suite("coset-count")
@@ -530,8 +506,7 @@ def _coset_count(cfg: SamplerConfig):
     reps: list[affine.AffElt] = []
     for k in range(-3, 4):
         for j in range(max(1, abs(k)), 2 * max(1, abs(k))):
-            expr = f"xm({k}; {field.pi_power(j)})"
-            g = affine.aff_x_minus(field, k, field.pi_power(j))
+            expr, g = _made(Gen("xm", (k, field.pi_power(j))), AFFINE, field)
             if not affine.aff_member(g, spec1):
                 yield expr, "in H_1", "outside"
                 continue
@@ -546,12 +521,11 @@ def _coset_count(cfg: SamplerConfig):
 def _tree_retraction(cfg: SamplerConfig):
     field = cfg.field
     pi = field.uniformizer()
-    closed_cases = [
-        (f"point(xm({pi}), 1)", sl2.TreePoint.make(sl2.x_minus(pi), 1), Fraction(0)),
-        ("point(xp(0), 1/4)", sl2.apartment_point(field, Fraction(1, 4)), Fraction(1, 4)),
-        ("point(xp(0), -2)", sl2.apartment_point(field, -2), Fraction(-2)),
-    ]
-    for expr, p, want in closed_cases:
+    closed_cases = [(Gen("xm", (pi,)), Fraction(1), Fraction(0)),
+                    (Gen("xp", (field.zero(),)), Fraction(1, 4), Fraction(1, 4)),
+                    (Gen("xp", (field.zero(),)), Fraction(-2), Fraction(-2))]
+    for gen, y, want in closed_cases:
+        expr, p = _made(Point(Product((gen,)), y), SL2, field)
         got = sl2.tree_retract(p)
         yield None if got == want else (expr, str(want), str(got))
     for _, _, rng in _draws(cfg, "retract"):

@@ -140,6 +140,11 @@ class TitsClassification:
     zero_set: frozenset[int]
 
 
+# Largest max_steps tits_classify accepts: a step costs about 50 µs, so the
+# limit bounds a call to under a second.
+MAX_STEPS = 10000
+
+
 def tits_classify(system: RootGenSys, v, max_steps: int):
     """Descend v into the closed fundamental chamber, or give up.
 
@@ -151,6 +156,8 @@ def tits_classify(system: RootGenSys, v, max_steps: int):
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if max_steps > MAX_STEPS:
+        raise ValueError(f"max_steps {max_steps} exceeds the limit of {MAX_STEPS}")
     cur = system.apartment_vec(v)
     word = []
     while True:

@@ -378,8 +378,11 @@ class RationalFunctionField(Field):
         return (_pmul(n1, n2, q), _pmul(d1, d2, q))
 
     def _inv(self, a):
+        # a reduced fraction inverts to a reduced one: no gcd, only a monic
+        # denominator
         num, den = a
-        return self._canonical(den, num)
+        inv = pow(num[-1], -1, self.q)
+        return (_pscale(den, inv, self.q), _pscale(num, inv, self.q))
 
     def _pow(self, a, k: int):
         base = a if k > 0 else self._inv(a)

@@ -386,15 +386,43 @@ def test_failed_write_in_process(capsys, monkeypatch):
 
 def test_exponent_budget_is_checked_before_the_power(capsys):
     """|k| > 1000 in x^k is a validation error before x^k is computed;
-    (1+t)^200000 alone took over 20 s."""
+    (1+t)^200000 alone took over 20 s.  Nested powers count the product of
+    their exponents: ((1+t)^1000)^1000 ran past 15 s."""
     start = time.perf_counter()
     for field, expr in (("fq:3", "xp((1+t)^200000)"), ("fq:3", "xp(t^-200000)"),
-                        ("p:3", "xp(3^200000)"), ("p:3", "xp(3^1001)")):
+                        ("p:3", "xp(3^200000)"), ("p:3", "xp(3^1001)"),
+                        ("fq:3", "xp(((1+t)^1000)^1000)")):
         code, out, err = run(capsys, "mul", "--field", field, expr)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: exponent ")
         assert "exceeds the limit of 1000" in err
     assert time.perf_counter() - start < 1.0
-    for field, expr in (("fq:3", "xp((1+t)^1000)"), ("p:3", "xp(3^-1000)")):
+    for field, expr in (("fq:3", "xp((1+t)^1000)"), ("p:3", "xp(3^-1000)"),
+                        ("fq:3", "xp(((1+t)^10)^100)")):
         code, _, _ = run(capsys, "mul", "--field", field, expr)
         assert code == 0
+
+
+def test_tits_max_steps_is_capped(capsys):
+    """--max-steps above roots.MAX_STEPS is a validation error before any
+    step; 10^8 steps ran past 20 s."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "tits", "--max-steps", "100000000",
+                         "--coords=-1000000000,1")
+    assert code == 2 and out == ""
+    assert err == "error: max_steps 100000000 exceeds the limit of 10000\n"
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = run(capsys, "tits", "--max-steps", "10000", "--coords=-1000000000,1")
+    assert code == 0 and out == "not classified\n"
+
+
+def test_verify_matches_the_benchmark_reference_digest(capsys):
+    """The report the benchmark checks against kmbench/reference.json, so a
+    change that would fail its correctness gate fails here first."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "kmbench", "reference.json")) as fh:
+        ref = json.load(fh)
+    for field, digest in ref["verify_sha256"].items():
+        code, out, _ = run(capsys, "--json", "verify", "--suite", "all", "--field", field,
+                           "--seed", str(ref["seed"]), "--trials", str(ref["trials"]))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

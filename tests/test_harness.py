@@ -54,19 +54,42 @@ def test_sample_element_determinism_and_self_validation():
             assert affine.aff_member(g1, affine.AffSubgroupSpec("vform", n))
 
 
-def test_sample_expressions_replay():
-    # recorded expressions rebuild the recorded element exactly
-    cfg = small_cfg()
-    for idx in range(12):
-        expr, g = H.sample_sl2_kerpi(cfg.rng(f"kerpi:1:{idx}"), cfg, 1)
-        _, rebuilt = exprs.parse_element(expr, exprs.SL2, F3)
-        assert rebuilt == g
-        expr, g = H.sample_aff_hn(cfg.rng(f"hn:2:{idx}"), cfg, 2)
-        _, rebuilt = exprs.parse_element(expr, exprs.AFFINE, F3)
-        assert rebuilt.m == g.m and rebuilt.z == g.z
-        expr, g = H.sample_aff_vform(cfg.rng(f"vform:1:{idx}"), cfg, 1)
-        _, rebuilt = exprs.parse_element(expr, exprs.AFFINE, F3)
-        assert rebuilt.m == g.m and rebuilt.z == g.z
+def _drawn(name, *args):
+    """Twelve draws of the sampler name at args."""
+    sampler = getattr(H, name)
+    return lambda cfg: [sampler(cfg.rng(f"{name}:{i}"), cfg, *args) for i in range(12)]
+
+
+# What each element sampler, and conj_generator_list, returns: its target
+# grammar and a function from a config to (expression, element) pairs.
+REPLAYED = {
+    "sample_sl2_generic": (exprs.SL2, _drawn("sample_sl2_generic")),
+    "sample_sl2_kerpi": (exprs.SL2, _drawn("sample_sl2_kerpi", 1)),
+    "sample_sl2_vlambda": (exprs.SL2, _drawn("sample_sl2_vlambda", 1)),
+    "sample_sl2_torus": (exprs.SL2, _drawn("sample_sl2_torus")),
+    "sample_tree_point": (exprs.TREEPOINT, _drawn("sample_tree_point")),
+    "sample_aff_word": (exprs.AFFINE, _drawn("sample_aff_word")),
+    "sample_aff_hn": (exprs.AFFINE, _drawn("sample_aff_hn", 2)),
+    "sample_aff_torus": (exprs.AFFINE, _drawn("sample_aff_torus")),
+    "sample_aff_vform": (exprs.AFFINE, _drawn("sample_aff_vform", 1)),
+    "conj_generator_list": (exprs.AFFINE, lambda cfg: H.conj_generator_list(cfg.field)),
+}
+
+
+def test_replay_covers_every_element_sampler():
+    scalar_samplers = {"sample_unit", "sample_scalar", "sample_scalar_min_val"}
+    samplers = {name for name in vars(H) if name.startswith("sample_")}
+    assert samplers - scalar_samplers == set(REPLAYED) - {"conj_generator_list"}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYED))
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+def test_sample_expressions_replay(field, name):
+    # recorded expressions rebuild the recorded element, or point, exactly
+    target, draws = REPLAYED[name]
+    for expr, g in draws(small_cfg(field=field)):
+        _, rebuilt = exprs.parse_element(expr, target, field)
+        assert rebuilt == g, expr
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -230,6 +230,18 @@ def test_inverse_and_hash_properties(spec, data):
     assert route == x and hash(route) == hash(x)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+@PROPERTY
+@given(data=st.data())
+def test_fq_inverse_of_a_reduced_fraction_needs_no_gcd(q, data):
+    """_inv only swaps and makes the denominator monic; the full reduction of
+    den/num agrees."""
+    field = RationalFunctionField(q)
+    x = data.draw(scalars(field).filter(lambda s: not s.is_zero()))
+    num, den = x.raw
+    assert field._inv(x.raw) == field._canonical(den, num)
+
+
 # --- F_q(t) against an independent oracle --------------------------------------
 
 def _sympy_rational_functions(q):
