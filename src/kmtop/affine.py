@@ -238,16 +238,26 @@ def torus_parts(g: AffElt) -> tuple[ValuedScalar, ValuedScalar]:
     return f, g.z
 
 
-def eval_char(chi: tuple[int, int], g: AffElt) -> ValuedScalar:
-    """Value of the character m·å + n·δ on a torus element: f^{2m}·z^n."""
-    m, n = chi
+def eval_char(beta, g: AffElt) -> ValuedScalar:
+    """β(t) = f^{β₀}·z^{β₁} on a torus t = (diag(f, f^{-1}), z), β in the dual
+    coordinates of roots.affine_sl2_system()."""
     f, z = torus_parts(g)
-    return f ** (2 * m) * z ** n
+    return f ** beta[0] * z ** beta[1]
 
 
-ALPHA_1 = (1, 0)
-ALPHA_0 = (-1, 1)
-DELTA = (0, 1)
+def entry_root(r: int, c: int, k: int) -> tuple[int, int]:
+    """The root β = (c − r)·å + k·δ of the u^k coefficient of entry (r, c):
+    conjugating by a torus t multiplies that coefficient by eval_char(β, t)."""
+    return (2 * (c - r), k)
+
+
+# The coweights λ = å∨ + 3d of vform and λ' = å∨ + d of the h2n-in-v shift,
+# in the (å∨, d) basis of aff_t_mu.  A bound they put on a coefficient at
+# level n is its root's pairing with n·λ; vform's torus lies in T_{VFORM_TORUS·n}.
+LAMBDA = (1, 3)
+LAMBDA_PRIME = (1, 1)
+VFORM_TORUS = 2
+_SIMPLE_ROOTS = roots.affine_sl2_system().simple_roots
 
 
 def nu_translation(g: AffElt):
@@ -257,11 +267,8 @@ def nu_translation(g: AffElt):
 
 
 def fixes_test_point(g: AffElt, i: int, n: int) -> bool:
-    """ω(α_i(t) − 1) ≥ n: the criterion for a torus t to fix x_{α_i}(ϖ^{-n})·0."""
-    if i not in (0, 1):
-        raise ValueError("i must be 0 or 1")
-    chi = ALPHA_0 if i == 0 else ALPHA_1
-    return (eval_char(chi, g) - 1).valuation() >= n
+    """ω(α_i(t) − 1) ≥ n (i = 0, 1): whether the torus t fixes x_{α_i}(ϖ^{-n})·0."""
+    return (eval_char(_SIMPLE_ROOTS[i], g) - 1).valuation() >= n
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +330,10 @@ def aff_violations(g: AffElt, spec: AffSubgroupSpec) -> list[str]:
     if kind == "hn":
         return _kerpi_violations(g, n) + _hn_ring_violations(g, n)
     if kind == "tn":
-        f, z = torus_parts(g)
-        out = []
-        if (f - 1).valuation() < n:
-            out.append(f"ω(f-1) = {(f - 1).valuation()} < {n}")
-        if (z - 1).valuation() < n:
-            out.append(f"ω(z-1) = {(z - 1).valuation()} < {n}")
-        return out
+        return [f"ω({name}-1) = {(e - 1).valuation()} < {n}"
+                for name, e in zip("fz", torus_parts(g)) if (e - 1).valuation() < n]
     if kind == "tnphi":
-        out = []
-        for i in (0, 1):
-            if not fixes_test_point(g, i, n):
-                out.append(f"ω(α{i}(t)-1) < {n}")
-        return out
+        return [f"ω(α{i}(t)-1) < {n}" for i in (0, 1) if not fixes_test_point(g, i, n)]
     if kind in ("center", "centero"):
         f, z = torus_parts(g)
         out = []
@@ -355,26 +353,25 @@ def aff_member(g: AffElt, spec: AffSubgroupSpec) -> bool:
 
 # ---------------------------------------------------------------------------
 # V-form: sufficient-pattern membership for the λ-segment filtration sets,
-# λ = å∨ + 3d.  g must factor as u_+ · u_- · t with u_± in the t_{∓nλ}-shifted
-# unit-at-0 patterns and t in T_{2n}.  The factorization M = A·B·diag(f,f^{-1})
-# (A polynomial in u with A(0) upper-unitriangular, B polynomial in u^{-1}
-# with B(∞) lower-unitriangular) is unique when it exists.  It is found by row
-# reduction: x_±(c·u^k), k ≥ 0, lowers the larger row degree of M until both
-# are 0 and what is left lies in K[u^{-1}].  Each step lowers the sum of the
-# row degrees, which starts at most 2N (N the largest u-exponent of M) and
-# never falls below deg det = 0, so at most 2N steps run.  Each factor is then
-# checked entry-wise.
+# λ = LAMBDA.  g must factor as u_+ · u_- · t with u_± in the t_{∓nλ}-shifted
+# unit-at-0 patterns and t in T_{VFORM_TORUS·n}.  The factorization
+# M = A·B·diag(f,f^{-1}) (A polynomial in u with A(0) upper-unitriangular, B
+# polynomial in u^{-1} with B(∞) lower-unitriangular) is unique when it
+# exists.  It is found by row reduction: x_±(c·u^k), k ≥ 0, lowers the larger
+# row degree of M until both are 0 and what is left lies in K[u^{-1}].  Each
+# step lowers the sum of the row degrees, which starts at most 2N (N the
+# largest u-exponent of M) and never falls below deg det = 0, so at most 2N
+# steps run.  Each factor is then checked entry-wise.
 
-def _pattern_violations(a: Matrix, n: int, sign: int) -> list[str]:
-    """Entry conditions of u_+ ∈ t_{-nλ}·U0^{pm+}·t_{nλ} (sign 1) or of its
-    mirror u_- ∈ t_{nλ}·U0^{nm-}·t_{-nλ} (sign −1): entry (r, c) of u_- at
-    exponent k obeys the u_+ rule for entry (c, r) at exponent −k."""
+def _pattern_violations(a: Matrix, mu, sign: int) -> list[str]:
+    """Entry conditions of u_+ ∈ t_{-μ}·U0^{pm+}·t_{μ} (sign 1) or of its
+    mirror u_- ∈ t_{μ}·U0^{nm-}·t_{-μ} (sign −1), μ = n·λ: sign·k ≥ 0 at the
+    root sign·å, sign·k ≥ 1 elsewhere, and ω ≥ ⟨β, sign·μ⟩ at the root β."""
     name, beyond = ("u_+", "<") if sign > 0 else ("u_-", ">")
     out = []
     for r, c, k, coeff in deviation(a):
-        pr, pc = (r, c) if sign > 0 else (c, r)
-        lowest = 0 if (pr, pc) == (0, 1) else 1
-        bound = 3 * n * sign * k + 2 * n * (pc - pr)
+        lowest = 0 if c - r == sign else 1
+        bound = sign * roots.eval_pairing(entry_root(r, c, k), mu)
         if sign * k < lowest:
             out.append(f"{name} entry ({r + 1},{c + 1}) has exponent {k} "
                        f"{beyond} {sign * lowest}")
@@ -417,8 +414,9 @@ def _birkhoff(m: Matrix):
 
 
 def vform_violations(g: AffElt, n: int) -> list[str]:
-    if (g.z - 1).valuation() < 2 * n:
-        return [f"ω(z-1) = {(g.z - 1).valuation()} < {2 * n}"]
+    level = VFORM_TORUS * n
+    if (g.z - 1).valuation() < level:
+        return [f"ω(z-1) = {(g.z - 1).valuation()} < {level}"]
     factors = _birkhoff(g.m)
     if factors is None:
         return ["no polynomial factorization"]
@@ -427,10 +425,11 @@ def vform_violations(g: AffElt, n: int) -> list[str]:
     zero = LaurentPoly.zero(g.field)
     B = _mat_mul(C, ((LaurentPoly.const(f.inv()), zero), (zero, LaurentPoly.const(f))))
     out = []
-    if (f - 1).valuation() < 2 * n:
-        out.append(f"torus factor: ω(f-1) = {(f - 1).valuation()} < {2 * n}")
-    out.extend(_pattern_violations(A, n, 1))
-    out.extend(_pattern_violations(B, n, -1))
+    if (f - 1).valuation() < level:
+        out.append(f"torus factor: ω(f-1) = {(f - 1).valuation()} < {level}")
+    mu = tuple(n * x for x in LAMBDA)
+    out.extend(_pattern_violations(A, mu, 1))
+    out.extend(_pattern_violations(B, mu, -1))
     return out
 
 

@@ -152,7 +152,7 @@ def cmd_roots(args):
 def cmd_char(args):
     field = parse_field(args.field)
     _, elt = exprs.parse_element(args.expr, exprs.AFFINE, field)
-    value = affine.eval_char((args.m, args.n), elt)
+    value = affine.eval_char((2 * args.m, args.n), elt)     # m·å + n·δ in dual coordinates
     _emit(args, {"command": "char", "value": str(value)}, [str(value)])
     return 0
 
@@ -260,7 +260,7 @@ def cmd_verify(args):
         lines.append(f"{r.suite}: {r.verdict} ({r.trials} trials)")
         if r.skipped:
             lines.append(f"  not applicable: {r.skipped}")
-        for f in sorted(r.failures, key=lambda f: f.trial)[:10]:
+        for f in r.failures[:10]:
             lines.append(f"  trial {f.trial}: {f.inputs} expected {f.expected} got {f.got}")
         if args.timing:
             lines.append(f"  elapsed: {r.elapsed:.2f}s")

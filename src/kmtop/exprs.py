@@ -42,7 +42,8 @@ TREEPOINT = "treepoint"
 
 # Largest |k| accepted in a scalar power x^k, checked before the power is
 # computed: F_q(t) powers cost time quadratic in k, p-adic ones grow without
-# bound.  A power of a power counts the product of the two exponents.
+# bound.  A power of a power counts the product of the two exponents, and a
+# power of an F_q(t) base counts |k| times the base's degree.
 MAX_EXPONENT = 1000
 
 
@@ -215,6 +216,10 @@ class _Parser:
             if inner * abs(exp) > MAX_EXPONENT:
                 what = exp if inner == 1 else f"{inner * abs(exp)} of nested powers"
                 raise ValidationError(f"exponent {what} exceeds the limit of {MAX_EXPONENT}")
+            degree = self.field.degree(base)
+            if degree * abs(exp) > MAX_EXPONENT:
+                raise ValidationError(f"exponent {exp} of a degree-{degree} base exceeds "
+                                      f"the limit of {MAX_EXPONENT}")
             if exp < 0 and base.is_zero():
                 raise ValidationError("zero to a negative power")
             base = base ** exp

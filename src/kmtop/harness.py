@@ -3,7 +3,7 @@
 Each suite is bound to one algebraic statement and reports machine-readable
 pass/fail with the sampled inputs of every failing trial.  Determinism: every
 trial draws from a substream seeded by (seed, label), so identical configs
-produce byte-identical reports; failures are sorted by trial index.
+produce byte-identical reports; failures are listed in trial order.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import affine, sl2
+from . import affine, roots, sl2
 from .exprs import AFFINE, SL2, Gen, Point, Product, build, print_expr
 from .valued import INFINITY, Field, ValuedScalar
 
@@ -85,7 +85,7 @@ class SuiteReport:
             "suite": self.suite,
             "trials": self.trials,
             "verdict": self.verdict,
-            "failures": [f.as_dict() for f in sorted(self.failures, key=lambda f: f.trial)],
+            "failures": [f.as_dict() for f in self.failures],
         }
         if self.skipped:
             out["reason"] = self.skipped
@@ -135,24 +135,18 @@ def sample_sl2_generic(rng: random.Random, cfg: SamplerConfig):
 
 
 def sample_sl2_kerpi(rng: random.Random, cfg: SamplerConfig, n: int):
-    field = cfg.field
-    b = sample_scalar_min_val(rng, field, n)
-    c = sample_scalar_min_val(rng, field, n)
-    d = field.one() + sample_scalar_min_val(rng, field, n)
-    return _upt(b, c, d)
+    return _sample_upt(rng, cfg.field, (n, n, n))
 
 
 def sample_sl2_vlambda(rng: random.Random, cfg: SamplerConfig, n: int):
-    field = cfg.field
-    b = sample_scalar_min_val(rng, field, 2 * n)
-    c = sample_scalar_min_val(rng, field, 2 * n)
-    d = field.one() + sample_scalar_min_val(rng, field, 4 * n)
-    return _upt(b, c, d)
+    return _sample_upt(rng, cfg.field, sl2.vlambda_levels(n))
 
 
-def _upt(b: ValuedScalar, c: ValuedScalar, d: ValuedScalar):
-    """x_+(b)·x_-(c)·diag(d, d^{-1})."""
-    return _made(Product((Gen("xp", (b,)), Gen("xm", (c,)), Gen("diag", (d,)))), SL2, d.field)
+def _sample_upt(rng: random.Random, field: Field, levels):
+    """x_+(b)·x_-(c)·diag(δ) with ω(b), ω(c) and ω(δ − 1) at least levels."""
+    b, c, d = (sample_scalar_min_val(rng, field, level) for level in levels)
+    return _made(Product((Gen("xp", (b,)), Gen("xm", (c,)), Gen("diag", (field.one() + d,)))),
+                 SL2, field)
 
 
 def sample_sl2_torus(rng: random.Random, cfg: SamplerConfig):
@@ -219,10 +213,10 @@ def sample_aff_torus(rng: random.Random, cfg: SamplerConfig):
 
 def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
     """u_+ · u_- · t with u_± built from one-root generators conjugated by
-    t_{∓nλ} (λ = å∨ + 3d): a deliberate under-approximation of the full sets.
+    t_{∓nλ} (λ = affine.LAMBDA): a deliberate under-approximation of the sets.
     """
     field = cfg.field
-    shift, unshift = Gen("t", (n, 3 * n)), Gen("t", (-n, -3 * n))     # t_{±nλ}
+    shift, unshift = (Gen("t", tuple(s * n * x for x in affine.LAMBDA)) for s in (1, -1))
 
     def part(sign, left, right):
         """1-3 factors left·x·right: u_+ for sign 1, x = x_+(k) with k ≥ 0 or
@@ -240,8 +234,8 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
 
     u_plus = part(1, unshift, shift)
     u_minus = part(-1, shift, unshift)
-    f = field.one() + sample_scalar_min_val(rng, field, 2 * n)
-    z = field.one() + sample_scalar_min_val(rng, field, 2 * n)
+    f = field.one() + sample_scalar_min_val(rng, field, affine.VFORM_TORUS * n)
+    z = field.one() + sample_scalar_min_val(rng, field, affine.VFORM_TORUS * n)
     torus = Gen("torus", (f, z))
     # built as u_+ · u_- · torus, each left·x·right a factor, with t_{±nλ}
     # built once; printed flat
@@ -388,17 +382,17 @@ def _v_in_h(cfg: SamplerConfig):
 
 @_suite("h2n-in-v")
 def _h2n_in_v(cfg: SamplerConfig):
-    """Conjugating H_{2n} by t_{-nλ'} (λ' = å∨ + d) shifts each coefficient by
-    exactly ϖ^{n·i + 2n·w(entry)}; the suite checks the shifted bounds
-    ω ≥ 2n·max(1,|i|) + n·i + 2n·w and z ∈ O^×."""
-    weight = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): -1}
-    t_conj = {n: affine.aff_t_mu(cfg.field, -n, -n) for n in (1, 2)}
+    """Conjugating H_{2n} by t_{-nλ'} (λ' = affine.LAMBDA_PRIME) multiplies
+    each coefficient by ϖ^{⟨β, nλ'⟩}, β its root; the suite checks the shifted
+    bounds ω ≥ 2n·max(1,|k|) + ⟨β, nλ'⟩ and z ∈ O^×."""
+    mus = {n: tuple(n * x for x in affine.LAMBDA_PRIME) for n in (1, 2)}
+    t_conj = {n: affine.aff_t_mu(cfg.field, *(-x for x in mu)) for n, mu in mus.items()}
     for n, _, rng in _draws(cfg, "h2nv", (1, 2), max(1, cfg.trials // 2)):
         expr, g = sample_aff_hn(rng, cfg, 2 * n)
         h = t_conj[n].conj(g)
         bad = [] if h.z.valuation() == 0 else ["z not a unit"]
         for r, c, k, coeff in affine.deviation(h.m):
-            bound = 2 * n * max(1, abs(k)) + n * k + 2 * n * weight[(r, c)]
+            bound = 2 * n * max(1, abs(k)) + roots.eval_pairing(affine.entry_root(r, c, k), mus[n])
             if coeff.valuation() < bound:
                 bad.append(f"({r + 1},{c + 1}) u^{k}: ω < {bound}")
         yield (f"n={n}: {expr}", "shifted valuation bounds", "; ".join(bad)) if bad else None
@@ -456,7 +450,8 @@ def _conj_invariance(cfg: SamplerConfig):
 
 @_suite("hausdorff")
 def _hausdorff(cfg: SamplerConfig):
-    """Every sampled non-identity element escapes H_n at a computable level."""
+    """Every sampled non-identity element escapes H_n at a computable level
+    n_escape, and lies in H_{n_escape − 1} when that level is at least 1."""
     for _, _, rng in _draws(cfg, "hausdorff"):
         expr, g = sample_aff_word(rng, cfg)
         if g.is_identity():
@@ -470,8 +465,12 @@ def _hausdorff(cfg: SamplerConfig):
             v = coeff.valuation()
             candidates.append(max(1, int(v // max(1, abs(k))) + 1) if v >= 0 else 1)
         n_escape = min(candidates)
-        inside = affine.aff_member(g, affine.AffSubgroupSpec("hn", n_escape))
-        yield (expr, f"escape by n = {n_escape}", "still inside") if inside else None
+        if affine.aff_member(g, affine.AffSubgroupSpec("hn", n_escape)):
+            yield expr, f"escape by n = {n_escape}", "still inside"
+        elif n_escape >= 2 and not affine.aff_member(g, affine.AffSubgroupSpec("hn", n_escape - 1)):
+            yield expr, f"inside H_{n_escape - 1}", "escaped"
+        else:
+            yield None
 
 
 @_suite("center-separation")

@@ -80,11 +80,11 @@ class RootGenSys:
         return v
 
 
-def eval_pairing(chi, v) -> Fraction:
-    """χ(v) for a character-side vector χ and apartment vector v."""
+def eval_pairing(chi, v):
+    """χ(v) for a character-side χ and a cocharacter-side v, exactly."""
     if len(chi) != len(v):
         raise ValueError("dimension mismatch")
-    return sum((Fraction(a) * b for a, b in zip(chi, v)), Fraction(0))
+    return sum(a * b for a, b in zip(chi, v))
 
 
 def height(beta: RootVec) -> int:
@@ -105,8 +105,15 @@ def co_reflect(system: RootGenSys, i: int, beta: RootVec) -> RootVec:
     return tuple(out)
 
 
+# Most roots real_roots_up_to_height returns.  Hyperbolic systems have
+# exponentially many roots in the height (a rank-3 one has 211710 up to height
+# 10000), so the limit bounds the time and memory of a call.
+MAX_ROOTS = 20000
+
+
 def real_roots_up_to_height(system: RootGenSys, max_height: int) -> frozenset[RootVec]:
-    """All real roots β with |ht(β)| ≤ max_height.
+    """All real roots β with |ht(β)| ≤ max_height; ValueError once more than
+    MAX_ROOTS are found.
 
     Breadth-first closure of {±α_i} under the simple co-reflections, pruning
     outside the height window; valid because every positive real root has a
@@ -130,8 +137,10 @@ def real_roots_up_to_height(system: RootGenSys, max_height: int) -> frozenset[Ro
                 if img not in seen and abs(height(img)) <= max_height:
                     seen.add(img)
                     nxt.append(img)
+            if len(seen) > MAX_ROOTS:
+                raise ValueError(f"more than {MAX_ROOTS} roots up to height {max_height}")
         frontier = nxt
-    return frozenset(b for b in seen if abs(height(b)) <= max_height)
+    return frozenset(seen)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
+from . import roots
 from .valued import INFINITY, Field, ValuedScalar
 
 
@@ -169,6 +170,29 @@ class SL2SubgroupSpec(SubgroupSpec):
         return sl2_violations(g, self)
 
 
+# vlambda:n is x_+(ω ≥ n·⟨α, λ⟩)·x_-(ω ≥ n·⟨−α, −λ⟩)·T_{VLAMBDA_TORUS·n},
+# λ = å∨ the coroot of roots.a1_system(); both pairings are ⟨α, λ⟩.
+_A1 = roots.a1_system()
+VLAMBDA_TORUS = 4
+
+
+def vlambda_levels(n: int) -> tuple[int, int, int]:
+    """The least ω(b), ω(c) and ω(δ − 1) of x_+(b)·x_-(c)·diag(δ) in vlambda:n."""
+    level = n * roots.eval_pairing(_A1.simple_roots[0], _A1.simple_coroots[0])
+    return level, level, VLAMBDA_TORUS * n
+
+
+def _upt_violations(g: SL2Elt, levels) -> list[str]:
+    """Why g is not x_+(b)·x_-(c)·diag(δ) with ω(b), ω(c), ω(δ − 1) ≥ levels."""
+    try:
+        b, c, delta = upt_decompose(g)
+    except NotInBigCell:
+        return ["not in the big cell"]
+    return [f"ω({name}) = {e.valuation()} < {level}"
+            for name, e, level in zip(("b", "c", "δ-1"), (b, c, delta - 1), levels)
+            if e.valuation() < level]
+
+
 def sl2_violations(g: SL2Elt, spec: SL2SubgroupSpec) -> list[str]:
     """Empty list iff g belongs to the described subgroup."""
     kind, n = spec.kind, spec.arg
@@ -187,17 +211,7 @@ def sl2_violations(g: SL2Elt, spec: SL2SubgroupSpec) -> list[str]:
         elif g.a.valuation() != 0:
             out.append(f"ω(δ) = {g.a.valuation()} != 0")
     elif kind == "vlambda":
-        # λ = å∨, so N(λ) = 2: x_+(ω≥2n)·x_-(ω≥2n)·T_{4n}
-        try:
-            b, c, delta = upt_decompose(g)
-        except NotInBigCell:
-            return ["not in the big cell"]
-        if b.valuation() < 2 * n:
-            out.append(f"ω(b) = {b.valuation()} < {2 * n}")
-        if c.valuation() < 2 * n:
-            out.append(f"ω(c) = {c.valuation()} < {2 * n}")
-        if (delta - 1).valuation() < 4 * n:
-            out.append(f"ω(δ-1) = {(delta - 1).valuation()} < {4 * n}")
+        return _upt_violations(g, vlambda_levels(n))
     elif kind == "fixpoint":
         y = spec.arg
         for name, e, bound in (("a", g.a, 0), ("d", g.d, 0),
@@ -223,16 +237,9 @@ def sl2_member(g: SL2Elt, spec: SL2SubgroupSpec) -> bool:
 
 
 def kerpi_product_member(g: SL2Elt, n: int) -> bool:
-    """ker π_n via the product form x_+(ϖ^n O)·x_-(ϖ^n O)·diag(1+ϖ^n O).
-
-    Independent of the entry-congruence route in sl2_member.
-    """
-    try:
-        b, c, delta = upt_decompose(g)
-    except NotInBigCell:
-        return False
-    return (b.valuation() >= n and c.valuation() >= n
-            and (delta - 1).valuation() >= n)
+    """ker π_n via the product form x_+(ϖ^n O)·x_-(ϖ^n O)·diag(1+ϖ^n O),
+    independent of the entry-congruence route in sl2_member."""
+    return not _upt_violations(g, (n, n, n))
 
 
 # ---------------------------------------------------------------------------

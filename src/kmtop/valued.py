@@ -16,7 +16,8 @@ raw value: every operation is delegated to the field.  A field kind is a
   (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when k < 0),
   ``_is_zero(a)``, ``_val(a)`` and ``_format(a)``;
 * ``scalar(value)``, ``uniformizer()``, ``sample_unit(rng)``,
-  ``spec_string()``, ``__eq__``/``__hash__``;
+  ``degree(s)`` (the size that a power's cost grows with), ``spec_string()``,
+  ``__eq__``/``__hash__``;
 * attributes ``uniformizer_name`` (the name of ϖ in the scalar grammar) and
   ``char`` (the residue characteristic).
 
@@ -210,6 +211,10 @@ class PAdicField(Field):
     def uniformizer(self) -> "ValuedScalar":
         return self.scalar(self.p)
 
+    def degree(self, s: "ValuedScalar") -> int:
+        """0: a rational has no degree for a power's cost to grow with."""
+        return 0
+
     def sample_unit(self, rng) -> "ValuedScalar":
         p = self.p
         num = rng.choice([k for k in range(1, 4 * p) if k % p] + [-1, -2])
@@ -318,6 +323,11 @@ class RationalFunctionField(Field):
 
     def uniformizer(self) -> "ValuedScalar":
         return ValuedScalar(self, ((0, 1), (1,)))
+
+    def degree(self, s: "ValuedScalar") -> int:
+        """The larger of the numerator and denominator degrees."""
+        num, den = s.raw
+        return max(len(num), len(den)) - 1
 
     def sample_unit(self, rng) -> "ValuedScalar":
         q = self.q

@@ -79,18 +79,24 @@ def test_inverse_and_associativity():
         assert (g * h).inverse().m == (h.inverse() * g.inverse()).m
 
 
+ALPHA_0, ALPHA_1 = roots.affine_sl2_system().simple_roots     # δ − å and å
+DELTA = (0, 1)
+
+
 def test_char_examples():
-    assert A.eval_char(A.ALPHA_1, A.aff_torus(PI, ONE)) == PI ** 2
-    assert A.eval_char(A.ALPHA_0, A.aff_torus(ONE, PI)) == PI
+    assert (ALPHA_0, ALPHA_1) == ((-2, 1), (2, 0))
+    assert A.eval_char(ALPHA_1, A.aff_torus(PI, ONE)) == PI ** 2
+    assert A.eval_char(ALPHA_0, A.aff_torus(ONE, PI)) == PI
     t = A.aff_torus(F3.scalar(Fraction(2, 3)), PI ** 2)
-    assert A.eval_char(A.DELTA, t) == PI ** 2
-    assert A.eval_char(A.ALPHA_0, t) * A.eval_char(A.ALPHA_1, t) == \
-        A.eval_char(A.DELTA, t)
+    assert A.eval_char(DELTA, t) == PI ** 2
+    assert A.eval_char(ALPHA_0, t) * A.eval_char(ALPHA_1, t) == A.eval_char(DELTA, t)
     with pytest.raises(A.NotTorus):
-        A.eval_char(A.ALPHA_1, A.aff_x_plus(F3, 0, ONE))
+        A.eval_char(ALPHA_1, A.aff_x_plus(F3, 0, ONE))
 
 
 def test_char_conj_consistency():
+    """Conjugating by a torus t multiplies the coefficient whose root is β by
+    eval_char(β, t): β = (2, k) for x_+ at u^k, (−2, k) for x_-."""
     rng = random.Random(22)
     for _ in range(100):
         f = F3.scalar(rng.choice([1, 2, 5])) * PI ** rng.randint(-2, 2)
@@ -98,9 +104,12 @@ def test_char_conj_consistency():
         t = A.aff_torus(f, z)
         k = rng.randint(-2, 2)
         y = F3.scalar(rng.randint(-5, 5))
-        conj = t.conj(A.aff_x_plus(F3, k, y))
-        expect = A.aff_x_plus(F3, k, A.eval_char((1, k), t) * y)
-        assert conj.m == expect.m and conj.z == expect.z
+        for make, (r, c) in ((A.aff_x_plus, (0, 1)), (A.aff_x_minus, (1, 0))):
+            beta = A.entry_root(r, c, k)
+            assert beta == ((2, k) if make is A.aff_x_plus else (-2, k))
+            conj = t.conj(make(F3, k, y))
+            expect = make(F3, k, A.eval_char(beta, t) * y)
+            assert conj.m == expect.m and conj.z == expect.z
 
 
 def test_nu_examples():
@@ -223,7 +232,7 @@ def test_function_field_variant():
     t = f2.uniformizer()
     g = A.aff_x_plus(f2, 1, t)
     assert A.aff_member(g, A.AffSubgroupSpec("hn", 1))
-    assert A.eval_char(A.ALPHA_1, A.aff_torus(t, f2.one())) == t ** 2
+    assert A.eval_char(ALPHA_1, A.aff_torus(t, f2.one())) == t ** 2
 
 
 # --- the det check sits at the trust boundary ------------------------------------
@@ -458,3 +467,31 @@ def test_birkhoff_recovers_built_factors(spec, data):
     f = data.draw(_scalars(field).filter(lambda x: not x.is_zero()))
     c = b * A.aff_torus(f, field.one())
     assert A._birkhoff((a * c).m) == (a.m, c.m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=st.integers(-3, 3), b=st.integers(1, 4), sign=st.sampled_from([1, -1]),
+       near=st.booleans(), k=st.integers(0, 3), seed=st.integers(0, 10 ** 6))
+def test_vform_bounds_follow_lambda(a, b, sign, near, k, seed):
+    """At μ = (a, b), b ≥ 1: u_± = t_{∓μ}·x·t_{±μ} for a one-root x with a
+    unit coefficient meets the pattern bound at μ exactly, so it fails at a μ'
+    that raises the pairing of x's root; and with λ set to μ, every vform
+    sampler draw at levels 1 and 2 passes vform."""
+    mu = (a, b)
+    t = A.aff_t_mu(F3, *mu)
+    # u_+: x_+ at u^k, k ≥ 0, or x_- at u^k, k ≥ 1; u_-: their mirrors at u^{-k}
+    plus = near == (sign > 0)
+    make, (r, c) = (A.aff_x_plus, (0, 1)) if plus else (A.aff_x_minus, (1, 0))
+    x = make(F3, sign * (k if near else k + 1), F3.scalar(2))
+    u = t.inverse() * x * t if sign > 0 else t * x * t.inverse()
+    assert A._pattern_violations(u.m, mu, sign) == []
+    raised = (a + sign * (c - r), b)        # ⟨β, raised⟩ = ⟨β, μ⟩ + 2·sign
+    assert A._pattern_violations(u.m, raised, sign) != []
+    cfg = harness.SamplerConfig(field=F3, seed=seed, trials=1)
+    rng = cfg.rng("lambda")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(A, "LAMBDA", mu)
+        for n in (1, 2):
+            expr, g = harness.sample_aff_vform(rng, cfg, n)
+            assert f"t({-n * a}, {-n * b})" in expr
+            assert A.vform_violations(g, n) == [], expr

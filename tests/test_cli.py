@@ -343,12 +343,12 @@ def test_unreadable_fixture_is_a_validation_error(capsys, tmp_path):
         assert str(path) in err and "cannot write output" not in err
 
 
-def _kmtop(*argv, stdout):
+def _kmtop(*argv, stdout, timeout=60):
     """Run the CLI in a fresh interpreter; (exit code, stderr text)."""
     src = os.path.dirname(os.path.dirname(kmtop.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-m", "kmtop.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=60)
+                          stderr=subprocess.PIPE, env=env, timeout=timeout)
     return done.returncode, done.stderr.decode()
 
 
@@ -384,14 +384,21 @@ def test_failed_write_in_process(capsys, monkeypatch):
     assert code == 1 and err == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
+# A power of a 16-factor product of degree 48: the power's result has degree
+# 48000, which the exponent limit alone let through.
+PRODUCT_POWER = "xp((" + "*".join(["(1+t+2*t*t+t*t*t)"] * 16) + ")^1000)"
+
+
 def test_exponent_budget_is_checked_before_the_power(capsys):
     """|k| > 1000 in x^k is a validation error before x^k is computed;
     (1+t)^200000 alone took over 20 s.  Nested powers count the product of
-    their exponents: ((1+t)^1000)^1000 ran past 15 s."""
+    their exponents: ((1+t)^1000)^1000 ran past 15 s.  An F_q(t) base counts
+    |k| times its degree."""
     start = time.perf_counter()
     for field, expr in (("fq:3", "xp((1+t)^200000)"), ("fq:3", "xp(t^-200000)"),
                         ("p:3", "xp(3^200000)"), ("p:3", "xp(3^1001)"),
-                        ("fq:3", "xp(((1+t)^1000)^1000)")):
+                        ("fq:3", "xp(((1+t)^1000)^1000)"), ("fq:5", PRODUCT_POWER),
+                        ("fq:3", "xp((1+t+t*t)^1000)"), ("fq:3", "xp((1+t+t^2)^1000)")):
         code, out, err = run(capsys, "mul", "--field", field, expr)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: exponent ")
@@ -401,6 +408,43 @@ def test_exponent_budget_is_checked_before_the_power(capsys):
                         ("fq:3", "xp(((1+t)^10)^100)")):
         code, _, _ = run(capsys, "mul", "--field", field, expr)
         assert code == 0
+
+
+def test_degree_budget_message(capsys):
+    code, _, err = run(capsys, "mul", "--field", "fq:5", PRODUCT_POWER)
+    assert code == 2
+    assert err == "error: exponent 1000 of a degree-48 base exceeds the limit of 1000\n"
+
+
+# A hyperbolic rank-3 system: 211710 roots up to height 10000, and the count
+# grows exponentially with the height, past roots.MAX_ROOTS.
+HYPERBOLIC_RANK3 = {"cartan": [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]], "rank": 3,
+                    "simple_roots": [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]],
+                    "simple_coroots": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+def test_roots_budget(capsys, tmp_path):
+    fixture = tmp_path / "hyperbolic.json"
+    fixture.write_text(json.dumps(HYPERBOLIC_RANK3))
+    for height in (10000, 100000):
+        code, out, err = run(capsys, "roots", "--system", str(fixture), "--height", str(height))
+        assert code == 2 and out == ""
+        assert err == f"error: more than 20000 roots up to height {height}\n"
+    code, out, _ = run(capsys, "roots", "--system", str(fixture), "--height", "30")
+    assert code == 0 and out.endswith("total: 246\n")
+    code, out, _ = run(capsys, "roots", "--height", "4000")
+    assert code == 0 and out.endswith("total: 8000\n")
+
+
+def test_budgets_hold_in_a_fresh_interpreter(tmp_path):
+    """The two budget inputs above, each in its own interpreter under a
+    10 s timeout, so a budget that stops holding fails instead of hanging."""
+    fixture = tmp_path / "hyperbolic.json"
+    fixture.write_text(json.dumps(HYPERBOLIC_RANK3))
+    for argv in (("mul", "--field", "fq:5", PRODUCT_POWER),
+                 ("roots", "--system", str(fixture), "--height", "100000")):
+        code, err = _kmtop(*argv, stdout=subprocess.DEVNULL, timeout=10)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_tits_max_steps_is_capped(capsys):

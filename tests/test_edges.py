@@ -58,6 +58,14 @@ def test_vform_near_misses():
     assert A.aff_member(A.aff_x_minus(F3, 0, PI ** 2), A.AffSubgroupSpec("vform", 1))
     assert not A.aff_member(A.aff_x_minus(F3, -1, PI ** 4), A.AffSubgroupSpec("vform", 1))
     assert A.aff_member(A.aff_x_minus(F3, -1, PI ** 5), A.AffSubgroupSpec("vform", 1))
+    # n = 2, written out so that these numbers pin λ = å∨ + 3d: (in, out) pairs
+    for make, k, inside, outside in ((A.aff_x_plus, 1, 10, 9), (A.aff_x_minus, 1, 2, 1),
+                                     (A.aff_x_minus, 0, 4, 3), (A.aff_x_minus, -1, 10, 9)):
+        assert A.aff_member(make(F3, k, PI ** inside), A.AffSubgroupSpec("vform", 2))
+        assert not A.aff_member(make(F3, k, PI ** outside), A.AffSubgroupSpec("vform", 2))
+    assert A.aff_member(A.aff_torus(ONE + PI ** 4, ONE + PI ** 4), A.AffSubgroupSpec("vform", 2))
+    assert not A.aff_member(A.aff_torus(ONE + PI ** 3, ONE + PI ** 4),
+                            A.AffSubgroupSpec("vform", 2))
 
 
 def test_vform_factor_order_matters_only_as_pattern():

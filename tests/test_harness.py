@@ -205,3 +205,13 @@ def test_failures_are_replayable():
     _, rebuilt = exprs.parse_element(payload["failures"][0]["inputs"],
                                      exprs.AFFINE, F3)
     assert rebuilt.m == g.m
+
+
+def test_hausdorff_checks_that_the_escape_level_is_tight(monkeypatch):
+    """An H_n predicate that says false for every level passes the escape
+    side; the tightness side, g ∈ H_{n_escape − 1} for n_escape ≥ 2, fails."""
+    monkeypatch.setattr(affine, "aff_member", lambda g, spec: False)
+    report = H.run_suite("hausdorff", small_cfg(trials=200))
+    assert report.verdict == "fail" and report.failures
+    assert {f.got for f in report.failures} == {"escaped"}
+    assert all(f.expected.startswith("inside H_") for f in report.failures)
