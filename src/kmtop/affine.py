@@ -56,7 +56,13 @@ class LaurentPoly:
     def one(field: Field) -> "LaurentPoly":
         return LaurentPoly(field, {0: field.one()})
 
+    # LaurentPoly is never mutated, so a sum with 0 or a product with 1 is
+    # the other operand itself
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             s = out.get(k)
@@ -70,6 +76,10 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         out: dict[int, ValuedScalar] = {}
         for k1, v1 in self.coeffs.items():
             for k2, v2 in other.coeffs.items():

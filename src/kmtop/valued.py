@@ -21,10 +21,24 @@ raw value: every operation is delegated to the field.  A field kind is a
 * attributes ``uniformizer_name`` (the name of ϖ in the scalar grammar) and
   ``char`` (the residue characteristic).
 
+A subclass's ``__init__`` ends with ``super().__init__()``, which builds the
+field's one zero and one one: scalars are immutable, so they are shared.
+
 Raw values are immutable and kept in canonical form (rationals in lowest
 terms; polynomial ratios reduced with monic denominator), so equality is
 structural and every operation is pure.  ω(0) is the distinguished tag
 ``INFINITY``, never an integer sentinel.
+
+The F_q(t) kernels (``_padd``, ``_pmul``, ``_pdivmod``, ``_pgcd`` and
+``_pscale``) take trimmed coefficient tuples over F_p, p prime: entries in
+[0, p), no trailing zero, () for zero.  They return exact-size trimmed
+tuples.  Over a prime p a product of nonzero leading coefficients is
+nonzero, so a product, a quotient and a nonzero scaling need no trim; only
+sums and remainders do.  They may return an operand itself (a product by 1).
+Results are built as ``tuple([...])``, never ``tuple(genexpr)``: CPython
+allocates a tuple built from a generator from a length guess and resizes it
+afterwards, and built that way the kernels' tuples raised the verify-fq peak
+RSS by about 12% and the traced peak of Python allocations threefold.
 """
 
 from __future__ import annotations
@@ -91,41 +105,60 @@ def _padd(a, b, p):
 
 
 def _pneg(a, p):
-    return tuple((-x) % p for x in a)
+    return tuple([(-x) % p for x in a])
+
+
+def _pscale(a, s, p):
+    """s·a for s ≠ 0 mod p: the leading coefficient stays nonzero."""
+    return tuple([(x * s) % p for x in a])
 
 
 def _pmul(a, b, p):
     if not a or not b:
         return ()
+    if len(a) == 1 or len(b) == 1:
+        (s,), c = (a, b) if len(a) == 1 else (b, a)
+        return c if s == 1 else _pscale(c, s, p)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    # the leading coefficient a[-1]·b[-1] is nonzero mod p: nothing to trim
+    return tuple([c % p for c in out])
+
 
 def _pdivmod(a, b, p):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    lb = len(b)
+    if len(a) < lb:
+        return (), a
+    if lb == 1:
+        return (a if b[0] == 1 else _pscale(a, pow(b[0], -1, p), p)), ()
     a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
+    q = [0] * (len(a) - lb + 1)
     inv_lead = pow(b[-1], -1, p)
-    for i in range(len(a) - len(b), -1, -1):
-        coeff = (a[i + len(b) - 1] * inv_lead) % p
+    for i in range(len(a) - lb, -1, -1):
+        coeff = (a[i + lb - 1] * inv_lead) % p
         if coeff:
             q[i] = coeff
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - coeff * y) % p
-    return _ptrim(q), _ptrim(a)
+            # the top term cancels by the choice of coeff; the rest are
+            # reduced when they become the top term, or at the end
+            for j in range(lb - 1):
+                a[i + j] -= coeff * b[j]
+    # q[-1] = a[-1]/b[-1] is nonzero: only the remainder can need a trim
+    return tuple(q), _ptrim([x % p for x in a[:lb - 1]])
 
 
 def _pgcd(a, b, p):
+    """The monic gcd; (1,) as soon as a remainder is a nonzero constant."""
     while b:
+        if len(b) == 1:
+            return (1,)
         a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple((x * inv) % p for x in a)
+    if a and a[-1] != 1:
+        a = _pscale(a, pow(a[-1], -1, p), p)
     return a
 
 
@@ -134,10 +167,6 @@ def _pord(a) -> int:
         if x:
             return i
     raise ValueError("zero polynomial has no order")
-
-
-def _pscale(a, s, p):
-    return _ptrim([(x * s) % p for x in a])
 
 
 def _pformat(a) -> str:
@@ -167,11 +196,14 @@ class Field:
     uniformizer_name: str
     char: int
 
+    def __init__(self):
+        self._zero, self._one = self.scalar(0), self.scalar(1)
+
     def zero(self) -> "ValuedScalar":
-        return self.scalar(0)
+        return self._zero
 
     def one(self) -> "ValuedScalar":
-        return self.scalar(1)
+        return self._one
 
     def pi_power(self, n: int) -> "ValuedScalar":
         return self.uniformizer() ** n
@@ -189,6 +221,7 @@ class PAdicField(Field):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         self.p = self.char = p
+        super().__init__()
 
     def __eq__(self, other):
         return isinstance(other, PAdicField) and other.p == self.p
@@ -277,6 +310,7 @@ class RationalFunctionField(Field):
         if pk[1] != 1:
             raise ValueError(f"only prime q is supported (got {q} = {pk[0]}^{pk[1]})")
         self.q = self.char = q
+        super().__init__()
 
     def __eq__(self, other):
         return isinstance(other, RationalFunctionField) and other.q == self.q
@@ -307,8 +341,8 @@ class RationalFunctionField(Field):
 
     def ratio(self, num, den=(1,)) -> "ValuedScalar":
         """Build a scalar from raw coefficient sequences num/den."""
-        num = tuple(c % self.q for c in num)
-        den = tuple(c % self.q for c in den)
+        num = [c % self.q for c in num]
+        den = [c % self.q for c in den]
         return ValuedScalar(self, self._canonical(num, den))
 
     def scalar(self, value) -> "ValuedScalar":
@@ -376,6 +410,11 @@ class RationalFunctionField(Field):
             return (_pmul(n1, n2, q), (1,))
         if not n1 or not n2:
             return ((), (1,))
+        # a nonzero constant c/1 is a unit: c·n/d is reduced, d stays monic
+        if len(n1) == 1 and d1 == (1,):
+            return b if n1[0] == 1 else (_pscale(n2, n1[0], q), d2)
+        if len(n2) == 1 and d2 == (1,):
+            return a if n2[0] == 1 else (_pscale(n1, n2[0], q), d1)
         # n1/d1 and n2/d2 are reduced, so only n1 with d2 and n2 with d1 can cancel
         if d2 != (1,):
             g = _pgcd(n1, d2, q)
@@ -523,7 +562,7 @@ class ValuedScalar:
         return self.field._is_zero(self.raw)
 
     def is_one(self) -> bool:
-        return self == self.field.one()
+        return self.raw == self.field.one().raw
 
     def valuation(self):
         """ω(x): an integer, or INFINITY iff x = 0."""

@@ -93,6 +93,19 @@ def test_conjugation_shift_law_is_sharp():
     assert conj2.m[1][0].get(1).valuation() == 1
 
 
+def test_h2n_conjugator_pins_lambda_prime():
+    # h2n-in-v's conjugator and its bounds both read LAMBDA_PRIME, so only
+    # literals pin λ' = å∨ + d: t_{-nλ'}·xp(k; 1)·t_{nλ'} scales the u^k
+    # coefficient by ϖ^{⟨å + kδ, nλ'⟩} = 3^{n(2 + k)}, as `mul` prints it
+    printed = {(1, -1): "([[1, 3*u^-1], [0, 1]], 1)", (1, 0): "([[1, 9], [0, 1]], 1)",
+               (1, 1): "([[1, 27*u], [0, 1]], 1)", (2, -1): "([[1, 9*u^-1], [0, 1]], 1)",
+               (2, 0): "([[1, 81], [0, 1]], 1)", (2, 1): "([[1, 729*u], [0, 1]], 1)"}
+    for (n, k), text in printed.items():
+        ell, d = (n * x for x in A.LAMBDA_PRIME)
+        g = A.aff_t_mu(F3, -ell, -d) * A.aff_x_plus(F3, k, ONE) * A.aff_t_mu(F3, ell, d)
+        assert str(g) == text
+
+
 def test_tree_equality_transitive_across_representatives():
     rng = random.Random(31)
     for _ in range(150):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kmtop.valued import (
@@ -13,6 +13,7 @@ from kmtop.valued import (
     PAdicField,
     RationalFunctionField,
     _padd,
+    _pdivmod,
     _pgcd,
     _pmul,
     _pneg,
@@ -344,11 +345,12 @@ def _assert_canonical(raw, q):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
     """_add cancels only a factor of g = gcd(d1, d2), by one more gcd with the
-    new numerator; _mul cancels n1 against d2 and n2 against d1.  Operands
-    are built to share factors (denominators r·s and r·t, each numerator a
-    multiple of the other operand's denominator piece, and sums that cancel),
-    every branch must run, and each result equals _canonical of the general
-    formula and sympy's field("t", GF(q))."""
+    new numerator; _mul cancels n1 against d2 and n2 against d1, and takes a
+    constant c/1 as a unit with no gcd.  Operands are built to share factors
+    (denominators r·s and r·t, each numerator a multiple of the other
+    operand's denominator piece, and sums that cancel).  One explicit example
+    per branch makes every branch run whatever the random draws; each result
+    equals _canonical of the general formula and sympy's field("t", GF(q))."""
     from kmtop import valued
 
     to_sympy, sympy_canonical = _sympy_rational_functions(q)
@@ -368,15 +370,25 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
         out = op(a, b)
         return out, list(gcds)
 
-    polys = st.lists(st.integers(0, q - 1), min_size=1, max_size=3).filter(any)
+    # trimmed polynomials of degree at most 2
+    polys = st.tuples(st.lists(st.integers(0, q - 1), max_size=2),
+                      st.integers(1, q - 1)).map(lambda cl: (*cl[0], cl[1]))
+    one, c, t_poly, one_plus_t = (1,), (q - 1,), (0, 1), (1, 1)
 
     @settings(deadline=None, max_examples=150)
-    @given(data=st.data())
-    def check(data):
-        r, s, t, x, y, z = (tuple(data.draw(polys)) for _ in range(6))
+    @given(pieces=st.tuples(*[polys] * 6),
+           shape=st.sampled_from(["shared", "cancelling", "negation", "polynomial", "zero"]),
+           swap=st.booleans())
+    # (1+t)/t and t/(1+t): add with g = 1, mul cancelling both ways
+    @example(pieces=(one, t_poly, one_plus_t, one, one, one), shape="shared", swap=False)
+    # 1/(1+t) and t/(1+t): add with g = 1+t, whose second gcd cancels
+    @example(pieces=(one_plus_t, one, one, one, one, one), shape="cancelling", swap=False)
+    # t/(1+t) times 1, and the constant q-1 times t/(1+t)
+    @example(pieces=(one_plus_t, one, t_poly, one, one, one), shape="polynomial", swap=False)
+    @example(pieces=(one_plus_t, one, t_poly, one, c, one), shape="polynomial", swap=True)
+    def check(pieces, shape, swap):
+        r, s, t, x, y, z = pieces
         a = F.ratio(_pmul(x, t, q), _pmul(r, s, q)).raw
-        shape = data.draw(st.sampled_from(["shared", "cancelling", "negation",
-                                           "polynomial", "zero"]))
         if shape == "shared":
             b = F.ratio(_pmul(y, s, q), _pmul(r, t, q)).raw
         elif shape == "cancelling":                    # b = z/s − a, so a + b = z/s
@@ -387,7 +399,7 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
             b = F._neg(a)
         else:
             b = F.ratio(y if shape == "polynomial" else ()).raw
-        if data.draw(st.booleans()):
+        if swap:
             a, b = b, a
         (n1, d1), (n2, d2) = a, b
 
@@ -409,6 +421,9 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
         _assert_canonical(product, q)
         assert product == F._canonical(_pmul(n1, n2, q), _pmul(d1, d2, q))
         assert product == sympy_canonical(to_sympy(a) * to_sympy(b))
+        if (1, (1,)) in ((len(n1), d1), (len(n2), d2)) and not d1 == d2 == (1,):
+            assert seen == []                          # a constant c/1 is a unit
+            fired.add("mul: constant")
         for num, den, g in seen:
             assert (num, den) in ((n1, d2), (n2, d1))
             if g != (1,):
@@ -416,4 +431,101 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
 
     check()
     assert fired == {"add: g = 1", "add: g != 1", "add: second gcd cancels",
-                     "mul: n1 with d2", "mul: n2 with d1"}
+                     "mul: n1 with d2", "mul: n2 with d1", "mul: constant"}
+
+
+# --- the polynomial kernels against schoolbook references and sympy -------------
+#
+# The schoolbook kernels that _pmul, _pdivmod and _pgcd replaced, word for word
+# but for their names: a reduction mod p at every inner step and a trim on
+# every result.
+
+def _ptrim_ref(c: list[int]) -> tuple[int, ...]:
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _pmul_ref(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _ptrim_ref(out)
+
+def _pdivmod_ref(a, b, p):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = pow(b[-1], -1, p)
+    for i in range(len(a) - len(b), -1, -1):
+        coeff = (a[i + len(b) - 1] * inv_lead) % p
+        if coeff:
+            q[i] = coeff
+            for j, y in enumerate(b):
+                a[i + j] = (a[i + j] - coeff * y) % p
+    return _ptrim_ref(q), _ptrim_ref(a)
+
+
+def _pgcd_ref(a, b, p):
+    while b:
+        a, b = b, _pdivmod_ref(a, b, p)[1]
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = tuple((x * inv) % p for x in a)
+    return a
+
+
+def _kernel_polys(p):
+    """Nonzero trimmed polynomials over F_p of degree at most 20: constants,
+    t-powers c·t^k and dense ones, the shapes the scalar kernel meets."""
+    lead = st.integers(1, p - 1)
+    return st.one_of(
+        lead.map(lambda c: (c,)),
+        st.tuples(st.integers(1, 20), lead).map(lambda kc: (0,) * kc[0] + (kc[1],)),
+        st.tuples(st.lists(st.integers(0, p - 1), max_size=20), lead)
+        .map(lambda cl: (*cl[0], cl[1])))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_polynomial_kernels_match_schoolbook_and_sympy(p, data):
+    """On trimmed operands, _pmul, _pdivmod and _pgcd equal the schoolbook
+    kernels they replaced and sympy's arithmetic in GF(p)[t], and every
+    result is trimmed (so built to its exact size)."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    polys = _kernel_polys(p)
+    a = data.draw(st.one_of(st.just(()), polys))
+    b = data.draw(polys)
+
+    def to_poly(n):
+        return sympy.Poly(list(reversed(n)) or [0], t, modulus=p)
+
+    def raw(poly):
+        # sympy's symmetric residues, low-to-high in [0, p), trimmed
+        return _ptrim_ref([int(c) % p for c in reversed(poly.all_coeffs())])
+
+    def trimmed(x):
+        return isinstance(x, tuple) and (not x or x[-1] != 0) and all(0 <= c < p for c in x)
+
+    product = _pmul(a, b, p)
+    assert trimmed(product) and product == _pmul_ref(a, b, p) == _pmul(b, a, p)
+    assert product == raw(to_poly(a) * to_poly(b))
+
+    quo, rem = _pdivmod(a, b, p)
+    assert trimmed(quo) and trimmed(rem) and len(rem) < len(b)
+    assert (quo, rem) == _pdivmod_ref(a, b, p)
+    sq, sr = sympy.div(to_poly(a), to_poly(b))
+    assert (quo, rem) == (raw(sq), raw(sr))
+
+    g = _pgcd(a, b, p)
+    assert trimmed(g) and g[-1] == 1                 # b ≠ 0, so the gcd is monic
+    assert g == _pgcd_ref(a, b, p) == _pgcd_ref(b, a, p) == _pgcd(b, a, p)
+    assert g == raw(sympy.gcd(to_poly(a), to_poly(b)).monic())
