@@ -9,7 +9,9 @@ Every ker-π_n-dependent predicate and suite inherits this caveat.
 
 H_n is ker π_n intersected with matrices whose coefficient at exponent j has
 ω ≥ n·|j| (the ring O[ϖ^n u, ϖ^n u^{-1}] that the equivalence proof actually
-manipulates).
+manipulates).  Its membership test is one bound n·max(1, |j|) on each
+coefficient of M − I: off the diagonal and at j ≠ 0 that coefficient is one
+of M, and a diagonal one at j = 0 has ω ≥ n ≥ 1, so 1 + it has ω ≥ 0.
 """
 
 from __future__ import annotations
@@ -194,12 +196,6 @@ class AffElt:
                 f"[{self.m[1][0]}, {self.m[1][1]}]], {self.z})")
 
 
-def aff_identity(field: Field) -> AffElt:
-    one = LaurentPoly.one(field)
-    zero = LaurentPoly.zero(field)
-    return AffElt(((one, zero), (zero, one)), field.one())
-
-
 def aff_x_plus(field: Field, k: int, y: ValuedScalar) -> AffElt:
     """x_{å+kδ}(y) = ((1, u^k y; 0, 1), 1)."""
     one = LaurentPoly.one(field)
@@ -284,25 +280,6 @@ def fixes_test_point(g: AffElt, i: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Subgroup membership.
 
-AFF_SPEC_KINDS = {
-    "kerpi": LEVEL,
-    "hn": LEVEL,
-    "tn": LEVEL,
-    "tnphi": LEVEL,
-    "center": None,
-    "centero": None,
-    "vform": LEVEL,
-}
-
-
-class AffSubgroupSpec(SubgroupSpec):
-    GROUP = "affine"
-    KINDS = AFF_SPEC_KINDS
-
-    def violations(self, g: AffElt) -> list[str]:
-        return aff_violations(g, self)
-
-
 def deviation(m: Matrix):
     """(r, c, k, coefficient) for each nonzero coefficient of m − I, entry by
     entry in row order and by increasing exponent within an entry."""
@@ -314,47 +291,61 @@ def deviation(m: Matrix):
                 yield r, c, k, coeff
 
 
-def _kerpi_violations(g: AffElt, n: int) -> list[str]:
-    out = [f"entry ({r + 1},{c + 1}) u^{k}: ω = {coeff.valuation()} < {n}"
-           for r, c, k, coeff in deviation(g.m) if coeff.valuation() < n]
-    if (g.z - 1).valuation() < n:
-        out.append(f"ω(z-1) = {(g.z - 1).valuation()} < {n}")
-    return out
-
-
-def _hn_ring_violations(g: AffElt, n: int) -> list[str]:
+def _congruence(g: AffElt, n: int, ring: bool) -> list[str]:
+    """ker π_n: ω ≥ n on each coefficient of m − I and ω(z − 1) ≥ n.  H_n
+    (ring) raises the bound at u^k to n·|k|, one bound per coefficient."""
     out = []
-    for r in range(2):
-        for c in range(2):
-            for k, coeff in sorted(g.m[r][c].coeffs.items()):
-                if coeff.valuation() < n * abs(k):
-                    out.append(
-                        f"entry ({r + 1},{c + 1}) u^{k}: ω = {coeff.valuation()} < {n * abs(k)}")
+    for r, c, k, coeff in deviation(g.m):
+        bound = n * max(1, abs(k)) if ring else n
+        v = coeff.valuation()
+        if v < bound:
+            out.append(f"entry ({r + 1},{c + 1}) u^{k}: ω = {v} < {bound}")
+    v = (g.z - 1).valuation()
+    if v < n:
+        out.append(f"ω(z-1) = {v} < {n}")
     return out
+
+
+def _center(g: AffElt, integral: bool) -> list[str]:
+    """center, or with integral centero: f^2 = 1 and z = 1 (and ω(f) = 0)."""
+    f, z = torus_parts(g)
+    out = []
+    if not (f * f).is_one():
+        out.append("f^2 != 1")
+    if not z.is_one():
+        out.append("z != 1")
+    if integral and f.valuation() != 0:
+        out.append("ω(f) != 0")
+    return out
+
+
+class AffSubgroupSpec(SubgroupSpec):
+    GROUP = "affine"
+    # vform is looked up when called, so a wrapped vform_violations is the one run
+    KINDS = {
+        "kerpi": (LEVEL, lambda g, n: _congruence(g, n, False)),
+        "hn": (LEVEL, lambda g, n: _congruence(g, n, True)),
+        "tn": (LEVEL, lambda g, n: [f"ω({name}-1) = {(e - 1).valuation()} < {n}"
+                                    for name, e in zip("fz", torus_parts(g))
+                                    if (e - 1).valuation() < n]),
+        "tnphi": (LEVEL, lambda g, n: [f"ω(α{i}(t)-1) < {n}" for i in (0, 1)
+                                       if not fixes_test_point(g, i, n)]),
+        "center": (None, lambda g, _: _center(g, False)),
+        "centero": (None, lambda g, _: _center(g, True)),
+        "vform": (LEVEL, lambda g, n: vform_violations(g, n)),
+    }
+
+    def violations(self, g: AffElt) -> list[str]:
+        return aff_violations(g, self)
 
 
 def aff_violations(g: AffElt, spec: AffSubgroupSpec) -> list[str]:
-    kind, n = spec.kind, spec.arg
-    if kind == "kerpi":
-        return _kerpi_violations(g, n)
-    if kind == "hn":
-        return _kerpi_violations(g, n) + _hn_ring_violations(g, n)
-    if kind == "tn":
-        return [f"ω({name}-1) = {(e - 1).valuation()} < {n}"
-                for name, e in zip("fz", torus_parts(g)) if (e - 1).valuation() < n]
-    if kind == "tnphi":
-        return [f"ω(α{i}(t)-1) < {n}" for i in (0, 1) if not fixes_test_point(g, i, n)]
-    if kind in ("center", "centero"):
-        f, z = torus_parts(g)
-        out = []
-        if not (f * f).is_one():
-            out.append("f^2 != 1")
-        if not z.is_one():
-            out.append("z != 1")
-        if kind == "centero" and f.valuation() != 0:
-            out.append("ω(f) != 0")
-        return out
-    return vform_violations(g, n)   # vform
+    """Empty list iff g belongs to the described subgroup; a torus kind on a
+    non-torus element answers with the one reason it is not a torus."""
+    try:
+        return spec.KINDS[spec.kind][1](g, spec.arg)
+    except NotTorus as exc:
+        return [str(exc)]
 
 
 def aff_member(g: AffElt, spec: AffSubgroupSpec) -> bool:

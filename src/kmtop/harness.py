@@ -373,11 +373,28 @@ def _closure(cfg: SamplerConfig, label, sampler, spec_class, kind):
 
 @_suite("v-in-h")
 def _v_in_h(cfg: SamplerConfig):
-    """Sampled λ-segment subgroup elements all land in H_n (n ≤ 2)."""
+    """Sampled λ-segment subgroup elements all land in H_n (n ≤ 2).  A census
+    after the last trial asks vform:n of elements at its bounds and one step
+    past them: at λ = å∨ + 3d, x_-(1; c) has bound ⟨−å + δ, nλ⟩ = n, and
+    the torus factor lies in T_2n."""
     for n, _, rng in _draws(cfg, "vinh", (1, 2)):
         expr, g = sample_aff_vform(rng, cfg, n)
         viol = affine.aff_violations(g, affine.AffSubgroupSpec("hn", n))
         yield (f"n={n}: {expr}", "member of H_n", "; ".join(viol)) if viol else None
+    pi, one = cfg.field.uniformizer(), cfg.field.one()
+    wrong = []
+    for n in (1, 2):
+        census = ((Gen("xm", (1, pi ** n)), "vform", n, True),
+                  (Gen("xm", (1, pi ** n)), "hn", n + 1, False),
+                  (Gen("xm", (1, pi ** (n - 1))), "vform", n, False),
+                  (Gen("torus", (one + pi ** (2 * n), one + pi ** (2 * n))), "vform", n, True),
+                  (Gen("torus", (one + pi ** (2 * n - 1), one + pi ** (2 * n))), "vform", n, False))
+        for node, kind, level, want in census:
+            expr, g = _made(node, AFFINE, cfg.field)
+            if affine.aff_member(g, affine.AffSubgroupSpec(kind, level)) != want:
+                wrong.append(f"{expr} {'not ' if want else ''}in {kind}:{level}")
+    if wrong:
+        return "vform census", "x_-(1; ϖ^n) and T_2n on the vform:n bounds", "; ".join(wrong)
 
 
 @_suite("h2n-in-v")

@@ -125,49 +125,40 @@ def birkhoff_decompose(g: SL2Elt):
 # Subgroup specifications and membership.
 
 # Argument kinds of a subgroup spec: a filtration level n >= 1, or an
-# apartment coordinate y (any rational).  A kind mapped to None takes none.
+# apartment coordinate y (any rational).  A kind whose argument kind is None
+# takes none.
 LEVEL = "level"
 RATIONAL = "rational"
-
-SL2_SPEC_KINDS = {
-    "kerpi": LEVEL,
-    "tn": LEVEL,
-    "tnunits": None,
-    "vlambda": LEVEL,
-    "fixpoint": RATIONAL,
-    "bigcello": None,
-}
 
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A subgroup kind and its argument, checked against the family's
-    KINDS table on construction."""
+    """A subgroup kind and its argument, checked on construction against the
+    family's KINDS table: kind -> (argument kind, predicate).  A predicate
+    maps (g, arg) to the conditions g violates, empty iff g is a member."""
     kind: str
-    arg: int | Fraction | None = None
+    arg: int | Fraction | str | None = None
 
     GROUP: ClassVar[str] = ""
-    KINDS: ClassVar[dict[str, str | None]] = {}
+    KINDS: ClassVar[dict] = {}
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown {self.GROUP} subgroup kind {self.kind!r}")
-        want = self.KINDS[self.kind]
+        kind, arg = self.kind, self.arg
+        if kind not in self.KINDS:
+            raise ValueError(f"spec {kind!r} does not apply to {self.GROUP} elements")
+        want = self.KINDS[kind][0]
         if want == LEVEL:
-            if not isinstance(self.arg, int) or self.arg < 1:
-                raise ValueError("filtration level must be >= 1")
+            if not isinstance(arg, int) or arg < 1:
+                raise ValueError(f"spec {kind!r} needs a level, e.g. {kind}:2")
         elif want == RATIONAL:
-            object.__setattr__(self, "arg", Fraction(self.arg))
-        elif self.arg is not None:
-            raise ValueError(f"subgroup kind {self.kind!r} takes no argument")
-
-
-class SL2SubgroupSpec(SubgroupSpec):
-    GROUP = "SL2"
-    KINDS = SL2_SPEC_KINDS
-
-    def violations(self, g: SL2Elt) -> list[str]:
-        return sl2_violations(g, self)
+            try:
+                object.__setattr__(self, "arg", Fraction(arg))
+            except ZeroDivisionError:
+                raise ValueError(f"spec {kind!r} has a zero denominator") from None
+            except (TypeError, ValueError):
+                raise ValueError(f"spec {kind!r} needs a rational, e.g. {kind}:1/2") from None
+        elif arg is not None:
+            raise ValueError(f"spec {kind!r} takes no argument")
 
 
 # vlambda:n is x_+(ω ≥ n·⟨α, λ⟩)·x_-(ω ≥ n·⟨−α, −λ⟩)·T_{VLAMBDA_TORUS·n},
@@ -193,43 +184,60 @@ def _upt_violations(g: SL2Elt, levels) -> list[str]:
             if e.valuation() < level]
 
 
+def _kerpi(g: SL2Elt, n: int) -> list[str]:
+    out = []
+    for name, e, target in (("a", g.a, 1), ("b", g.b, 0), ("c", g.c, 0), ("d", g.d, 1)):
+        v = (e - target if target else e).valuation()
+        if v < n:
+            out.append(f"ω({name}{'-1' if target else ''}) = {v} < {n}")
+    return out
+
+
+def _diagonal(g: SL2Elt, n: int | None) -> list[str]:
+    """tn:n (ω(δ − 1) ≥ n) or, for n None, tnunits (ω(δ) = 0) on diag(δ, δ^{-1})."""
+    if not (g.b.is_zero() and g.c.is_zero()):
+        return ["not diagonal"]
+    if n is None:
+        return [f"ω(δ) = {g.a.valuation()} != 0"] if g.a.valuation() != 0 else []
+    return [f"ω(δ-1) = {(g.a - 1).valuation()} < {n}"] if (g.a - 1).valuation() < n else []
+
+
+def _fixpoint(g: SL2Elt, y: Fraction) -> list[str]:
+    bounds = (("a", g.a, 0), ("d", g.d, 0), ("b", g.b, -2 * y), ("c", g.c, 2 * y))
+    return [f"ω({name}) = {e.valuation()} < {bound}"
+            for name, e, bound in bounds if e.valuation() < bound]
+
+
+def _bigcello(g: SL2Elt, _) -> list[str]:
+    try:
+        b, c, delta = upt_decompose(g)
+    except NotInBigCell:
+        return ["not in the big cell"]
+    out = [f"ω({name}) = {e.valuation()} < 0" for name, e in (("b", b), ("c", c))
+           if e.valuation() < 0]
+    if delta.valuation() != 0:
+        out.append(f"ω(δ) = {delta.valuation()} != 0")
+    return out
+
+
+class SL2SubgroupSpec(SubgroupSpec):
+    GROUP = "SL2"
+    KINDS = {
+        "kerpi": (LEVEL, _kerpi),
+        "tn": (LEVEL, _diagonal),
+        "tnunits": (None, _diagonal),
+        "vlambda": (LEVEL, lambda g, n: _upt_violations(g, vlambda_levels(n))),
+        "fixpoint": (RATIONAL, _fixpoint),
+        "bigcello": (None, _bigcello),
+    }
+
+    def violations(self, g: SL2Elt) -> list[str]:
+        return sl2_violations(g, self)
+
+
 def sl2_violations(g: SL2Elt, spec: SL2SubgroupSpec) -> list[str]:
     """Empty list iff g belongs to the described subgroup."""
-    kind, n = spec.kind, spec.arg
-    out: list[str] = []
-    if kind == "kerpi":
-        for name, e, target in (("a", g.a, 1), ("b", g.b, 0), ("c", g.c, 0), ("d", g.d, 1)):
-            dev = e - target if target else e
-            if dev.valuation() < n:
-                out.append(f"ω({name}{'-1' if target else ''}) = {dev.valuation()} < {n}")
-    elif kind in ("tn", "tnunits"):
-        if not (g.b.is_zero() and g.c.is_zero()):
-            out.append("not diagonal")
-        elif kind == "tn":
-            if (g.a - 1).valuation() < n:
-                out.append(f"ω(δ-1) = {(g.a - 1).valuation()} < {n}")
-        elif g.a.valuation() != 0:
-            out.append(f"ω(δ) = {g.a.valuation()} != 0")
-    elif kind == "vlambda":
-        return _upt_violations(g, vlambda_levels(n))
-    elif kind == "fixpoint":
-        y = spec.arg
-        for name, e, bound in (("a", g.a, 0), ("d", g.d, 0),
-                               ("b", g.b, -2 * y), ("c", g.c, 2 * y)):
-            if e.valuation() < bound:
-                out.append(f"ω({name}) = {e.valuation()} < {bound}")
-    else:  # bigcello
-        try:
-            b, c, delta = upt_decompose(g)
-        except NotInBigCell:
-            return ["not in the big cell"]
-        if b.valuation() < 0:
-            out.append(f"ω(b) = {b.valuation()} < 0")
-        if c.valuation() < 0:
-            out.append(f"ω(c) = {c.valuation()} < 0")
-        if delta.valuation() != 0:
-            out.append(f"ω(δ) = {delta.valuation()} != 0")
-    return out
+    return spec.KINDS[spec.kind][1](g, spec.arg)
 
 
 def sl2_member(g: SL2Elt, spec: SL2SubgroupSpec) -> bool:

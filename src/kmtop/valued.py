@@ -72,21 +72,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_power_base(q: int) -> tuple[int, int] | None:
-    """Return (p, k) with q = p**k, or None if q is not a prime power."""
-    for p in range(2, q + 1):
-        if not _is_prime(p):
-            continue
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m == 1 and k >= 1:
-            return p, k
-        if q % p == 0:
-            return None
-    return None
+# The largest p or q of a field, so that trial division takes milliseconds.
+MAX_PRIME = 2 ** 31 - 1
+
+
+def _prime_arg(n: int, name: str) -> int:
+    """n, if it is a prime at most MAX_PRIME; ValueError otherwise."""
+    if n > MAX_PRIME:
+        raise ValueError(f"{name} = {n} is above the limit 2^31 - 1")
+    if not _is_prime(n):
+        raise ValueError(f"only prime {name} is supported, got {n}")
+    return n
+
+
+def _nth_prime_to(p: int, i: int) -> int:
+    """The i-th (from 0) positive integer not divisible by p."""
+    return i // (p - 1) * p + i % (p - 1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +219,7 @@ class PAdicField(Field):
     uniformizer_name = "p"
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        self.p = self.char = p
+        self.p = self.char = _prime_arg(p, "p")
         super().__init__()
 
     def __eq__(self, other):
@@ -249,11 +248,14 @@ class PAdicField(Field):
         return 0
 
     def sample_unit(self, rng) -> "ValuedScalar":
+        """rng.choice of [k in [1, 4p) prime to p] + [−1, −2] over [k in
+        [1, 2p] prime to p], with each index drawn as rng.choice draws it."""
         p = self.p
-        num = rng.choice([k for k in range(1, 4 * p) if k % p] + [-1, -2])
+        i = rng.randrange(4 * p - 2)
+        num = _nth_prime_to(p, i) if i < 4 * p - 4 else 4 * p - 5 - i
         while num % p == 0:
             num = rng.randrange(1, 4 * p)
-        den = rng.choice([k for k in range(1, 2 * p + 1) if k % p])
+        den = _nth_prime_to(p, rng.randrange(2 * p - 2))
         return self.scalar(Fraction(num, den))
 
     # raw ops on Fraction values
@@ -297,19 +299,14 @@ class RationalFunctionField(Field):
     """F_q(t), q prime, with the order-at-zero valuation; ϖ = t.
 
     Raw values are pairs (num, den) of coefficient tuples over F_q, reduced
-    with monic denominator.  Prime powers q = p^k, k > 1 are recognized but
-    deferred (coefficient arithmetic is plain F_p here).
+    with monic denominator.  Prime powers q = p^k, k > 1 are rejected
+    (coefficient arithmetic is plain F_p here).
     """
 
     uniformizer_name = "t"
 
     def __init__(self, q: int):
-        pk = _prime_power_base(q)
-        if pk is None:
-            raise ValueError(f"q must be a prime power, got {q}")
-        if pk[1] != 1:
-            raise ValueError(f"only prime q is supported (got {q} = {pk[0]}^{pk[1]})")
-        self.q = self.char = q
+        self.q = self.char = _prime_arg(q, "q")
         super().__init__()
 
     def __eq__(self, other):

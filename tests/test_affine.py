@@ -19,6 +19,12 @@ def lp(field, **coeffs):
     return A.LaurentPoly(field, {int(k): field.scalar(v) for k, v in coeffs.items()})
 
 
+def aff_identity(field):
+    one = A.LaurentPoly.one(field)
+    zero = A.LaurentPoly.zero(field)
+    return A.AffElt(((one, zero), (zero, one)), field.one())
+
+
 def test_laurent_basics():
     p = A.LaurentPoly(F3, {1: PI, -2: ONE})
     q = A.LaurentPoly(F3, {1: -PI})
@@ -140,8 +146,10 @@ def test_member_examples():
     assert A.aff_member(A.aff_x_plus(F3, 0, PI ** 2), A.AffSubgroupSpec("kerpi", 2))
     assert not A.aff_member(A.aff_torus(ONE, ONE + PI), A.AffSubgroupSpec("kerpi", 2))
     assert A.aff_member(A.aff_torus(ONE + PI, ONE + PI), A.AffSubgroupSpec("tn", 1))
-    with pytest.raises(A.NotTorus):
-        A.aff_member(A.aff_x_plus(F3, 0, ONE), A.AffSubgroupSpec("tn", 1))
+    # a torus kind answers a non-torus element with the reason, not a raise
+    for kind, arg in (("tn", 1), ("tnphi", 1), ("center", None), ("centero", None)):
+        assert A.aff_violations(A.aff_x_plus(F3, 0, ONE), A.AffSubgroupSpec(kind, arg)) == [
+            "not a torus element: off-diagonal entries present"]
 
 
 def test_tnphi_and_center_relations():
@@ -177,6 +185,54 @@ def test_hn_nesting_and_closure():
         assert A.aff_member(g, A.AffSubgroupSpec("hn", n + 1))
         assert A.aff_member(g, A.AffSubgroupSpec("hn", n))       # H_{n+1} ⊆ H_n
         assert A.aff_member(g, A.AffSubgroupSpec("kerpi", n))
+
+
+def _kerpi_violations(g, n):
+    out = [f"entry ({r + 1},{c + 1}) u^{k}: ω = {coeff.valuation()} < {n}"
+           for r, c, k, coeff in A.deviation(g.m) if coeff.valuation() < n]
+    if (g.z - 1).valuation() < n:
+        out.append(f"ω(z-1) = {(g.z - 1).valuation()} < {n}")
+    return out
+
+
+def _hn_ring_violations(g, n):
+    out = []
+    for r in range(2):
+        for c in range(2):
+            for k, coeff in sorted(g.m[r][c].coeffs.items()):
+                if coeff.valuation() < n * abs(k):
+                    out.append(
+                        f"entry ({r + 1},{c + 1}) u^{k}: ω = {coeff.valuation()} < {n * abs(k)}")
+    return out
+
+
+def _entries(violations):
+    return [v.partition(":")[0] for v in violations if v.startswith("entry")]
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+def test_one_pass_hn_matches_two_pass_oracle(spec):
+    """hn:n is one pass with the bound n·max(1, |k|); the oracle is ker π_n
+    followed by the ring bound ω ≥ n·|k| on every coefficient of m."""
+    cfg = harness.SamplerConfig(field=parse_field(spec), seed=13)
+    verdicts = set()
+    for i in range(40):
+        rng = random.Random(f"{spec}:{i}")
+        draws = (harness.sample_aff_word(rng, cfg)[1],
+                 harness.sample_aff_hn(rng, cfg, 1 + i % 3)[1],
+                 harness.sample_aff_word(rng, cfg)[1] * harness.sample_aff_word(rng, cfg)[1])
+        for g in draws:
+            for n in (1, 2, 3):
+                kerpi = _kerpi_violations(g, n)
+                oracle = kerpi + _hn_ring_violations(g, n)
+                got = A.aff_violations(g, A.AffSubgroupSpec("hn", n))
+                assert (not got) == (not oracle)
+                # each coefficient once, and the same coefficients as the oracle
+                assert len(set(_entries(got))) == len(_entries(got))
+                assert set(_entries(got)) == set(_entries(oracle))
+                assert A.aff_violations(g, A.AffSubgroupSpec("kerpi", n)) == kerpi
+                verdicts.add(not got)
+    assert verdicts == {True, False}
 
 
 def test_vform_accepts_built_factorizations():
@@ -449,7 +505,7 @@ def _unipotent(field, sign):
         st.builds(lambda k, c: far(field, sign * k, c), st.integers(1, 6), _scalars(field)))
 
     def product(word):
-        g = A.aff_identity(field)
+        g = aff_identity(field)
         for h in word:
             g = g * h
         return g

@@ -238,15 +238,39 @@ def test_closure_failure_says_what_escaped(capsys, monkeypatch):
 
 def test_member_accepts_every_table_kind(capsys):
     args = {sl2.LEVEL: ":2", sl2.RATIONAL: ":1/2", None: ""}
-    for table, expr in ((sl2.SL2_SPEC_KINDS, "diag(2)"), (affine.AFF_SPEC_KINDS, "s1 s1")):
-        for kind, want in table.items():
+    groups = ((sl2.SL2SubgroupSpec, "diag(2)"), (affine.AffSubgroupSpec, "s1 s1"))
+    for (spec, expr), (other, other_expr) in zip(groups, groups[::-1]):
+        for kind, (want, _) in spec.KINDS.items():
             code, out, err = run(capsys, "member", "--spec", kind + args[want], expr)
             assert code == 0 and out.splitlines()[0] in ("true", "false"), (kind, err)
-            if want == sl2.LEVEL:
-                code, _, err = run(capsys, "member", "--spec", kind, expr)
-                assert code == 2 and f"needs a level, e.g. {kind}:2" in err
+            if want is not None:
+                code, out, err = run(capsys, "member", "--spec", kind, expr)
+                example = f"{kind}:2" if want == sl2.LEVEL else f"{kind}:1/2"
+                needs = "a level" if want == sl2.LEVEL else "a rational"
+                assert code == 2 and out == ""
+                assert err.splitlines() == [f"error: spec {kind!r} needs {needs}, e.g. {example}"]
+            if kind not in other.KINDS:
+                code, out, err = run(capsys, "member", "--spec", kind + args[want], other_expr)
+                assert code == 2 and out == ""
+                assert err.splitlines() == [
+                    f"error: spec {kind!r} does not apply to {other.GROUP} elements"]
     code, _, err = run(capsys, "member", "--spec", "nope:1", "xp(")
     assert code == 2 and "unknown subgroup spec" in err
+
+
+def test_member_hn_reports_each_coefficient_once(capsys):
+    # ker π_2's bound and H_2's ring bound both fail at this one coefficient
+    code, out, _ = run(capsys, "member", "--spec", "hn:2", "xm(1; 3)")
+    assert code == 0
+    assert out.splitlines() == ["false", "  violated: entry (2,1) u^1: ω = 1 < 2"]
+
+
+def test_torus_kinds_answer_false_on_non_torus_elements(capsys):
+    for kind in ("tn:1", "tnphi:1", "center", "centero"):
+        code, out, err = run(capsys, "member", "--spec", kind, "xp(0; 1)")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            "false", "  violated: not a torus element: off-diagonal entries present"]
 
 
 def test_no_argument_spec_rejects_an_argument(capsys):
@@ -258,6 +282,21 @@ def test_no_argument_spec_rejects_an_argument(capsys):
         assert err.splitlines() == [f"error: spec {name!r} takes no argument"]
     code, out, _ = run(capsys, "member", "--spec", "center", "s1 s1")
     assert code == 0 and out.strip() == "true"
+
+
+def test_field_size_does_not_set_the_cost(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "mul", "--field", "fq:10000019", "xp(1)")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and out.strip() == "[[1, 1], [0, 1]]"
+    for field in ("p:1000000000000000003", "fq:1000000000000000003", "p:2147483648"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "mul", "--field", field, "xp(1)")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "2^31 - 1" in err
+    code, out, _ = run(capsys, "mul", "--field", "p:2147483647", "xp(1)")
+    assert code == 0 and out.strip() == "[[1, 1], [0, 1]]"
 
 
 def test_kp_witness_deep_word_is_fast(capsys):

@@ -119,7 +119,7 @@ def test_center_separation_skips_on_p2():
 
 def test_find_conjugation_bound_examples():
     cfg = small_cfg(trials=50)
-    identity = affine.aff_identity(F3)
+    identity = affine.aff_torus(F3.one(), F3.one())
     assert H.find_conjugation_bound(identity, 1, 6, cfg) == 1
     g = affine.aff_x_plus(F3, 0, F3.uniformizer().inv())
     m = H.find_conjugation_bound(g, 1, 6, cfg)
@@ -215,3 +215,17 @@ def test_hausdorff_checks_that_the_escape_level_is_tight(monkeypatch):
     assert report.verdict == "fail" and report.failures
     assert {f.got for f in report.failures} == {"escaped"}
     assert all(f.expected.startswith("inside H_") for f in report.failures)
+
+
+@pytest.mark.parametrize("field", [PAdicField(3), RationalFunctionField(3)], ids=["p:3", "fq:3"])
+@pytest.mark.parametrize("name,value", [("LAMBDA", (1, 4)), ("VFORM_TORUS", 3)],
+                         ids=["lambda", "vform-torus"])
+def test_v_in_h_census_pins_lambda_and_vform_torus(monkeypatch, field, name, value):
+    cfg = small_cfg(trials=2, field=field)
+    report = H.run_suite("v-in-h", cfg)
+    assert report.verdict == "pass" and report.trials == 4
+    monkeypatch.setattr(affine, name, value)
+    report = H.run_suite("v-in-h", cfg)
+    assert report.verdict == "fail"
+    census = report.failures[-1]
+    assert census.trial == 4 and census.inputs == "vform census"

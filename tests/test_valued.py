@@ -29,13 +29,32 @@ def test_field_validation():
         PAdicField(4)
     with pytest.raises(ValueError):
         RationalFunctionField(6)
-    # prime powers are recognized but deferred
+    # prime powers are rejected
     with pytest.raises(ValueError, match="prime q"):
         RationalFunctionField(4)
     assert parse_field("p:3") == F3
     assert parse_field("fq:2") == F2T
     with pytest.raises(ValueError):
         parse_field("x:3")
+
+
+def _list_sample_unit(field, rng):
+    """PAdicField.sample_unit drawn with rng.choice over explicit lists."""
+    p = field.p
+    num = rng.choice([k for k in range(1, 4 * p) if k % p] + [-1, -2])
+    while num % p == 0:
+        num = rng.randrange(1, 4 * p)
+    den = rng.choice([k for k in range(1, 2 * p + 1) if k % p])
+    return field.scalar(Fraction(num, den))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
+def test_sample_unit_matches_list_sampler(p):
+    field = PAdicField(p)
+    for seed in range(2000):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert field.sample_unit(rng) == _list_sample_unit(field, ref)
+        assert rng.getstate() == ref.getstate()
 
 
 def test_arith_examples():
