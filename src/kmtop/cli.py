@@ -121,9 +121,11 @@ def _parse_spec(text: str):
 
 def _fraction(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
+        return sl2.parse_rational(text)
     except ZeroDivisionError:
         raise exprs.ValidationError(f"{what} has a zero denominator") from None
+    except ValueError as exc:
+        raise exprs.ValidationError(f"{what}: {exc}") from None
 
 
 def cmd_roots(args):

@@ -494,7 +494,9 @@ def _hausdorff(cfg: SamplerConfig):
 def _center_separation(cfg: SamplerConfig):
     """(−I, 1) is central-integral and fixes every test point but is not in
     ker π_1: the witness separating the two topologies.  Needs residue
-    characteristic ≠ 2."""
+    characteristic ≠ 2.  A census after the last trial pins the test-point
+    level: torus(1; 1+ϖ) has ω(α0(t) − 1) = 1, so it is not in tnphi:2, and
+    torus(1; 1+ϖ^2) is."""
     field = cfg.field
     if field.char == 2:
         raise NotApplicable("witness needs p != 2 (-1 ≡ 1 mod 2)" if field.uniformizer_name == "p"
@@ -510,6 +512,15 @@ def _center_separation(cfg: SamplerConfig):
                            affine.fixes_test_point(minus_i, i, n)))
     for what, ok in checks:
         yield None if ok else (expr, what, "false")
+    pi, one = field.uniformizer(), field.one()
+    wrong = []
+    for node, want in ((Gen("torus", (one, one + pi)), False),
+                       (Gen("torus", (one, one + pi ** 2)), True)):
+        expr, t = _made(node, AFFINE, field)
+        if affine.aff_member(t, affine.AffSubgroupSpec("tnphi", 2)) != want:
+            wrong.append(f"{expr} {'not ' if want else ''}in tnphi:2")
+    if wrong:
+        return "tnphi census", "torus(1; 1+ϖ) out of tnphi:2, torus(1; 1+ϖ^2) in it", "; ".join(wrong)
 
 
 @_suite("coset-count")

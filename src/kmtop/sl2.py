@@ -9,6 +9,7 @@ representatives with y in (1/2)Z but accept any rational y.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
@@ -131,6 +132,19 @@ LEVEL = "level"
 RATIONAL = "rational"
 
 
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?(\d+(/\d+|\.\d*)?|\.\d+)\s*")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer, a/b or a finite decimal as a Fraction: ZeroDivisionError
+    for b = 0, ValueError for any other text.  Fraction(text) alone also takes
+    an exponent and builds 10^e for it, work that grows with e; here an
+    exponent is refused like any other bad text."""
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"not a rational (an integer, a/b or a finite decimal): {text!r}")
+    return Fraction(text)
+
+
 @dataclass(frozen=True)
 class SubgroupSpec:
     """A subgroup kind and its argument, checked on construction against the
@@ -152,7 +166,8 @@ class SubgroupSpec:
                 raise ValueError(f"spec {kind!r} needs a level, e.g. {kind}:2")
         elif want == RATIONAL:
             try:
-                object.__setattr__(self, "arg", Fraction(arg))
+                object.__setattr__(self, "arg",
+                                   parse_rational(arg) if isinstance(arg, str) else Fraction(arg))
             except ZeroDivisionError:
                 raise ValueError(f"spec {kind!r} has a zero denominator") from None
             except (TypeError, ValueError):

@@ -6,7 +6,10 @@ Two field kinds are supported:
   with no p in the denominator.  Raw values are ``Fraction``.
 * ``RationalFunctionField(q)`` -- K = F_q(t) (q prime) with the order-at-zero
   valuation, ϖ = t, O = ratios whose denominator is a unit at t = 0.  Raw
-  values are pairs (num, den) of coefficient tuples over F_q.
+  values are triples (v, num, den) meaning t^v·num/den, with num and den
+  coefficient tuples over F_q that have nonzero constant terms.  ω is v, and
+  t enters no gcd: a product by c·t^k (every ϖ-power) only scales the other
+  numerator, and a sum shifts one numerator by a power of t.
 
 ``ValuedScalar`` pairs a field with a raw value and never looks inside the
 raw value: every operation is delegated to the field.  A field kind is a
@@ -25,9 +28,9 @@ A subclass's ``__init__`` ends with ``super().__init__()``, which builds the
 field's one zero and one one: scalars are immutable, so they are shared.
 
 Raw values are immutable and kept in canonical form (rationals in lowest
-terms; polynomial ratios reduced with monic denominator), so equality is
-structural and every operation is pure.  ω(0) is the distinguished tag
-``INFINITY``, never an integer sentinel.
+terms; polynomial ratios reduced with monic denominator and the powers of t
+taken out), so equality is structural and every operation is pure.  ω(0) is
+the distinguished tag ``INFINITY``, never an integer sentinel.
 
 The F_q(t) kernels (``_padd``, ``_pmul``, ``_pdivmod``, ``_pgcd`` and
 ``_pscale``) take trimmed coefficient tuples over F_p, p prime: entries in
@@ -187,6 +190,19 @@ def _pformat(a) -> str:
     return "+".join(terms)
 
 
+# The one raw value of 0 in F_q(t).
+_FQ_ZERO = (0, (), (1,))
+
+
+def _fq_pair(raw):
+    """A raw (v, num, den) as one reduced fraction of polynomials: (t^v·num,
+    den), or (num, t^−v·den) when v < 0."""
+    v, num, den = raw
+    if v >= 0:
+        return (0,) * v + num, den
+    return num, (0,) * -v + den
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -298,9 +314,10 @@ class PAdicField(Field):
 class RationalFunctionField(Field):
     """F_q(t), q prime, with the order-at-zero valuation; ϖ = t.
 
-    Raw values are pairs (num, den) of coefficient tuples over F_q, reduced
-    with monic denominator.  Prime powers q = p^k, k > 1 are rejected
-    (coefficient arithmetic is plain F_p here).
+    A raw value is a triple (v, num, den) meaning t^v·num/den: num and den
+    are coefficient tuples over F_q with nonzero constant terms, coprime, and
+    den is monic.  Zero is ``_FQ_ZERO``.  Prime powers q = p^k, k > 1 are
+    rejected (coefficient arithmetic is plain F_p here).
     """
 
     uniformizer_name = "t"
@@ -324,7 +341,9 @@ class RationalFunctionField(Field):
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
-            return ((), (1,))
+            return _FQ_ZERO
+        i, j = _pord(num), _pord(den)
+        num, den = num[i:], den[j:]
         g = _pgcd(num, den, self.q)
         if len(g) > 1 or g != (1,):
             num = _pdivmod(num, g, self.q)[0]
@@ -334,7 +353,7 @@ class RationalFunctionField(Field):
             inv = pow(lead, -1, self.q)
             num = _pscale(num, inv, self.q)
             den = _pscale(den, inv, self.q)
-        return (num, den)
+        return (i - j, num, den)
 
     def ratio(self, num, den=(1,)) -> "ValuedScalar":
         """Build a scalar from raw coefficient sequences num/den."""
@@ -349,15 +368,16 @@ class RationalFunctionField(Field):
             return value
         if isinstance(value, int):
             c = value % self.q
-            return ValuedScalar(self, ((c,) if c else (), (1,)))
+            return ValuedScalar(self, (0, (c,), (1,)) if c else _FQ_ZERO)
         raise TypeError(f"cannot build an F_q(t) scalar from {value!r}")
 
     def uniformizer(self) -> "ValuedScalar":
-        return ValuedScalar(self, ((0, 1), (1,)))
+        return ValuedScalar(self, (1, (1,), (1,)))
 
     def degree(self, s: "ValuedScalar") -> int:
-        """The larger of the numerator and denominator degrees."""
-        num, den = s.raw
+        """The larger of the numerator and denominator degrees of t^v·num/den
+        written as one fraction of polynomials."""
+        num, den = _fq_pair(s.raw)
         return max(len(num), len(den)) - 1
 
     def sample_unit(self, rng) -> "ValuedScalar":
@@ -372,46 +392,65 @@ class RationalFunctionField(Field):
             den = [rng.randrange(1, q), rng.randrange(q)]
         return self.ratio(num, den)
 
-    # raw ops on (num, den) pairs.  Operands are canonical, so _add and _mul
-    # need no _canonical: they cancel only the factors two reduced fractions
-    # can share (Henrici's reduced-fraction arithmetic, as in Fraction).  A
-    # trimmed numerator over (1,) is canonical, and zero is ((), (1,)).
-    # Denominators stay monic, since _pgcd returns monic gcds.
+    # raw ops on (v, num, den) triples.  Operands are canonical, so _add and
+    # _mul need no _canonical: they cancel only the factors two reduced
+    # fractions can share (Henrici's reduced-fraction arithmetic, as in
+    # Fraction).  t is prime to every num and den, so a power of t never
+    # enters a gcd: a product by c·t^k, whose num is (c,) and den (1,), only
+    # scales the other numerator.  Denominators stay monic, since _pgcd
+    # returns monic gcds.
     def _add(self, a, b):
-        (n1, d1), (n2, d2) = a, b
+        (v1, n1, d1), (v2, n2, d2) = a, b
+        if not n1:
+            return b
+        if not n2:
+            return a
+        if v1 > v2:
+            (v1, n1, d1), (v2, n2, d2) = b, a
+        if v2 > v1:
+            # t^v1·(n1/d1 + t^(v2−v1)·n2/d2): the second fraction is still
+            # reduced, and the sum's numerator has the nonzero constant term
+            # of n1·e2 below
+            n2 = (0,) * (v2 - v1) + n2
         q = self.q
         if d1 == d2 == (1,):
-            return (_padd(n1, n2, q), (1,))
-        g = (1,) if d1 == (1,) or d2 == (1,) else _pgcd(d1, d2, q)
-        if g == (1,):
-            # a prime factor of d1 divides n1·d2 + n2·d1 iff it divides n1·d2:
-            # never, so the sum is reduced (and nonzero, as d1 or d2 is not (1,))
-            return (_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q), _pmul(d1, d2, q))
-        # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and only
-        # factors of g can cancel.  A zero sum has d1 = d2 = g = g2: ((), (1,)).
-        e1, e2 = _pdivmod(d1, g, q)[0], _pdivmod(d2, g, q)[0]
-        num = _padd(_pmul(n1, e2, q), _pmul(n2, e1, q), q)
-        g2 = _pgcd(num, g, q)
-        if g2 != (1,):
-            num, d2 = _pdivmod(num, g2, q)[0], _pdivmod(d2, g2, q)[0]
-        return (num, _pmul(e1, d2, q))
+            e1 = g = (1,)
+            num = _padd(n1, n2, q)
+        else:
+            # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and
+            # only factors of g can cancel: a prime dividing e1 but not g
+            # divides neither n1 nor e2, so not the numerator (and so for e2)
+            g = (1,) if d1 == (1,) or d2 == (1,) else _pgcd(d1, d2, q)
+            e1, e2 = (d1, d2) if g == (1,) else (_pdivmod(d1, g, q)[0], _pdivmod(d2, g, q)[0])
+            num = _padd(_pmul(n1, e2, q), _pmul(n2, e1, q), q)
+        if not num:
+            return _FQ_ZERO
+        if not num[0]:
+            # equal valuations whose constant terms cancelled
+            k = _pord(num)
+            v1, num = v1 + k, num[k:]
+        if g != (1,):
+            g2 = _pgcd(num, g, q)
+            if g2 != (1,):
+                num, d2 = _pdivmod(num, g2, q)[0], _pdivmod(d2, g2, q)[0]
+        return (v1, num, _pmul(e1, d2, q))
 
     def _neg(self, a):
-        num, den = a
-        return (_pneg(num, self.q), den)
+        v, num, den = a
+        return (v, _pneg(num, self.q), den)
 
     def _mul(self, a, b):
-        (n1, d1), (n2, d2) = a, b
+        (v1, n1, d1), (v2, n2, d2) = a, b
+        if not n1 or not n2:
+            return _FQ_ZERO
         q = self.q
         if d1 == d2 == (1,):
-            return (_pmul(n1, n2, q), (1,))
-        if not n1 or not n2:
-            return ((), (1,))
-        # a nonzero constant c/1 is a unit: c·n/d is reduced, d stays monic
+            return (v1 + v2, _pmul(n1, n2, q), (1,))
+        # c·t^k is a unit times a power of t: c·n/d is reduced, d stays monic
         if len(n1) == 1 and d1 == (1,):
-            return b if n1[0] == 1 else (_pscale(n2, n1[0], q), d2)
+            return (v1 + v2, n2 if n1[0] == 1 else _pscale(n2, n1[0], q), d2)
         if len(n2) == 1 and d2 == (1,):
-            return a if n2[0] == 1 else (_pscale(n1, n2[0], q), d1)
+            return (v1 + v2, n1 if n2[0] == 1 else _pscale(n1, n2[0], q), d1)
         # n1/d1 and n2/d2 are reduced, so only n1 with d2 and n2 with d1 can cancel
         if d2 != (1,):
             g = _pgcd(n1, d2, q)
@@ -421,18 +460,18 @@ class RationalFunctionField(Field):
             g = _pgcd(n2, d1, q)
             if g != (1,):
                 n2, d1 = _pdivmod(n2, g, q)[0], _pdivmod(d1, g, q)[0]
-        return (_pmul(n1, n2, q), _pmul(d1, d2, q))
+        return (v1 + v2, _pmul(n1, n2, q), _pmul(d1, d2, q))
 
     def _inv(self, a):
         # a reduced fraction inverts to a reduced one: no gcd, only a monic
         # denominator
-        num, den = a
+        v, num, den = a
         inv = pow(num[-1], -1, self.q)
-        return (_pscale(den, inv, self.q), _pscale(num, inv, self.q))
+        return (-v, _pscale(den, inv, self.q), _pscale(num, inv, self.q))
 
     def _pow(self, a, k: int):
         base = a if k > 0 else self._inv(a)
-        out = ((1,), (1,))
+        out = (0, (1,), (1,))
         e = abs(k)
         while e:
             if e & 1:
@@ -442,16 +481,13 @@ class RationalFunctionField(Field):
         return out
 
     def _is_zero(self, a) -> bool:
-        return not a[0]
+        return not a[1]
 
     def _val(self, raw):
-        num, den = raw
-        if not num:
-            return INFINITY
-        return _pord(num) - _pord(den)
+        return raw[0] if raw[1] else INFINITY
 
     def _format(self, raw) -> str:
-        num, den = raw
+        num, den = _fq_pair(raw)
         if den == (1,):
             return _pformat(num)
         num_s = _pformat(num)

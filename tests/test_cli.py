@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -317,6 +318,28 @@ def test_vform_over_function_field_is_fast(capsys):
     code, out, _ = run(capsys, "member", "--field", "fq:3", "--spec", "vform:1", word)
     assert time.perf_counter() - start < 2.0
     assert code == 0 and out.strip() == "true"
+
+
+def test_rational_text_has_a_work_budget(capsys):
+    """Fraction(text) would build 10^e for an exponent e (25 s for
+    fixpoint:1e16000000); a spec argument and --coords take an integer, a/b
+    or a finite decimal, and refuse an exponent at once."""
+    for argv in (("member", "--field", "p:3", "--spec", "fixpoint:1e1000000", "diag(2)"),
+                 ("member", "--field", "p:3", "--spec", "fixpoint:1e16000000", "diag(2)"),
+                 ("tits", "--coords", "1e4000000,1")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+    for arg in ("1/2", "-3", "0.25"):
+        code, out, _ = run(capsys, "member", "--field", "p:3", "--spec", f"fixpoint:{arg}",
+                           "diag(2)")
+        assert code == 0 and out.strip() in ("true", "false")
+    assert sl2.parse_rational(" -7/2 ") == sl2.parse_rational("-3.5") == Fraction(-7, 2)
+    for bad in ("1e3", "1E3", "1/2/3", "1 / 2", "/2", ".", "", "0x10", "1/-2"):
+        with pytest.raises(ValueError):
+            sl2.parse_rational(bad)
 
 
 # SHA-256 of the concatenated `tits` outputs (text, and `--json`) for these

@@ -229,3 +229,19 @@ def test_v_in_h_census_pins_lambda_and_vform_torus(monkeypatch, field, name, val
     assert report.verdict == "fail"
     census = report.failures[-1]
     assert census.trial == 4 and census.inputs == "vform census"
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+def test_center_separation_census_pins_the_test_point_level(monkeypatch, field):
+    """A fixes_test_point that checks level n − 1 lets torus(1; 1+ϖ) into
+    tnphi:2: the census after center-separation's trials fails; (−I, 1) alone
+    fixes every level and cannot tell."""
+    report = H.run_suite("center-separation", small_cfg(trials=2, field=field))
+    assert report.verdict == "pass" and report.trials == 22
+    level = affine.fixes_test_point
+    monkeypatch.setattr(affine, "fixes_test_point", lambda g, i, n: level(g, i, n - 1))
+    report = H.run_suite("center-separation", small_cfg(trials=2, field=field))
+    assert report.verdict == "fail" and report.trials == 22
+    [census] = report.failures
+    assert census.inputs == "tnphi census"
+    assert census.got == ("torus(1; 4) in tnphi:2" if field is F3 else "torus(1; 1+t) in tnphi:2")

@@ -17,6 +17,7 @@ from kmtop.valued import (
     _pgcd,
     _pmul,
     _pneg,
+    _pscale,
     parse_field,
 )
 
@@ -258,11 +259,18 @@ def test_fq_inverse_of_a_reduced_fraction_needs_no_gcd(q, data):
     den/num agrees."""
     field = RationalFunctionField(q)
     x = data.draw(scalars(field).filter(lambda s: not s.is_zero()))
-    num, den = x.raw
+    num, den = _pair(x.raw)
     assert field._inv(x.raw) == field._canonical(den, num)
 
 
 # --- F_q(t) against an independent oracle --------------------------------------
+
+def _pair(raw):
+    """A raw (v, num, den) as one fraction of polynomials (num, den): t^v
+    moves into num, or t^−v into den."""
+    v, num, den = raw
+    return ((0,) * v + num, den) if v >= 0 else (num, (0,) * -v + den)
+
 
 def _sympy_rational_functions(q):
     """(to_sympy, canonical): a raw F_q(t) value as an element of sympy's
@@ -273,7 +281,7 @@ def _sympy_rational_functions(q):
     K, t = sympy_field("t", sympy.GF(q))
 
     def to_sympy(raw):
-        num, den = raw
+        num, den = _pair(raw)
         return (sum((c * t ** i for i, c in enumerate(num)), K(0))
                 / sum((c * t ** i for i, c in enumerate(den)), K(0)))
 
@@ -285,9 +293,15 @@ def _sympy_rational_functions(q):
         return tuple(out)
 
     def canonical(e):
-        # sympy cancels the gcd; make the denominator monic to compare
+        # sympy cancels the gcd; make the denominator monic and take the
+        # powers of t out of both polynomials to compare
         lead_inv = pow(int(e.denom.LC) % q, -1, q)
-        return coeffs(e.numer, lead_inv), coeffs(e.denom, lead_inv)
+        num, den = coeffs(e.numer, lead_inv), coeffs(e.denom, lead_inv)
+        if not num:
+            return (0, (), (1,))
+        i = next(k for k, c in enumerate(num) if c)
+        j = next(k for k, c in enumerate(den) if c)
+        return (i - j, num[i:], den[j:])
 
     return to_sympy, canonical
 
@@ -329,8 +343,8 @@ def test_fq_polynomial_fast_path(q, data):
     poly = st.lists(st.integers(0, q - 1), max_size=6).map(lambda c: F.ratio(c).raw)
     a = data.draw(poly)
     b = data.draw(st.one_of(poly, st.just(F._neg(a))))      # includes a + b = 0
-    (n1, one), (n2, _) = a, b
-    assert one == (1,) and a == F._canonical(*a)
+    (n1, one), (n2, _) = _pair(a), _pair(b)
+    assert one == a[2] == (1,) and a == F._canonical(n1, one)
     assert F._add(a, b) == F._canonical(_padd(_pmul(n1, one, q), _pmul(n2, one, q), q),
                                         _pmul(one, one, q))
     assert F._mul(a, b) == F._canonical(_pmul(n1, n2, q), _pmul(one, one, q))
@@ -352,24 +366,27 @@ def test_fq_polynomial_fast_path(q, data):
 # --- F_q(t) sums and products by cross-gcds ------------------------------------
 
 def _assert_canonical(raw, q):
-    num, den = raw
+    v, num, den = raw
+    assert isinstance(v, int)
     assert all(0 <= c < q for c in num + den)
-    assert den and den[-1] == 1                        # monic denominator
+    assert den and den[-1] == 1 and den[0] != 0       # monic, prime to t
     if not num:
-        assert den == (1,)                             # zero is ((), (1,))
+        assert raw == (0, (), (1,))                    # zero is one raw value
     else:
-        assert num[-1] != 0 and _pgcd(num, den, q) == (1,)
+        assert num[-1] != 0 and num[0] != 0 and _pgcd(num, den, q) == (1,)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
     """_add cancels only a factor of g = gcd(d1, d2), by one more gcd with the
-    new numerator; _mul cancels n1 against d2 and n2 against d1, and takes a
-    constant c/1 as a unit with no gcd.  Operands are built to share factors
-    (denominators r·s and r·t, each numerator a multiple of the other
-    operand's denominator piece, and sums that cancel).  One explicit example
-    per branch makes every branch run whatever the random draws; each result
-    equals _canonical of the general formula and sympy's field("t", GF(q))."""
+    new numerator, and shifts the operand of higher valuation by the power of
+    t between the two; _mul cancels n1 against d2 and n2 against d1, and takes
+    c·t^k as a unit times a power of t with no gcd.  No gcd ever sees a
+    multiple of t.  Operands are built to share factors (denominators r·s and
+    r·t, each numerator a multiple of the other operand's denominator piece,
+    sums that cancel, and extra powers of t).  One explicit example per branch
+    makes every branch run whatever the random draws; each result equals
+    _canonical of the general formula and sympy's field("t", GF(q))."""
     from kmtop import valued
 
     to_sympy, sympy_canonical = _sympy_rational_functions(q)
@@ -392,45 +409,73 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
     # trimmed polynomials of degree at most 2
     polys = st.tuples(st.lists(st.integers(0, q - 1), max_size=2),
                       st.integers(1, q - 1)).map(lambda cl: (*cl[0], cl[1]))
-    one, c, t_poly, one_plus_t = (1,), (q - 1,), (0, 1), (1, 1)
+    one, c, t_poly, one_plus_t, one_t_t2 = (1,), (q - 1,), (0, 1), (1, 1), (1, 1, 1)
 
     @settings(deadline=None, max_examples=150)
     @given(pieces=st.tuples(*[polys] * 6),
            shape=st.sampled_from(["shared", "cancelling", "negation", "polynomial", "zero"]),
-           swap=st.booleans())
-    # (1+t)/t and t/(1+t): add with g = 1, mul cancelling both ways
-    @example(pieces=(one, t_poly, one_plus_t, one, one, one), shape="shared", swap=False)
+           swap=st.booleans(), shifts=st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    # (1+t)/t and t/(1+t): add shifted, mul cancelling n1 with d2
+    @example(pieces=(one, t_poly, one_plus_t, one, one, one), shape="shared", swap=False,
+             shifts=(0, 0))
     # 1/(1+t) and t/(1+t): add with g = 1+t, whose second gcd cancels
-    @example(pieces=(one_plus_t, one, one, one, one, one), shape="cancelling", swap=False)
+    @example(pieces=(one_plus_t, one, one, one, one, one), shape="cancelling", swap=False,
+             shifts=(0, 0))
     # t/(1+t) times 1, and the constant q-1 times t/(1+t)
-    @example(pieces=(one_plus_t, one, t_poly, one, one, one), shape="polynomial", swap=False)
-    @example(pieces=(one_plus_t, one, t_poly, one, c, one), shape="polynomial", swap=True)
-    def check(pieces, shape, swap):
+    @example(pieces=(one_plus_t, one, t_poly, one, one, one), shape="polynomial", swap=False,
+             shifts=(0, 0))
+    @example(pieces=(one_plus_t, one, t_poly, one, c, one), shape="polynomial", swap=True,
+             shifts=(0, 0))
+    # (1+t+t^2)/(1+t) and (1+t)/(1+t+t^2) (coprime for q = 2, 3, 5): add with
+    # g = 1, mul cancelling both ways
+    @example(pieces=(one, one_plus_t, one_t_t2, one, one, one), shape="shared", swap=False,
+             shifts=(0, 0))
+    # 1/(1+t) and −1: the constant terms cancel, the sum is −t/(1+t)
+    @example(pieces=(one_plus_t, one, one, one, c, one), shape="polynomial", swap=False,
+             shifts=(0, 0))
+    # t/(1+t) and (q-1)·t^2: mul by c·t^k with k != 0
+    @example(pieces=(one_plus_t, one, t_poly, one, c, one), shape="polynomial", swap=False,
+             shifts=(0, 2))
+    # 1/(1+t) and its negation: a zero sum with g = 1+t
+    @example(pieces=(one_plus_t, one, one, one, one, one), shape="negation", swap=False,
+             shifts=(0, 0))
+    def check(pieces, shape, swap, shifts):
         r, s, t, x, y, z = pieces
-        a = F.ratio(_pmul(x, t, q), _pmul(r, s, q)).raw
+        ta, tb = (F.pi_power(k).raw for k in shifts)
+        a = F._mul(F.ratio(_pmul(x, t, q), _pmul(r, s, q)).raw, ta)
         if shape == "shared":
-            b = F.ratio(_pmul(y, s, q), _pmul(r, t, q)).raw
+            b = F._mul(F.ratio(_pmul(y, s, q), _pmul(r, t, q)).raw, tb)
         elif shape == "cancelling":                    # b = z/s − a, so a + b = z/s
-            an, ad = a
+            an, ad = _pair(a)
             b = F._canonical(_padd(_pmul(z, ad, q), _pneg(_pmul(an, s, q), q), q),
                              _pmul(s, ad, q))
         elif shape == "negation":
             b = F._neg(a)
         else:
-            b = F.ratio(y if shape == "polynomial" else ()).raw
+            b = F._mul(F.ratio(y if shape == "polynomial" else ()).raw, tb)
         if swap:
             a, b = b, a
-        (n1, d1), (n2, d2) = a, b
+        (v1, n1, d1), (v2, n2, d2) = a, b
+        (p1, e1), (p2, e2) = _pair(a), _pair(b)
 
         total, seen = run(F._add, a, b)
         _assert_canonical(total, q)
-        assert total == F._canonical(_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q),
-                                     _pmul(d1, d2, q))
+        assert total == F._canonical(_padd(_pmul(p1, e2, q), _pmul(p2, e1, q), q),
+                                     _pmul(e1, e2, q))
         assert total == sympy_canonical(to_sympy(a) + to_sympy(b))
+        assert all(u[0] and w[0] for u, w, _ in seen)  # t enters no gcd
+        if n1 and n2:
+            if v1 != v2:
+                fired.add("add: shifted")
+            elif not total[1]:
+                fired.add("add: zero")
+            elif total[0] > v1:
+                fired.add("add: constant terms cancel")
         if (1,) in (d1, d2):
             assert seen == []                          # g is 1 without a gcd
         else:
-            assert seen[0][:2] == (d1, d2) and len(seen) <= 2
+            # _add swaps its operands to shift the one of higher valuation
+            assert seen[0][:2] in ((d1, d2), (d2, d1)) and len(seen) <= 2
             g = seen[0][2]
             fired.add("add: g = 1" if g == (1,) else "add: g != 1")
             if len(seen) == 2 and seen[1][2] != (1,):
@@ -438,11 +483,15 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
 
         product, seen = run(F._mul, a, b)
         _assert_canonical(product, q)
-        assert product == F._canonical(_pmul(n1, n2, q), _pmul(d1, d2, q))
+        assert product == F._canonical(_pmul(p1, p2, q), _pmul(e1, e2, q))
         assert product == sympy_canonical(to_sympy(a) * to_sympy(b))
-        if (1, (1,)) in ((len(n1), d1), (len(n2), d2)) and not d1 == d2 == (1,):
-            assert seen == []                          # a constant c/1 is a unit
-            fired.add("mul: constant")
+        assert all(u[0] and w[0] for u, w, _ in seen)
+        units = [v for v, n, d in (a, b) if len(n) == 1 and d == (1,)]
+        if units and not d1 == d2 == (1,):
+            assert seen == []                          # c·t^k is a unit times t^k
+            fired.add("mul: c·t^k")
+            if any(units):
+                fired.add("mul: c·t^k, k != 0")
         for num, den, g in seen:
             assert (num, den) in ((n1, d2), (n2, d1))
             if g != (1,):
@@ -450,7 +499,137 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
 
     check()
     assert fired == {"add: g = 1", "add: g != 1", "add: second gcd cancels",
-                     "mul: n1 with d2", "mul: n2 with d1", "mul: constant"}
+                     "add: shifted", "add: zero", "add: constant terms cancel",
+                     "mul: n1 with d2", "mul: n2 with d1", "mul: c·t^k",
+                     "mul: c·t^k, k != 0"}
+
+
+# --- the t-adic kernel against the (num, den) kernel it replaced ---------------
+#
+# RationalFunctionField's _canonical, _add, _mul and _inv from before raw values
+# kept their power of t apart, word for word but for their names, q passed in
+# for self.q and _ptrim_ref for _ptrim: raw values (num, den), reduced with
+# monic denominator, zero ((), (1,)).
+
+def _pair_canonical(num, den, q):
+    num = _ptrim_ref(list(num))
+    den = _ptrim_ref(list(den))
+    if not den:
+        raise DivisionByZero("zero denominator")
+    if not num:
+        return ((), (1,))
+    g = _pgcd(num, den, q)
+    if len(g) > 1 or g != (1,):
+        num = _pdivmod(num, g, q)[0]
+        den = _pdivmod(den, g, q)[0]
+    lead = den[-1]
+    if lead != 1:
+        inv = pow(lead, -1, q)
+        num = _pscale(num, inv, q)
+        den = _pscale(den, inv, q)
+    return (num, den)
+
+
+def _pair_add(a, b, q):
+    (n1, d1), (n2, d2) = a, b
+    if d1 == d2 == (1,):
+        return (_padd(n1, n2, q), (1,))
+    g = (1,) if d1 == (1,) or d2 == (1,) else _pgcd(d1, d2, q)
+    if g == (1,):
+        # a prime factor of d1 divides n1·d2 + n2·d1 iff it divides n1·d2:
+        # never, so the sum is reduced (and nonzero, as d1 or d2 is not (1,))
+        return (_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q), _pmul(d1, d2, q))
+    # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and only
+    # factors of g can cancel.  A zero sum has d1 = d2 = g = g2: ((), (1,)).
+    e1, e2 = _pdivmod(d1, g, q)[0], _pdivmod(d2, g, q)[0]
+    num = _padd(_pmul(n1, e2, q), _pmul(n2, e1, q), q)
+    g2 = _pgcd(num, g, q)
+    if g2 != (1,):
+        num, d2 = _pdivmod(num, g2, q)[0], _pdivmod(d2, g2, q)[0]
+    return (num, _pmul(e1, d2, q))
+
+
+def _pair_mul(a, b, q):
+    (n1, d1), (n2, d2) = a, b
+    if d1 == d2 == (1,):
+        return (_pmul(n1, n2, q), (1,))
+    if not n1 or not n2:
+        return ((), (1,))
+    # a nonzero constant c/1 is a unit: c·n/d is reduced, d stays monic
+    if len(n1) == 1 and d1 == (1,):
+        return b if n1[0] == 1 else (_pscale(n2, n1[0], q), d2)
+    if len(n2) == 1 and d2 == (1,):
+        return a if n2[0] == 1 else (_pscale(n1, n2[0], q), d1)
+    # n1/d1 and n2/d2 are reduced, so only n1 with d2 and n2 with d1 can cancel
+    if d2 != (1,):
+        g = _pgcd(n1, d2, q)
+        if g != (1,):
+            n1, d2 = _pdivmod(n1, g, q)[0], _pdivmod(d2, g, q)[0]
+    if d1 != (1,):
+        g = _pgcd(n2, d1, q)
+        if g != (1,):
+            n2, d1 = _pdivmod(n2, g, q)[0], _pdivmod(d1, g, q)[0]
+    return (_pmul(n1, n2, q), _pmul(d1, d2, q))
+
+
+def _pair_inv(a, q):
+    # a reduced fraction inverts to a reduced one: no gcd, only a monic
+    # denominator
+    num, den = a
+    inv = pow(num[-1], -1, q)
+    return (_pscale(den, inv, q), _pscale(num, inv, q))
+
+
+def _t_adic_operands(q):
+    """(num, den) coefficient lists of zero, the constants, and units times
+    t^v for v in [−4, 4]: a unit has num and den of degree at most 2 with
+    nonzero constant terms, and t^v multiplies num (v > 0) or den (v < 0)."""
+    lead = st.integers(1, q - 1)
+    poly = st.tuples(lead, st.lists(st.integers(0, q - 1), max_size=2)).map(
+        lambda cl: [cl[0], *cl[1]])
+
+    def times_t(unit, v):
+        num, den = unit
+        return ([0] * v + num, den) if v >= 0 else (num, [0] * -v + den)
+
+    return st.one_of(st.just(([], [1])),
+                     lead.map(lambda c: ([c], [1])),
+                     st.builds(times_t, st.tuples(poly, poly), st.integers(-4, 4)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_fq_t_adic_kernel_matches_pair_kernel_and_sympy(q, data):
+    """Every (v, num, den) result of _canonical, _add, _mul and _inv, rebuilt
+    as the fraction (t^v·num, den) or (num, t^−v·den), equals the (num, den)
+    kernel it replaced and sympy's field("t", GF(q)); and values that are ==
+    hash alike whether built by ratio, by parse_element from their text, or
+    by arithmetic."""
+    from kmtop import exprs
+
+    to_sympy, sympy_canonical = _sympy_rational_functions(q)
+    F = RationalFunctionField(q)
+    (xn, xd), (yn, yd) = data.draw(_t_adic_operands(q)), data.draw(_t_adic_operands(q))
+    x, y = F.ratio(xn, xd), F.ratio(yn, yd)
+    a, b = x.raw, y.raw
+    pa, pb = _pair_canonical(xn, xd, q), _pair_canonical(yn, yd, q)
+    assert _pair(a) == pa and _pair(b) == pb
+    assert a == sympy_canonical(to_sympy(a))
+
+    results = [(x + y, _pair_add(pa, pb, q), to_sympy(a) + to_sympy(b)),
+               (x * y, _pair_mul(pa, pb, q), to_sympy(a) * to_sympy(b))]
+    if not y.is_zero():
+        results.append((y.inv(), _pair_inv(pb, q), to_sympy(b) ** -1))
+    for value, pair_value, sympy_value in results:
+        _assert_canonical(value.raw, q)
+        assert _pair(value.raw) == pair_value
+        assert value.raw == sympy_canonical(sympy_value)
+        assert value.valuation() == (INFINITY if value.is_zero() else value.raw[0])
+        routes = (value, F.ratio(*pair_value),
+                  exprs.parse_element(f"xp({value})", exprs.SL2, F)[1].b)
+        for other in routes:
+            assert other == value and hash(other) == hash(value)
 
 
 # --- the polynomial kernels against schoolbook references and sympy -------------
