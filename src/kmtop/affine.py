@@ -35,12 +35,7 @@ class LaurentPoly:
 
     def __init__(self, field: Field, coeffs: dict[int, ValuedScalar] | None = None):
         self.field = field
-        cleaned = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not v.is_zero():
-                    cleaned[int(k)] = v
-        self.coeffs = cleaned
+        self.coeffs = {int(k): v for k, v in coeffs.items() if not v.is_zero()} if coeffs else {}
 
     @staticmethod
     def const(s: ValuedScalar) -> "LaurentPoly":
@@ -194,6 +189,27 @@ class AffElt:
     def __str__(self):
         return (f"([[{self.m[0][0]}, {self.m[0][1]}], "
                 f"[{self.m[1][0]}, {self.m[1][1]}]], {self.z})")
+
+
+def conj_bound(g: AffElt, n: int) -> int:
+    """An m with g·H_m·g⁻¹ ⊆ H_n, not always the least: n·(1 + 2d) + |ω(z)|
+    + 2a, with d the largest |u-exponent| of M = g.m, a = max(0, −min ω) over
+    M's coefficients and z = g.z.
+
+    Proof.  Let h = (I + N, z_h) ∈ H_m, A = adj(M) and A' = A[u ← z_h·u].
+    Then g·h·g⁻¹ = (M·(I + N)[u ← z·u]·A', z_h), and as M·A = I its matrix
+    less I is M·N[u ← z·u]·A' + M·(A' − A).  The u^k coefficient of
+    N[u ← z·u] has ω ≥ m·max(1, |k|) − |k|·|ω(z)|.  M and A' (z_h is a unit)
+    each move exponents by at most d and lower ω by at most a, so at u^j,
+    |j| ≤ |k| + 2d, the first term has ω ≥ (m − |ω(z)| − 2a)·max(1, |k|)
+    = n·(1 + 2d)·max(1, |k|) ≥ n·max(1, |j|).  The u^j coefficient of A' − A
+    is A_j·(z_h^j − 1), of ω ≥ m − a, so at every |j| ≤ 2d the second term
+    has ω ≥ m − 2a ≥ n·max(1, |j|).  Last, ω(z_h − 1) ≥ m ≥ n.
+    """
+    coeffs = [(k, c) for row in g.m for e in row for k, c in e.coeffs.items()]
+    d = max(abs(k) for k, _ in coeffs)
+    a = max(0, -min(c.valuation() for _, c in coeffs))
+    return n * (1 + 2 * d) + abs(g.z.valuation()) + 2 * a
 
 
 def aff_x_plus(field: Field, k: int, y: ValuedScalar) -> AffElt:

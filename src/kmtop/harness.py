@@ -371,6 +371,17 @@ def _closure(cfg: SamplerConfig, label, sampler, spec_class, kind):
                      " and ".join(escaped) + " escaped"))
 
 
+def _census(field: Field, checks) -> str:
+    """"{expr} {not }in {kind}:{level}" for each (node, kind, level, want)
+    whose element's membership is not want, joined by "; "."""
+    wrong = []
+    for node, kind, level, want in checks:
+        expr, g = _made(node, AFFINE, field)
+        if affine.aff_member(g, affine.AffSubgroupSpec(kind, level)) != want:
+            wrong.append(f"{expr} {'not ' if want else ''}in {kind}:{level}")
+    return "; ".join(wrong)
+
+
 @_suite("v-in-h")
 def _v_in_h(cfg: SamplerConfig):
     """Sampled λ-segment subgroup elements all land in H_n (n ≤ 2).  A census
@@ -382,19 +393,15 @@ def _v_in_h(cfg: SamplerConfig):
         viol = affine.aff_violations(g, affine.AffSubgroupSpec("hn", n))
         yield (f"n={n}: {expr}", "member of H_n", "; ".join(viol)) if viol else None
     pi, one = cfg.field.uniformizer(), cfg.field.one()
-    wrong = []
-    for n in (1, 2):
-        census = ((Gen("xm", (1, pi ** n)), "vform", n, True),
-                  (Gen("xm", (1, pi ** n)), "hn", n + 1, False),
-                  (Gen("xm", (1, pi ** (n - 1))), "vform", n, False),
-                  (Gen("torus", (one + pi ** (2 * n), one + pi ** (2 * n))), "vform", n, True),
-                  (Gen("torus", (one + pi ** (2 * n - 1), one + pi ** (2 * n))), "vform", n, False))
-        for node, kind, level, want in census:
-            expr, g = _made(node, AFFINE, cfg.field)
-            if affine.aff_member(g, affine.AffSubgroupSpec(kind, level)) != want:
-                wrong.append(f"{expr} {'not ' if want else ''}in {kind}:{level}")
+    wrong = _census(cfg.field, [
+        check for n in (1, 2) for check in (
+            (Gen("xm", (1, pi ** n)), "vform", n, True),
+            (Gen("xm", (1, pi ** n)), "hn", n + 1, False),
+            (Gen("xm", (1, pi ** (n - 1))), "vform", n, False),
+            (Gen("torus", (one + pi ** (2 * n), one + pi ** (2 * n))), "vform", n, True),
+            (Gen("torus", (one + pi ** (2 * n - 1), one + pi ** (2 * n))), "vform", n, False))])
     if wrong:
-        return "vform census", "x_-(1; ϖ^n) and T_2n on the vform:n bounds", "; ".join(wrong)
+        return "vform census", "x_-(1; ϖ^n) and T_2n on the vform:n bounds", wrong
 
 
 @_suite("h2n-in-v")
@@ -425,44 +432,31 @@ def conj_generator_list(field: Field):
     return [_made(g, AFFINE, field) for g in gens]
 
 
-def find_conjugation_bound(g: affine.AffElt, n: int, m_max: int, cfg: SamplerConfig,
-                           _cache: dict | None = None):
-    """Least m ≤ m_max with conj(g, sample(H_m)) ⊆ H_n on cfg.trials samples;
-    None when exhausted (an outcome, not an error).
-
-    A _cache shared across calls keeps the samples of each m, and the
-    conjugates g·s·g^{-1} built so far for the g of the last call, so a
-    search at another n for the same g reuses them; a new g replaces them.
-    """
-    if _cache is None:
-        _cache = {}
-    held = _cache.get("conjugates")
-    if held is None or held[0] is not g:
-        held = _cache["conjugates"] = (g, g.inverse(), {})
-    _, g_inv, conjugates = held
-    spec = affine.AffSubgroupSpec("hn", n)
-    for m in range(1, m_max + 1):
-        if m not in _cache:
-            _cache[m] = [sample_aff_hn(rng, cfg, m) for _, _, rng in _draws(cfg, "conj", (m,))]
-        made = conjugates.setdefault(m, [])
-        for i, (_, s) in enumerate(_cache[m]):
-            if i == len(made):
-                made.append(g * s * g_inv)
-            if not affine.aff_member(made[i], spec):
-                break
-        else:
-            return m
-    return None
-
-
 @_suite("conj-invariance")
 def _conj_invariance(cfg: SamplerConfig):
-    cache: dict = {}    # samples for the whole suite, conjugates for one g at a time
-    m_max = 6
-    for expr, g in conj_generator_list(cfg.field):
+    """For each conjugator g and n = 1, 2, at m = affine.conj_bound(g, n):
+    every sampled conjugate g·h·g⁻¹, h ∈ H_m, lies in H_n; and, when m ≥ 2,
+    some x_±(k; ϖ^((m−1)·max(1,|k|))), k ∈ {−1, 0, 1}, lies in H_{m−1} and
+    has a conjugate outside H_n, so no smaller m would do."""
+    field = cfg.field
+    samples: dict = {}      # m -> the samples of H_m, shared by every (g, n)
+    for expr, g in conj_generator_list(field):
+        g_inv = g.inverse()
         for n in (1, 2):
-            m = find_conjugation_bound(g, n, m_max, cfg, _cache=cache)
-            yield (f"g={expr}, n={n}", f"some m <= {m_max}", "exhausted") if m is None else None
+            m, spec = affine.conj_bound(g, n), affine.AffSubgroupSpec("hn", n)
+            if m not in samples:
+                samples[m] = [sample_aff_hn(rng, cfg, m) for _, _, rng in _draws(cfg, "conj", (m,))]
+            bad = [f"g·({e})·g⁻¹ not in H_{n}" for e, h in samples[m]
+                   if not affine.aff_member(g * h * g_inv, spec)][:1]
+            if m >= 2:
+                below = affine.AffSubgroupSpec("hn", m - 1)
+                witnesses = (make(field, k, field.pi_power((m - 1) * max(1, abs(k))))
+                             for make in (affine.aff_x_plus, affine.aff_x_minus) for k in (-1, 0, 1))
+                if not any(affine.aff_member(w, below) and not affine.aff_member(g * w * g_inv, spec)
+                           for w in witnesses):
+                    bad.append(f"no witness in H_{m - 1} escapes H_{n}")
+            yield (f"g={expr}, n={n}", f"g·H_m·g⁻¹ in H_{n} at m = {m}, exactly",
+                   "; ".join(bad)) if bad else None
 
 
 @_suite("hausdorff")
@@ -513,14 +507,10 @@ def _center_separation(cfg: SamplerConfig):
     for what, ok in checks:
         yield None if ok else (expr, what, "false")
     pi, one = field.uniformizer(), field.one()
-    wrong = []
-    for node, want in ((Gen("torus", (one, one + pi)), False),
-                       (Gen("torus", (one, one + pi ** 2)), True)):
-        expr, t = _made(node, AFFINE, field)
-        if affine.aff_member(t, affine.AffSubgroupSpec("tnphi", 2)) != want:
-            wrong.append(f"{expr} {'not ' if want else ''}in tnphi:2")
+    wrong = _census(field, ((Gen("torus", (one, one + pi)), "tnphi", 2, False),
+                            (Gen("torus", (one, one + pi ** 2)), "tnphi", 2, True)))
     if wrong:
-        return "tnphi census", "torus(1; 1+ϖ) out of tnphi:2, torus(1; 1+ϖ^2) in it", "; ".join(wrong)
+        return "tnphi census", "torus(1; 1+ϖ) out of tnphi:2, torus(1; 1+ϖ^2) in it", wrong
 
 
 @_suite("coset-count")

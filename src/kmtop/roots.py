@@ -122,11 +122,7 @@ def real_roots_up_to_height(system: RootGenSys, max_height: int) -> frozenset[Ro
     if max_height < 1:
         raise ValueError("height bound must be >= 1")
     n = system.matrix.size
-    seeds = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        seeds.append(e)
-        seeds.append(tuple(-x for x in e))
+    seeds = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
     seen = set(seeds)
     frontier = list(seeds)
     while frontier:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from . import roots
-from .valued import INFINITY, Field, ValuedScalar
+from .valued import Field, ValuedScalar
 
 
 class NotInBigCell(ValueError):
@@ -311,15 +311,8 @@ def tree_retract(p: TreePoint) -> Fraction:
     bottom row (c, d) of g the conditions force y' ≤ min(ω(c) − y, ω(d) + y),
     and taking c0 = b/d (resp. a/c) attains the bound, so the minimum is it.
     """
-    vc = p.g.c.valuation()
-    vd = p.g.d.valuation()
-    u1 = vc - p.y if vc != INFINITY else None
-    u2 = vd + p.y if vd != INFINITY else None
-    if u1 is None:
-        return Fraction(u2)
-    if u2 is None:
-        return Fraction(u1)
-    return Fraction(min(u1, u2))
+    # c and d are not both 0, and ω(0) = INFINITY leaves the other bound
+    return Fraction(min(p.g.c.valuation() - p.y, p.g.d.valuation() + p.y))
 
 
 def fixed_interval(g: SL2Elt):

@@ -32,8 +32,8 @@ terms; polynomial ratios reduced with monic denominator and the powers of t
 taken out), so equality is structural and every operation is pure.  ω(0) is
 the distinguished tag ``INFINITY``, never an integer sentinel.
 
-The F_q(t) kernels (``_padd``, ``_pmul``, ``_pdivmod``, ``_pgcd`` and
-``_pscale``) take trimmed coefficient tuples over F_p, p prime: entries in
+The F_q(t) kernels (``_padd``, ``_pmul``, ``_ppow``, ``_pdivmod``, ``_pgcd``
+and ``_pscale``) take trimmed coefficient tuples over F_p, p prime: entries in
 [0, p), no trailing zero, () for zero.  They return exact-size trimmed
 tuples.  Over a prime p a product of nonzero leading coefficients is
 nonzero, so a product, a quotient and a nonzero scaling need no trim; only
@@ -132,6 +132,14 @@ def _pmul(a, b, p):
     return tuple([c % p for c in out])
 
 
+def _ppow(a, e, p):
+    """a^e for e ≥ 1, by repeated squaring."""
+    if e == 1:
+        return a
+    half = _ppow(_pmul(a, a, p), e >> 1, p)
+    return _pmul(half, a, p) if e & 1 else half
+
+
 def _pdivmod(a, b, p):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -198,9 +206,7 @@ def _fq_pair(raw):
     """A raw (v, num, den) as one reduced fraction of polynomials: (t^v·num,
     den), or (num, t^−v·den) when v < 0."""
     v, num, den = raw
-    if v >= 0:
-        return (0,) * v + num, den
-    return num, (0,) * -v + den
+    return ((0,) * v + num, den) if v >= 0 else (num, (0,) * -v + den)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +302,10 @@ class PAdicField(Field):
     def _val(self, raw: Fraction):
         if raw == 0:
             return INFINITY
-        v = 0
-        n = raw.numerator
+        v, n, d = 0, raw.numerator, raw.denominator
         while n % self.p == 0:
             n //= self.p
             v += 1
-        d = raw.denominator
         while d % self.p == 0:
             d //= self.p
             v -= 1
@@ -344,8 +348,8 @@ class RationalFunctionField(Field):
             return _FQ_ZERO
         i, j = _pord(num), _pord(den)
         num, den = num[i:], den[j:]
-        g = _pgcd(num, den, self.q)
-        if len(g) > 1 or g != (1,):
+        g = _pgcd(num, den, self.q) if len(den) > 1 else (1,)    # a constant den: no gcd
+        if len(g) > 1:
             num = _pdivmod(num, g, self.q)[0]
             den = _pdivmod(den, g, self.q)[0]
         lead = den[-1]
@@ -470,15 +474,13 @@ class RationalFunctionField(Field):
         return (-v, _pscale(den, inv, self.q), _pscale(num, inv, self.q))
 
     def _pow(self, a, k: int):
-        base = a if k > 0 else self._inv(a)
-        out = (0, (1,), (1,))
+        # the powers of a reduced fraction's num and den stay coprime, den^e
+        # stays monic and num^e keeps a nonzero constant term: no gcd
+        v, num, den = a if k > 0 else self._inv(a)
+        if not num:
+            return _FQ_ZERO
         e = abs(k)
-        while e:
-            if e & 1:
-                out = self._mul(out, base)
-            base = self._mul(base, base) if e > 1 else base
-            e >>= 1
-        return out
+        return (v * e, _ppow(num, e, self.q), _ppow(den, e, self.q))
 
     def _is_zero(self, a) -> bool:
         return not a[1]

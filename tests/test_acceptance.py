@@ -73,7 +73,7 @@ def test_06_conj_invariance():
     t0 = time.perf_counter()
     report = _run("conj-invariance", _cfg(200))
     assert report.trials == 24                   # 12 generators x n=1,2
-    _done("6 conj-invariance (12 generators, m <= 6, 200 samples)", t0, 60)
+    _done("6 conj-invariance (12 generators, m = affine.conj_bound, 200 samples)", t0, 60)
 
 
 def test_07_center_separation():

@@ -117,21 +117,6 @@ def test_center_separation_skips_on_p2():
     assert report.verdict == "not-applicable"
 
 
-def test_find_conjugation_bound_examples():
-    cfg = small_cfg(trials=50)
-    identity = affine.aff_torus(F3.one(), F3.one())
-    assert H.find_conjugation_bound(identity, 1, 6, cfg) == 1
-    g = affine.aff_x_plus(F3, 0, F3.uniformizer().inv())
-    m = H.find_conjugation_bound(g, 1, 6, cfg)
-    assert m is not None and m <= 4
-    t = affine.aff_t_mu(F3, 1, 0)
-    m = H.find_conjugation_bound(t, 1, 6, cfg)
-    assert m is not None and m <= 3
-    # exhaustion is an outcome, not an error
-    bad = affine.aff_x_plus(F3, -1, F3.pi_power(-4))
-    assert H.find_conjugation_bound(bad, 2, 2, cfg) is None
-
-
 def test_retract_oracle_is_independent_and_agrees():
     cfg = small_cfg(trials=60)
     for i in range(60):
@@ -178,20 +163,98 @@ def test_retract_oracle_matches_the_per_candidate_scan(field):
         assert H._retract_oracle(p) == _per_candidate_retract_oracle(p)
 
 
-@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
-def test_conjugation_bound_shared_cache_matches_fresh_calls(field):
-    """One cache shared in suite order (samples for every g, conjugates for
-    the current g only) gives the m of a fresh search."""
-    cfg = small_cfg(trials=10, field=field)
-    cache: dict = {}
-    found = []
-    for _, g in H.conj_generator_list(field):
+# conj_bound(g, 1) and conj_bound(g, 2) for each g of conj_generator_list, in
+# its order: xp(0; 1), xp(0; 1/ϖ), xp(1; 1), xp(-1; 1), xm(0; 1/ϖ), xm(1; 1),
+# xm(-1; 1), s0, s1, t(1, 0), t(0, 1), torus(ϖ; ϖ).
+CONJ_BOUNDS = [(1, 2), (3, 4), (3, 6), (3, 6), (3, 4), (3, 6),
+               (3, 6), (3, 6), (1, 2), (3, 4), (2, 3), (4, 5)]
+
+
+@pytest.mark.parametrize("field", [PAdicField(2), F3, RationalFunctionField(3)],
+                         ids=["p:2", "p:3", "fq:3"])
+def test_conj_bound_of_the_suite_conjugators(field):
+    got = [tuple(affine.conj_bound(g, n) for n in (1, 2))
+           for _, g in H.conj_generator_list(field)]
+    assert got == CONJ_BOUNDS
+
+
+def _searched_bound(g, n, cfg):
+    """The search conj-invariance made before it had conj_bound, without its
+    cache: the least m whose cfg.trials samples of H_m, drawn under the
+    suite's labels conj:m:i, all conjugate into H_n; m runs up to
+    conj_bound(g, n), None past it."""
+    g_inv, spec = g.inverse(), affine.AffSubgroupSpec("hn", n)
+    for m in range(1, affine.conj_bound(g, n) + 1):
+        if all(affine.aff_member(g * H.sample_aff_hn(rng, cfg, m)[1] * g_inv, spec)
+               for _, _, rng in H._draws(cfg, "conj", (m,))):
+            return m
+    return None
+
+
+@pytest.mark.parametrize("trials", [30, 200])
+def test_searched_bound_reaches_conj_bound(trials):
+    """A sampled search only ever finds a lower estimate of the least m: at
+    most conj_bound on few samples, and equal to it on 200 (seed 42, p:3)."""
+    cfg = small_cfg(trials=trials)
+    for expr, g in H.conj_generator_list(F3):
         for n in (1, 2):
-            m = H.find_conjugation_bound(g, n, 6, cfg, _cache=cache)
-            assert m == H.find_conjugation_bound(g, n, 6, cfg, _cache=None)
-            assert cache["conjugates"][0] is g      # no conjugate of an earlier g is kept
-            found.append(m)
-    assert len(found) == 24 and set(found) > {1}
+            m, bound = _searched_bound(g, n, cfg), affine.conj_bound(g, n)
+            assert m is not None and m <= bound, (expr, n)
+            if trials == 200:
+                assert m == bound, (expr, n)
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+def test_conj_bound_holds_for_sampled_conjugators(field):
+    """g·h·g⁻¹ ∈ H_n for seeded sample_aff_word conjugators g, n = 1, 2 and
+    h ∈ H_m, m = conj_bound(g, n): sampled h, and the elements on H_m's
+    bounds, x_±(k; ϖ^(m·max(1,|k|))) for |k| ≤ 2 and torus(1+ϖ^m; 1+ϖ^m)."""
+    cfg = small_cfg(field=field)
+    one = field.one()
+    for i in range(150):
+        expr, g = H.sample_aff_word(cfg.rng(f"conjugator:{i}"), cfg)
+        g_inv = g.inverse()
+        for n in (1, 2):
+            m, spec = affine.conj_bound(g, n), affine.AffSubgroupSpec("hn", n)
+            edge = [make(field, k, field.pi_power(m * max(1, abs(k))))
+                    for make in (affine.aff_x_plus, affine.aff_x_minus) for k in range(-2, 3)]
+            edge.append(affine.aff_torus(one + field.pi_power(m), one + field.pi_power(m)))
+            sampled = [H.sample_aff_hn(cfg.rng(f"conjugated:{i}:{n}:{j}"), cfg, m)[1]
+                       for j in range(3)]
+            for h in edge + sampled:
+                assert affine.aff_member(h, affine.AffSubgroupSpec("hn", m))
+                assert affine.aff_member(g * h * g_inv, spec), (expr, n, str(h))
+
+
+def _conj_bound_without_2a(bound):
+    def mutant(g, n):
+        a = max(0, -min(c.valuation() for row in g.m for e in row for c in e.coeffs.values()))
+        return bound(g, n) - 2 * a
+    return mutant
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+@pytest.mark.parametrize("mutant", ["plus-one", "without-2a"])
+def test_conj_invariance_fails_under_a_wrong_bound(monkeypatch, field, mutant):
+    """m + 1 makes every pair's exactness side fail: no witness in H_m escapes
+    H_n.  Dropping 2a lowers m for the four conjugators with a > 0, and a
+    sampled conjugate escapes H_n at each of their 8 pairs."""
+    bound = affine.conj_bound
+    wrong = {"plus-one": lambda g, n: bound(g, n) + 1,
+             "without-2a": _conj_bound_without_2a(bound)}[mutant]
+    monkeypatch.setattr(affine, "conj_bound", wrong)
+    report = H.run_suite("conj-invariance", small_cfg(trials=20, field=field))
+    assert report.verdict == "fail" and report.trials == 24
+    if mutant == "plus-one":
+        assert len(report.failures) == 24
+        assert all(f.got.startswith("no witness in H_") for f in report.failures)
+    else:
+        lowered = [i for i, (_, g) in enumerate(H.conj_generator_list(field))
+                   if wrong(g, 1) < bound(g, 1)]
+        assert len(lowered) == 4
+        assert [f.trial for f in report.failures] == [2 * i + n for i in lowered for n in (1, 2)]
+        assert all(f.got.endswith(" not in H_1") or f.got.endswith(" not in H_2")
+                   for f in report.failures)
 
 
 def test_failures_are_replayable():

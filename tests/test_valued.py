@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kmtop.valued import (
@@ -630,6 +630,59 @@ def test_fq_t_adic_kernel_matches_pair_kernel_and_sympy(q, data):
                   exprs.parse_element(f"xp({value})", exprs.SL2, F)[1].b)
         for other in routes:
             assert other == value and hash(other) == hash(value)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_fq_powers_and_constant_denominators_need_no_gcd(q, monkeypatch):
+    """x^k for k in [−6, 6], k ≠ 0, equals |k| − 1 products by _mul of x, or
+    of its inverse for k < 0, and sympy's power, and runs no gcd: the powers
+    of a reduced fraction's num and den are coprime.  _canonical of a
+    fraction whose denominator is a constant times a power of t runs no gcd,
+    and every gcd of sample_unit has a denominator of positive degree."""
+    from kmtop import valued
+
+    to_sympy, sympy_canonical = _sympy_rational_functions(q)
+    F = RationalFunctionField(q)
+    gcds = []
+
+    def recording_gcd(a, b, p):
+        gcds.append((a, b))
+        return _pgcd(a, b, p)
+
+    monkeypatch.setattr(valued, "_pgcd", recording_gcd)
+
+    @settings(deadline=None, max_examples=100)
+    @given(operand=_t_adic_operands(q), k=st.integers(-6, 6).filter(bool))
+    def check_power(operand, k):
+        x = F.ratio(*operand)
+        assume(k > 0 or not x.is_zero())
+        base = x.raw if k > 0 else F._inv(x.raw)
+        repeated = base
+        for _ in range(abs(k) - 1):
+            repeated = F._mul(repeated, base)
+        gcds.clear()
+        power = x ** k
+        assert gcds == []
+        _assert_canonical(power.raw, q)
+        assert power.raw == repeated == sympy_canonical(to_sympy(x.raw) ** k)
+
+    @settings(deadline=None, max_examples=100)
+    @given(num=st.lists(st.integers(0, q - 1), max_size=4), c=st.integers(1, q - 1),
+           v=st.integers(-3, 3))
+    def check_constant_denominator(num, c, v):
+        num, den = [0] * max(v, 0) + num, [0] * max(-v, 0) + [c]
+        gcds.clear()
+        raw = F._canonical(num, den)
+        assert gcds == []
+        assert _pair(raw) == _pair_canonical(num, den, q)
+
+    check_power()
+    check_constant_denominator()
+    gcds.clear()
+    rng = random.Random(f"sample_unit:{q}")
+    for _ in range(200):
+        F.sample_unit(rng)
+    assert gcds and all(len(den) > 1 for _, den in gcds)
 
 
 # --- the polynomial kernels against schoolbook references and sympy -------------
