@@ -16,10 +16,10 @@ of M, and a diagonal one at j = 0 has ω ≥ n ≥ 1, so 1 + it has ω ≥ 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from . import roots
+from .record import Record
 from .sl2 import LEVEL, SubgroupSpec
 from .valued import Field, ValuedScalar
 
@@ -147,8 +147,8 @@ def _mat_subst(m: Matrix, z: ValuedScalar) -> Matrix:
     return tuple(tuple(e.substitute_scale(z) for e in row) for row in m)
 
 
-@dataclass(frozen=True)
-class AffElt:
+class AffElt(Record):
+    __slots__ = ("m", "z")
     m: Matrix
     z: ValuedScalar
 
@@ -336,6 +336,7 @@ def _center(g: AffElt, integral: bool) -> list[str]:
 
 
 class AffSubgroupSpec(SubgroupSpec):
+    __slots__ = ()
     GROUP = "affine"
     # vform is looked up when called, so a wrapped vform_violations is the one run
     KINDS = {
@@ -453,6 +454,11 @@ def vform_violations(g: AffElt, n: int) -> list[str]:
 # ---------------------------------------------------------------------------
 # Kac-Peterson strictness witness.
 
+# Largest depth kp_witness accepts: a letter costs about 3 µs and adds one
+# line of CLI output, so the limit bounds a call to about 30 ms and 350 kB.
+MAX_DEPTH = 10000
+
+
 def kp_witness(n: int, depth: int):
     """Roots β[i] of the alternating word r1 r0 r1 ... and the least index
     where n·ht(β[i]) < ht(β[i])!, witnessing escape from the colimit open set.
@@ -461,6 +467,8 @@ def kp_witness(n: int, depth: int):
     """
     if n < 1 or depth < 1:
         raise ValueError("n and depth must be >= 1")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the limit of {MAX_DEPTH}")
     system = roots.affine_sl2_system()
     simple = ((1, 0), (0, 1))
     # r(α_j) for each letter r; the action on Q-coordinates is linear, so

@@ -5,17 +5,22 @@ Exit codes: 0 success/pass, 1 usage error or failed write of the output,
 timestamps, so identical invocations are byte-identical; --json switches to
 the documented schema (top-level "schema": 1) and --timing adds elapsed
 seconds to verify output.
+
+The argument parser is built once per process, on the first call of main;
+build_parser() builds a fresh one.  The verification harness is imported
+only by the verify command, so the other commands never load it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import affine, exprs, harness, roots, sl2
+from . import affine, exprs, roots, sl2
 from .valued import parse_field
 
 USAGE_ERROR = 1
@@ -95,6 +100,10 @@ def build_parser() -> _Parser:
     p.add_argument("--max-steps", type=int, default=64)
     p.add_argument("--coords", required=True, help="comma-separated rationals, e.g. 1,3")
     return top
+
+
+# parse_args leaves the parser as it found it, so one parser serves every call.
+_shared_parser = functools.cache(build_parser)
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
@@ -234,6 +243,7 @@ def cmd_kp_witness(args):
 
 
 def cmd_verify(args):
+    from . import harness
     field = parse_field(args.field)
     try:
         cfg = harness.SamplerConfig(field=field, seed=args.seed, trials=args.trials)
@@ -305,9 +315,8 @@ def _discard_stdout():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()      # a failed write shows here, not at exit
         return code

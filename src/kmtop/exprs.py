@@ -18,10 +18,10 @@ factor position it is the translation torus generator -- arity disambiguates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import affine, sl2
+from .record import Record
 from .valued import Field, ValuedScalar
 
 
@@ -88,19 +88,19 @@ _TEMPLATES = {(name, sum(ch in "is" for ch in shape)): _template(name, shape)
               for table in GENERATORS.values() for name, (shape, _) in table.items()}
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(Record):
+    __slots__ = ("kind", "args")
     kind: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
+    __slots__ = ("factors",)
     factors: tuple
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
+    __slots__ = ("elt", "y")
     elt: Product
     y: Fraction
 
@@ -334,7 +334,9 @@ def parse_auto(src: str, field: Field):
             ast, elt = parse_element(src, target, field)
             return target, ast, elt
         except ExprSyntaxError as exc:
-            errors.append(exc)
+            # without its traceback: frames -> errors -> exc would be a
+            # cycle holding the failed parse until the next gc
+            errors.append(exc.with_traceback(None))
     raise max(errors, key=lambda e: e.position)
 
 

@@ -9,8 +9,9 @@ Q = ⊕Zα_i are integer tuples indexed by I.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 RootVec = tuple[int, ...]
 ApartmentVec = tuple[Fraction, ...]
@@ -23,8 +24,8 @@ class NotGCM(ValueError):
         super().__init__(f"Kac-Moody axiom ({axiom}) fails at {position}")
 
 
-@dataclass(frozen=True)
-class KacMoodyMatrix:
+class KacMoodyMatrix(Record):
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
     @property
@@ -52,8 +53,7 @@ def validate_km(rows) -> KacMoodyMatrix:
     return KacMoodyMatrix(entries)
 
 
-@dataclass(frozen=True)
-class RootGenSys:
+class RootGenSys(Record):
     """A Kac-Moody matrix with simple roots/coroots in dual coordinates.
 
     ``simple_roots[i]`` is α_i as a linear form (dual-basis coordinates),
@@ -61,6 +61,7 @@ class RootGenSys:
     is not required (the affine SL2 system has non-free coroots).
     """
 
+    __slots__ = ("matrix", "rank", "simple_roots", "simple_coroots")
     matrix: KacMoodyMatrix
     rank: int
     simple_roots: tuple[tuple[int, ...], ...]
@@ -139,8 +140,8 @@ def real_roots_up_to_height(system: RootGenSys, max_height: int) -> frozenset[Ro
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class TitsClassification:
+class TitsClassification(Record):
+    __slots__ = ("word", "zero_set")
     word: tuple[int, ...]
     zero_set: frozenset[int]
 

@@ -10,11 +10,10 @@ representatives with y in (1/2)Z but accept any rational y.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
 
 from . import roots
+from .record import Record
 from .valued import Field, ValuedScalar
 
 
@@ -22,8 +21,8 @@ class NotInBigCell(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SL2Elt:
+class SL2Elt(Record):
+    __slots__ = ("a", "b", "c", "d")
     a: ValuedScalar
     b: ValuedScalar
     c: ValuedScalar
@@ -145,16 +144,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(Record):
     """A subgroup kind and its argument, checked on construction against the
     family's KINDS table: kind -> (argument kind, predicate).  A predicate
     maps (g, arg) to the conditions g violates, empty iff g is a member."""
+    __slots__ = ("kind", "arg")
     kind: str
-    arg: int | Fraction | str | None = None
+    arg: int | Fraction | str | None
 
-    GROUP: ClassVar[str] = ""
-    KINDS: ClassVar[dict] = {}
+    GROUP = ""
+    KINDS = {}
+
+    def __init__(self, kind: str, arg=None):
+        super().__init__(kind, arg)
 
     def __post_init__(self):
         kind, arg = self.kind, self.arg
@@ -236,6 +238,7 @@ def _bigcello(g: SL2Elt, _) -> list[str]:
 
 
 class SL2SubgroupSpec(SubgroupSpec):
+    __slots__ = ()
     GROUP = "SL2"
     KINDS = {
         "kerpi": (LEVEL, _kerpi),
@@ -268,8 +271,8 @@ def kerpi_product_member(g: SL2Elt, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # The rank-one masure: the Bruhat-Tits tree.
 
-@dataclass(frozen=True)
-class TreePoint:
+class TreePoint(Record):
+    __slots__ = ("g", "y")
     g: SL2Elt
     y: Fraction
 

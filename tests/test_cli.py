@@ -405,12 +405,17 @@ def test_unreadable_fixture_is_a_validation_error(capsys, tmp_path):
         assert str(path) in err and "cannot write output" not in err
 
 
-def _kmtop(*argv, stdout, timeout=60):
-    """Run the CLI in a fresh interpreter; (exit code, stderr text)."""
+def _python(*args, timeout=60, **kwargs):
+    """Run a fresh interpreter that imports kmtop from this tree."""
     src = os.path.dirname(os.path.dirname(kmtop.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-m", "kmtop.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, *args], env=env, timeout=timeout, **kwargs)
+
+
+def _kmtop(*argv, stdout, timeout=60):
+    """Run the CLI in a fresh interpreter; (exit code, stderr text)."""
+    done = _python("-m", "kmtop.cli", *argv, stdout=stdout, stderr=subprocess.PIPE,
+                   timeout=timeout)
     return done.returncode, done.stderr.decode()
 
 
@@ -520,6 +525,62 @@ def test_tits_max_steps_is_capped(capsys):
     assert time.perf_counter() - start < 1.0
     code, out, _ = run(capsys, "tits", "--max-steps", "10000", "--coords=-1000000000,1")
     assert code == 0 and out == "not classified\n"
+
+
+def test_kp_witness_depth_is_capped(capsys):
+    """--depth above affine.MAX_DEPTH is a validation error before any step;
+    the cost grows linearly (depth 100000 took 0.36 s and printed 3.8 MB)."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kp-witness", "-n", "1", "--depth", "1000000000")
+    assert code == 2 and out == ""
+    assert err == "error: depth 1000000000 exceeds the limit of 10000\n"
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = run(capsys, "kp-witness", "-n", "1", "--depth", str(affine.MAX_DEPTH))
+    assert code == 0 and out.splitlines()[-2:] == ["beta[10000] = (9999, 10000) ht=19999",
+                                                   "witness: 2"]
+
+
+# Each call sets something (a flag, a field, a usage or validation error)
+# that the call after it must not see.
+REUSE_SEQUENCE = (
+    ("--json", "roots", "--height", "3"),
+    ("roots", "--height", "3"),
+    ("member", "--field", "fq:3", "--spec", "hn:1", "xp(1; t)"),
+    ("member", "--spec", "hn:1", "xp(1; 3)"),
+    ("frobnicate",),
+    ("member", "xp(1; 3)"),
+    ("mul", "xp(1; 3)"),
+    ("kp-witness", "-n", "1", "--depth", "1000000000"),
+    ("verify", "--suite", "hausdorff", "--trials", "2"),
+)
+
+
+def test_one_parser_per_process_leaks_no_state(capsys):
+    """main parses every call of a process with one parser: each call of the
+    sequence answers byte for byte as it does in a fresh interpreter."""
+    for argv in REUSE_SEQUENCE:
+        done = _python("-m", "kmtop.cli", *argv, capture_output=True, text=True)
+        assert run(capsys, *argv) == (done.returncode, done.stdout, done.stderr), argv
+
+
+IMPORT_THEN_VERIFY = """
+import contextlib, hashlib, io, sys
+before = set(sys.modules)
+import kmtop.cli
+loaded = {"kmtop.harness", "dataclasses"} & (set(sys.modules) - before)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = kmtop.cli.main(["verify", "--suite", "all", "--field", "p:3",
+                           "--seed", "42", "--trials", "8"])
+print(",".join(sorted(loaded)) or "-", code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_importing_the_cli_leaves_the_harness_to_verify():
+    """Importing kmtop.cli loads neither the verification harness nor
+    dataclasses; verify loads the harness and prints the digest-pinned report."""
+    done = _python("-c", IMPORT_THEN_VERIFY, capture_output=True, text=True)
+    assert done.stdout.split() == ["-", "0", VERIFY_DIGESTS["p:3", False]], done.stderr
 
 
 def test_verify_matches_the_benchmark_reference_digest(capsys):
