@@ -6,9 +6,13 @@ timestamps, so identical invocations are byte-identical; --json switches to
 the documented schema (top-level "schema": 1) and --timing adds elapsed
 seconds to verify output.
 
-The argument parser is built once per process, on the first call of main;
-build_parser() builds a fresh one.  The verification harness is imported
-only by the verify command, so the other commands never load it.
+Each command is declared once, by the @_command decorator on its handler:
+its name, one-line help and arguments.  That declaration puts the handler
+into _COMMANDS and gives build_parser() the command's subparser, in
+declaration order; --json output names the command from the parsed
+arguments.  The argument parser is built once per process, on the first
+call of main; build_parser() builds a fresh one.  The verification harness
+is imported only by the verify command, so the other commands never load it.
 """
 
 from __future__ import annotations
@@ -38,67 +42,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _field_arg(parser):
-    parser.add_argument("--field", default="p:3",
-                        help="p:<prime> or fq:<prime> (default p:3)")
+def _arg(*flags, **options):
+    """One argument of a command: the arguments of an add_argument call."""
+    return flags, options
+
+
+FIELD = _arg("--field", default="p:3", help="p:<prime> or fq:<prime> (default p:3)")
+EXPR = _arg("expr")
+
+# Each command's handler by name, in the order the commands are declared.
+# main looks the handler up on every call, so a wrapper put here is called.
+_COMMANDS: dict = {}
+_DECLARED: list = []    # (name, help, arguments) of each command, in that order
+
+
+def _command(name: str, help_text: str, *arguments):
+    """Declare the decorated handler as command name, with its one-line
+    help and its arguments, each made by _arg."""
+    def register(handler):
+        _COMMANDS[name] = handler
+        _DECLARED.append((name, help_text, arguments))
+        return handler
+    return register
 
 
 def build_parser() -> _Parser:
     top = _Parser(prog="kmtop", description=__doc__.splitlines()[0])
     top.add_argument("--json", action="store_true", help="structured output")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roots", help="list real roots up to a height bound")
-    p.add_argument("--system", default="affine-sl2",
-                   help="a1 | affine-sl2 | fixture path")
-    p.add_argument("--height", type=int, required=True)
-
-    p = sub.add_parser("char", help="evaluate m·å + n·δ on an affine torus element")
-    _field_arg(p)
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("expr")
-
-    p = sub.add_parser("mul", help="multiply an element expression")
-    _field_arg(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("member", help="subgroup membership for an element")
-    _field_arg(p)
-    p.add_argument("--spec", required=True, help="<name>[:<n>], e.g. hn:2, kerpi:1, centerO")
-    p.add_argument("expr")
-
-    p = sub.add_parser("decompose", help="triangular and Birkhoff decompositions (SL2)")
-    _field_arg(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("retract", help="retraction of a tree point onto the apartment")
-    _field_arg(p)
-    p.add_argument("expr", help="point(<sl2 expr>, y)")
-
-    p = sub.add_parser("fix-interval", help="apartment fixed set of an SL2 element")
-    _field_arg(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("nu", help="translation vector of an affine torus element")
-    _field_arg(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("kp-witness", help="escape witness for the colimit topology")
-    p.add_argument("-n", type=int, required=True, dest="level")
-    p.add_argument("--depth", type=int, default=12)
-
-    p = sub.add_parser("verify", help="run verification suites")
-    _field_arg(p)
-    p.add_argument("--suite", default="all", help="suite name or 'all'")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--timing", action="store_true", help="include elapsed seconds")
-
-    p = sub.add_parser("tits", help="Tits-cone classification of an apartment vector")
-    p.add_argument("--system", default="affine-sl2")
-    p.add_argument("--max-steps", type=int, default=64)
-    p.add_argument("--coords", required=True, help="comma-separated rationals, e.g. 1,3")
+    for name, help_text, arguments in _DECLARED:
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return top
 
 
@@ -108,10 +83,16 @@ _shared_parser = functools.cache(build_parser)
 
 def _emit(args, payload: dict, text_lines: list[str]):
     if args.json:
-        print(json.dumps({"schema": 1, **payload}, sort_keys=True))
+        print(json.dumps({"schema": 1, "command": args.command, **payload}, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
+
+
+def _element(args, target: str):
+    """The element of args.expr in target's grammar, over the field of
+    args.field: the field is checked first."""
+    return exprs.parse_element(args.expr, target, parse_field(args.field))[1]
 
 
 # member --spec: the spec class for each element group, each with its kind table.
@@ -137,33 +118,38 @@ def _fraction(text: str, what: str) -> Fraction:
         raise exprs.ValidationError(f"{what}: {exc}") from None
 
 
+@_command("roots", "list real roots up to a height bound",
+          _arg("--system", default="affine-sl2", help="a1 | affine-sl2 | fixture path"),
+          _arg("--height", type=int, required=True))
 def cmd_roots(args):
     system = roots.load_system(args.system)
     found = sorted(roots.real_roots_up_to_height(system, args.height),
                    key=lambda b: (roots.height(b), b))
     lines = [f"{b} ht={roots.height(b)}" for b in found]
     lines.append(f"total: {len(found)}")
-    _emit(args, {"command": "roots",
-                 "roots": [{"coords": list(b), "height": roots.height(b)} for b in found],
+    _emit(args, {"roots": [{"coords": list(b), "height": roots.height(b)} for b in found],
                  "count": len(found)}, lines)
     return 0
 
 
+@_command("char", "evaluate m·å + n·δ on an affine torus element",
+          FIELD, _arg("m", type=int), _arg("n", type=int), EXPR)
 def cmd_char(args):
-    field = parse_field(args.field)
-    _, elt = exprs.parse_element(args.expr, exprs.AFFINE, field)
+    elt = _element(args, exprs.AFFINE)
     value = affine.eval_char((2 * args.m, args.n), elt)     # m·å + n·δ in dual coordinates
-    _emit(args, {"command": "char", "value": str(value)}, [str(value)])
+    _emit(args, {"value": str(value)}, [str(value)])
     return 0
 
 
+@_command("mul", "multiply an element expression", FIELD, EXPR)
 def cmd_mul(args):
-    field = parse_field(args.field)
-    target, _, elt = exprs.parse_auto(args.expr, field)
-    _emit(args, {"command": "mul", "target": target, "element": str(elt)}, [str(elt)])
+    target, _, elt = exprs.parse_auto(args.expr, parse_field(args.field))
+    _emit(args, {"target": target, "element": str(elt)}, [str(elt)])
     return 0
 
 
+@_command("member", "subgroup membership for an element", FIELD,
+          _arg("--spec", required=True, help="<name>[:<n>], e.g. hn:2, kerpi:1, centerO"), EXPR)
 def cmd_member(args):
     field = parse_field(args.field)
     name, arg = _parse_spec(args.spec)
@@ -175,14 +161,14 @@ def cmd_member(args):
     ok = not violations
     lines = ["true" if ok else "false"]
     lines.extend(f"  violated: {v}" for v in violations)
-    _emit(args, {"command": "member", "member": ok, "violations": violations}, lines)
+    _emit(args, {"member": ok, "violations": violations}, lines)
     return 0
 
 
+@_command("decompose", "triangular and Birkhoff decompositions (SL2)", FIELD, EXPR)
 def cmd_decompose(args):
-    field = parse_field(args.field)
-    _, elt = exprs.parse_element(args.expr, exprs.SL2, field)
-    payload = {"command": "decompose"}
+    elt = _element(args, exprs.SL2)
+    payload = {}
     lines = []
     try:
         b, c, d = sl2.upt_decompose(elt)
@@ -198,55 +184,56 @@ def cmd_decompose(args):
     return 0
 
 
+@_command("retract", "retraction of a tree point onto the apartment",
+          FIELD, _arg("expr", help="point(<sl2 expr>, y)"))
 def cmd_retract(args):
-    field = parse_field(args.field)
-    _, point = exprs.parse_element(args.expr, exprs.TREEPOINT, field)
-    y = sl2.tree_retract(point)
-    _emit(args, {"command": "retract", "coordinate": str(y)}, [str(y)])
+    y = sl2.tree_retract(_element(args, exprs.TREEPOINT))
+    _emit(args, {"coordinate": str(y)}, [str(y)])
     return 0
 
 
+@_command("fix-interval", "apartment fixed set of an SL2 element", FIELD, EXPR)
 def cmd_fix_interval(args):
-    field = parse_field(args.field)
-    _, elt = exprs.parse_element(args.expr, exprs.SL2, field)
-    interval = sl2.fixed_interval(elt)
-    if interval is None:
-        _emit(args, {"command": "fix-interval", "interval": "empty"}, ["empty"])
+    interval = sl2.fixed_interval(_element(args, exprs.SL2))
+    if interval is None or interval == (None, None):
+        word = "empty" if interval is None else "all"
+        _emit(args, {"interval": word}, [word])
         return 0
     lo, hi = interval
-    if lo is None and hi is None:
-        _emit(args, {"command": "fix-interval", "interval": "all"}, ["all"])
-        return 0
     text = f"[{'-inf' if lo is None else lo}, {'+inf' if hi is None else hi}]"
-    _emit(args, {"command": "fix-interval",
-                 "interval": {"lo": None if lo is None else str(lo),
+    _emit(args, {"interval": {"lo": None if lo is None else str(lo),
                               "hi": None if hi is None else str(hi)}}, [text])
     return 0
 
 
+@_command("nu", "translation vector of an affine torus element", FIELD, EXPR)
 def cmd_nu(args):
-    field = parse_field(args.field)
-    _, elt = exprs.parse_element(args.expr, exprs.AFFINE, field)
-    x, y = affine.nu_translation(elt)
-    _emit(args, {"command": "nu", "vector": [x, y]}, [f"({x}, {y})"])
+    x, y = affine.nu_translation(_element(args, exprs.AFFINE))
+    _emit(args, {"vector": [x, y]}, [f"({x}, {y})"])
     return 0
 
 
+@_command("kp-witness", "escape witness for the colimit topology",
+          _arg("-n", type=int, required=True, dest="level"),
+          _arg("--depth", type=int, default=12))
 def cmd_kp_witness(args):
     betas, witness = affine.kp_witness(args.level, args.depth)
     lines = [f"beta[{i + 1}] = {b} ht={h}" for i, (b, h) in enumerate(betas)]
     lines.append(f"witness: {witness if witness is not None else 'not found'}")
-    _emit(args, {"command": "kp-witness",
-                 "heights": [h for _, h in betas],
-                 "witness_index": witness}, lines)
+    _emit(args, {"heights": [h for _, h in betas], "witness_index": witness}, lines)
     return 0
 
 
+@_command("verify", "run verification suites", FIELD,
+          _arg("--suite", default="all", help="suite name or 'all'"),
+          _arg("--seed", type=int, default=42),
+          _arg("--trials", type=int, default=500),
+          _arg("--timing", action="store_true", help="include elapsed seconds"))
 def cmd_verify(args):
     from . import harness
     field = parse_field(args.field)
     try:
-        cfg = harness.SamplerConfig(field=field, seed=args.seed, trials=args.trials)
+        cfg = harness.SamplerConfig(field, args.seed, args.trials)
     except ValueError as exc:
         raise UsageError(f"--{exc}") from None
     names = harness.all_suite_names() if args.suite == "all" else [args.suite]
@@ -265,40 +252,27 @@ def cmd_verify(args):
             lines.append(f"  elapsed: {r.elapsed:.2f}s")
     failed = [r for r in reports if r.verdict == "fail"]
     lines.append(f"suites: {len(reports)}, failed: {len(failed)}")
-    _emit(args, {"command": "verify",
-                 "config": cfg.echo(),
+    _emit(args, {"config": cfg.echo(),
                  "suites": [r.as_dict(include_elapsed=args.timing) for r in reports],
                  "verdict": "fail" if failed else "pass"}, lines)
     return SUITE_FAILURE if failed else 0
 
 
+@_command("tits", "Tits-cone classification of an apartment vector",
+          _arg("--system", default="affine-sl2"),
+          _arg("--max-steps", type=int, default=64),
+          _arg("--coords", required=True, help="comma-separated rationals, e.g. 1,3"))
 def cmd_tits(args):
     system = roots.load_system(args.system)
     coords = [_fraction(c, "--coords") for c in args.coords.split(",")]
     result = roots.tits_classify(system, coords, args.max_steps)
     if result is None:
-        _emit(args, {"command": "tits", "classified": False}, ["not classified"])
+        _emit(args, {"classified": False}, ["not classified"])
         return 0
-    _emit(args, {"command": "tits", "classified": True,
-                 "word": list(result.word), "walls": sorted(result.zero_set)},
+    _emit(args, {"classified": True, "word": list(result.word), "walls": sorted(result.zero_set)},
           [f"word: {''.join(f'r{i}' for i in result.word) or 'e'}",
            f"walls: {sorted(result.zero_set)}"])
     return 0
-
-
-_COMMANDS = {
-    "roots": cmd_roots,
-    "char": cmd_char,
-    "mul": cmd_mul,
-    "member": cmd_member,
-    "decompose": cmd_decompose,
-    "retract": cmd_retract,
-    "fix-interval": cmd_fix_interval,
-    "nu": cmd_nu,
-    "kp-witness": cmd_kp_witness,
-    "verify": cmd_verify,
-    "tits": cmd_tits,
-}
 
 
 def _discard_stdout():

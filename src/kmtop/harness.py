@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import affine, roots, sl2
 from .exprs import AFFINE, SL2, Gen, Point, Product, build, print_expr
+from .record import Record
 from .valued import INFINITY, Field, ValuedScalar
 
 
@@ -30,11 +30,11 @@ LAURENT_SUPPORT = 6
 WORD_LENGTH = 8
 
 
-@dataclass
-class SamplerConfig:
+class SamplerConfig(Record):
+    __slots__ = ("field", "seed", "trials")
     field: Field
-    seed: int = 42
-    trials: int = 500
+    seed: int
+    trials: int
 
     def __post_init__(self):
         if self.trials < 1:
@@ -54,8 +54,8 @@ class SamplerConfig:
         }
 
 
-@dataclass
-class Failure:
+class Failure(Record):
+    __slots__ = ("trial", "inputs", "expected", "got")
     trial: int
     inputs: str
     expected: str
@@ -66,13 +66,13 @@ class Failure:
                 "expected": self.expected, "got": self.got}
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(Record):
+    __slots__ = ("suite", "trials", "failures", "elapsed", "skipped")
     suite: str
     trials: int
-    failures: list[Failure]
+    failures: tuple[Failure, ...]
     elapsed: float
-    skipped: str = ""
+    skipped: str
 
     @property
     def verdict(self) -> str:
@@ -267,7 +267,7 @@ def _suite(name, *args):
     return deco
 
 
-def _tally(trials) -> tuple[int, list[Failure], str]:
+def _tally(trials) -> tuple[int, tuple[Failure, ...], str]:
     """Run a suite's trials: (trial count, failures, not-applicable reason)."""
     count, failures = 0, []
     try:
@@ -280,8 +280,8 @@ def _tally(trials) -> tuple[int, list[Failure], str]:
         if stop.value is not None:
             failures.append(Failure(count, *stop.value))
     except NotApplicable as exc:
-        return 0, [], str(exc)
-    return count, failures, ""
+        return 0, (), str(exc)
+    return count, tuple(failures), ""
 
 
 def _draws(cfg: SamplerConfig, label: str, levels=(None,), per_level: int | None = None):
@@ -372,13 +372,15 @@ def _closure(cfg: SamplerConfig, label, sampler, spec_class, kind):
 
 
 def _census(field: Field, checks) -> str:
-    """"{expr} {not }in {kind}:{level}" for each (node, kind, level, want)
-    whose element's membership is not want, joined by "; "."""
+    """"{expr} {not }in {kind}[:{level}]" for each (node, kind, level, want)
+    whose element's membership is not want, joined by "; "; level is None
+    for a kind without an argument."""
     wrong = []
     for node, kind, level, want in checks:
         expr, g = _made(node, AFFINE, field)
         if affine.aff_member(g, affine.AffSubgroupSpec(kind, level)) != want:
-            wrong.append(f"{expr} {'not ' if want else ''}in {kind}:{level}")
+            spec = kind if level is None else f"{kind}:{level}"
+            wrong.append(f"{expr} {'not ' if want else ''}in {spec}")
     return "; ".join(wrong)
 
 
@@ -490,7 +492,8 @@ def _center_separation(cfg: SamplerConfig):
     ker π_1: the witness separating the two topologies.  Needs residue
     characteristic ≠ 2.  A census after the last trial pins the test-point
     level: torus(1; 1+ϖ) has ω(α0(t) − 1) = 1, so it is not in tnphi:2, and
-    torus(1; 1+ϖ^2) is."""
+    torus(1; 1+ϖ^2) is.  It also pins the center: torus(ϖ; 1) has f^2 ≠ 1
+    and torus(1; 1+ϖ) has z ≠ 1, so neither is in center or centero."""
     field = cfg.field
     if field.char == 2:
         raise NotApplicable("witness needs p != 2 (-1 ≡ 1 mod 2)" if field.uniformizer_name == "p"
@@ -507,10 +510,15 @@ def _center_separation(cfg: SamplerConfig):
     for what, ok in checks:
         yield None if ok else (expr, what, "false")
     pi, one = field.uniformizer(), field.one()
-    wrong = _census(field, ((Gen("torus", (one, one + pi)), "tnphi", 2, False),
-                            (Gen("torus", (one, one + pi ** 2)), "tnphi", 2, True)))
+    wrong = _census(field, (
+        (Gen("torus", (one, one + pi)), "tnphi", 2, False),
+        (Gen("torus", (one, one + pi ** 2)), "tnphi", 2, True),
+        *((Gen("torus", parts), kind, None, False)
+          for parts in ((pi, one), (one, one + pi)) for kind in ("center", "centero"))))
     if wrong:
-        return "tnphi census", "torus(1; 1+ϖ) out of tnphi:2, torus(1; 1+ϖ^2) in it", wrong
+        return ("tnphi and center census",
+                "torus(1; 1+ϖ) out of tnphi:2, torus(1; 1+ϖ^2) in it; "
+                "torus(ϖ; 1) and torus(1; 1+ϖ) out of center and centero", wrong)
 
 
 @_suite("coset-count")

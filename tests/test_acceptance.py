@@ -18,13 +18,13 @@ F2T = RationalFunctionField(2)
 
 
 def _cfg(trials, field=P3):
-    return H.SamplerConfig(field=field, seed=42, trials=trials)
+    return H.SamplerConfig(field, 42, trials)
 
 
 def _run(name, cfg):
     report = H.run_suite(name, cfg)
     assert report.verdict == "pass", \
-        f"{name}: {[f.__dict__ for f in report.failures[:3]]}"
+        f"{name}: {[f.as_dict() for f in report.failures[:3]]}"
     return report
 
 

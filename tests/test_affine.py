@@ -214,7 +214,7 @@ def _entries(violations):
 def test_one_pass_hn_matches_two_pass_oracle(spec):
     """hn:n is one pass with the bound n·max(1, |k|); the oracle is ker π_n
     followed by the ring bound ω ≥ n·|k| on every coefficient of m."""
-    cfg = harness.SamplerConfig(field=parse_field(spec), seed=13)
+    cfg = harness.SamplerConfig(parse_field(spec), 13, 500)
     verdicts = set()
     for i in range(40):
         rng = random.Random(f"{spec}:{i}")
@@ -307,7 +307,7 @@ def test_constructor_rejects_bad_entries():
 def test_products_inverses_and_conjugates_keep_det_one(spec):
     """Products, inverses and conjugates are built unchecked; recompute the
     invariants they must keep from the entries."""
-    cfg = harness.SamplerConfig(field=parse_field(spec), seed=11, trials=1)
+    cfg = harness.SamplerConfig(parse_field(spec), 11, 1)
     rng = cfg.rng("det")
     affs = ([harness.sample_aff_word(rng, cfg)[1] for _ in range(10)]
             + [harness.sample_aff_hn(rng, cfg, n)[1] for n in (1, 2) for _ in range(5)])
@@ -478,7 +478,7 @@ def test_birkhoff_matches_dense_solver(spec, count):
     words, products of two words, H_n and vform draws, with z set to 1 so that
     vform_violations reaches the factorization."""
     field = parse_field(spec)
-    cfg = harness.SamplerConfig(field=field, seed=1, trials=1)
+    cfg = harness.SamplerConfig(field, 1, 1)
     rng = cfg.rng("birkhoff")
     draws = (lambda: harness.sample_aff_word(rng, cfg)[1],
              lambda: harness.sample_aff_word(rng, cfg)[1] * harness.sample_aff_word(rng, cfg)[1],
@@ -543,7 +543,7 @@ def test_vform_bounds_follow_lambda(a, b, sign, near, k, seed):
     assert A._pattern_violations(u.m, mu, sign) == []
     raised = (a + sign * (c - r), b)        # ⟨β, raised⟩ = ⟨β, μ⟩ + 2·sign
     assert A._pattern_violations(u.m, raised, sign) != []
-    cfg = harness.SamplerConfig(field=F3, seed=seed, trials=1)
+    cfg = harness.SamplerConfig(F3, seed, 1)
     rng = cfg.rng("lambda")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(A, "LAMBDA", mu)

@@ -127,7 +127,7 @@ def test_suite_failure_exit_code_path():
     # so exercise the mapping directly)
     from kmtop import harness
     from kmtop.cli import SUITE_FAILURE
-    report = harness.SuiteReport("demo", 1, [harness.Failure(0, "x", "a", "b")], 0.0)
+    report = harness.SuiteReport("demo", 1, (harness.Failure(0, "x", "a", "b"),), 0.0, "")
     assert report.verdict == "fail"
     assert SUITE_FAILURE == 3
 
@@ -572,15 +572,17 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = kmtop.cli.main(["verify", "--suite", "all", "--field", "p:3",
                            "--seed", "42", "--trials", "8"])
-print(",".join(sorted(loaded)) or "-", code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+print(",".join(sorted(loaded)) or "-", code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+      "dataclasses" in sys.modules)
 """
 
 
 def test_importing_the_cli_leaves_the_harness_to_verify():
     """Importing kmtop.cli loads neither the verification harness nor
-    dataclasses; verify loads the harness and prints the digest-pinned report."""
+    dataclasses; verify loads the harness, prints the digest-pinned report
+    and still leaves dataclasses unloaded."""
     done = _python("-c", IMPORT_THEN_VERIFY, capture_output=True, text=True)
-    assert done.stdout.split() == ["-", "0", VERIFY_DIGESTS["p:3", False]], done.stderr
+    assert done.stdout.split() == ["-", "0", VERIFY_DIGESTS["p:3", False], "False"], done.stderr
 
 
 def test_verify_matches_the_benchmark_reference_digest(capsys):
@@ -593,3 +595,35 @@ def test_verify_matches_the_benchmark_reference_digest(capsys):
                            "--seed", str(ref["seed"]), "--trials", str(ref["trials"]))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every help text and these usage errors, as kmtop prints them at 80 columns;
+# tests/cli_usage.txt holds the text recorded before the command table was
+# declared once, so the parser it builds may not change a byte.
+USAGE_ARGVS = (
+    ("--help",),
+    *((name, "--help") for name in ("roots", "char", "mul", "member", "decompose", "retract",
+                                    "fix-interval", "nu", "kp-witness", "verify", "tits")),
+    ("frobnicate",),
+    ("member", "xp(1; 3)"),
+    ("kp-witness",),
+    ("roots", "--height", "x"),
+    ("tits",),
+)
+
+
+def _usage_transcript(capsys, argv) -> str:
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:       # --help prints and exits
+        code = exc.code
+    captured = capsys.readouterr()
+    return (f"$ kmtop {' '.join(argv)}\n[exit {code}]\n"
+            f"--- stdout\n{captured.out}--- stderr\n{captured.err}")
+
+
+def test_help_and_usage_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = "".join(_usage_transcript(capsys, argv) for argv in USAGE_ARGVS)
+    with open(os.path.join(os.path.dirname(__file__), "cli_usage.txt"), encoding="utf-8") as fh:
+        assert got == fh.read()

@@ -10,7 +10,7 @@ F3 = PAdicField(3)
 
 
 def small_cfg(trials=40, field=F3, seed=42):
-    return H.SamplerConfig(field=field, seed=seed, trials=trials)
+    return H.SamplerConfig(field, seed, trials)
 
 
 def test_unknown_suite():
@@ -262,7 +262,7 @@ def test_failures_are_replayable():
     cfg = small_cfg(trials=5)
     expr, g = H.sample_aff_hn(cfg.rng("hn:1:0"), cfg, 1)
     failure = H.Failure(0, expr, "x", "y")
-    report = H.SuiteReport("demo", 1, [failure], 0.0)
+    report = H.SuiteReport("demo", 1, (failure,), 0.0, "")
     assert report.verdict == "fail"
     payload = report.as_dict()
     _, rebuilt = exprs.parse_element(payload["failures"][0]["inputs"],
@@ -306,5 +306,20 @@ def test_center_separation_census_pins_the_test_point_level(monkeypatch, field):
     report = H.run_suite("center-separation", small_cfg(trials=2, field=field))
     assert report.verdict == "fail" and report.trials == 22
     [census] = report.failures
-    assert census.inputs == "tnphi census"
+    assert census.inputs == "tnphi and center census"
     assert census.got == ("torus(1; 4) in tnphi:2" if field is F3 else "torus(1; 1+t) in tnphi:2")
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+def test_center_separation_census_pins_the_center(monkeypatch, field):
+    """A center predicate that accepts every torus fails center-separation's
+    census: (−I, 1) is central whatever the predicate says, so only the
+    census asks for a torus outside the center."""
+    monkeypatch.setattr(affine, "_center", lambda g, integral: [])
+    report = H.run_suite("center-separation", small_cfg(trials=2, field=field))
+    assert report.verdict == "fail" and report.trials == 22
+    [census] = report.failures
+    assert census.inputs == "tnphi and center census"
+    pi, one_plus_pi = ("3", "4") if field is F3 else ("t", "1+t")
+    assert census.got == (f"torus({pi}; 1) in center; torus({pi}; 1) in centero; "
+                          f"torus(1; {one_plus_pi}) in center; torus(1; {one_plus_pi}) in centero")
