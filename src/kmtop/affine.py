@@ -33,9 +33,9 @@ class LaurentPoly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, coeffs: dict[int, ValuedScalar] | None = None):
+    def __init__(self, field: Field, coeffs: dict[int, ValuedScalar]):
         self.field = field
-        self.coeffs = {int(k): v for k, v in coeffs.items() if not v.is_zero()} if coeffs else {}
+        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
 
     @staticmethod
     def const(s: ValuedScalar) -> "LaurentPoly":
@@ -87,10 +87,11 @@ class LaurentPoly:
         return LaurentPoly(self.field, out)
 
     def substitute_scale(self, z: ValuedScalar) -> "LaurentPoly":
-        """u ← z·u: the exponent-k coefficient is multiplied by z^k."""
+        """u ← z·u: the exponent-k coefficient is multiplied by z^k, and the
+        constant one, times z^0 = 1, is kept as it is."""
         if not self.coeffs or z.is_one():
             return self
-        return LaurentPoly(self.field, {k: v * z ** k for k, v in self.coeffs.items()})
+        return LaurentPoly(self.field, {k: v * z ** k if k else v for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and other.field == self.field
@@ -322,16 +323,15 @@ def _congruence(g: AffElt, n: int, ring: bool) -> list[str]:
     return out
 
 
-def _center(g: AffElt, integral: bool) -> list[str]:
-    """center, or with integral centero: f^2 = 1 and z = 1 (and ω(f) = 0)."""
+def _center(g: AffElt) -> list[str]:
+    """center and centero: f^2 = 1 and z = 1.  centero's ω(f) = 0 adds
+    nothing, since f^2 = 1 forces f = ±1."""
     f, z = torus_parts(g)
     out = []
     if not (f * f).is_one():
         out.append("f^2 != 1")
     if not z.is_one():
         out.append("z != 1")
-    if integral and f.valuation() != 0:
-        out.append("ω(f) != 0")
     return out
 
 
@@ -347,8 +347,8 @@ class AffSubgroupSpec(SubgroupSpec):
                                     if (e - 1).valuation() < n]),
         "tnphi": (LEVEL, lambda g, n: [f"ω(α{i}(t)-1) < {n}" for i in (0, 1)
                                        if not fixes_test_point(g, i, n)]),
-        "center": (None, lambda g, _: _center(g, False)),
-        "centero": (None, lambda g, _: _center(g, True)),
+        "center": (None, lambda g, _: _center(g)),
+        "centero": (None, lambda g, _: _center(g)),
         "vform": (LEVEL, lambda g, n: vform_violations(g, n)),
     }
 

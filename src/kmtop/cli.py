@@ -10,8 +10,9 @@ Each command is declared once, by the @_command decorator on its handler:
 its name, one-line help and arguments.  That declaration puts the handler
 into _COMMANDS and gives build_parser() the command's subparser, in
 declaration order; --json output names the command from the parsed
-arguments.  The argument parser is built once per process, on the first
-call of main; build_parser() builds a fresh one.  The verification harness
+arguments.  build_parser() builds the argument parser once per process, on
+the first call of main, and parse_args leaves the parser as it found it, so
+one parser serves every call.  The verification harness
 is imported only by the verify command, so the other commands never load it.
 """
 
@@ -66,6 +67,7 @@ def _command(name: str, help_text: str, *arguments):
     return register
 
 
+@functools.cache
 def build_parser() -> _Parser:
     top = _Parser(prog="kmtop", description=__doc__.splitlines()[0])
     top.add_argument("--json", action="store_true", help="structured output")
@@ -75,10 +77,6 @@ def build_parser() -> _Parser:
         for flags, options in arguments:
             p.add_argument(*flags, **options)
     return top
-
-
-# parse_args leaves the parser as it found it, so one parser serves every call.
-_shared_parser = functools.cache(build_parser)
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
@@ -290,7 +288,7 @@ def _discard_stdout():
 
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()      # a failed write shows here, not at exit
         return code

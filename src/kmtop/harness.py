@@ -22,9 +22,12 @@ class UnknownSuite(KeyError):
     pass
 
 
-# Fixed sampler shape, echoed in every report's config block: the valuation
-# window of generic scalars, the largest |exponent| of an affine generator
-# and the longest sampled word.
+# Fixed sampler shape, echoed in every report's config block.  VALUATION_RANGE
+# is the valuation window of generic scalars.  LAURENT_SUPPORT and WORD_LENGTH
+# are echoed values that both report digests pin; only sample_sl2_generic
+# reads one (1 to WORD_LENGTH − 1 letters).  The affine samplers draw 1-4
+# letters with exponents in ±2 (sample_aff_word) or ±3 (sample_aff_hn), and
+# sample_aff_vform 2-6 one-root factors with exponents in ±2.
 VALUATION_RANGE = (-3, 6)
 LAURENT_SUPPORT = 6
 WORD_LENGTH = 8
@@ -116,8 +119,9 @@ def sample_scalar(rng: random.Random, field: Field, vrange, allow_zero=True) -> 
     return sample_unit(rng, field) * field.pi_power(v)
 
 
-def sample_scalar_min_val(rng: random.Random, field: Field, low: int, spread: int = 3) -> ValuedScalar:
-    return sample_unit(rng, field) * field.pi_power(low + rng.randrange(0, spread + 1))
+def sample_scalar_min_val(rng: random.Random, field: Field, low: int) -> ValuedScalar:
+    """A unit times ϖ^v, v drawn from low to low + 3."""
+    return sample_unit(rng, field) * field.pi_power(low + rng.randrange(0, 4))
 
 
 def sample_sl2_generic(rng: random.Random, cfg: SamplerConfig):
@@ -164,12 +168,12 @@ def sample_tree_point(rng: random.Random, cfg: SamplerConfig):
 
 def sample_aff_word(rng: random.Random, cfg: SamplerConfig):
     field = cfg.field
-    length = rng.randrange(1, min(WORD_LENGTH, 5))
+    length = rng.randrange(1, 5)
     factors = []
     for _ in range(length):
         kind = rng.choice(["xp", "xm", "t", "torus", "s0", "s1"])
         if kind in ("xp", "xm"):
-            k = rng.randint(-min(2, LAURENT_SUPPORT), min(2, LAURENT_SUPPORT))
+            k = rng.randint(-2, 2)
             args = (k, sample_scalar(rng, field, (-2, 4)))
         elif kind == "t":
             args = (rng.randint(-1, 1), rng.randint(-1, 1))
@@ -185,8 +189,7 @@ def sample_aff_word(rng: random.Random, cfg: SamplerConfig):
 def sample_aff_hn(rng: random.Random, cfg: SamplerConfig, n: int):
     """Products of x_±(k, c) with ω(c) ≥ n·max(1, |k|) and T_n tori: all in H_n."""
     field = cfg.field
-    support = min(3, LAURENT_SUPPORT)
-    length = rng.randrange(1, min(WORD_LENGTH, 5))
+    length = rng.randrange(1, 5)
     factors = []
     for _ in range(length):
         if rng.random() < 0.2:
@@ -195,7 +198,7 @@ def sample_aff_hn(rng: random.Random, cfg: SamplerConfig, n: int):
             factors.append(Gen("torus", (f, z)))
         else:
             kind = rng.choice(["xp", "xm"])
-            k = rng.randint(-support, support)
+            k = rng.randint(-3, 3)
             factors.append(Gen(kind, (k, sample_scalar_min_val(rng, field, n * max(1, abs(k))))))
     return _made(Product(tuple(factors)), AFFINE, field)
 
@@ -250,7 +253,8 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
 # failed.  It may return one more (inputs, expected, got) for a check that is
 # not a trial, numbered like the last trial, and raises NotApplicable before
 # its first trial when the field lacks what its witness needs.  Failures are
-# numbered by the 1-based index of their trial.
+# numbered by the 1-based index of their trial.  Any other exception ends the
+# suite with one more trial, failed, that names the exception.
 
 class NotApplicable(Exception):
     pass
@@ -281,6 +285,10 @@ def _tally(trials) -> tuple[int, tuple[Failure, ...], str]:
             failures.append(Failure(count, *stop.value))
     except NotApplicable as exc:
         return 0, (), str(exc)
+    except Exception as exc:    # a suite that raises fails, and only itself
+        count += 1
+        failures.append(Failure(count, "the trial raised", "no exception",
+                                f"{type(exc).__name__}: {exc}"))
     return count, tuple(failures), ""
 
 

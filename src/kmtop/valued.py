@@ -12,20 +12,22 @@ Two field kinds are supported:
   numerator, and a sum shifts one numerator by a power of t.
 
 ``ValuedScalar`` pairs a field with a raw value and never looks inside the
-raw value: every operation is delegated to the field.  A field kind is a
-``Field`` subclass that provides
+raw value: every operation is delegated to the field.  A field is a plain
+value, its kind and its prime, and holds no scalar.  The ``Field`` base
+provides ``==`` and ``hash`` (same kind and prime), ``spec_string()``,
+``scalar(value)``, ``zero()``, ``one()`` and ``pi_power(n)``.  A field kind
+is a ``Field`` subclass that provides
 
 * raw-value methods ``_add(a, b)``, ``_neg(a)``, ``_mul(a, b)``, ``_inv(a)``
   (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when k < 0),
-  ``_is_zero(a)``, ``_val(a)`` and ``_format(a)``;
-* ``scalar(value)``, ``uniformizer()``, ``sample_unit(rng)``,
-  ``degree(s)`` (the size that a power's cost grows with), ``spec_string()``,
-  ``__eq__``/``__hash__``;
-* attributes ``uniformizer_name`` (the name of ϖ in the scalar grammar) and
-  ``char`` (the residue characteristic).
-
-A subclass's ``__init__`` ends with ``super().__init__()``, which builds the
-field's one zero and one one: scalars are immutable, so they are shared.
+  ``_is_zero(a)``, ``_val(a)``, ``_format(a)`` and ``_number(value)`` (the
+  raw value of a Python number);
+* ``uniformizer()``, ``sample_unit(rng)`` and ``degree(s)`` (the size that a
+  power's cost grows with);
+* attributes ``kind`` (the ``--field`` prefix), ``char`` (the prime, also the
+  residue characteristic), ``uniformizer_name`` (the name of ϖ in the scalar
+  grammar), and the raw values ``ZERO`` and ``ONE``, which ``is_one`` reads
+  without building a scalar.
 
 Raw values are immutable and kept in canonical form (rationals in lowest
 terms; polynomial ratios reduced with monic denominator and the powers of t
@@ -198,10 +200,6 @@ def _pformat(a) -> str:
     return "+".join(terms)
 
 
-# The one raw value of 0 in F_q(t).
-_FQ_ZERO = (0, (), (1,))
-
-
 def _fq_pair(raw):
     """A raw (v, num, den) as one reduced fraction of polynomials: (t^v·num,
     den), or (num, t^−v·den) when v < 0."""
@@ -213,53 +211,55 @@ def _fq_pair(raw):
 
 
 class Field:
-    """Base of the field kinds; the module docstring lists what a subclass
-    implements."""
+    """Base of the field kinds; the module docstring lists what it provides
+    and what a subclass implements."""
 
-    uniformizer_name: str
+    kind: str
     char: int
+    uniformizer_name: str
 
-    def __init__(self):
-        self._zero, self._one = self.scalar(0), self.scalar(1)
+    def __eq__(self, other):
+        return type(other) is type(self) and other.char == self.char
 
-    def zero(self) -> "ValuedScalar":
-        return self._zero
+    def __hash__(self):
+        return hash((self.kind, self.char))
 
-    def one(self) -> "ValuedScalar":
-        return self._one
-
-    def pi_power(self, n: int) -> "ValuedScalar":
-        return self.uniformizer() ** n
+    def spec_string(self) -> str:
+        return f"{self.kind}:{self.char}"
 
     def __repr__(self):
         return f"<field {self.spec_string()}>"
-
-
-class PAdicField(Field):
-    """Q with the p-adic valuation; ϖ = p."""
-
-    uniformizer_name = "p"
-
-    def __init__(self, p: int):
-        self.p = self.char = _prime_arg(p, "p")
-        super().__init__()
-
-    def __eq__(self, other):
-        return isinstance(other, PAdicField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("p", self.p))
-
-    def spec_string(self) -> str:
-        return f"p:{self.p}"
 
     def scalar(self, value) -> "ValuedScalar":
         if isinstance(value, ValuedScalar):
             if value.field != self:
                 raise FieldMismatch("scalar belongs to a different field")
             return value
+        return ValuedScalar(self, self._number(value))
+
+    def zero(self) -> "ValuedScalar":
+        return ValuedScalar(self, self.ZERO)
+
+    def one(self) -> "ValuedScalar":
+        return ValuedScalar(self, self.ONE)
+
+    def pi_power(self, n: int) -> "ValuedScalar":
+        return self.uniformizer() ** n
+
+
+class PAdicField(Field):
+    """Q with the p-adic valuation; ϖ = p."""
+
+    kind = "p"
+    uniformizer_name = "p"
+    ZERO, ONE = Fraction(0), Fraction(1)
+
+    def __init__(self, p: int):
+        self.p = self.char = _prime_arg(p, "p")
+
+    def _number(self, value) -> Fraction:
         if isinstance(value, (int, Fraction)):
-            return ValuedScalar(self, Fraction(value))
+            return Fraction(value)
         raise TypeError(f"cannot build a p-adic scalar from {value!r}")
 
     def uniformizer(self) -> "ValuedScalar":
@@ -320,24 +320,16 @@ class RationalFunctionField(Field):
 
     A raw value is a triple (v, num, den) meaning t^v·num/den: num and den
     are coefficient tuples over F_q with nonzero constant terms, coprime, and
-    den is monic.  Zero is ``_FQ_ZERO``.  Prime powers q = p^k, k > 1 are
+    den is monic; zero is ``ZERO``.  Prime powers q = p^k, k > 1 are
     rejected (coefficient arithmetic is plain F_p here).
     """
 
+    kind = "fq"
     uniformizer_name = "t"
+    ZERO, ONE = (0, (), (1,)), (0, (1,), (1,))
 
     def __init__(self, q: int):
         self.q = self.char = _prime_arg(q, "q")
-        super().__init__()
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("fq", self.q))
-
-    def spec_string(self) -> str:
-        return f"fq:{self.q}"
 
     def _canonical(self, num, den):
         num = _ptrim(list(num))
@@ -345,7 +337,7 @@ class RationalFunctionField(Field):
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
-            return _FQ_ZERO
+            return self.ZERO
         i, j = _pord(num), _pord(den)
         num, den = num[i:], den[j:]
         g = _pgcd(num, den, self.q) if len(den) > 1 else (1,)    # a constant den: no gcd
@@ -365,14 +357,10 @@ class RationalFunctionField(Field):
         den = [c % self.q for c in den]
         return ValuedScalar(self, self._canonical(num, den))
 
-    def scalar(self, value) -> "ValuedScalar":
-        if isinstance(value, ValuedScalar):
-            if value.field != self:
-                raise FieldMismatch("scalar belongs to a different field")
-            return value
+    def _number(self, value):
         if isinstance(value, int):
             c = value % self.q
-            return ValuedScalar(self, (0, (c,), (1,)) if c else _FQ_ZERO)
+            return (0, (c,), (1,)) if c else self.ZERO
         raise TypeError(f"cannot build an F_q(t) scalar from {value!r}")
 
     def uniformizer(self) -> "ValuedScalar":
@@ -428,7 +416,7 @@ class RationalFunctionField(Field):
             e1, e2 = (d1, d2) if g == (1,) else (_pdivmod(d1, g, q)[0], _pdivmod(d2, g, q)[0])
             num = _padd(_pmul(n1, e2, q), _pmul(n2, e1, q), q)
         if not num:
-            return _FQ_ZERO
+            return self.ZERO
         if not num[0]:
             # equal valuations whose constant terms cancelled
             k = _pord(num)
@@ -446,7 +434,7 @@ class RationalFunctionField(Field):
     def _mul(self, a, b):
         (v1, n1, d1), (v2, n2, d2) = a, b
         if not n1 or not n2:
-            return _FQ_ZERO
+            return self.ZERO
         q = self.q
         if d1 == d2 == (1,):
             return (v1 + v2, _pmul(n1, n2, q), (1,))
@@ -478,7 +466,7 @@ class RationalFunctionField(Field):
         # stays monic and num^e keeps a nonzero constant term: no gcd
         v, num, den = a if k > 0 else self._inv(a)
         if not num:
-            return _FQ_ZERO
+            return self.ZERO
         e = abs(k)
         return (v * e, _ppow(num, e, self.q), _ppow(den, e, self.q))
 
@@ -597,7 +585,7 @@ class ValuedScalar:
         return self.field._is_zero(self.raw)
 
     def is_one(self) -> bool:
-        return self.raw == self.field.one().raw
+        return self.raw == self.field.ONE
 
     def valuation(self):
         """ω(x): an integer, or INFINITY iff x = 0."""
@@ -610,13 +598,14 @@ class ValuedScalar:
         return f"<{self} @ {self.field.spec_string()}>"
 
 
+_KINDS = {cls.kind: cls for cls in (PAdicField, RationalFunctionField)}
+
+
 def parse_field(text: str) -> Field:
     """Parse a --field flag value: ``p:<prime>`` or ``fq:<prime>``."""
     kind, _, arg = text.partition(":")
     if not arg or not arg.isdigit():
         raise ValueError(f"bad field spec {text!r}; expected p:<prime> or fq:<prime>")
-    if kind == "p":
-        return PAdicField(int(arg))
-    if kind == "fq":
-        return RationalFunctionField(int(arg))
-    raise ValueError(f"unknown field kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown field kind {kind!r}")
+    return _KINDS[kind](int(arg))

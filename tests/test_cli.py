@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -130,6 +131,40 @@ def test_suite_failure_exit_code_path():
     report = harness.SuiteReport("demo", 1, (harness.Failure(0, "x", "a", "b"),), 0.0, "")
     assert report.verdict == "fail"
     assert SUITE_FAILURE == 3
+
+
+def test_a_suite_that_raises_fails_only_itself(capsys, monkeypatch):
+    """With conj_bound one too small, conj-invariance draws torus(1 + c)
+    with c = −1 at m = 0, and building it raises: that suite fails, naming
+    the exception, and every other suite is still run and reported."""
+    bound = affine.conj_bound
+    monkeypatch.setattr(affine, "conj_bound", lambda g, n: bound(g, n) - 1)
+    code, out, _ = run(capsys, "--json", "verify", "--suite", "all", "--field", "p:3",
+                       "--trials", "20")
+    suites = {s["suite"]: s for s in json.loads(out)["suites"]}
+    assert code == 3 and len(suites) == 13
+    assert [name for name, s in suites.items() if s["verdict"] != "pass"] == ["conj-invariance"]
+    [failure] = suites["conj-invariance"]["failures"]
+    assert failure["trial"] == suites["conj-invariance"]["trials"]
+    assert failure["got"] == "ValidationError: zero scalar where nonzero required (torus)"
+
+
+def test_field_commands_leave_no_cyclic_garbage(capsys):
+    """A field holds no scalar, so the field and scalars of a command are
+    freed by reference counting, not left in a cycle for the cyclic gc."""
+    from kmtop.valued import Field, ValuedScalar
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for field in ("p:3", "fq:3"):
+            assert run(capsys, "member", "--field", field, "--spec", "hn:1", "xp(1; 1)")[0] == 0
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage if isinstance(o, (Field, ValuedScalar))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_field_validation_exit(capsys):

@@ -315,7 +315,7 @@ def test_center_separation_census_pins_the_center(monkeypatch, field):
     """A center predicate that accepts every torus fails center-separation's
     census: (−I, 1) is central whatever the predicate says, so only the
     census asks for a torus outside the center."""
-    monkeypatch.setattr(affine, "_center", lambda g, integral: [])
+    monkeypatch.setattr(affine, "_center", lambda g: [])
     report = H.run_suite("center-separation", small_cfg(trials=2, field=field))
     assert report.verdict == "fail" and report.trials == 22
     [census] = report.failures

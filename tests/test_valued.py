@@ -37,6 +37,12 @@ def test_field_validation():
     assert parse_field("fq:2") == F2T
     with pytest.raises(ValueError):
         parse_field("x:3")
+    # a field is its kind and its prime
+    assert PAdicField(3) != RationalFunctionField(3)
+    for field in (F3, F2T, RationalFunctionField(3)):
+        twin = type(field)(field.char)
+        assert twin == field and hash(twin) == hash(field)
+        assert parse_field(field.spec_string()) == field
 
 
 def _list_sample_unit(field, rng):
