@@ -97,6 +97,9 @@ class LaurentPoly:
         return (isinstance(other, LaurentPoly) and other.field == self.field
                 and other.coeffs == self.coeffs)
 
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
     def is_zero(self) -> bool:
         return not self.coeffs
 

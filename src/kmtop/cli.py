@@ -99,12 +99,12 @@ _MEMBER_SPECS = {exprs.SL2: sl2.SL2SubgroupSpec, exprs.AFFINE: affine.AffSubgrou
 
 def _parse_spec(text: str):
     """(kind, argument) of a --spec: the argument is an int when it is all
-    digits, else its text, or None when absent; the spec class checks it."""
+    ASCII digits, else its text, or None when absent; the spec class checks it."""
     name, _, arg = text.partition(":")
     name = name.lower()
     if not any(name in spec.KINDS for spec in _MEMBER_SPECS.values()):
         raise exprs.ValidationError(f"unknown subgroup spec {name!r}")
-    return name, int(arg) if arg.isdecimal() else arg or None
+    return name, int(arg) if arg.isascii() and arg.isdecimal() else arg or None
 
 
 def _fraction(text: str, what: str) -> Fraction:

@@ -122,9 +122,9 @@ def _tokenize(src: str):
             toks.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":       # ASCII only: str.isdigit also takes ² and ٣
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
             toks.append(("int", int(src[i:j]), i))
             i = j
@@ -293,25 +293,19 @@ class _Parser:
 
 # --- construction -----------------------------------------------------------
 
-def build(node, target: str, field: Field, _built: dict | None = None):
+def build(node, target: str, field: Field):
     """The element a node names: an SL2Elt or AffElt for target SL2 or
     AFFINE, a TreePoint for a Point.  Products multiply in the node's
-    grouping; _built maps each Gen built so far in this call to its element,
-    so an equal Gen is not built again."""
-    if _built is None:
-        _built = {}
+    grouping."""
     if isinstance(node, Point):
-        return sl2.TreePoint.make(build(node.elt, SL2, field, _built), node.y)
+        return sl2.TreePoint.make(build(node.elt, SL2, field), node.y)
     if isinstance(node, Product):
         factors = iter(node.factors)    # the grammar gives a product at least one
-        out = build(next(factors), target, field, _built)
+        out = build(next(factors), target, field)
         for f in factors:
-            out = out * build(f, target, field, _built)
+            out = out * build(f, target, field)
         return out
-    elt = _built.get(node)
-    if elt is None:
-        elt = _built[node] = GENERATORS[target][node.kind][1](field, *node.args)
-    return elt
+    return GENERATORS[target][node.kind][1](field, *node.args)
 
 
 def parse_element(src: str, target: str, field: Field):

@@ -240,8 +240,7 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
     f = field.one() + sample_scalar_min_val(rng, field, affine.VFORM_TORUS * n)
     z = field.one() + sample_scalar_min_val(rng, field, affine.VFORM_TORUS * n)
     torus = Gen("torus", (f, z))
-    # built as u_+ · u_- · torus, each left·x·right a factor, with t_{±nλ}
-    # built once; printed flat
+    # built as u_+ · u_- · torus, each left·x·right a factor; printed flat
     flat = [g for u in (u_plus, u_minus) for lxr in u.factors for g in lxr.factors]
     return (print_expr(Product((*flat, torus))),
             build(Product((u_plus, u_minus, torus)), AFFINE, field))
@@ -366,17 +365,23 @@ def _kerpi_sl2(cfg: SamplerConfig):
 @_suite("rank1-refinement", "rank1", "sample_sl2_vlambda", sl2.SL2SubgroupSpec, "vlambda")
 def _closure(cfg: SamplerConfig, label, sampler, spec_class, kind):
     """The sampled set at levels 1 and 2 is closed under products and
-    inverses: H_n, or x_+(ω≥2n)·x_-(ω≥2n)·T_{4n} for rank1-refinement."""
+    inverses: H_n, or x_+(ω≥2n)·x_-(ω≥2n)·T_{4n} for rank1-refinement.  In H_n
+    g·g⁻¹ = 1 is asked too: an inverse taking u ← z·u for u ← z⁻¹·u stays in H_n."""
     sample = globals()[sampler]     # looked up per run, so a wrapped sampler is called
     for n, _, rng in _draws(cfg, label, (1, 2), max(1, cfg.trials // 2)):
         spec = spec_class(kind, n)
         e1, g = sample(rng, cfg, n)
         e2, h = sample(rng, cfg, n)
-        escaped = [what for what, x in (("product", g * h), ("inverse", g.inverse()))
+        g_inv = g.inverse()
+        escaped = [what for what, x in (("product", g * h), ("inverse", g_inv))
                    if spec.violations(x)]
-        yield (None if not escaped
-               else (f"n={n}: ({e1})·({e2})", f"product and inverse in {kind}:{n}",
-                     " and ".join(escaped) + " escaped"))
+        inputs = f"n={n}: ({e1})·({e2})"
+        if escaped:
+            yield inputs, f"product and inverse in {kind}:{n}", " and ".join(escaped) + " escaped"
+        elif spec_class is affine.AffSubgroupSpec and not (g * g_inv).is_identity():
+            yield inputs, "g·g⁻¹ = 1", "g·g⁻¹ ≠ 1"
+        else:
+            yield None
 
 
 def _census(field: Field, checks) -> str:

@@ -68,9 +68,15 @@ class RootGenSys(Record):
     simple_coroots: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        size, roots, coroots = self.matrix.size, self.simple_roots, self.simple_coroots
+        if len(roots) != size or len(coroots) != size:
+            raise ValueError(f"{len(roots)} simple roots and {len(coroots)} coroots "
+                             f"for a {size}x{size} Cartan matrix")
+        if any(len(v) != self.rank for v in roots + coroots):
+            raise ValueError(f"every simple root and coroot needs rank = {self.rank} entries")
         for i, cov in enumerate(self.simple_coroots):
             for j, root in enumerate(self.simple_roots):
-                if sum(a * b for a, b in zip(root, cov)) != self.matrix[i, j]:
+                if eval_pairing(root, cov) != self.matrix[i, j]:
                     raise ValueError(
                         f"pairing alpha_{j}(alpha_{i}^) != a[{i}][{j}]")
 
@@ -82,9 +88,8 @@ class RootGenSys(Record):
 
 
 def eval_pairing(chi, v):
-    """χ(v) for a character-side χ and a cocharacter-side v, exactly."""
-    if len(chi) != len(v):
-        raise ValueError("dimension mismatch")
+    """χ(v) for a character-side χ and a cocharacter-side v, exactly; the
+    lengths are checked where vectors enter (RootGenSys, apartment_vec)."""
     return sum(a * b for a, b in zip(chi, v))
 
 
@@ -215,6 +220,8 @@ def system_from_fixture(data: dict) -> RootGenSys:
         )
     except KeyError as exc:
         raise ValueError(f"fixture is missing field {exc.args[0]!r}") from exc
+    except TypeError as exc:    # a field, or the document, of the wrong JSON type
+        raise ValueError(f"malformed fixture: {exc}") from None
 
 
 def load_system(name_or_path: str) -> RootGenSys:

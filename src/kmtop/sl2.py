@@ -131,7 +131,7 @@ LEVEL = "level"
 RATIONAL = "rational"
 
 
-_RATIONAL_TEXT = re.compile(r"\s*[+-]?(\d+(/\d+|\.\d*)?|\.\d+)\s*")
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -279,6 +279,9 @@ class TreePoint(Record):
     @staticmethod
     def make(g: SL2Elt, y) -> "TreePoint":
         return TreePoint(g, Fraction(y))
+
+    def __str__(self):
+        return f"point({self.g}, {self.y})"
 
 
 def apartment_point(field: Field, y) -> TreePoint:

@@ -15,8 +15,11 @@ Two field kinds are supported:
 raw value: every operation is delegated to the field.  A field is a plain
 value, its kind and its prime, and holds no scalar.  The ``Field`` base
 provides ``==`` and ``hash`` (same kind and prime), ``spec_string()``,
-``scalar(value)``, ``zero()``, ``one()`` and ``pi_power(n)``.  A field kind
-is a ``Field`` subclass that provides
+``scalar(value)``, ``zero()``, ``one()`` and ``pi_power(n)``.
+``scalar`` is the one coercion point, and every scalar operation hands it
+any operand but a scalar of its own field object: it builds a scalar from an
+int (or a p-adic Fraction) and raises ``FieldMismatch`` for another field's
+scalar.  A field kind is a ``Field`` subclass that provides
 
 * raw-value methods ``_add(a, b)``, ``_neg(a)``, ``_mul(a, b)``, ``_inv(a)``
   (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when k < 0),
@@ -232,8 +235,9 @@ class Field:
 
     def scalar(self, value) -> "ValuedScalar":
         if isinstance(value, ValuedScalar):
-            if value.field != self:
-                raise FieldMismatch("scalar belongs to a different field")
+            if value.field is not self and value.field != self:
+                raise FieldMismatch(
+                    f"mixed fields: {self.spec_string()} vs {value.field.spec_string()}")
             return value
         return ValuedScalar(self, self._number(value))
 
@@ -501,22 +505,11 @@ class ValuedScalar:
     def __setattr__(self, *_):
         raise AttributeError("ValuedScalar is immutable")
 
-    def _peer(self, other) -> "ValuedScalar":
-        if isinstance(other, ValuedScalar):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch(
-                    f"mixed fields: {self.field.spec_string()} vs {other.field.spec_string()}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.scalar(other)
-        return NotImplemented
-
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return NotImplemented
         f = self.field
+        if other.__class__ is not ValuedScalar or other.field is not f:
+            other = f.scalar(other)
         return ValuedScalar(f, f._add(self.raw, other.raw))
 
     __radd__ = __add__
@@ -526,19 +519,15 @@ class ValuedScalar:
         return ValuedScalar(f, f._neg(self.raw))
 
     def __sub__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -self.field.scalar(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return NotImplemented
         f = self.field
+        if other.__class__ is not ValuedScalar or other.field is not f:
+            other = f.scalar(other)
         return ValuedScalar(f, f._mul(self.raw, other.raw))
 
     __rmul__ = __mul__
@@ -550,10 +539,7 @@ class ValuedScalar:
         return ValuedScalar(f, f._inv(self.raw))
 
     def __truediv__(self, other):
-        other = self._peer(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
+        return self * self.field.scalar(other).inv()
 
     def __rtruediv__(self, other):
         return self.inv() * other
@@ -569,9 +555,8 @@ class ValuedScalar:
     # predicates and views ---------------------------------------------------
     def __eq__(self, other):
         if isinstance(other, ValuedScalar):
-            if other.field is not self.field and other.field != self.field:
-                return NotImplemented
-            return self.raw == other.raw
+            return ((other.field is self.field or other.field == self.field)
+                    and self.raw == other.raw)
         if isinstance(other, (int, Fraction)):
             # A Fraction raw (p-adic) equals the same number and hashes like
             # it; a polynomial-pair raw (F_q(t)) equals no Python number.
@@ -604,7 +589,7 @@ _KINDS = {cls.kind: cls for cls in (PAdicField, RationalFunctionField)}
 def parse_field(text: str) -> Field:
     """Parse a --field flag value: ``p:<prime>`` or ``fq:<prime>``."""
     kind, _, arg = text.partition(":")
-    if not arg or not arg.isdigit():
+    if not arg.isascii() or not arg.isdigit():
         raise ValueError(f"bad field spec {text!r}; expected p:<prime> or fq:<prime>")
     if kind not in _KINDS:
         raise ValueError(f"unknown field kind {kind!r}")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmtop import affine as A
-from kmtop import harness, roots
+from kmtop import exprs, harness, roots
 from kmtop.valued import Field, PAdicField, RationalFunctionField, parse_field
 
 F3 = PAdicField(3)
@@ -34,6 +34,16 @@ def test_laurent_basics():
     assert p.substitute_scale(PI).coeffs[-2] == PI.inv() ** 2
     assert A.LaurentPoly.one(F3).is_one()
     assert not p.is_zero() and A.LaurentPoly.zero(F3).is_zero()
+
+
+def test_elements_hash_with_equality():
+    """Two parses of one expression are equal, hash alike and dedupe in a
+    set; LaurentPoly's hash agrees with its ==."""
+    g, h = (exprs.parse_element("xp(1; 3)", exprs.AFFINE, F3)[1] for _ in range(2))
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert len({g, h, A.aff_s1(F3)}) == 2
+    p = A.LaurentPoly(F3, {1: PI, -2: ONE})
+    assert hash(p) == hash(A.LaurentPoly(F3, {-2: ONE, 1: PI, 0: F3.zero()}))
 
 
 def test_generator_examples():

@@ -194,6 +194,47 @@ def test_roots_from_fixture_file(capsys, tmp_path):
     assert code == 2
 
 
+_AFF_FIXTURE = {"cartan": [[2, -2], [-2, 2]], "rank": 2,
+                "simple_roots": [[-2, 1], [2, 0]], "simple_coroots": [[-1, 0], [1, 0]]}
+
+# Each a fixture document (written to a file and passed as --system) or an
+# argv: every one is a bad input, refused with exit 2 and one error line.
+MALFORMED_INPUTS = {
+    "roots not a list": {**_AFF_FIXTURE, "simple_roots": 5},
+    "not an object": [1, 2],
+    "three roots, 2x2 matrix": {**_AFF_FIXTURE, "simple_roots": [[-2, 1], [2, 0], [0, 0]]},
+    "one root and coroot, 2x2 matrix": {**_AFF_FIXTURE, "simple_roots": [[-2, 1]],
+                                         "simple_coroots": [[-1, 0]]},
+    "vectors of 3 and 1 entries at rank 2": {**_AFF_FIXTURE, "simple_roots": [[-2, 1, 0], [2]]},
+    "superscript digit": ("mul", "xp(²)"),
+    "Arabic-Indic digit": ("mul", "xp(٣)"),
+    "Arabic-Indic level": ("member", "--spec", "hn:٣", "xp(1; 3)"),
+    "Arabic-Indic field prime": ("mul", "--field", "p:٣", "xp(3)"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INPUTS)
+def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, name):
+    case = MALFORMED_INPUTS[name]
+    if isinstance(case, tuple):
+        argv = case
+    else:
+        fixture = tmp_path / "system.json"
+        fixture.write_text(json.dumps(case))
+        argv = ("roots", "--system", str(fixture), "--height", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_mul_prints_a_tree_point_in_expression_notation(capsys):
+    code, out, _ = run(capsys, "mul", "point(xm(3), 1/2)")
+    assert code == 0 and out == "point([[1, 0], [3, 1]], 1/2)\n"
+    code, out, _ = run(capsys, "--json", "mul", "point(xm(3), 1/2)")
+    doc = json.loads(out)
+    assert doc["target"] == "treepoint" and doc["element"] == "point([[1, 0], [3, 1]], 1/2)"
+
+
 def test_verify_rejects_nonpositive_trials(capsys):
     for trials in ("0", "-5"):
         code, out, err = run(capsys, "verify", "--suite", "commutation", "--trials", trials)

@@ -34,6 +34,11 @@ def test_syntax_error_has_position():
     with pytest.raises(E.ExprSyntaxError) as err:
         E.parse_element("xp(1; 2) blah", E.AFFINE, F3)
     assert err.value.expected.startswith("one of")
+    # integers are ASCII 0-9: other Unicode digits are no token
+    for digit in "²٣":
+        with pytest.raises(E.ExprSyntaxError) as err:
+            E.parse_element(f"xp({digit})", E.SL2, F3)
+        assert err.value.position == 3
 
 
 def test_scalar_grammar():

@@ -270,6 +270,22 @@ def test_failures_are_replayable():
     assert rebuilt.m == g.m
 
 
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+def test_hn_closure_fails_under_an_inverse_that_substitutes_z(monkeypatch, field):
+    """An inverse that substitutes u ← z·u for u ← z⁻¹·u keeps g⁻¹ in H_n,
+    so only g·g⁻¹ = 1 sees it: 5 of the 20 trials have g·g⁻¹ ≠ 1."""
+    def inverse(g):
+        adj = ((g.m[1][1], -g.m[0][1]), (-g.m[1][0], g.m[0][0]))
+        return affine.AffElt._trusted(affine._mat_subst(adj, g.z), g.z.inv())
+
+    cfg = small_cfg(trials=20, field=field)
+    assert H.run_suite("hn-closure", cfg).verdict == "pass"
+    monkeypatch.setattr(affine.AffElt, "inverse", inverse)
+    report = H.run_suite("hn-closure", cfg)
+    assert report.verdict == "fail" and report.trials == 20 and len(report.failures) == 5
+    assert {(f.expected, f.got) for f in report.failures} == {("g·g⁻¹ = 1", "g·g⁻¹ ≠ 1")}
+
+
 def test_hausdorff_checks_that_the_escape_level_is_tight(monkeypatch):
     """An H_n predicate that says false for every level passes the escape
     side; the tightness side, g ∈ H_{n_escape − 1} for n_escape ≥ 2, fails."""

@@ -153,3 +153,19 @@ def test_fixture_roundtrip(tmp_path):
         R.system_from_fixture({**data, "simple_coroots": [[1, 0], [1, 0]]})
     with pytest.raises(ValueError, match="missing field"):
         R.system_from_fixture({"cartan": [[2]], "rank": 1})
+    with pytest.raises(ValueError, match="malformed fixture"):
+        R.system_from_fixture({**data, "rank": None})
+
+
+def test_system_checks_its_vectors_at_construction():
+    """Counts and lengths are checked before the pairings, so a bad shape is
+    a ValueError naming it, never an IndexError or a truncated pairing."""
+    km = AFF.matrix
+    with pytest.raises(ValueError, match="3 simple roots and 2 coroots for a 2x2"):
+        R.RootGenSys(km, 2, AFF.simple_roots + ((0, 0),), AFF.simple_coroots)
+    with pytest.raises(ValueError, match="1 simple roots and 1 coroots"):
+        R.RootGenSys(km, 2, AFF.simple_roots[:1], AFF.simple_coroots[:1])
+    with pytest.raises(ValueError, match="rank = 2 entries"):
+        R.RootGenSys(km, 2, ((-2, 1, 0), (2,)), AFF.simple_coroots)
+    with pytest.raises(ValueError, match="rank = 2 entries"):
+        R.RootGenSys(km, 2, AFF.simple_roots, ((-1, 0), (1, 0, 0)))

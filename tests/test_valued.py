@@ -82,6 +82,18 @@ def test_arith_errors():
         F3.one() * F2T.one()
 
 
+def test_field_mismatch_names_both_fields():
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b):
+        with pytest.raises(FieldMismatch, match=r"^mixed fields: p:3 vs fq:2$"):
+            op(F3.one(), F2T.one())
+    with pytest.raises(FieldMismatch, match=r"^mixed fields: fq:2 vs p:5$"):
+        F2T.scalar(PAdicField(5).one())
+    # an equal field built apart is the same field; another field's scalar is unequal
+    assert F3.one() + PAdicField(3).one() == 2
+    assert F3.one() != PAdicField(5).one() and F3.one() != F2T.one()
+
+
 def test_valuation_examples():
     assert F3.zero().valuation() == INFINITY
     assert F3.scalar(Fraction(18, 5)).valuation() == 2
