@@ -20,7 +20,7 @@ from math import factorial
 
 from . import roots
 from .record import Record
-from .sl2 import LEVEL, SubgroupSpec
+from .sl2 import LEVEL, SubgroupSpec, _dot
 from .valued import Field, ValuedScalar
 
 
@@ -36,6 +36,15 @@ class LaurentPoly:
     def __init__(self, field: Field, coeffs: dict[int, ValuedScalar]):
         self.field = field
         self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+
+    @classmethod
+    def _trusted(cls, field: Field, coeffs: dict[int, ValuedScalar]) -> "LaurentPoly":
+        """Build without the zero filter, for coefficients known nonzero: ==
+        and hash compare the dicts, so a zero coefficient must never be kept."""
+        p = object.__new__(cls)
+        p.field = field
+        p.coeffs = coeffs
+        return p
 
     @staticmethod
     def const(s: ValuedScalar) -> "LaurentPoly":
@@ -53,8 +62,8 @@ class LaurentPoly:
     def one(field: Field) -> "LaurentPoly":
         return LaurentPoly(field, {0: field.one()})
 
-    # LaurentPoly is never mutated, so a sum with 0 or a product with 1 is
-    # the other operand itself
+    # LaurentPoly is never mutated, so a sum with 0 or a product with 0 or 1
+    # is an operand itself
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not other.coeffs:
             return self
@@ -63,23 +72,37 @@ class LaurentPoly:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             s = out.get(k)
-            out[k] = v if s is None else s + v
-        return LaurentPoly(self.field, out)
+            if s is None:
+                out[k] = v
+            else:
+                s = s + v
+                if s.is_zero():
+                    del out[k]
+                else:
+                    out[k] = s
+        return LaurentPoly._trusted(self.field, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.field, {k: -v for k, v in self.coeffs.items()})
+        return LaurentPoly._trusted(self.field, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if other.is_one():
+        a, b = self.coeffs, other.coeffs
+        if not a or other.is_one():
             return self
-        if self.is_one():
+        if not b or self.is_one():
             return other
+        if len(a) == 1 or len(b) == 1:
+            # a monomial c·u^j shifts the other operand's exponents apart and
+            # scales its nonzero coefficients by c ≠ 0: nothing to merge or drop
+            mono, rest = (a, b) if len(a) == 1 else (b, a)
+            ((j, c),) = mono.items()
+            return LaurentPoly._trusted(self.field, {k + j: v * c for k, v in rest.items()})
         out: dict[int, ValuedScalar] = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
                 k = k1 + k2
                 prod = v1 * v2
                 s = out.get(k)
@@ -87,11 +110,12 @@ class LaurentPoly:
         return LaurentPoly(self.field, out)
 
     def substitute_scale(self, z: ValuedScalar) -> "LaurentPoly":
-        """u ← z·u: the exponent-k coefficient is multiplied by z^k, and the
-        constant one, times z^0 = 1, is kept as it is."""
+        """u ← z·u for z ≠ 0: the exponent-k coefficient is multiplied by
+        z^k ≠ 0, and the constant one, times z^0 = 1, is kept as it is."""
         if not self.coeffs or z.is_one():
             return self
-        return LaurentPoly(self.field, {k: v * z ** k if k else v for k, v in self.coeffs.items()})
+        return LaurentPoly._trusted(self.field,
+                                    {k: v * z ** k if k else v for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and other.field == self.field
@@ -138,9 +162,10 @@ Matrix = tuple[tuple[LaurentPoly, LaurentPoly], tuple[LaurentPoly, LaurentPoly]]
 
 
 def _mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
-    return tuple(
-        tuple(m1[r][0] * m2[0][c] + m1[r][1] * m2[1][c] for c in range(2))
-        for r in range(2))
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return ((_dot(a, e, b, g), _dot(a, f, b, h)),
+            (_dot(c, e, d, g), _dot(c, f, d, h)))
 
 
 def _mat_det(m: Matrix) -> LaurentPoly:

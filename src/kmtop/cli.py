@@ -43,6 +43,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text: str) -> int:
+    """The type of every integer option: ASCII digits after an optional '-'.
+    int() alone also takes other scripts' digits (int("٣") is 3), '+', '_'
+    and surrounding space."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"      # argparse names the type in "invalid int value: ..."
+
+
 def _arg(*flags, **options):
     """One argument of a command: the arguments of an add_argument call."""
     return flags, options
@@ -118,7 +131,7 @@ def _fraction(text: str, what: str) -> Fraction:
 
 @_command("roots", "list real roots up to a height bound",
           _arg("--system", default="affine-sl2", help="a1 | affine-sl2 | fixture path"),
-          _arg("--height", type=int, required=True))
+          _arg("--height", type=_int, required=True))
 def cmd_roots(args):
     system = roots.load_system(args.system)
     found = sorted(roots.real_roots_up_to_height(system, args.height),
@@ -131,7 +144,7 @@ def cmd_roots(args):
 
 
 @_command("char", "evaluate m·å + n·δ on an affine torus element",
-          FIELD, _arg("m", type=int), _arg("n", type=int), EXPR)
+          FIELD, _arg("m", type=_int), _arg("n", type=_int), EXPR)
 def cmd_char(args):
     elt = _element(args, exprs.AFFINE)
     value = affine.eval_char((2 * args.m, args.n), elt)     # m·å + n·δ in dual coordinates
@@ -212,8 +225,8 @@ def cmd_nu(args):
 
 
 @_command("kp-witness", "escape witness for the colimit topology",
-          _arg("-n", type=int, required=True, dest="level"),
-          _arg("--depth", type=int, default=12))
+          _arg("-n", type=_int, required=True, dest="level"),
+          _arg("--depth", type=_int, default=12))
 def cmd_kp_witness(args):
     betas, witness = affine.kp_witness(args.level, args.depth)
     lines = [f"beta[{i + 1}] = {b} ht={h}" for i, (b, h) in enumerate(betas)]
@@ -224,8 +237,8 @@ def cmd_kp_witness(args):
 
 @_command("verify", "run verification suites", FIELD,
           _arg("--suite", default="all", help="suite name or 'all'"),
-          _arg("--seed", type=int, default=42),
-          _arg("--trials", type=int, default=500),
+          _arg("--seed", type=_int, default=42),
+          _arg("--trials", type=_int, default=500),
           _arg("--timing", action="store_true", help="include elapsed seconds"))
 def cmd_verify(args):
     from . import harness
@@ -258,7 +271,7 @@ def cmd_verify(args):
 
 @_command("tits", "Tits-cone classification of an apartment vector",
           _arg("--system", default="affine-sl2"),
-          _arg("--max-steps", type=int, default=64),
+          _arg("--max-steps", type=_int, default=64),
           _arg("--coords", required=True, help="comma-separated rationals, e.g. 1,3"))
 def cmd_tits(args):
     system = roots.load_system(args.system)

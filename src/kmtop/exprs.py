@@ -43,7 +43,9 @@ TREEPOINT = "treepoint"
 # Largest |k| accepted in a scalar power x^k, checked before the power is
 # computed: F_q(t) powers cost time quadratic in k, p-adic ones grow without
 # bound.  A power of a power counts the product of the two exponents, and a
-# power of an F_q(t) base counts |k| times the base's degree.
+# power of an F_q(t) base counts |k| times the base's degree.  The integer
+# arguments of a generator, t(l, n) and the loop exponent k of xp(k; c) and
+# xm(k; c), have the same limit: t(l, n) builds ϖ^-l and ϖ^-n.
 MAX_EXPONENT = 1000
 
 
@@ -270,7 +272,11 @@ class _Parser:
         args = []
         for ch in shape:
             if ch == "i":
-                args.append(self.integer())
+                k = self.integer()
+                if abs(k) > MAX_EXPONENT:
+                    raise ValidationError(f"{value} argument {k} exceeds the limit "
+                                          f"of {MAX_EXPONENT}")
+                args.append(k)
             elif ch == "s":
                 args.append(self.scalar())
             else:

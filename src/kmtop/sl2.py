@@ -21,6 +21,19 @@ class NotInBigCell(ValueError):
     pass
 
 
+def _dot(a0, b0, a1, b1):
+    """a0·b0 + a1·b1 over ValuedScalar or LaurentPoly entries, without the
+    products that have a zero factor: the generators x_±, tori and w each
+    have two zero or unit entries, so 2×2 products of them skip most terms
+    (as Gustavson's sparse product skips zero entries).  A sum with a zero
+    term is the other term, so dropping it changes no canonical result."""
+    if a0.is_zero() or b0.is_zero():
+        return a1 * b1
+    if a1.is_zero() or b1.is_zero():
+        return a0 * b0
+    return a0 * b0 + a1 * b1
+
+
 class SL2Elt(Record):
     __slots__ = ("a", "b", "c", "d")
     a: ValuedScalar
@@ -48,12 +61,10 @@ class SL2Elt(Record):
         return self.a.field
 
     def __mul__(self, other: "SL2Elt") -> "SL2Elt":
-        return SL2Elt._trusted(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return SL2Elt._trusted(_dot(a, e, b, g), _dot(a, f, b, h),
+                               _dot(c, e, d, g), _dot(c, f, d, h))
 
     def inverse(self) -> "SL2Elt":
         return SL2Elt._trusted(self.d, -self.b, -self.c, self.a)

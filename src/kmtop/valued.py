@@ -370,6 +370,10 @@ class RationalFunctionField(Field):
     def uniformizer(self) -> "ValuedScalar":
         return ValuedScalar(self, (1, (1,), (1,)))
 
+    def pi_power(self, n: int) -> "ValuedScalar":
+        """t^n is the raw (n, (1,), (1,)) itself: no powering needed."""
+        return ValuedScalar(self, (n, (1,), (1,)))
+
     def degree(self, s: "ValuedScalar") -> int:
         """The larger of the numerator and denominator degrees of t^v·num/den
         written as one fraction of polynomials."""
@@ -441,6 +445,9 @@ class RationalFunctionField(Field):
             return self.ZERO
         q = self.q
         if d1 == d2 == (1,):
+            if len(n1) == len(n2) == 1:
+                # c1·t^v1 times c2·t^v2: a product of nonzero residues mod q
+                return (v1 + v2, (n1[0] * n2[0] % q,), (1,))
             return (v1 + v2, _pmul(n1, n2, q), (1,))
         # c·t^k is a unit times a power of t: c·n/d is reduced, d stays monic
         if len(n1) == 1 and d1 == (1,):

@@ -375,6 +375,97 @@ def test_semidirect_law(spec, data):
     assert g.conj(h) == g * h * g.inverse()
 
 
+# --- products checked by evaluation ---------------------------------------------
+# Evaluating at u = u0 ≠ 0 is a ring homomorphism K[u,u^{-1}] → K, so an AffElt
+# product g·h evaluates to the plain 4-term 2×2 product of g.m at u0 and h.m
+# at g.z·u0.  The oracle multiplies scalars only, and shares no code with the
+# product layer's zero-skipping _dot.
+
+def _points(field):
+    """Nonzero u0 of several valuations."""
+    pi, one = field.uniformizer(), field.one()
+    two = field.scalar(2)
+    return (one, -one, pi, pi.inv(), two + pi, (one + pi) / (two + pi * pi))
+
+
+def _evaluate(m, u0):
+    return [[sum((c * u0 ** k for k, c in e.coeffs.items()), u0.field.zero()) for e in row]
+            for row in m]
+
+
+def _plain(x, y):
+    return [[x[r][0] * y[0][c] + x[r][1] * y[1][c] for c in range(2)] for r in range(2)]
+
+
+def _adjugate(x):
+    """The inverse of a det-1 matrix."""
+    return [[x[1][1], -x[0][1]], [-x[1][0], x[0][0]]]
+
+
+def _oracle_elements(field):
+    """Words drawn by the harness samplers and the 12 conjugators of
+    conj-invariance."""
+    cfg = harness.SamplerConfig(field, 0, 1)
+    seeds = st.integers(0, 2 ** 32).map(random.Random)
+    return st.one_of(
+        seeds.map(lambda rng: harness.sample_aff_word(rng, cfg)[1]),
+        st.builds(lambda rng, n: harness.sample_aff_hn(rng, cfg, n)[1], seeds, st.integers(1, 3)),
+        st.sampled_from([g for _, g in harness.conj_generator_list(field)]))
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_products_inverses_and_conjugates_agree_with_evaluation(spec, data):
+    field = parse_field(spec)
+    g, h = (data.draw(_oracle_elements(field)) for _ in range(2))
+    gh, g_inv, conj = g * h, g.inverse(), g.conj(h)
+    assert gh.z == g.z * h.z and g_inv.z == g.z.inv() and conj.z == h.z
+    for u0 in _points(field):
+        assert _evaluate(gh.m, u0) == _plain(_evaluate(g.m, u0), _evaluate(h.m, g.z * u0))
+        # g⁻¹ = (adj(M)[u ← z⁻¹·u], z⁻¹), and g⁻¹ at z·w is adj(M at w)
+        assert _evaluate(g_inv.m, u0) == _adjugate(_evaluate(g.m, g.z.inv() * u0))
+        assert _evaluate(conj.m, u0) == _plain(
+            _plain(_evaluate(g.m, u0), _evaluate(h.m, g.z * u0)),
+            _adjugate(_evaluate(g.m, h.z * u0)))
+
+
+def _laurent(field):
+    """Laurent polynomials with up to four terms at exponents in [-3, 3], some
+    of them monomials and some zero."""
+    return st.dictionaries(st.integers(-3, 3), _scalars(field), max_size=4).map(
+        lambda coeffs: A.LaurentPoly(field, coeffs))
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_built_polynomials_hold_no_zero_coefficient(spec, data):
+    """Products, sums, negations and substitutions build their results
+    without the zero filter; == and hash compare the coefficient dicts, so
+    a zero coefficient kept would break both.  p + (q − p) cancels every
+    term of q − p that p shares."""
+    field = parse_field(spec)
+    p, q = data.draw(_laurent(field)), data.draw(_laurent(field))
+    z = data.draw(_scalars(field).filter(lambda x: not x.is_zero()))
+    g, h = (data.draw(_oracle_elements(field)) for _ in range(2))
+    mono = A.LaurentPoly.monomial(field, data.draw(st.integers(-3, 3)), z)
+    built = [p * q, p * mono, mono * q, p + q, q - p, p + (q - p), p - p, -p,
+             p.substitute_scale(z), p.substitute_scale(z.inv())]
+    built += [e for x in (g * h, g.inverse(), g.conj(h)) for row in x.m for e in row]
+    for e in built:
+        assert all(not c.is_zero() for c in e.coeffs.values())
+    assert p + (q - p) == q and hash(p + (q - p)) == hash(q)
+    assert (p - p).is_zero()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_function_field_pi_power_is_the_power_of_t(q):
+    field = RationalFunctionField(q)
+    for n in range(-60, 61):
+        assert field.pi_power(n).raw == (field.uniformizer() ** n).raw
+
+
 # --- the vform factorization -------------------------------------------------------
 # The dense solver that row reduction replaced, kept as the differential
 # oracle: each row pair of A solved as one exact linear system over K with the

@@ -616,6 +616,56 @@ def test_kp_witness_depth_is_capped(capsys):
                                                    "witness: 2"]
 
 
+def test_generator_integer_arguments_are_capped(capsys):
+    """|l|, |n| in t(l, n) and |k| in xp(k; c), xm(k; c) above
+    exprs.MAX_EXPONENT are a validation error from the parser; t(10^7, 0)
+    computed 3^(10^7) for 1.8 s and then failed to print it."""
+    start = time.perf_counter()
+    for expr, arg in (("t(10000000, 0)", "t argument 10000000"),
+                      ("t(0, -1001)", "t argument -1001"),
+                      ("xp(1001; 1)", "xp argument 1001"),
+                      ("xp(1; 3) xm(-5000; 1)", "xm argument -5000")):
+        code, out, err = run(capsys, "mul", expr)
+        assert code == 2 and out == ""
+        assert err == f"error: {arg} exceeds the limit of 1000\n"
+    assert time.perf_counter() - start < 1.0
+    for expr in ("t(1000, -1000)", "xp(-1000; 1) xm(1000; 1)"):
+        code, _, _ = run(capsys, "mul", expr)
+        assert code == 0
+
+
+# Every integer option, each given the digits of another script or a form
+# int() accepts beyond an optional '-' and ASCII digits.
+NON_ASCII_INT_OPTIONS = (
+    ("roots", "--height", "٣"),
+    ("roots", "--height", "+3"),
+    ("roots", "--height", "1_0"),
+    ("char", "٢", "0", "t(1, 0)"),
+    ("char", "1", "²", "t(1, 0)"),
+    ("kp-witness", "-n", "٣"),
+    ("kp-witness", "-n", "1", "--depth", "١٢"),
+    ("verify", "--suite", "commutation", "--seed", "٤٢"),
+    ("verify", "--suite", "commutation", "--trials", "٣"),
+    ("tits", "--max-steps", "٦٤", "--coords", "1,3"),
+)
+
+
+@pytest.mark.parametrize("argv", NON_ASCII_INT_OPTIONS)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    """int("٣") is 3, so roots --height ٣ printed total: 8; every integer
+    option now refuses such text as a usage error."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "invalid int value" in err, err
+
+
+def test_integer_options_take_a_leading_minus(capsys):
+    code, out, _ = run(capsys, "char", "-1", "0", "torus(3; 1)")
+    assert code == 0 and out == "1/9\n"
+    code, out, _ = run(capsys, "verify", "--suite", "commutation", "--seed=-5", "--trials", "2")
+    assert code == 0 and out.startswith("commutation: pass")
+
+
 # Each call sets something (a flag, a field, a usage or validation error)
 # that the call after it must not see.
 REUSE_SEQUENCE = (

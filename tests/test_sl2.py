@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmtop import sl2 as S
-from kmtop.valued import PAdicField, RationalFunctionField
+from kmtop.valued import PAdicField, RationalFunctionField, parse_field
 
 F3 = PAdicField(3)
 PI = F3.uniformizer()
@@ -29,6 +31,36 @@ def test_compose_examples():
     assert w.inverse() == S.SL2Elt(ZERO, ONE, -ONE, ZERO)
     g = S.x_plus(PI) * S.x_minus(PI)
     assert g == S.SL2Elt(ONE + PI * PI, PI, PI, ONE)
+
+
+def _generators(field):
+    """x_±(c) with c possibly 0, diag(f) and w: each has two zero or unit
+    entries, which the product skips."""
+    pi = field.uniformizer()
+    scalar = st.builds(lambda c, v: field.scalar(c) * pi ** v,
+                       st.integers(-4, 4), st.integers(-2, 2))
+    unit = scalar.filter(lambda x: not x.is_zero())
+    return st.one_of(scalar.map(S.x_plus), scalar.map(S.x_minus),
+                     unit.map(S.diag_torus), st.just(S.weyl_w(field)))
+
+
+def _naive_product(x, y):
+    """The 8-product formula, with no term skipped."""
+    return (x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,
+            x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d)
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_products_of_sparse_words_agree_with_the_naive_formula(spec, data):
+    field = parse_field(spec)
+    word = data.draw(st.lists(_generators(field), min_size=2, max_size=6))
+    g = word[0]
+    for h in word[1:]:
+        gh = g * h
+        assert gh.entries() == _naive_product(g, h)
+        g = gh
 
 
 def test_upt_examples():
