@@ -1,6 +1,7 @@
 """The affine Kac-Moody group G = SL2(K[u,u^{-1}]) ⋊ K* with exact arithmetic.
 
-Semidirect law: (M, z)·(M1, z1) = (M·M1[u ← z·u], z·z1).
+Semidirect law: (M, z)·(M1, z1) = (M·M1[u ← z·u], z·z1), M an sl2.SL2Elt
+over K[u, u^{-1}].
 
 Congruence caveat: ker π_n for this group is not independently computable
 here; following the source theory's own unproven assumption we ADOPT the
@@ -20,7 +21,7 @@ from math import factorial
 
 from . import roots
 from .record import Record
-from .sl2 import LEVEL, SubgroupSpec, _dot
+from .sl2 import LEVEL, SL2Elt, SubgroupSpec
 from .valued import Field, ValuedScalar
 
 
@@ -158,66 +159,39 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-Matrix = tuple[tuple[LaurentPoly, LaurentPoly], tuple[LaurentPoly, LaurentPoly]]
-
-
-def _mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((_dot(a, e, b, g), _dot(a, f, b, h)),
-            (_dot(c, e, d, g), _dot(c, f, d, h)))
-
-
-def _mat_det(m: Matrix) -> LaurentPoly:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _mat_subst(m: Matrix, z: ValuedScalar) -> Matrix:
-    return tuple(tuple(e.substitute_scale(z) for e in row) for row in m)
+def _subst(m: SL2Elt, z: ValuedScalar) -> SL2Elt:
+    """m[u ← z·u], z ≠ 0: a ring map, so the determinant stays 1."""
+    return m if z.is_one() else SL2Elt._trusted(*(e.substitute_scale(z) for e in m.entries()))
 
 
 class AffElt(Record):
     __slots__ = ("m", "z")
-    m: Matrix
+    m: SL2Elt
     z: ValuedScalar
 
     def __post_init__(self):
         if self.z.is_zero():
             raise ValueError("semidirect scalar must be nonzero")
-        if not _mat_det(self.m).is_one():
-            raise ValueError("determinant must be 1")
-
-    @classmethod
-    def _trusted(cls, m: Matrix, z: ValuedScalar) -> "AffElt":
-        """Build without the z != 0 and det checks, for products and inverses
-        of elements that passed them: the semidirect law keeps both."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "m", m)
-        object.__setattr__(g, "z", z)
-        return g
 
     @property
     def field(self) -> Field:
         return self.z.field
 
     def __mul__(self, other: "AffElt") -> "AffElt":
-        return AffElt._trusted(_mat_mul(self.m, _mat_subst(other.m, self.z)), self.z * other.z)
+        return AffElt._trusted(self.m * _subst(other.m, self.z), self.z * other.z)
 
     def inverse(self) -> "AffElt":
-        adj = ((self.m[1][1], -self.m[0][1]), (-self.m[1][0], self.m[0][0]))
         zi = self.z.inv()
-        return AffElt._trusted(_mat_subst(adj, zi), zi)
+        return AffElt._trusted(_subst(self.m.inverse(), zi), zi)
 
     def conj(self, h: "AffElt") -> "AffElt":
         return self * h * self.inverse()
 
     def is_identity(self) -> bool:
-        return (self.z.is_one() and self.m[0][0].is_one() and self.m[1][1].is_one()
-                and self.m[0][1].is_zero() and self.m[1][0].is_zero())
+        return self.z.is_one() and self.m.is_identity()
 
     def __str__(self):
-        return (f"([[{self.m[0][0]}, {self.m[0][1]}], "
-                f"[{self.m[1][0]}, {self.m[1][1]}]], {self.z})")
+        return f"({self.m}, {self.z})"
 
 
 def conj_bound(g: AffElt, n: int) -> int:
@@ -235,7 +209,7 @@ def conj_bound(g: AffElt, n: int) -> int:
     is A_j·(z_h^j − 1), of ω ≥ m − a, so at every |j| ≤ 2d the second term
     has ω ≥ m − 2a ≥ n·max(1, |j|).  Last, ω(z_h − 1) ≥ m ≥ n.
     """
-    coeffs = [(k, c) for row in g.m for e in row for k, c in e.coeffs.items()]
+    coeffs = [(k, c) for e in g.m.entries() for k, c in e.coeffs.items()]
     d = max(abs(k) for k, _ in coeffs)
     a = max(0, -min(c.valuation() for _, c in coeffs))
     return n * (1 + 2 * d) + abs(g.z.valuation()) + 2 * a
@@ -243,22 +217,19 @@ def conj_bound(g: AffElt, n: int) -> int:
 
 def aff_x_plus(field: Field, k: int, y: ValuedScalar) -> AffElt:
     """x_{å+kδ}(y) = ((1, u^k y; 0, 1), 1)."""
-    one = LaurentPoly.one(field)
-    zero = LaurentPoly.zero(field)
-    return AffElt(((one, LaurentPoly.monomial(field, k, y)), (zero, one)), field.one())
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    return AffElt(SL2Elt(one, LaurentPoly.monomial(field, k, y), zero, one), field.one())
 
 
 def aff_x_minus(field: Field, k: int, y: ValuedScalar) -> AffElt:
     """x_{−å+kδ}(y) = ((1, 0; u^k y, 1), 1)."""
-    one = LaurentPoly.one(field)
-    zero = LaurentPoly.zero(field)
-    return AffElt(((one, zero), (LaurentPoly.monomial(field, k, y), one)), field.one())
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    return AffElt(SL2Elt(one, zero, LaurentPoly.monomial(field, k, y), one), field.one())
 
 
 def aff_torus(f: ValuedScalar, z: ValuedScalar) -> AffElt:
-    field = f.field
-    zero = LaurentPoly.zero(field)
-    return AffElt(((LaurentPoly.const(f), zero), (zero, LaurentPoly.const(f.inv()))), z)
+    zero = LaurentPoly.zero(f.field)
+    return AffElt(SL2Elt(LaurentPoly.const(f), zero, zero, LaurentPoly.const(f.inv())), z)
 
 
 def aff_t_mu(field: Field, ell: int, n: int) -> AffElt:
@@ -280,10 +251,10 @@ def aff_s0(field: Field) -> AffElt:
 
 def torus_parts(g: AffElt) -> tuple[ValuedScalar, ValuedScalar]:
     """(f, z) for a torus element (diag(f, f^{-1}), z); NotTorus otherwise."""
-    if not (g.m[0][1].is_zero() and g.m[1][0].is_zero()):
+    if not (g.m.b.is_zero() and g.m.c.is_zero()):
         raise NotTorus("not a torus element: off-diagonal entries present")
-    f = g.m[0][0].constant_value()
-    finv = g.m[1][1].constant_value()
+    f = g.m.a.constant_value()
+    finv = g.m.d.constant_value()
     if f is None or finv is None or f.is_zero() or not (f * finv).is_one():
         raise NotTorus("not a torus element: diagonal is not a constant pair (f, 1/f)")
     return f, g.z
@@ -325,15 +296,14 @@ def fixes_test_point(g: AffElt, i: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Subgroup membership.
 
-def deviation(m: Matrix):
+def deviation(m: SL2Elt):
     """(r, c, k, coefficient) for each nonzero coefficient of m − I, entry by
     entry in row order and by increasing exponent within an entry."""
-    one = LaurentPoly.one(m[0][0].field)
-    for r in range(2):
-        for c in range(2):
-            dev = m[r][c] - one if r == c else m[r][c]
-            for k, coeff in sorted(dev.coeffs.items()):
-                yield r, c, k, coeff
+    one = LaurentPoly.one(m.field)
+    for (r, c), e in zip(((0, 0), (0, 1), (1, 0), (1, 1)), m.entries()):
+        dev = e - one if r == c else e
+        for k, coeff in sorted(dev.coeffs.items()):
+            yield r, c, k, coeff
 
 
 def _congruence(g: AffElt, n: int, ring: bool) -> list[str]:
@@ -409,7 +379,7 @@ def aff_member(g: AffElt, spec: AffSubgroupSpec) -> bool:
 # largest u-exponent of M) and never falls below deg det = 0, so at most 2N
 # steps run.  Each factor is then checked entry-wise.
 
-def _pattern_violations(a: Matrix, mu, sign: int) -> list[str]:
+def _pattern_violations(a: SL2Elt, mu, sign: int) -> list[str]:
     """Entry conditions of u_+ ∈ t_{-μ}·U0^{pm+}·t_{μ} (sign 1) or of its
     mirror u_- ∈ t_{μ}·U0^{nm-}·t_{-μ} (sign −1), μ = n·λ: sign·k ≥ 0 at the
     root sign·å, sign·k ≥ 1 elsewhere, and ω ≥ ⟨β, sign·μ⟩ at the root β."""
@@ -426,7 +396,7 @@ def _pattern_violations(a: Matrix, mu, sign: int) -> list[str]:
     return out
 
 
-def _birkhoff(m: Matrix):
+def _birkhoff(m: SL2Elt):
     """(A, C) with m = A·C, A ∈ SL2(K[u]) with A(0) upper unitriangular and
     C = B·diag(f, f^{-1}) ∈ SL2(K[u^{-1}]) with C(∞) lower triangular; None
     when m has no such factorization.
@@ -436,8 +406,8 @@ def _birkhoff(m: Matrix):
     upper unitriangular; A = E^{-1}·x_+(s) and C = x_+(−s)·R for the one s
     that makes C(∞) lower triangular.
     """
-    field = m[0][0].field
-    rows = [list(m[0]), list(m[1])]
+    field = m.field
+    rows = [[m.a, m.b], [m.c, m.d]]
     while True:
         deg = [max(k for e in row for k in e.coeffs) for row in rows]
         hi = 0 if deg[0] >= deg[1] else 1
@@ -455,8 +425,8 @@ def _birkhoff(m: Matrix):
     if r22.is_zero():
         return None         # every candidate C(∞) = x_+(·)·R(∞) has (2,2) entry 0
     s = LaurentPoly.const(rows[0][1].get(0) * r22.inv())
-    C: Matrix = (tuple(a - s * b for a, b in zip(*rows)), tuple(rows[1]))
-    return _mat_mul(m, ((C[1][1], -C[0][1]), (-C[1][0], C[0][0]))), C
+    C = SL2Elt._trusted(*(a - s * b for a, b in zip(*rows)), *rows[1])
+    return m * C.inverse(), C
 
 
 def vform_violations(g: AffElt, n: int) -> list[str]:
@@ -467,9 +437,9 @@ def vform_violations(g: AffElt, n: int) -> list[str]:
     if factors is None:
         return ["no polynomial factorization"]
     A, C = factors
-    f = C[0][0].get(0)
+    f = C.a.get(0)
     zero = LaurentPoly.zero(g.field)
-    B = _mat_mul(C, ((LaurentPoly.const(f.inv()), zero), (zero, LaurentPoly.const(f))))
+    B = C * SL2Elt._trusted(LaurentPoly.const(f.inv()), zero, zero, LaurentPoly.const(f))
     out = []
     if (f - 1).valuation() < level:
         out.append(f"torus factor: ω(f-1) = {(f - 1).valuation()} < {level}")

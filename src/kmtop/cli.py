@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import affine, exprs, roots, sl2
-from .valued import parse_field
+from .valued import check_digits, parse_field
 
 USAGE_ERROR = 1
 WRITE_FAILURE = 1
@@ -106,17 +106,16 @@ def _element(args, target: str):
     return exprs.parse_element(args.expr, target, parse_field(args.field))[1]
 
 
-# member --spec: the spec class for each element group, each with its kind table.
-_MEMBER_SPECS = {exprs.SL2: sl2.SL2SubgroupSpec, exprs.AFFINE: affine.AffSubgroupSpec}
-
-
 def _parse_spec(text: str):
     """(kind, argument) of a --spec: the argument is an int when it is all
-    ASCII digits, else its text, or None when absent; the spec class checks it."""
+    ASCII digits, else its text, or None when absent; the spec class checks it.
+    Its numbers are checked for length here, so that a long a/b is not
+    reported as no rational."""
     name, _, arg = text.partition(":")
     name = name.lower()
-    if not any(name in spec.KINDS for spec in _MEMBER_SPECS.values()):
+    if not any(name in spec.KINDS for spec in exprs.SPECS.values()):
         raise exprs.ValidationError(f"unknown subgroup spec {name!r}")
+    check_digits(arg)
     return name, int(arg) if arg.isascii() and arg.isdecimal() else arg or None
 
 
@@ -147,6 +146,8 @@ def cmd_roots(args):
           FIELD, _arg("m", type=_int), _arg("n", type=_int), EXPR)
 def cmd_char(args):
     elt = _element(args, exprs.AFFINE)
+    for base, k in zip(affine.torus_parts(elt), (2 * args.m, args.n)):
+        exprs.check_power(base, k)      # before eval_char computes the powers
     value = affine.eval_char((2 * args.m, args.n), elt)     # m·å + n·δ in dual coordinates
     _emit(args, {"value": str(value)}, [str(value)])
     return 0
@@ -165,7 +166,7 @@ def cmd_member(args):
     field = parse_field(args.field)
     name, arg = _parse_spec(args.spec)
     target, _, elt = exprs.parse_auto(args.expr, field)
-    spec = _MEMBER_SPECS.get(target)
+    spec = exprs.SPECS.get(target)
     if spec is None:
         raise exprs.ValidationError("member does not apply to tree points")
     violations = spec(name, arg).violations(elt)

@@ -9,7 +9,8 @@
 GENERATORS is the one place a generator is defined: per target (SL2 or
 affine) it gives each name its argument shape and its constructor.  The
 parser reads the arguments, print_expr writes them and build constructs the
-element, all from that entry.
+element, all from that entry.  SPECS gives each target its subgroup spec
+class, for `member --spec` and the harness's censuses.
 
 The ';' separator keeps exponent arguments apart from rational scalars.  In
 scalar position the name 't' is the uniformizer variable of F_q(t) fields; in
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from . import affine, sl2
 from .record import Record
-from .valued import Field, ValuedScalar
+from .valued import Field, ValuedScalar, check_digits
 
 
 class ExprSyntaxError(ValueError):
@@ -45,8 +46,21 @@ TREEPOINT = "treepoint"
 # bound.  A power of a power counts the product of the two exponents, and a
 # power of an F_q(t) base counts |k| times the base's degree.  The integer
 # arguments of a generator, t(l, n) and the loop exponent k of xp(k; c) and
-# xm(k; c), have the same limit: t(l, n) builds ϖ^-l and ϖ^-n.
+# xm(k; c), have the same limit: t(l, n) builds ϖ^-l and ϖ^-n.  So do the
+# powers f^2m and z^n of the char command.
 MAX_EXPONENT = 1000
+
+
+def check_power(base: ValuedScalar, k: int, nesting: int = 1):
+    """ValidationError unless base^k, inside powers whose exponents multiply
+    to nesting, is within MAX_EXPONENT: |k|·nesting and |k|·degree(base)."""
+    if nesting * abs(k) > MAX_EXPONENT:
+        what = k if nesting == 1 else f"{nesting * abs(k)} of nested powers"
+        raise ValidationError(f"exponent {what} exceeds the limit of {MAX_EXPONENT}")
+    degree = base.field.degree(base)
+    if degree * abs(k) > MAX_EXPONENT:
+        raise ValidationError(f"exponent {k} of a degree-{degree} base exceeds "
+                              f"the limit of {MAX_EXPONENT}")
 
 
 def _nonzero(s: ValuedScalar, what: str) -> ValuedScalar:
@@ -75,6 +89,10 @@ GENERATORS = {
         "s1": ("", affine.aff_s1),
     },
 }
+
+
+# SPECS[target]: the subgroup spec class of the target's elements, with its kind table.
+SPECS = {SL2: sl2.SL2SubgroupSpec, AFFINE: affine.AffSubgroupSpec}
 
 
 def _template(name: str, shape: str) -> str:
@@ -128,7 +146,7 @@ def _tokenize(src: str):
             j = i
             while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
-            toks.append(("int", int(src[i:j]), i))
+            toks.append(("int", int(check_digits(src[i:j])), i))
             i = j
             continue
         if ch.isalpha():
@@ -215,13 +233,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             exp = self.integer()
-            if inner * abs(exp) > MAX_EXPONENT:
-                what = exp if inner == 1 else f"{inner * abs(exp)} of nested powers"
-                raise ValidationError(f"exponent {what} exceeds the limit of {MAX_EXPONENT}")
-            degree = self.field.degree(base)
-            if degree * abs(exp) > MAX_EXPONENT:
-                raise ValidationError(f"exponent {exp} of a degree-{degree} base exceeds "
-                                      f"the limit of {MAX_EXPONENT}")
+            check_power(base, exp, inner)
             if exp < 0 and base.is_zero():
                 raise ValidationError("zero to a negative power")
             base = base ** exp

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from . import affine, roots, sl2
-from .exprs import AFFINE, SL2, Gen, Point, Product, build, print_expr
+from .exprs import AFFINE, SL2, SPECS, Gen, Point, Product, build, print_expr
 from .record import Record
 from .valued import INFINITY, Field, ValuedScalar
 
@@ -361,15 +361,15 @@ def _kerpi_sl2(cfg: SamplerConfig):
                      f"congruence={cong}, product={prod}"))
 
 
-@_suite("hn-closure", "hncl", "sample_aff_hn", affine.AffSubgroupSpec, "hn")
-@_suite("rank1-refinement", "rank1", "sample_sl2_vlambda", sl2.SL2SubgroupSpec, "vlambda")
-def _closure(cfg: SamplerConfig, label, sampler, spec_class, kind):
+@_suite("hn-closure", "hncl", "sample_aff_hn", AFFINE, "hn")
+def _closure(cfg: SamplerConfig, label, sampler, target, kind):
     """The sampled set at levels 1 and 2 is closed under products and
-    inverses: H_n, or x_+(ω≥2n)·x_-(ω≥2n)·T_{4n} for rank1-refinement.  In H_n
-    g·g⁻¹ = 1 is asked too: an inverse taking u ← z·u for u ← z⁻¹·u stays in H_n."""
+    inverses: H_n, or vlambda:n for rank1-refinement.  When nothing escaped,
+    g·g⁻¹ = 1 is asked too: a wrong inverse can stay in the set, as one
+    taking u ← z·u for u ← z⁻¹·u stays in H_n."""
     sample = globals()[sampler]     # looked up per run, so a wrapped sampler is called
     for n, _, rng in _draws(cfg, label, (1, 2), max(1, cfg.trials // 2)):
-        spec = spec_class(kind, n)
+        spec = SPECS[target](kind, n)
         e1, g = sample(rng, cfg, n)
         e2, h = sample(rng, cfg, n)
         g_inv = g.inverse()
@@ -378,20 +378,34 @@ def _closure(cfg: SamplerConfig, label, sampler, spec_class, kind):
         inputs = f"n={n}: ({e1})·({e2})"
         if escaped:
             yield inputs, f"product and inverse in {kind}:{n}", " and ".join(escaped) + " escaped"
-        elif spec_class is affine.AffSubgroupSpec and not (g * g_inv).is_identity():
+        elif not (g * g_inv).is_identity():
             yield inputs, "g·g⁻¹ = 1", "g·g⁻¹ ≠ 1"
         else:
             yield None
 
 
-def _census(field: Field, checks) -> str:
+@_suite("rank1-refinement")
+def _rank1_refinement(cfg: SamplerConfig):
+    """vlambda:n = x_+(ω≥2n)·x_-(ω≥2n)·T_{4n} is closed (see _closure), and a
+    census after the last trial pins its torus level: diag(1+ϖ^4n) lies in
+    vlambda:n and diag(1+ϖ^(4n−1)) does not, n = 1, 2.  Closure alone cannot
+    see the level, as the set is closed for T_{kn} at every k ≤ 4."""
+    yield from _closure(cfg, "rank1", "sample_sl2_vlambda", SL2, "vlambda")
+    pi, one = cfg.field.uniformizer(), cfg.field.one()
+    wrong = _census(cfg.field, SL2, [(Gen("diag", (one + pi ** (4 * n - e),)), "vlambda", n, e == 0)
+                                     for n in (1, 2) for e in (0, 1)])
+    if wrong:
+        return "vlambda census", "diag(1+ϖ^4n) in vlambda:n, diag(1+ϖ^(4n-1)) out", wrong
+
+
+def _census(field: Field, target: str, checks) -> str:
     """"{expr} {not }in {kind}[:{level}]" for each (node, kind, level, want)
-    whose element's membership is not want, joined by "; "; level is None
-    for a kind without an argument."""
+    whose target element's membership is not want, joined by "; "; level is
+    None for a kind without an argument."""
     wrong = []
     for node, kind, level, want in checks:
-        expr, g = _made(node, AFFINE, field)
-        if affine.aff_member(g, affine.AffSubgroupSpec(kind, level)) != want:
+        expr, g = _made(node, target, field)
+        if (not SPECS[target](kind, level).violations(g)) != want:
             spec = kind if level is None else f"{kind}:{level}"
             wrong.append(f"{expr} {'not ' if want else ''}in {spec}")
     return "; ".join(wrong)
@@ -408,7 +422,7 @@ def _v_in_h(cfg: SamplerConfig):
         viol = affine.aff_violations(g, affine.AffSubgroupSpec("hn", n))
         yield (f"n={n}: {expr}", "member of H_n", "; ".join(viol)) if viol else None
     pi, one = cfg.field.uniformizer(), cfg.field.one()
-    wrong = _census(cfg.field, [
+    wrong = _census(cfg.field, AFFINE, [
         check for n in (1, 2) for check in (
             (Gen("xm", (1, pi ** n)), "vform", n, True),
             (Gen("xm", (1, pi ** n)), "hn", n + 1, False),
@@ -523,7 +537,7 @@ def _center_separation(cfg: SamplerConfig):
     for what, ok in checks:
         yield None if ok else (expr, what, "false")
     pi, one = field.uniformizer(), field.one()
-    wrong = _census(field, (
+    wrong = _census(field, AFFINE, (
         (Gen("torus", (one, one + pi)), "tnphi", 2, False),
         (Gen("torus", (one, one + pi ** 2)), "tnphi", 2, True),
         *((Gen("torus", parts), kind, None, False)

@@ -14,26 +14,39 @@ class Record:
     and of its record bases, in order.
 
     Built from the field values, positionally; then ``__post_init__``
-    checks them.  Records of one class with equal fields are equal, the
-    hash is that of the fields, the repr reads ``Name(field=value, ...)``,
-    and no attribute can be set afterwards: the behaviour of a frozen
-    dataclass.  A subclass that adds no field declares ``__slots__ = ()``.
+    checks them, and ``_trusted`` builds without the check.  Records of one
+    class with equal fields are equal, the hash is that of the fields, the
+    repr reads ``Name(field=value, ...)``, and no attribute can be set
+    afterwards: the behaviour of a frozen dataclass.  A subclass that adds no
+    field declares ``__slots__ = ()``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()    # each field's slot __set__, quicker than object.__setattr__
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields += cls.__dict__.get("__slots__", ())
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields += slots
+        cls._setters += tuple(cls.__dict__[name].__set__ for name in slots)
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, "
                             f"got {len(values)}")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Build without __post_init__, for products and inverses of checked
+        records: exact arithmetic keeps their invariants."""
+        self = object.__new__(cls)
+        for set_field, value in zip(cls._setters, values):
+            set_field(self, value)
+        return self
 
     def __post_init__(self):
         """Check the fields; a record class with invariants overrides this."""

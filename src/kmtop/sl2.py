@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import roots
 from .record import Record
-from .valued import Field, ValuedScalar
+from .valued import Field, ValuedScalar, check_digits
 
 
 class NotInBigCell(ValueError):
@@ -35,6 +35,8 @@ def _dot(a0, b0, a1, b1):
 
 
 class SL2Elt(Record):
+    """[[a, b], [c, d]] of det 1 over K (ValuedScalar entries) or K[u, u^{-1}]
+    (LaurentPoly entries): the code asks only *, -, is_zero() and is_one()."""
     __slots__ = ("a", "b", "c", "d")
     a: ValuedScalar
     b: ValuedScalar
@@ -44,17 +46,6 @@ class SL2Elt(Record):
     def __post_init__(self):
         if not (self.a * self.d - self.b * self.c).is_one():
             raise ValueError("determinant must be 1")
-
-    @classmethod
-    def _trusted(cls, a, b, c, d) -> "SL2Elt":
-        """Build without the det check, for products and inverses of
-        elements that passed it: exact arithmetic keeps det 1."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "a", a)
-        object.__setattr__(g, "b", b)
-        object.__setattr__(g, "c", c)
-        object.__setattr__(g, "d", d)
-        return g
 
     @property
     def field(self) -> Field:
@@ -68,6 +59,9 @@ class SL2Elt(Record):
 
     def inverse(self) -> "SL2Elt":
         return SL2Elt._trusted(self.d, -self.b, -self.c, self.a)
+
+    def is_identity(self) -> bool:
+        return self.a.is_one() and self.d.is_one() and self.b.is_zero() and self.c.is_zero()
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -152,7 +146,7 @@ def parse_rational(text: str) -> Fraction:
     exponent is refused like any other bad text."""
     if not _RATIONAL_TEXT.fullmatch(text):
         raise ValueError(f"not a rational (an integer, a/b or a finite decimal): {text!r}")
-    return Fraction(text)
+    return Fraction(check_digits(text))
 
 
 class SubgroupSpec(Record):

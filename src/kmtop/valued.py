@@ -52,9 +52,24 @@ RSS by about 12% and the traced peak of Python allocations threefold.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 INFINITY = math.inf
+_DIGIT_RUN = re.compile("[0-9]+")
+
+
+def check_digits(text: str) -> str:
+    """text, if int() converts its every run of digits: ValueError naming the
+    longest run and the limit otherwise, where int() would name the
+    interpreter setting sys.set_int_max_str_digits (0 for no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        longest = max(map(len, _DIGIT_RUN.findall(text)), default=0)
+        if longest > limit:
+            raise ValueError(f"a number of {longest} digits exceeds the limit of {limit} digits")
+    return text
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -600,4 +615,4 @@ def parse_field(text: str) -> Field:
         raise ValueError(f"bad field spec {text!r}; expected p:<prime> or fq:<prime>")
     if kind not in _KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
-    return _KINDS[kind](int(arg))
+    return _KINDS[kind](int(check_digits(arg)))

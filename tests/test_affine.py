@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kmtop import affine as A
 from kmtop import exprs, harness, roots
+from kmtop.sl2 import SL2Elt
 from kmtop.valued import Field, PAdicField, RationalFunctionField, parse_field
 
 F3 = PAdicField(3)
@@ -22,7 +23,12 @@ def lp(field, **coeffs):
 def aff_identity(field):
     one = A.LaurentPoly.one(field)
     zero = A.LaurentPoly.zero(field)
-    return A.AffElt(((one, zero), (zero, one)), field.one())
+    return A.AffElt(SL2Elt(one, zero, zero, one), field.one())
+
+
+def _rows(m):
+    """The entries of a 2×2 SL2Elt as rows."""
+    return ((m.a, m.b), (m.c, m.d))
 
 
 def test_laurent_basics():
@@ -48,20 +54,20 @@ def test_elements_hash_with_equality():
 
 def test_generator_examples():
     s1 = A.aff_s1(F3)
-    assert s1.m[0][0].is_zero() and s1.m[0][1].is_one()
-    assert s1.m[1][0].coeffs == {0: -ONE} and s1.z.is_one()
+    assert s1.m.a.is_zero() and s1.m.b.is_one()
+    assert s1.m.c.coeffs == {0: -ONE} and s1.z.is_one()
     s0 = A.aff_s0(F3)
-    assert s0.m[0][1].coeffs == {-1: -ONE}
-    assert s0.m[1][0].coeffs == {1: ONE}
-    assert s0.m[0][0].is_zero() and s0.m[1][1].is_zero()
-    assert (s0 * s0).m[0][0].coeffs == {0: -ONE}       # square is (-I, 1)
+    assert s0.m.b.coeffs == {-1: -ONE}
+    assert s0.m.c.coeffs == {1: ONE}
+    assert s0.m.a.is_zero() and s0.m.d.is_zero()
+    assert (s0 * s0).m.a.coeffs == {0: -ONE}       # square is (-I, 1)
     t = A.aff_t_mu(F3, 1, 0)
-    assert t.m[0][0].coeffs == {0: PI.inv()} and t.z.is_one()
+    assert t.m.a.coeffs == {0: PI.inv()} and t.z.is_one()
 
 
 def test_semidirect_law_example():
     g = A.aff_torus(ONE, PI) * A.aff_x_plus(F3, 1, ONE)
-    assert g.m[0][1].coeffs == {1: PI}
+    assert g.m.b.coeffs == {1: PI}
     assert g.z == PI
 
 
@@ -88,7 +94,7 @@ def test_inverse_and_associativity():
         cfgs.append(g)
     for g in cfgs:
         assert (g * g.inverse()).is_identity()
-        assert A._mat_det(g.m).is_one()
+        assert (g.m.a * g.m.d - g.m.b * g.m.c).is_one()
     rng.shuffle(cfgs)
     for g, h, k in zip(cfgs[::3], cfgs[1::3], cfgs[2::3]):
         assert ((g * h) * k).m == (g * (h * k)).m
@@ -207,9 +213,9 @@ def _kerpi_violations(g, n):
 
 def _hn_ring_violations(g, n):
     out = []
-    for r in range(2):
-        for c in range(2):
-            for k, coeff in sorted(g.m[r][c].coeffs.items()):
+    for r, row in enumerate(_rows(g.m)):
+        for c, e in enumerate(row):
+            for k, coeff in sorted(e.coeffs.items()):
                 if coeff.valuation() < n * abs(k):
                     out.append(
                         f"entry ({r + 1},{c + 1}) u^{k}: ω = {coeff.valuation()} < {n * abs(k)}")
@@ -304,13 +310,15 @@ def test_function_field_variant():
 # --- the det check sits at the trust boundary ------------------------------------
 
 def test_constructor_rejects_bad_entries():
+    """The det check of an affine element's matrix is SL2Elt's, over
+    K[u, u^{-1}]; AffElt checks z ≠ 0."""
     one, zero = A.LaurentPoly.one(F3), A.LaurentPoly.zero(F3)
     with pytest.raises(ValueError, match="determinant must be 1"):
-        A.AffElt(((one, one), (one, one)), ONE)
+        A.AffElt(SL2Elt(one, one, one, one), ONE)
     with pytest.raises(ValueError, match="determinant must be 1"):
-        A.AffElt(((A.LaurentPoly.const(PI), zero), (zero, one)), ONE)
+        A.AffElt(SL2Elt(A.LaurentPoly.const(PI), zero, zero, one), ONE)
     with pytest.raises(ValueError, match="semidirect scalar must be nonzero"):
-        A.AffElt(((one, zero), (zero, one)), F3.zero())
+        A.AffElt(SL2Elt(one, zero, zero, one), F3.zero())
 
 
 @pytest.mark.parametrize("spec", ["p:3", "fq:3"])
@@ -323,7 +331,7 @@ def test_products_inverses_and_conjugates_keep_det_one(spec):
             + [harness.sample_aff_hn(rng, cfg, n)[1] for n in (1, 2) for _ in range(5)])
     for g, h in zip(affs, affs[1:] + affs[:1]):
         for x in (g * h, g.inverse(), g.conj(h), (g * h).inverse()):
-            assert A._mat_det(x.m).is_one() and not x.z.is_zero()
+            assert (x.m.a * x.m.d - x.m.b * x.m.c).is_one() and not x.z.is_zero()
     sl2s = ([harness.sample_sl2_generic(rng, cfg)[1] for _ in range(10)]
             + [harness.sample_sl2_kerpi(rng, cfg, n)[1] for n in (1, 2) for _ in range(5)])
     for g, h in zip(sl2s, sl2s[1:] + sl2s[:1]):
@@ -390,7 +398,7 @@ def _points(field):
 
 def _evaluate(m, u0):
     return [[sum((c * u0 ** k for k, c in e.coeffs.items()), u0.field.zero()) for e in row]
-            for row in m]
+            for row in _rows(m)]
 
 
 def _plain(x, y):
@@ -452,7 +460,7 @@ def test_built_polynomials_hold_no_zero_coefficient(spec, data):
     mono = A.LaurentPoly.monomial(field, data.draw(st.integers(-3, 3)), z)
     built = [p * q, p * mono, mono * q, p + q, q - p, p + (q - p), p - p, -p,
              p.substitute_scale(z), p.substitute_scale(z.inv())]
-    built += [e for x in (g * h, g.inverse(), g.conj(h)) for row in x.m for e in row]
+    built += [e for x in (g * h, g.inverse(), g.conj(h)) for e in x.m.entries()]
     for e in built:
         assert all(not c.is_zero() for c in e.coeffs.values())
     assert p + (q - p) == q and hash(p + (q - p)) == hash(q)
@@ -504,7 +512,7 @@ def _solve_linear(rows, rhs, nvars, field):
     return x
 
 
-def _birkhoff_row_solve(m: A.Matrix, top_row: bool, field: Field):
+def _birkhoff_row_solve(m, top_row: bool, field: Field):
     """Solve for one row pair of the polynomial factor A.
 
     For the bottom row: A11 = 1 + Σ a_k u^k, A21 = Σ c_k u^k (k = 1..N) with
@@ -552,8 +560,10 @@ def _birkhoff_row_solve(m: A.Matrix, top_row: bool, field: Field):
 def _dense_birkhoff(m):
     """(A, C) as the dense solver found them, None where it found no
     factorization, or the message of whichever later check rejected its
-    candidate."""
-    field = m[0][0].field
+    candidate.  It works on rows of entries; only m and the returned A and C
+    are SL2Elts."""
+    field = m.field
+    m = _rows(m)
     bottom = _birkhoff_row_solve(m, False, field)
     top = _birkhoff_row_solve(m, True, field)
     if bottom is None or top is None:
@@ -561,16 +571,16 @@ def _dense_birkhoff(m):
     a11, a21 = bottom
     a22, a12 = top
     a = ((a11, a12), (a21, a22))
-    if not A._mat_det(a).is_one():
+    if not (a11 * a22 - a12 * a21).is_one():
         return "factorization candidate has det != 1"
-    c = A._mat_mul(((a22, -a12), (-a21, a11)), m)
+    c = _plain(_adjugate(a), m)
     if any(_max_exponent(e) > 0 for row in c for e in row if not e.is_zero()):
         return "residual factor is not polynomial in u^{-1}"
     if not c[0][1].get(0).is_zero():
         return "residual factor is not lower triangular at u = ∞"
     if c[0][0].get(0).is_zero():
         return "torus factor vanishes"
-    return a, c
+    return SL2Elt(*a[0], *a[1]), SL2Elt(*c[0], *c[1])
 
 
 @pytest.mark.parametrize("spec,count", [("p:3", 300), ("fq:3", 42)])

@@ -559,6 +559,59 @@ def test_degree_budget_message(capsys):
     assert err == "error: exponent 1000 of a degree-48 base exceeds the limit of 1000\n"
 
 
+def test_char_powers_have_a_work_budget(capsys):
+    """char m n computes f^2m·z^n; the exponent budget of the parser is
+    checked first, so char 1000000 0 on fq:3, which ran past 100 s, ends at
+    once.  A degree-d base counts |k|·d."""
+    start = time.perf_counter()
+    for field, argv, message in (
+            ("fq:3", ("1000000", "0", "torus(1+t; 1)"), "exponent 2000000 exceeds"),
+            ("p:3", ("0", "-1001", "torus(2; 3)"), "exponent -1001 exceeds"),
+            ("fq:3", ("300", "0", "torus(1+t^2; 1)"), "exponent 600 of a degree-2 base exceeds")):
+        code, out, err = run(capsys, "char", "--field", field, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message} the limit of 1000\n"
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = run(capsys, "char", "--field", "fq:3", "500", "1000", "torus(1+t; t)")
+    assert code == 0 and out.startswith("t^1000+t^1001+")       # (1+t)^1000·t^1000
+
+
+# One argv per place an integer literal is converted: the tokenizer (in an
+# expression and in a point's rational), a --spec level or rational, a
+# rational --coords entry and a --field prime.
+LONG_NUMBER = "1" * 5000
+LONG_LITERALS = (
+    ("mul", f"xp({LONG_NUMBER})"),
+    ("member", "--spec", f"hn:{LONG_NUMBER}", "xp(1; 1)"),
+    ("mul", f"point(xp(1), {LONG_NUMBER}/2)"),
+    ("member", "--spec", f"fixpoint:{LONG_NUMBER}", "xp(1)"),
+    ("member", "--spec", f"fixpoint:{LONG_NUMBER}/2", "xp(1)"),
+    ("tits", "--coords", f"{LONG_NUMBER},1"),
+    ("mul", "--field", f"p:{LONG_NUMBER}", "xp(1)"),
+)
+
+
+@pytest.mark.parametrize("argv", LONG_LITERALS, ids=["expr", "spec", "point", "fixpoint",
+                                                     "fixpoint-ratio", "coords", "field"])
+def test_integer_literals_past_the_digit_limit_are_named(capsys, argv):
+    """int() refuses more than sys.get_int_max_str_digits() digits with a
+    message naming an interpreter setting; the input is refused first, with
+    the digit count and the limit."""
+    code, out, err = run(capsys, *argv)
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.endswith(f"a number of 5000 digits exceeds the limit of {limit} digits\n"), err
+
+
+def test_the_digit_limit_counts_each_number_apart(capsys):
+    """The limit is int()'s, per run of digits: a/b of 3000 digits each is
+    6001 characters, and both parts convert."""
+    half = "1" * 3000
+    assert run(capsys, "member", "--spec", f"fixpoint:{half}/{half}", "xp(1)")[:2] == (0, "true\n")
+    assert run(capsys, "tits", "--coords", f"{half}/{half},3")[:2] == (0, "word: e\nwalls: []\n")
+
+
 # A hyperbolic rank-3 system: 211710 roots up to height 10000, and the count
 # grows exponentially with the height, past roots.MAX_ROOTS.
 HYPERBOLIC_RANK3 = {"cartan": [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]], "rank": 3,

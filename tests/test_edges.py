@@ -85,12 +85,12 @@ def test_conjugation_shift_law_is_sharp():
     g = A.aff_x_minus(F3, -1, PI ** 2)
     assert A.aff_member(g, A.AffSubgroupSpec("hn", 2))
     conj = A.aff_t_mu(F3, -n, -n).conj(g)
-    coeff = conj.m[1][0].get(-1)
+    coeff = conj.m.c.get(-1)
     assert coeff.valuation() == -1          # = 2n - n - 2n
     # and the positive-exponent mirror stays integral under this conjugator
     h = A.aff_x_minus(F3, 1, PI ** 2)
     conj2 = A.aff_t_mu(F3, -n, -n).conj(h)
-    assert conj2.m[1][0].get(1).valuation() == 1
+    assert conj2.m.c.get(1).valuation() == 1
 
 
 def test_h2n_conjugator_pins_lambda_prime():

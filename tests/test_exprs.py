@@ -14,8 +14,8 @@ F2T = RationalFunctionField(2)
 def test_affine_example():
     _, elt = E.parse_element("xp(1; 1/3) t(1,0)", E.AFFINE, F3)
     assert elt.z.is_one()
-    assert elt.m[0][0].coeffs == {0: F3.scalar(Fraction(1, 3))}
-    assert elt.m[0][1].coeffs == {1: F3.one()}
+    assert elt.m.a.coeffs == {0: F3.scalar(Fraction(1, 3))}
+    assert elt.m.b.coeffs == {1: F3.one()}
 
 
 def test_validation_errors():

@@ -228,7 +228,7 @@ def test_conj_bound_holds_for_sampled_conjugators(field):
 
 def _conj_bound_without_2a(bound):
     def mutant(g, n):
-        a = max(0, -min(c.valuation() for row in g.m for e in row for c in e.coeffs.values()))
+        a = max(0, -min(c.valuation() for e in g.m.entries() for c in e.coeffs.values()))
         return bound(g, n) - 2 * a
     return mutant
 
@@ -275,8 +275,7 @@ def test_hn_closure_fails_under_an_inverse_that_substitutes_z(monkeypatch, field
     """An inverse that substitutes u ← z·u for u ← z⁻¹·u keeps g⁻¹ in H_n,
     so only g·g⁻¹ = 1 sees it: 5 of the 20 trials have g·g⁻¹ ≠ 1."""
     def inverse(g):
-        adj = ((g.m[1][1], -g.m[0][1]), (-g.m[1][0], g.m[0][0]))
-        return affine.AffElt._trusted(affine._mat_subst(adj, g.z), g.z.inv())
+        return affine.AffElt._trusted(affine._subst(g.m.inverse(), g.z), g.z.inv())
 
     cfg = small_cfg(trials=20, field=field)
     assert H.run_suite("hn-closure", cfg).verdict == "pass"
@@ -308,6 +307,53 @@ def test_v_in_h_census_pins_lambda_and_vform_torus(monkeypatch, field, name, val
     assert report.verdict == "fail"
     census = report.failures[-1]
     assert census.trial == 4 and census.inputs == "vform census"
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+@pytest.mark.parametrize("level", [3, 5])
+def test_rank1_refinement_census_pins_vlambda_torus(monkeypatch, field, level):
+    """vlambda:n with its torus in T_3n is closed too, so only the census
+    after the last trial sees VLAMBDA_TORUS = 3: diag(1+ϖ^(4n−1)) gets in.
+    At 5, diag(1+ϖ^4n) stays out."""
+    report = H.run_suite("rank1-refinement", small_cfg(trials=20, field=field))
+    assert report.verdict == "pass" and report.trials == 20
+    monkeypatch.setattr(sl2, "VLAMBDA_TORUS", level)
+    report = H.run_suite("rank1-refinement", small_cfg(trials=20, field=field))
+    assert report.verdict == "fail" and report.trials == 20
+    census = report.failures[-1]
+    assert census.trial == 20 and census.inputs == "vlambda census"
+    pi = field.uniformizer()
+    expect = ("{} in vlambda:1; {} in vlambda:2" if level == 3
+              else "{} not in vlambda:1; {} not in vlambda:2")
+    shift = 1 if level == 3 else 0
+    assert census.got == expect.format(*(f"diag({1 + pi ** (4 * n - shift)})" for n in (1, 2)))
+    if level == 3:
+        assert len(report.failures) == 1
+
+
+def _inverse_swapping_the_diagonal(g):
+    return sl2.SL2Elt._trusted(g.d, g.b, g.c, g.a)
+
+
+def _inverse_transposing_the_adjugate(g):
+    return sl2.SL2Elt._trusted(g.d, -g.c, -g.b, g.a)
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+@pytest.mark.parametrize("inverse", [_inverse_swapping_the_diagonal,
+                                     _inverse_transposing_the_adjugate], ids=["swap", "transpose"])
+def test_a_wrong_sl2_inverse_fails_both_groups(monkeypatch, field, inverse):
+    """AffElt.inverse runs through SL2Elt.inverse, so one wrong SL2 inverse
+    fails the SL2 suite rank1-refinement in every trial (g·g⁻¹ ≠ 1) and the
+    affine suites hn-closure and conj-invariance too."""
+    cfg = small_cfg(trials=20, field=field)
+    suites = ("rank1-refinement", "hn-closure", "conj-invariance")
+    assert [r.verdict for r in H.run_suites(suites, cfg)] == ["pass"] * 3
+    monkeypatch.setattr(sl2.SL2Elt, "inverse", inverse)
+    failed = {r.suite: (r.verdict, r.trials, len(r.failures)) for r in H.run_suites(suites, cfg)}
+    hn_failures = 18 if field is F3 else 19
+    assert failed == {"rank1-refinement": ("fail", 20, 20), "hn-closure": ("fail", 20, hn_failures),
+                      "conj-invariance": ("fail", 24, 18)}
 
 
 @pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])

@@ -55,3 +55,14 @@ def test_record_subclasses_share_fields_and_checks():
     assert repr(exprs.Gen("w", ())) == "Gen(kind='w', args=())"
     assert {exprs.Product((exprs.Gen("w", ()),)), exprs.Product((exprs.Gen("w", ()),))} \
         == {exprs.Product((exprs.Gen("w", ()),))}
+
+
+def test_trusted_build_sets_the_fields_in_order_without_the_check():
+    """Record._trusted, for products and inverses, sets the fields through
+    the slot setters of the class and of its record bases, and skips
+    __post_init__."""
+    one, zero = F3.one(), F3.zero()
+    assert sl2.SL2Elt._trusted(one, zero, zero, one) == sl2.identity(F3)
+    assert sl2.SL2Elt._trusted(one, one, one, one).entries() == (one, one, one, one)   # det 0
+    assert sl2.SL2SubgroupSpec._trusted("kerpi", 2) == sl2.SL2SubgroupSpec("kerpi", 2)
+    assert affine.AffSubgroupSpec._trusted("no such kind", None).kind == "no such kind"
