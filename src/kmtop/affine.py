@@ -298,12 +298,24 @@ def fixes_test_point(g: AffElt, i: int, n: int) -> bool:
 
 def deviation(m: SL2Elt):
     """(r, c, k, coefficient) for each nonzero coefficient of m − I, entry by
-    entry in row order and by increasing exponent within an entry."""
-    one = LaurentPoly.one(m.field)
+    entry in row order and by increasing exponent within an entry.  Read in
+    place: only a diagonal entry's u^0 coefficient differs from m's, by −1."""
+    minus_one = -m.field.one()
     for (r, c), e in zip(((0, 0), (0, 1), (1, 0), (1, 1)), m.entries()):
-        dev = e - one if r == c else e
-        for k, coeff in sorted(dev.coeffs.items()):
-            yield r, c, k, coeff
+        coeffs = e.coeffs
+        if r != c:
+            for k in sorted(coeffs):
+                yield r, c, k, coeffs[k]
+            continue
+        for k in sorted(coeffs.keys() | {0}):
+            if k:
+                yield r, c, k, coeffs[k]
+                continue
+            c0 = coeffs.get(0)
+            if c0 is None:
+                yield r, c, 0, minus_one
+            elif not c0.is_one():       # 1 − 1 = 0 is left out
+                yield r, c, 0, c0 + minus_one
 
 
 def _congruence(g: AffElt, n: int, ring: bool) -> list[str]:

@@ -32,6 +32,11 @@ VALUATION_RANGE = (-3, 6)
 LAURENT_SUPPORT = 6
 WORD_LENGTH = 8
 
+# Largest trial count a config accepts: verify --suite all takes about 5 ms a
+# trial on fq:3 (2-vCPU VM, CPython 3.11), so the limit bounds a run to about
+# a minute.
+MAX_TRIALS = 10000
+
 
 class SamplerConfig(Record):
     __slots__ = ("field", "seed", "trials")
@@ -42,6 +47,8 @@ class SamplerConfig(Record):
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
 
     def rng(self, label) -> random.Random:
         return random.Random(f"{self.seed}:{label}")
@@ -220,30 +227,33 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
     """
     field = cfg.field
     shift, unshift = (Gen("t", tuple(s * n * x for x in affine.LAMBDA)) for s in (1, -1))
+    built = {shift: build(shift, AFFINE, field), unshift: build(unshift, AFFINE, field)}
 
     def part(sign, left, right):
         """1-3 factors left·x·right: u_+ for sign 1, x = x_+(k) with k ≥ 0 or
-        x_-(k) with k ≥ 1; u_- for sign −1, its mirror x_-(−k) or x_+(−k)."""
+        x_-(k) with k ≥ 1; u_- for sign −1, its mirror x_-(−k) or x_+(−k).
+        Returns the factors' nodes, to print, and their product."""
         near, far = ("xp", "xm") if sign > 0 else ("xm", "xp")
-        conjugated = []
+        nodes, product = [], None
         for _ in range(rng.randrange(1, 4)):
             if rng.random() < 0.6:
                 kind, k = near, sign * rng.randrange(0, 3)
             else:
                 kind, k = far, sign * rng.randrange(1, 3)
             x = Gen(kind, (k, sample_scalar_min_val(rng, field, 0)))
-            conjugated.append(Product((left, x, right)))
-        return Product(tuple(conjugated))
+            nodes += (left, x, right)
+            lxr = built[left] * build(x, AFFINE, field) * built[right]
+            product = lxr if product is None else product * lxr
+        return nodes, product
 
-    u_plus = part(1, unshift, shift)
-    u_minus = part(-1, shift, unshift)
+    plus_nodes, u_plus = part(1, unshift, shift)
+    minus_nodes, u_minus = part(-1, shift, unshift)
     f = field.one() + sample_scalar_min_val(rng, field, affine.VFORM_TORUS * n)
     z = field.one() + sample_scalar_min_val(rng, field, affine.VFORM_TORUS * n)
     torus = Gen("torus", (f, z))
-    # built as u_+ · u_- · torus, each left·x·right a factor; printed flat
-    flat = [g for u in (u_plus, u_minus) for lxr in u.factors for g in lxr.factors]
-    return (print_expr(Product((*flat, torus))),
-            build(Product((u_plus, u_minus, torus)), AFFINE, field))
+    # built as u_+ · u_- · torus; printed flat
+    return (print_expr(Product((*plus_nodes, *minus_nodes, torus))),
+            u_plus * u_minus * build(torus, AFFINE, field))
 
 
 # ---------------------------------------------------------------------------
@@ -591,22 +601,24 @@ def _retract_oracle(p: sl2.TreePoint):
     """Candidate scan over half-integers with solvable-unipotent checks,
     independent of the closed-form valuation formula: y' is a candidate when
     some x_+(c0)·p_{y'} equals p, i.e. h = x_+(-c0)·g maps p_y to p_{y'}.
-    Only y' varies in the scan, so each h is computed once."""
-    field = p.g.field
-    vals = [v for v in (e.valuation() for e in p.g.entries()) if v != INFINITY]
-    width = int(max(abs(v) for v in vals)) + int(abs(p.y)) + 2
-    candidates = []
-    g = p.g
-    c_options = [field.zero()]
+    sl2.maps_apartment_point's four conditions on h, read for y', bound 2y'
+    to one interval per h, so each h's valuations are taken once."""
+    g, y = p.g, p.y
+    vals = [v for v in (e.valuation() for e in g.entries()) if v != INFINITY]
+    width = int(max(abs(v) for v in vals)) + int(abs(y)) + 2
+    c_options = [g.field.zero()]
     if not g.c.is_zero():
         c_options.append(g.a / g.c)
     if not g.d.is_zero():
         c_options.append(g.b / g.d)
-    hs = [sl2.x_plus(-c0) * g for c0 in c_options]
-    for twice in range(-2 * width, 2 * width + 1):
-        y2 = Fraction(twice, 2)
-        if any(sl2.maps_apartment_point(h, y2, p.y) for h in hs):
-            candidates.append(y2)
+    intervals = []
+    for c0 in c_options:
+        a, b, c, d = (e.valuation() for e in (sl2.x_plus(-c0) * g).entries())
+        # ω(a) ≥ y − y', ω(b) ≥ −(y' + y), ω(c) ≥ y' + y, ω(d) ≥ y' − y;
+        # a zero entry (ω = ∞) leaves its end open
+        intervals.append((2 * max(y - a, -y - b), 2 * min(c - y, d + y)))
+    candidates = [Fraction(twice, 2) for twice in range(-2 * width, 2 * width + 1)
+                  if any(lo <= twice <= hi for lo, hi in intervals)]
     if len(candidates) != 1:
         return None
     return candidates[0]

@@ -331,7 +331,12 @@ class PAdicField(Field):
         return v
 
     def _format(self, raw: Fraction) -> str:
-        return str(raw)
+        try:
+            return str(raw)
+        except ValueError:      # str of an int over sys.get_int_max_str_digits() digits
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"a result of more than {limit} digits exceeds the limit "
+                             f"of {limit} digits") from None
 
 
 class RationalFunctionField(Field):
@@ -521,11 +526,15 @@ class ValuedScalar:
     __slots__ = ("field", "raw")
 
     def __init__(self, field: Field, raw):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "raw", raw)
+        # the slots' own __set__, as Record._setters: about 3× quicker than
+        # two object.__setattr__ calls, and a scalar is built per operation
+        _set_field(self, field)
+        _set_raw(self, raw)
 
     def __setattr__(self, *_):
         raise AttributeError("ValuedScalar is immutable")
+
+    __delattr__ = __setattr__
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
@@ -604,6 +613,9 @@ class ValuedScalar:
     def __repr__(self):
         return f"<{self} @ {self.field.spec_string()}>"
 
+
+_set_field = ValuedScalar.field.__set__
+_set_raw = ValuedScalar.raw.__set__
 
 _KINDS = {cls.kind: cls for cls in (PAdicField, RationalFunctionField)}
 

@@ -251,6 +251,38 @@ def test_one_pass_hn_matches_two_pass_oracle(spec):
     assert verdicts == {True, False}
 
 
+def _subtracted_deviation(m):
+    """deviation as it was defined before it read m − I in place: the
+    coefficients of e − 1 for a diagonal entry e and of e elsewhere."""
+    one = A.LaurentPoly.one(m.field)
+    return [(r, c, k, coeff)
+            for (r, c), e in zip(((0, 0), (0, 1), (1, 0), (1, 1)), m.entries())
+            for k, coeff in sorted((e - one if r == c else e).coeffs.items())]
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+def test_deviation_matches_the_subtraction(spec):
+    field = parse_field(spec)
+    cfg = harness.SamplerConfig(field, 7, 500)
+    one, zero = A.LaurentPoly.one(field), A.LaurentPoly.zero(field)
+    u, u_inv = lp(field, **{"1": 1}), lp(field, **{"-1": 1})
+    matrices = [
+        aff_identity(field).m,
+        SL2Elt(u, zero, zero, u_inv),                               # no u^0 on the diagonal
+        SL2Elt(lp(field, **{"0": 1, "1": 1}), one, u, one),         # u^0 terms exactly 1
+        *(g.m for _, g in harness.conj_generator_list(field)),
+    ]
+    for i in range(30):
+        rng = random.Random(f"deviation:{spec}:{i}")
+        n = 1 + i % 2
+        matrices += [harness.sample_aff_word(rng, cfg)[1].m, harness.sample_aff_hn(rng, cfg, n)[1].m,
+                     harness.sample_aff_vform(rng, cfg, n)[1].m]
+    for m in matrices:
+        assert list(A.deviation(m)) == _subtracted_deviation(m)
+    assert list(A.deviation(matrices[0])) == []
+    assert [k for r, c, k, _ in A.deviation(matrices[1]) if r == c] == [0, 1, -1, 0]
+
+
 def test_vform_accepts_built_factorizations():
     t_l = A.aff_t_mu(F3, 1, 3)
     u_plus = t_l.inverse() * A.aff_x_plus(F3, 1, F3.scalar(2)) * t_l

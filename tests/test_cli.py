@@ -242,6 +242,16 @@ def test_verify_rejects_nonpositive_trials(capsys):
         assert err.startswith("usage error:") and "--trials" in err
 
 
+def test_verify_trials_are_capped(capsys, monkeypatch):
+    from kmtop import harness
+    started = []
+    monkeypatch.setattr(harness, "run_suites", lambda names, cfg: started.append(names))
+    over = harness.MAX_TRIALS + 1
+    code, out, err = run(capsys, "verify", "--suite", "all", "--trials", str(over))
+    assert code == 1 and out == "" and started == []
+    assert err == f"usage error: --trials must be at most {harness.MAX_TRIALS}, got {over}\n"
+
+
 def test_verify_one_trial_checks_every_level(capsys):
     # these suites run trials // 2 per level; one trial must still check each level
     for suite in ("hn-closure", "rank1-refinement", "h2n-in-v"):
@@ -610,6 +620,18 @@ def test_the_digit_limit_counts_each_number_apart(capsys):
     half = "1" * 3000
     assert run(capsys, "member", "--spec", f"fixpoint:{half}/{half}", "xp(1)")[:2] == (0, "true\n")
     assert run(capsys, "tits", "--coords", f"{half}/{half},3")[:2] == (0, "word: e\nwalls: []\n")
+
+
+@pytest.mark.parametrize("expr", ["xp(" + "7" * 3000 + "*" + "7" * 3000 + ")",
+                                  "t(1000, 1000) " * 100], ids=["product", "word"])
+def test_a_result_past_the_digit_limit_is_named(capsys, expr):
+    """Each literal is under the limit, but the result is not: printing it
+    is refused with the limit, where str() would name the interpreter
+    setting sys.set_int_max_str_digits."""
+    code, out, err = run(capsys, "mul", "--field", "p:3", expr)
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and out == ""
+    assert err == f"error: a result of more than {limit} digits exceeds the limit of {limit} digits\n"
 
 
 # A hyperbolic rank-3 system: 211710 roots up to height 10000, and the count

@@ -25,6 +25,12 @@ def test_config_rejects_nonpositive_trials():
             small_cfg(trials=trials)
 
 
+def test_config_caps_trials():
+    assert small_cfg(trials=H.MAX_TRIALS).trials == H.MAX_TRIALS
+    with pytest.raises(ValueError, match=f"trials must be at most {H.MAX_TRIALS}"):
+        small_cfg(trials=H.MAX_TRIALS + 1)
+
+
 def test_determinism_identical_reports():
     for name in ("commutation", "hn-closure", "tree-retraction"):
         r1 = H.run_suite(name, small_cfg())
@@ -159,8 +165,16 @@ def test_retract_oracle_matches_the_per_candidate_scan(field):
               sl2.apartment_point(field, Fraction(1, 4)),
               sl2.apartment_point(field, -2)]
     points += [H.sample_tree_point(cfg.rng(f"retract:{i}"), cfg)[1] for i in range(100)]
-    for p in points:
-        assert H._retract_oracle(p) == _per_candidate_retract_oracle(p)
+    # y = k/3 and k/4: the scan's interval ends are then not half-integers
+    for den in (3, 4):
+        for i in range(40):
+            rng = cfg.rng(f"retract:{den}:{i}")
+            g = H.sample_sl2_generic(rng, cfg)[1]
+            points.append(sl2.TreePoint.make(g, Fraction(rng.randint(-6 * den, 6 * den), den)))
+    found = [H._retract_oracle(p) for p in points]
+    assert found == [_per_candidate_retract_oracle(p) for p in points]
+    # off the half-integers, some scans find one candidate and some none
+    assert {y is None for y in found[-80:]} == {True, False}
 
 
 # conj_bound(g, 1) and conj_bound(g, 2) for each g of conj_generator_list, in

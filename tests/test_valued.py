@@ -162,6 +162,20 @@ def test_formatting_is_stable():
     assert math.isinf(INFINITY)
 
 
+@pytest.mark.parametrize("s", [F3.scalar(Fraction(-3, 2)), F2T.one() + F2T.uniformizer()],
+                         ids=["p:3", "fq:2"])
+def test_scalars_refuse_setting_and_deleting(s):
+    """A scalar is immutable: neither slot can be set or deleted, so none is
+    left without a value or with a hash that its value no longer has."""
+    raw, field, digest = s.raw, s.field, hash(s)
+    for name in ("raw", "field"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(F3.zero(), name))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s.raw == raw and s.field is field and hash(s) == digest
+
+
 def test_hash_agrees_with_equality():
     # p-adic scalars equal to a Python number hash like it
     assert F3.scalar(1) == 1 and hash(F3.scalar(1)) == hash(1)
