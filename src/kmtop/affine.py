@@ -21,7 +21,7 @@ from math import factorial
 
 from . import roots
 from .record import Record
-from .sl2 import LEVEL, SL2Elt, SubgroupSpec
+from .sl2 import LEVEL, SL2Elt, SubgroupSpec, bound_violations
 from .valued import Field, ValuedScalar
 
 
@@ -327,10 +327,7 @@ def _congruence(g: AffElt, n: int, ring: bool) -> list[str]:
         v = coeff.valuation()
         if v < bound:
             out.append(f"entry ({r + 1},{c + 1}) u^{k}: ω = {v} < {bound}")
-    v = (g.z - 1).valuation()
-    if v < n:
-        out.append(f"ω(z-1) = {v} < {n}")
-    return out
+    return out + bound_violations((("z-1", g.z - 1, n),))
 
 
 def _center(g: AffElt) -> list[str]:
@@ -352,9 +349,8 @@ class AffSubgroupSpec(SubgroupSpec):
     KINDS = {
         "kerpi": (LEVEL, lambda g, n: _congruence(g, n, False)),
         "hn": (LEVEL, lambda g, n: _congruence(g, n, True)),
-        "tn": (LEVEL, lambda g, n: [f"ω({name}-1) = {(e - 1).valuation()} < {n}"
-                                    for name, e in zip("fz", torus_parts(g))
-                                    if (e - 1).valuation() < n]),
+        "tn": (LEVEL, lambda g, n: bound_violations((f"{name}-1", e - 1, n)
+                                                    for name, e in zip("fz", torus_parts(g)))),
         "tnphi": (LEVEL, lambda g, n: [f"ω(α{i}(t)-1) < {n}" for i in (0, 1)
                                        if not fixes_test_point(g, i, n)]),
         "center": (None, lambda g, _: _center(g)),
@@ -443,8 +439,8 @@ def _birkhoff(m: SL2Elt):
 
 def vform_violations(g: AffElt, n: int) -> list[str]:
     level = VFORM_TORUS * n
-    if (g.z - 1).valuation() < level:
-        return [f"ω(z-1) = {(g.z - 1).valuation()} < {level}"]
+    if out := bound_violations((("z-1", g.z - 1, level),)):
+        return out
     factors = _birkhoff(g.m)
     if factors is None:
         return ["no polynomial factorization"]
@@ -452,9 +448,7 @@ def vform_violations(g: AffElt, n: int) -> list[str]:
     f = C.a.get(0)
     zero = LaurentPoly.zero(g.field)
     B = C * SL2Elt._trusted(LaurentPoly.const(f.inv()), zero, zero, LaurentPoly.const(f))
-    out = []
-    if (f - 1).valuation() < level:
-        out.append(f"torus factor: ω(f-1) = {(f - 1).valuation()} < {level}")
+    out = [f"torus factor: {line}" for line in bound_violations((("f-1", f - 1, level),))]
     mu = tuple(n * x for x in LAMBDA)
     out.extend(_pattern_violations(A, mu, 1))
     out.extend(_pattern_violations(B, mu, -1))

@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import affine, exprs, roots, sl2
-from .valued import check_digits, parse_field
+from .valued import check_digits, exact_str, parse_field
 
 USAGE_ERROR = 1
 WRITE_FAILURE = 1
@@ -199,8 +199,8 @@ def cmd_decompose(args):
 @_command("retract", "retraction of a tree point onto the apartment",
           FIELD, _arg("expr", help="point(<sl2 expr>, y)"))
 def cmd_retract(args):
-    y = sl2.tree_retract(_element(args, exprs.TREEPOINT))
-    _emit(args, {"coordinate": str(y)}, [str(y)])
+    y = exact_str(sl2.tree_retract(_element(args, exprs.TREEPOINT)))
+    _emit(args, {"coordinate": y}, [y])
     return 0
 
 

@@ -601,7 +601,7 @@ def _retract_oracle(p: sl2.TreePoint):
     """Candidate scan over half-integers with solvable-unipotent checks,
     independent of the closed-form valuation formula: y' is a candidate when
     some x_+(c0)·p_{y'} equals p, i.e. h = x_+(-c0)·g maps p_y to p_{y'}.
-    sl2.maps_apartment_point's four conditions on h, read for y', bound 2y'
+    The four bounds of sl2.apartment_violations on h, read for y', bound 2y'
     to one interval per h, so each h's valuations are taken once."""
     g, y = p.g, p.y
     vals = [v for v in (e.valuation() for e in g.entries()) if v != INFINITY]

@@ -2,9 +2,10 @@
 
 Tree points are pairs (g, y): the point g·p_y where p_y = y·å∨ in the
 standard apartment, so walls sit at 2y + k = 0.  Point equality is DEFINED by
-the four-valuation predicate obtained by formally conjugating the SL2(O)
-fixator of 0 by the diagonal translation to y; operations emit canonical
-representatives with y in (1/2)Z but accept any rational y.
+the one apartment predicate ``apartment_violations`` (at y_p = y_q, the
+``fixpoint:y`` spec): four valuation bounds from formally conjugating the
+SL2(O) fixator of 0 by the diagonal translation to y.  Operations emit
+canonical representatives with y in (1/2)Z but accept any rational y.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from . import roots
 from .record import Record
-from .valued import Field, ValuedScalar, check_digits
+from .valued import Field, ValuedScalar, check_digits, exact_str
 
 
 class NotInBigCell(ValueError):
@@ -195,24 +196,25 @@ def vlambda_levels(n: int) -> tuple[int, int, int]:
     return level, level, VLAMBDA_TORUS * n
 
 
+def bound_violations(bounds) -> list[str]:
+    """"ω(name) = v < bound" for each (name, x, bound) with v = ω(x) below
+    the bound, in order: the one wording of a failed valuation bound."""
+    return [f"ω({name}) = {v} < {exact_str(bound)}"
+            for name, x, bound in bounds if (v := x.valuation()) < bound]
+
+
 def _upt_violations(g: SL2Elt, levels) -> list[str]:
     """Why g is not x_+(b)·x_-(c)·diag(δ) with ω(b), ω(c), ω(δ − 1) ≥ levels."""
     try:
         b, c, delta = upt_decompose(g)
     except NotInBigCell:
         return ["not in the big cell"]
-    return [f"ω({name}) = {e.valuation()} < {level}"
-            for name, e, level in zip(("b", "c", "δ-1"), (b, c, delta - 1), levels)
-            if e.valuation() < level]
+    return bound_violations(zip(("b", "c", "δ-1"), (b, c, delta - 1), levels))
 
 
 def _kerpi(g: SL2Elt, n: int) -> list[str]:
-    out = []
-    for name, e, target in (("a", g.a, 1), ("b", g.b, 0), ("c", g.c, 0), ("d", g.d, 1)):
-        v = (e - target if target else e).valuation()
-        if v < n:
-            out.append(f"ω({name}{'-1' if target else ''}) = {v} < {n}")
-    return out
+    return bound_violations((("a-1", g.a - 1, n), ("b", g.b, n),
+                             ("c", g.c, n), ("d-1", g.d - 1, n)))
 
 
 def _diagonal(g: SL2Elt, n: int | None) -> list[str]:
@@ -221,13 +223,7 @@ def _diagonal(g: SL2Elt, n: int | None) -> list[str]:
         return ["not diagonal"]
     if n is None:
         return [f"ω(δ) = {g.a.valuation()} != 0"] if g.a.valuation() != 0 else []
-    return [f"ω(δ-1) = {(g.a - 1).valuation()} < {n}"] if (g.a - 1).valuation() < n else []
-
-
-def _fixpoint(g: SL2Elt, y: Fraction) -> list[str]:
-    bounds = (("a", g.a, 0), ("d", g.d, 0), ("b", g.b, -2 * y), ("c", g.c, 2 * y))
-    return [f"ω({name}) = {e.valuation()} < {bound}"
-            for name, e, bound in bounds if e.valuation() < bound]
+    return bound_violations((("δ-1", g.a - 1, n),))
 
 
 def _bigcello(g: SL2Elt, _) -> list[str]:
@@ -235,8 +231,7 @@ def _bigcello(g: SL2Elt, _) -> list[str]:
         b, c, delta = upt_decompose(g)
     except NotInBigCell:
         return ["not in the big cell"]
-    out = [f"ω({name}) = {e.valuation()} < 0" for name, e in (("b", b), ("c", c))
-           if e.valuation() < 0]
+    out = bound_violations((("b", b, 0), ("c", c, 0)))
     if delta.valuation() != 0:
         out.append(f"ω(δ) = {delta.valuation()} != 0")
     return out
@@ -250,7 +245,7 @@ class SL2SubgroupSpec(SubgroupSpec):
         "tn": (LEVEL, _diagonal),
         "tnunits": (None, _diagonal),
         "vlambda": (LEVEL, lambda g, n: _upt_violations(g, vlambda_levels(n))),
-        "fixpoint": (RATIONAL, _fixpoint),
+        "fixpoint": (RATIONAL, lambda g, y: apartment_violations(g, y, y)),
         "bigcello": (None, _bigcello),
     }
 
@@ -293,22 +288,20 @@ def apartment_point(field: Field, y) -> TreePoint:
     return TreePoint.make(identity(field), y)
 
 
-def tree_point_equal(p: TreePoint, q: TreePoint) -> bool:
-    """Defined equivalence: h = g_P^{-1} g_Q maps p_{y_Q} to p_{y_P}."""
-    return maps_apartment_point(p.g.inverse() * q.g, p.y, q.y)
-
-
-def maps_apartment_point(h: SL2Elt, yp, yq) -> bool:
-    """Whether h maps p_{yq} to p_{yp}.
+def apartment_violations(h: SL2Elt, yp, yq) -> list[str]:
+    """Why h does not map p_{yq} to p_{yp}: empty iff it does.
 
     Conjugating the SL2(O) fixator of 0 by the formal diagonal translation
-    gives the four valuation conditions below (exact for half-integral y,
+    gives these four valuation bounds (exact for half-integral y,
     extension-by-formula for other rationals).
     """
-    return (h.a.valuation() >= yq - yp
-            and h.b.valuation() >= -(yp + yq)
-            and h.c.valuation() >= yp + yq
-            and h.d.valuation() >= yp - yq)
+    return bound_violations((("a", h.a, yq - yp), ("d", h.d, yp - yq),
+                             ("b", h.b, -(yp + yq)), ("c", h.c, yp + yq)))
+
+
+def tree_point_equal(p: TreePoint, q: TreePoint) -> bool:
+    """Defined equivalence: h = g_P^{-1} g_Q maps p_{y_Q} to p_{y_P}."""
+    return not apartment_violations(p.g.inverse() * q.g, p.y, q.y)
 
 
 def tree_act(g: SL2Elt, p: TreePoint) -> TreePoint:
@@ -321,9 +314,10 @@ def tree_retract(p: TreePoint) -> Fraction:
     y' is the unique value admitting c0 with (x_+(c0), y') equal to p; with
     bottom row (c, d) of g the conditions force y' ≤ min(ω(c) − y, ω(d) + y),
     and taking c0 = b/d (resp. a/c) attains the bound, so the minimum is it.
+    A zero entry (ω = ∞) bounds nothing and is skipped, so y stays exact.
     """
-    # c and d are not both 0, and ω(0) = INFINITY leaves the other bound
-    return Fraction(min(p.g.c.valuation() - p.y, p.g.d.valuation() + p.y))
+    return Fraction(min(e.valuation() + sign * p.y
+                        for e, sign in ((p.g.c, -1), (p.g.d, 1)) if not e.is_zero()))
 
 
 def fixed_interval(g: SL2Elt):

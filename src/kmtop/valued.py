@@ -72,6 +72,18 @@ def check_digits(text: str) -> str:
     return text
 
 
+def exact_str(x) -> str:
+    """str of an int or a Fraction: ValueError naming the digit limit when it
+    has more digits than str() converts, where str() would name the
+    interpreter setting sys.set_int_max_str_digits."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a result of more than {limit} digits exceeds the limit "
+                         f"of {limit} digits") from None
+
+
 class DivisionByZero(ZeroDivisionError):
     pass
 
@@ -166,8 +178,6 @@ def _pdivmod(a, b, p):
     lb = len(b)
     if len(a) < lb:
         return (), a
-    if lb == 1:
-        return (a if b[0] == 1 else _pscale(a, pow(b[0], -1, p), p)), ()
     a = list(a)
     q = [0] * (len(a) - lb + 1)
     inv_lead = pow(b[-1], -1, p)
@@ -330,13 +340,7 @@ class PAdicField(Field):
             v -= 1
         return v
 
-    def _format(self, raw: Fraction) -> str:
-        try:
-            return str(raw)
-        except ValueError:      # str of an int over sys.get_int_max_str_digits() digits
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(f"a result of more than {limit} digits exceeds the limit "
-                             f"of {limit} digits") from None
+    _format = staticmethod(exact_str)
 
 
 class RationalFunctionField(Field):

@@ -634,6 +634,112 @@ def test_a_result_past_the_digit_limit_is_named(capsys, expr):
     assert err == f"error: a result of more than {limit} digits exceeds the limit of {limit} digits\n"
 
 
+@pytest.mark.parametrize("expr", ["point(diag(1/3), {nines})", "point(diag(3) xm(1), -{nines})"],
+                         ids=["positive", "negative"])
+def test_a_retraction_past_the_digit_limit_is_named(capsys, expr):
+    """y has as many digits as the limit allows, and the coordinate, 1 + y
+    (resp. −1 + y), one more: it is refused with the limit, where str()
+    would name the interpreter setting."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "retract", expr.format(nines="9" * limit))
+    assert code == 2 and out == ""
+    assert err == f"error: a result of more than {limit} digits exceeds the limit of {limit} digits\n"
+
+
+def test_a_violated_bound_past_the_digit_limit_is_named(capsys):
+    """w fails fixpoint:y at ω(c) = 0 < 2y, and 2y has one digit more than y."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "member", "--spec", f"fixpoint:{'9' * limit}", "w")
+    assert code == 2 and out == ""
+    assert err == f"error: a result of more than {limit} digits exceeds the limit of {limit} digits\n"
+
+
+NINES_400 = int("9" * 400)
+NINES_4299 = int("9" * 4299)
+
+
+@pytest.mark.parametrize("expr,coordinate", [
+    (f"point(xp(1/3), {NINES_400})", NINES_400),
+    (f"point(w, {NINES_4299})", -NINES_4299),
+    (f"point(diag(1/3), {NINES_4299})", 10 ** 4299),
+], ids=["c=0", "d=0", "c=0-limit"])
+def test_retract_takes_a_coordinate_of_any_length(capsys, expr, coordinate):
+    """A zero bottom-row entry bounds nothing: the retraction is read from
+    the other entry alone, exactly, where ω(0) − y used to overflow a float."""
+    code, out, err = run(capsys, "retract", expr)
+    assert (code, err) == (0, "")
+    assert out == f"{coordinate}\n"
+
+
+# One row per wording of a failed valuation bound, as `member` printed them
+# before the checks were shared by sl2.bound_violations: (field, spec,
+# expression, violations), no violation meaning a member.
+VIOLATION_WORDINGS = (
+    ('p:3', 'kerpi:2', 'xp(3) diag(4)', ('ω(a-1) = 1 < 2', 'ω(b) = 1 < 2', 'ω(d-1) = 1 < 2')),
+    ('p:3', 'kerpi:1', 'xp(1/3) xm(1)', ('ω(a-1) = -1 < 1', 'ω(b) = -1 < 1', 'ω(c) = 0 < 1')),
+    ('p:3', 'kerpi:3', 'diag(10)', ('ω(a-1) = 2 < 3', 'ω(d-1) = 2 < 3')),
+    ('p:3', 'tn:2', 'diag(4)', ('ω(δ-1) = 1 < 2',)),
+    ('p:3', 'tn:1', 'diag(2)', ('ω(δ-1) = 0 < 1',)),
+    ('p:3', 'tnunits', 'diag(3)', ('ω(δ) = 1 != 0',)),
+    ('p:3', 'tn:1', 'xp(1)', ('not diagonal',)),
+    ('p:3', 'vlambda:1', 'xp(1/3) xm(1)', ('ω(b) = -1 < 2', 'ω(c) = 0 < 2')),
+    ('p:3', 'vlambda:2', 'xp(9) xm(27) diag(4)', ('ω(b) = 2 < 4', 'ω(c) = 3 < 4', 'ω(δ-1) = 1 < 8')),
+    ('p:3', 'vlambda:1', 'w', ('not in the big cell',)),
+    ('p:3', 'fixpoint:1/2', 'w', ('ω(c) = 0 < 1',)),
+    ('p:3', 'fixpoint:-3/2', 'xp(1)', ('ω(b) = 0 < 3',)),
+    ('p:3', 'fixpoint:1/3', 'diag(1/3)', ('ω(a) = -1 < 0',)),
+    ('p:3', 'fixpoint:0', 'xp(1/3) xm(1/3)', ('ω(a) = -2 < 0', 'ω(b) = -1 < 0', 'ω(c) = -1 < 0')),
+    ('p:3', 'fixpoint:1/3', 'w', ('ω(c) = 0 < 2/3',)),
+    ('p:3', 'fixpoint:-1/4', 'xp(1)', ('ω(b) = 0 < 1/2',)),
+    ('p:3', 'kerpi:1', 'xp(3)', ()),
+    ('p:3', 'bigcello', 'xp(1/3) xm(1/9)', ('ω(b) = -1 < 0', 'ω(c) = -2 < 0')),
+    ('p:3', 'bigcello', 'diag(3)', ('ω(δ) = 1 != 0',)),
+    ('p:3', 'bigcello', 'w', ('not in the big cell',)),
+    ('p:3', 'tn:2', 'torus(4; 4)', ('ω(f-1) = 1 < 2', 'ω(z-1) = 1 < 2')),
+    ('p:3', 'tn:1', 'torus(2; 1)', ('ω(f-1) = 0 < 1',)),
+    ('p:3', 'kerpi:2', 'xp(0; 3) torus(1; 4)', ('entry (1,2) u^0: ω = 1 < 2', 'ω(z-1) = 1 < 2')),
+    ('p:3', 'kerpi:1', 'xm(1; 1/3)', ('entry (2,1) u^1: ω = -1 < 1',)),
+    ('p:3', 'hn:1', 'xp(2; 3) torus(1; 2)', ('entry (1,2) u^2: ω = 1 < 2', 'ω(z-1) = 0 < 1')),
+    ('p:3', 'hn:2', 'xm(-1; 9) t(1, 0)', ('entry (1,1) u^0: ω = -1 < 2', 'entry (2,1) u^-1: ω = 1 < 2', 'entry (2,2) u^0: ω = 0 < 2')),
+    ('p:3', 'vform:1', 'torus(1; 4)', ('ω(z-1) = 1 < 2',)),
+    ('p:3', 'vform:1', 'torus(4; 1)', ('torus factor: ω(f-1) = 1 < 2',)),
+    ('fq:3', 'kerpi:2', 'xp(t) diag(1+t)', ('ω(a-1) = 1 < 2', 'ω(b) = 1 < 2', 'ω(d-1) = 1 < 2')),
+    ('fq:3', 'kerpi:1', 'xp(1/t) xm(1)', ('ω(a-1) = -1 < 1', 'ω(b) = -1 < 1', 'ω(c) = 0 < 1')),
+    ('fq:3', 'tn:2', 'diag(1+t)', ('ω(δ-1) = 1 < 2',)),
+    ('fq:3', 'tnunits', 'diag(t)', ('ω(δ) = 1 != 0',)),
+    ('fq:3', 'vlambda:1', 'xp(1/t) xm(1)', ('ω(b) = -1 < 2', 'ω(c) = 0 < 2')),
+    ('fq:3', 'vlambda:2', 'xp(t^2) xm(t^3) diag(1+t)', ('ω(b) = 2 < 4', 'ω(c) = 3 < 4', 'ω(δ-1) = 1 < 8')),
+    ('fq:3', 'fixpoint:1/2', 'w', ('ω(c) = 0 < 1',)),
+    ('fq:3', 'fixpoint:-3/2', 'xp(1)', ('ω(b) = 0 < 3',)),
+    ('fq:3', 'fixpoint:1/3', 'diag(1/t)', ('ω(a) = -1 < 0',)),
+    ('fq:3', 'bigcello', 'xp(1/t) xm(1/t^2)', ('ω(b) = -1 < 0', 'ω(c) = -2 < 0')),
+    ('fq:3', 'bigcello', 'diag(t)', ('ω(δ) = 1 != 0',)),
+    ('fq:3', 'fixpoint:1/3', 'w', ('ω(c) = 0 < 2/3',)),
+    ('fq:3', 'tn:1', 'diag(1+t)', ()),
+    ('fq:3', 'tn:2', 'torus(1+t; 1+t)', ('ω(f-1) = 1 < 2', 'ω(z-1) = 1 < 2')),
+    ('fq:3', 'tn:1', 'torus(2; 1)', ('ω(f-1) = 0 < 1',)),
+    ('fq:3', 'kerpi:2', 'xp(0; t) torus(1; 1+t)', ('entry (1,2) u^0: ω = 1 < 2', 'ω(z-1) = 1 < 2')),
+    ('fq:3', 'hn:1', 'xp(2; t) torus(1; 2)', ('entry (1,2) u^2: ω = 1 < 2', 'ω(z-1) = 0 < 1')),
+    ('fq:3', 'hn:2', 'xm(-1; t^2) t(1, 0)', ('entry (1,1) u^0: ω = -1 < 2', 'entry (2,1) u^-1: ω = 1 < 2', 'entry (2,2) u^0: ω = 0 < 2')),
+    ('fq:3', 'vform:1', 'torus(1; 1+t)', ('ω(z-1) = 1 < 2',)),
+    ('fq:3', 'vform:1', 'torus(1+t; 1)', ('torus factor: ω(f-1) = 1 < 2',)),
+)
+
+
+@pytest.mark.parametrize("field,spec,expr,violations", VIOLATION_WORDINGS,
+                         ids=[f"{f} {s} {e}" for f, s, e, _ in VIOLATION_WORDINGS])
+def test_violation_wordings(capsys, field, spec, expr, violations):
+    argv = ("member", "--field", field, "--spec", spec, expr)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["false" if violations else "true",
+                                *(f"  violated: {v}" for v in violations)]
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert json.loads(out) == {"schema": 1, "command": "member",
+                               "member": not violations, "violations": list(violations)}
+
+
 # A hyperbolic rank-3 system: 211710 roots up to height 10000, and the count
 # grows exponentially with the height, past roots.MAX_ROOTS.
 HYPERBOLIC_RANK3 = {"cartan": [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]], "rank": 3,

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmtop import exprs as E
 from kmtop import sl2
@@ -9,6 +11,7 @@ from kmtop.valued import PAdicField, RationalFunctionField
 
 F3 = PAdicField(3)
 F2T = RationalFunctionField(2)
+FQ3 = RationalFunctionField(3)
 
 
 def test_affine_example():
@@ -122,6 +125,54 @@ def test_roundtrip_points():
         printed = E.print_expr(ast)
         reparsed = E._Parser(printed, F3).point()
         assert reparsed == ast
+
+
+def _scalars(field):
+    """p-adic a/b, or F_q(t) t^k·num/den with num and den of degree < 4."""
+    if isinstance(field, PAdicField):
+        return st.fractions(-100, 100, max_denominator=50).map(field.scalar)
+    coeffs = st.lists(st.integers(0, field.q - 1), max_size=4)
+    return st.builds(lambda num, den, k: field.ratio(num, den) * field.pi_power(k),
+                     coeffs, coeffs.filter(any), st.integers(-3, 3))
+
+
+# Generators whose constructor refuses a zero scalar argument.
+_NONZERO_ARGS = {"diag", "torus"}
+
+
+def _products(field, target):
+    """Products of target's generators, in every shape of exprs.GENERATORS,
+    with parenthesized products nested among the factors."""
+    def gen(name, shape):
+        scalar = _scalars(field)
+        if name in _NONZERO_ARGS:
+            scalar = scalar.filter(lambda s: not s.is_zero())
+        args = [st.integers(-5, 5) if ch == "i" else scalar for ch in shape if ch in "is"]
+        return st.tuples(*args).map(lambda values: E.Gen(name, values))
+
+    def product(factors):
+        return st.lists(factors, min_size=1, max_size=3).map(lambda fs: E.Product(tuple(fs)))
+
+    gens = st.one_of(*(gen(name, shape) for name, (shape, _) in E.GENERATORS[target].items()))
+    return product(st.recursive(gens, product, max_leaves=6))
+
+
+def _nodes(field, target):
+    if target == E.TREEPOINT:
+        return st.builds(E.Point, _products(field, E.SL2),
+                         st.fractions(-20, 20, max_denominator=12))
+    return _products(field, target)
+
+
+@pytest.mark.parametrize("field", [F3, FQ3], ids=["p:3", "fq:3"])
+@pytest.mark.parametrize("target", [E.SL2, E.AFFINE, E.TREEPOINT])
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(data=st.data())
+def test_print_expr_parses_back(field, target, data):
+    """parse_element ∘ print_expr is the identity on every node the grammar
+    can print: each generator shape, nested products and tree points."""
+    node = data.draw(_nodes(field, target))
+    assert E.parse_element(E.print_expr(node), target, field)[0] == node
 
 
 def test_parenthesized_products():

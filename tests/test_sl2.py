@@ -226,6 +226,19 @@ def test_retract_examples():
     assert S.tree_retract(S.TreePoint.make(S.x_minus(PI), Fraction(1, 4))) == Fraction(1, 4)
 
 
+def test_retract_is_exact_past_the_float_range():
+    """A zero entry of the bottom row bounds nothing, so the coordinate is
+    read from the other entry without ω(0) = ∞ entering the arithmetic."""
+    third = F3.scalar(Fraction(1, 3))
+    for y in (Fraction(10 ** 400 + 1, 2), -Fraction(10 ** 309)):
+        for g, want in ((S.x_plus(third), y),              # c = 0
+                        (S.diag_torus(third), 1 + y),      # c = 0, ω(d) = 1
+                        (S.weyl_w(F3), -y),                # d = 0
+                        (S.x_minus(PI), min(1 - y, y))):   # both nonzero
+            got = S.tree_retract(S.TreePoint.make(g, y))
+            assert type(got) is Fraction and got == want
+
+
 def test_retract_u_plus_invariance():
     rng = random.Random(15)
     for _ in range(200):
