@@ -37,12 +37,16 @@ terms; polynomial ratios reduced with monic denominator and the powers of t
 taken out), so equality is structural and every operation is pure.  ω(0) is
 the distinguished tag ``INFINITY``, never an integer sentinel.
 
-The F_q(t) kernels (``_padd``, ``_pmul``, ``_ppow``, ``_pdivmod``, ``_pgcd``
-and ``_pscale``) take trimmed coefficient tuples over F_p, p prime: entries in
-[0, p), no trailing zero, () for zero.  They return exact-size trimmed
-tuples.  Over a prime p a product of nonzero leading coefficients is
+The F_q(t) kernels (``_padd``, ``_pmul``, ``_ppow``, ``_prem``, ``_pquo``,
+``_pgcd`` and ``_pscale``) take trimmed coefficient tuples over F_p, p prime:
+entries in [0, p), no trailing zero, () for zero.  They return exact-size
+trimmed tuples.  Over a prime p a product of nonzero leading coefficients is
 nonzero, so a product, a quotient and a nonzero scaling need no trim; only
-sums and remainders do.  They may return an operand itself (a product by 1).
+remainders and sums of operands of one length do.  Division takes only what
+its caller uses: ``_pgcd`` the remainders (``_prem``), and the callers that
+divide by a gcd the quotient (``_pquo``).  A kernel may return an operand
+itself (a product by 1), and the callers in ``RationalFunctionField`` skip
+the call where an operand they pick is the polynomial 1.
 Results are built as ``tuple([...])``, never ``tuple(genexpr)``: CPython
 allocates a tuple built from a generator from a length guess and resizes it
 afterwards, and built that way the kernels' tuples raised the verify-fq peak
@@ -135,9 +139,14 @@ def _ptrim(c: list[int]) -> tuple[int, ...]:
 
 
 def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    c = [(x + y) % p for x, y in zip(a, b)]
+    if len(a) == len(b):
+        return _ptrim(c)
+    # the longer operand's leading coefficient survives: nothing to trim
+    c += a[len(b):]
+    return tuple(c)
 
 
 def _pneg(a, p):
@@ -165,32 +174,54 @@ def _pmul(a, b, p):
 
 
 def _ppow(a, e, p):
-    """a^e for e ≥ 1, by repeated squaring."""
-    if e == 1:
+    """a^e for e ≥ 1, by repeated squaring; 1^e is 1."""
+    if e == 1 or a == (1,):
         return a
     half = _ppow(_pmul(a, a, p), e >> 1, p)
     return _pmul(half, a, p) if e & 1 else half
 
 
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _prem(a, b, p):
+    """The remainder of a by b ≠ 0."""
     lb = len(b)
     if len(a) < lb:
-        return (), a
+        return a
+    if lb == 2:
+        # b = b0 + b1·t: the remainder is a(r) at the root r = −b0/b1, by Horner
+        r = -b[0] * pow(b[1], -1, p) % p
+        x = 0
+        for c in reversed(a):
+            x = (x * r + c) % p
+        return (x,) if x else ()
     a = list(a)
-    q = [0] * (len(a) - lb + 1)
     inv_lead = pow(b[-1], -1, p)
     for i in range(len(a) - lb, -1, -1):
         coeff = (a[i + lb - 1] * inv_lead) % p
         if coeff:
-            q[i] = coeff
             # the top term cancels by the choice of coeff; the rest are
             # reduced when they become the top term, or at the end
             for j in range(lb - 1):
                 a[i + j] -= coeff * b[j]
-    # q[-1] = a[-1]/b[-1] is nonzero: only the remainder can need a trim
-    return tuple(q), _ptrim([x % p for x in a[:lb - 1]])
+    return _ptrim([x % p for x in a[:lb - 1]])
+
+
+def _pquo(a, b, p):
+    """The quotient a/b, for b ≠ 0 dividing a: the remainder, 0, is not formed."""
+    lb = len(b)
+    inv_lead = pow(b[-1], -1, p)
+    if len(a) == lb:
+        # a is an associate of b: a constant quotient
+        return ((a[-1] * inv_lead) % p,)
+    a = list(a)
+    q = [0] * (len(a) - lb + 1)
+    for i in range(len(a) - lb, -1, -1):
+        coeff = (a[i + lb - 1] * inv_lead) % p
+        if coeff:
+            q[i] = coeff
+            for j in range(lb - 1):
+                a[i + j] -= coeff * b[j]
+    # q[-1] = a[-1]/b[-1] is nonzero: nothing to trim
+    return tuple(q)
 
 
 def _pgcd(a, b, p):
@@ -198,7 +229,7 @@ def _pgcd(a, b, p):
     while b:
         if len(b) == 1:
             return (1,)
-        a, b = b, _pdivmod(a, b, p)[1]
+        a, b = b, _prem(a, b, p)
     if a and a[-1] != 1:
         a = _pscale(a, pow(a[-1], -1, p), p)
     return a
@@ -370,8 +401,8 @@ class RationalFunctionField(Field):
         num, den = num[i:], den[j:]
         g = _pgcd(num, den, self.q) if len(den) > 1 else (1,)    # a constant den: no gcd
         if len(g) > 1:
-            num = _pdivmod(num, g, self.q)[0]
-            den = _pdivmod(den, g, self.q)[0]
+            num = _pquo(num, g, self.q)
+            den = _pquo(den, g, self.q)
         lead = den[-1]
         if lead != 1:
             inv = pow(lead, -1, self.q)
@@ -445,8 +476,9 @@ class RationalFunctionField(Field):
             # only factors of g can cancel: a prime dividing e1 but not g
             # divides neither n1 nor e2, so not the numerator (and so for e2)
             g = (1,) if d1 == (1,) or d2 == (1,) else _pgcd(d1, d2, q)
-            e1, e2 = (d1, d2) if g == (1,) else (_pdivmod(d1, g, q)[0], _pdivmod(d2, g, q)[0])
-            num = _padd(_pmul(n1, e2, q), _pmul(n2, e1, q), q)
+            e1, e2 = (d1, d2) if g == (1,) else (_pquo(d1, g, q), _pquo(d2, g, q))
+            num = _padd(n1 if e2 == (1,) else _pmul(n1, e2, q),
+                        n2 if e1 == (1,) else _pmul(n2, e1, q), q)
         if not num:
             return self.ZERO
         if not num[0]:
@@ -456,8 +488,8 @@ class RationalFunctionField(Field):
         if g != (1,):
             g2 = _pgcd(num, g, q)
             if g2 != (1,):
-                num, d2 = _pdivmod(num, g2, q)[0], _pdivmod(d2, g2, q)[0]
-        return (v1, num, _pmul(e1, d2, q))
+                num, d2 = _pquo(num, g2, q), _pquo(d2, g2, q)
+        return (v1, num, d2 if e1 == (1,) else e1 if d2 == (1,) else _pmul(e1, d2, q))
 
     def _neg(self, a):
         v, num, den = a
@@ -468,11 +500,6 @@ class RationalFunctionField(Field):
         if not n1 or not n2:
             return self.ZERO
         q = self.q
-        if d1 == d2 == (1,):
-            if len(n1) == len(n2) == 1:
-                # c1·t^v1 times c2·t^v2: a product of nonzero residues mod q
-                return (v1 + v2, (n1[0] * n2[0] % q,), (1,))
-            return (v1 + v2, _pmul(n1, n2, q), (1,))
         # c·t^k is a unit times a power of t: c·n/d is reduced, d stays monic
         if len(n1) == 1 and d1 == (1,):
             return (v1 + v2, n2 if n1[0] == 1 else _pscale(n2, n1[0], q), d2)
@@ -482,12 +509,14 @@ class RationalFunctionField(Field):
         if d2 != (1,):
             g = _pgcd(n1, d2, q)
             if g != (1,):
-                n1, d2 = _pdivmod(n1, g, q)[0], _pdivmod(d2, g, q)[0]
+                n1, d2 = _pquo(n1, g, q), _pquo(d2, g, q)
         if d1 != (1,):
             g = _pgcd(n2, d1, q)
             if g != (1,):
-                n2, d1 = _pdivmod(n2, g, q)[0], _pdivmod(d1, g, q)[0]
-        return (v1 + v2, _pmul(n1, n2, q), _pmul(d1, d2, q))
+                n2, d1 = _pquo(n2, g, q), _pquo(d1, g, q)
+        num = n2 if n1 == (1,) else n1 if n2 == (1,) else _pmul(n1, n2, q)
+        den = d2 if d1 == (1,) else d1 if d2 == (1,) else _pmul(d1, d2, q)
+        return (v1 + v2, num, den)
 
     def _inv(self, a):
         # a reduced fraction inverts to a reduced one: no gcd, only a monic

@@ -13,10 +13,11 @@ from kmtop.valued import (
     PAdicField,
     RationalFunctionField,
     _padd,
-    _pdivmod,
     _pgcd,
     _pmul,
     _pneg,
+    _pquo,
+    _prem,
     _pscale,
     parse_field,
 )
@@ -540,8 +541,8 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
 #
 # RationalFunctionField's _canonical, _add, _mul and _inv from before raw values
 # kept their power of t apart, word for word but for their names, q passed in
-# for self.q and _ptrim_ref for _ptrim: raw values (num, den), reduced with
-# monic denominator, zero ((), (1,)).
+# for self.q, _ptrim_ref for _ptrim and _pdivmod_ref for _pdivmod: raw values
+# (num, den), reduced with monic denominator, zero ((), (1,)).
 
 def _pair_canonical(num, den, q):
     num = _ptrim_ref(list(num))
@@ -552,8 +553,8 @@ def _pair_canonical(num, den, q):
         return ((), (1,))
     g = _pgcd(num, den, q)
     if len(g) > 1 or g != (1,):
-        num = _pdivmod(num, g, q)[0]
-        den = _pdivmod(den, g, q)[0]
+        num = _pdivmod_ref(num, g, q)[0]
+        den = _pdivmod_ref(den, g, q)[0]
     lead = den[-1]
     if lead != 1:
         inv = pow(lead, -1, q)
@@ -573,11 +574,11 @@ def _pair_add(a, b, q):
         return (_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q), _pmul(d1, d2, q))
     # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and only
     # factors of g can cancel.  A zero sum has d1 = d2 = g = g2: ((), (1,)).
-    e1, e2 = _pdivmod(d1, g, q)[0], _pdivmod(d2, g, q)[0]
+    e1, e2 = _pdivmod_ref(d1, g, q)[0], _pdivmod_ref(d2, g, q)[0]
     num = _padd(_pmul(n1, e2, q), _pmul(n2, e1, q), q)
     g2 = _pgcd(num, g, q)
     if g2 != (1,):
-        num, d2 = _pdivmod(num, g2, q)[0], _pdivmod(d2, g2, q)[0]
+        num, d2 = _pdivmod_ref(num, g2, q)[0], _pdivmod_ref(d2, g2, q)[0]
     return (num, _pmul(e1, d2, q))
 
 
@@ -596,11 +597,11 @@ def _pair_mul(a, b, q):
     if d2 != (1,):
         g = _pgcd(n1, d2, q)
         if g != (1,):
-            n1, d2 = _pdivmod(n1, g, q)[0], _pdivmod(d2, g, q)[0]
+            n1, d2 = _pdivmod_ref(n1, g, q)[0], _pdivmod_ref(d2, g, q)[0]
     if d1 != (1,):
         g = _pgcd(n2, d1, q)
         if g != (1,):
-            n2, d1 = _pdivmod(n2, g, q)[0], _pdivmod(d1, g, q)[0]
+            n2, d1 = _pdivmod_ref(n2, g, q)[0], _pdivmod_ref(d1, g, q)[0]
     return (_pmul(n1, n2, q), _pmul(d1, d2, q))
 
 
@@ -719,9 +720,9 @@ def test_fq_powers_and_constant_denominators_need_no_gcd(q, monkeypatch):
 
 # --- the polynomial kernels against schoolbook references and sympy -------------
 #
-# The schoolbook kernels that _pmul, _pdivmod and _pgcd replaced, word for word
-# but for their names: a reduction mod p at every inner step and a trim on
-# every result.
+# The schoolbook kernels that _pmul, _pdivmod (now _prem and _pquo) and _pgcd
+# replaced, word for word but for their names: a reduction mod p at every
+# inner step and a trim on every result.
 
 def _ptrim_ref(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
@@ -775,18 +776,11 @@ def _kernel_polys(p):
         .map(lambda cl: (*cl[0], cl[1])))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-@settings(deadline=None, max_examples=150)
-@given(data=st.data())
-def test_polynomial_kernels_match_schoolbook_and_sympy(p, data):
-    """On trimmed operands, _pmul, _pdivmod and _pgcd equal the schoolbook
-    kernels they replaced and sympy's arithmetic in GF(p)[t], and every
-    result is trimmed (so built to its exact size)."""
+def _sympy_polys(p):
+    """to_poly(n), sympy's Poly over GF(p) of a coefficient tuple; raw(poly),
+    the trimmed tuple of a Poly; and trimmed(x), whether x is a kernel result."""
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
-    polys = _kernel_polys(p)
-    a = data.draw(st.one_of(st.just(()), polys))
-    b = data.draw(polys)
 
     def to_poly(n):
         return sympy.Poly(list(reversed(n)) or [0], t, modulus=p)
@@ -798,17 +792,76 @@ def test_polynomial_kernels_match_schoolbook_and_sympy(p, data):
     def trimmed(x):
         return isinstance(x, tuple) and (not x or x[-1] != 0) and all(0 <= c < p for c in x)
 
+    return sympy, to_poly, raw, trimmed
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_polynomial_kernels_match_schoolbook_and_sympy(p, data):
+    """On trimmed operands, _pmul and _pgcd equal the schoolbook kernels they
+    replaced and sympy's arithmetic in GF(p)[t], and every result is trimmed
+    (so built to its exact size).  test_remainder_and_quotient_kernels checks
+    the division kernels."""
+    sympy, to_poly, raw, trimmed = _sympy_polys(p)
+    polys = _kernel_polys(p)
+    a = data.draw(st.one_of(st.just(()), polys))
+    b = data.draw(polys)
+
     product = _pmul(a, b, p)
     assert trimmed(product) and product == _pmul_ref(a, b, p) == _pmul(b, a, p)
     assert product == raw(to_poly(a) * to_poly(b))
-
-    quo, rem = _pdivmod(a, b, p)
-    assert trimmed(quo) and trimmed(rem) and len(rem) < len(b)
-    assert (quo, rem) == _pdivmod_ref(a, b, p)
-    sq, sr = sympy.div(to_poly(a), to_poly(b))
-    assert (quo, rem) == (raw(sq), raw(sr))
 
     g = _pgcd(a, b, p)
     assert trimmed(g) and g[-1] == 1                 # b ≠ 0, so the gcd is monic
     assert g == _pgcd_ref(a, b, p) == _pgcd_ref(b, a, p) == _pgcd(b, a, p)
     assert g == raw(sympy.gcd(to_poly(a), to_poly(b)).monic())
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(data=st.data())
+def test_remainder_and_quotient_kernels(q, data):
+    """_prem equals the schoolbook remainder and sympy's, and _pgcd the
+    schoolbook gcd and sympy's, for a linear divisor (whose remainder _prem
+    takes as a value at the root), a constant one and a general one, each
+    against a zero dividend, a shorter one, an associate, a multiple and a
+    general one.  _pquo of a multiple m·b by b is m, as the schoolbook
+    quotient and sympy's say, for a constant m (operands of one length, whose
+    quotient _pquo takes from the leading coefficients) or any other; and
+    _pquo(0, b) is 0.  _padd equals sympy's sum on operands of unequal length,
+    keeping the longer one's leading coefficient, and on operands of one
+    length whose sum cancels at the top or to 0."""
+    sympy, to_poly, raw, trimmed = _sympy_polys(q)
+    polys = _kernel_polys(q)
+    lead = st.integers(1, q - 1)
+    coeffs = st.integers(0, q - 1)
+    linear = data.draw(st.tuples(coeffs, lead))
+    constant = (data.draw(lead),)
+    for b in (linear, constant, data.draw(polys)):
+        shorter = _ptrim_ref(data.draw(st.lists(coeffs, max_size=len(b) - 1)))
+        cofactor = data.draw(polys)
+        c = data.draw(lead)
+        for a in ((), shorter, _pscale(b, c, q), _pmul_ref(b, cofactor, q), data.draw(polys)):
+            rem = _prem(a, b, q)
+            assert trimmed(rem) and len(rem) < len(b)
+            assert rem == _pdivmod_ref(a, b, q)[1] == raw(sympy.rem(to_poly(a), to_poly(b)))
+            g = _pgcd(a, b, q)
+            assert g == _pgcd_ref(a, b, q) == raw(sympy.gcd(to_poly(a), to_poly(b)).monic())
+        for m in ((c,), cofactor):
+            a = _pmul_ref(b, m, q)
+            quo = _pquo(a, b, q)
+            assert trimmed(quo)
+            assert quo == m == _pdivmod_ref(a, b, q)[0] == raw(sympy.quo(to_poly(a), to_poly(b)))
+        assert _pquo((), b, q) == ()
+
+    u = data.draw(polys)
+    longer = u + tuple(data.draw(st.lists(coeffs, max_size=3))) + (data.draw(lead),)
+    top_cancels = tuple(data.draw(st.lists(coeffs, min_size=len(u) - 1, max_size=len(u) - 1)))
+    top_cancels += ((-u[-1]) % q,)
+    for x, y in ((u, longer), (longer, u), (u, top_cancels), (u, _pneg(u, q))):
+        total = _padd(x, y, q)
+        assert trimmed(total) and total == _padd(y, x, q)
+        assert total == raw(to_poly(x) + to_poly(y))
+    assert _padd(u, longer, q)[-1] == longer[-1]
+    assert _padd(u, _pneg(u, q), q) == ()
