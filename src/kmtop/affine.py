@@ -111,9 +111,9 @@ class LaurentPoly:
         return LaurentPoly(self.field, out)
 
     def substitute_scale(self, z: ValuedScalar) -> "LaurentPoly":
-        """u ← z·u for z ≠ 0: the exponent-k coefficient is multiplied by
-        z^k ≠ 0, and the constant one, times z^0 = 1, is kept as it is."""
-        if not self.coeffs or z.is_one():
+        """u ← z·u for z ≠ 0, 1 (_subst skips z = 1): the exponent-k
+        coefficient is multiplied by z^k ≠ 0, and the constant one is kept."""
+        if not self.coeffs:
             return self
         return LaurentPoly._trusted(self.field,
                                     {k: v * z ** k if k else v for k, v in self.coeffs.items()})
@@ -133,14 +133,6 @@ class LaurentPoly:
 
     def get(self, k: int) -> ValuedScalar:
         return self.coeffs.get(k, self.field.zero())
-
-    def constant_value(self) -> ValuedScalar | None:
-        """The scalar if this is a constant polynomial, else None."""
-        if not self.coeffs:
-            return self.field.zero()
-        if len(self.coeffs) == 1 and 0 in self.coeffs:
-            return self.coeffs[0]
-        return None
 
     def __str__(self):
         if not self.coeffs:
@@ -250,19 +242,21 @@ def aff_s0(field: Field) -> AffElt:
 
 
 def torus_parts(g: AffElt) -> tuple[ValuedScalar, ValuedScalar]:
-    """(f, z) for a torus element (diag(f, f^{-1}), z); NotTorus otherwise."""
-    if not (g.m.b.is_zero() and g.m.c.is_zero()):
+    """(f, z) for a torus element (diag(f, f^{-1}), z); NotTorus otherwise.
+    With b = c = 0, det 1 makes a a unit of K[u, u^{-1}], a monomial f·u^k,
+    and d = f^{-1}·u^{-k}: so a constant a is the one check left."""
+    m = g.m
+    if not (m.b.is_zero() and m.c.is_zero()):
         raise NotTorus("not a torus element: off-diagonal entries present")
-    f = g.m.a.constant_value()
-    finv = g.m.d.constant_value()
-    if f is None or finv is None or f.is_zero() or not (f * finv).is_one():
+    f = m.a.coeffs.get(0)
+    if f is None:
         raise NotTorus("not a torus element: diagonal is not a constant pair (f, 1/f)")
     return f, g.z
 
 
 def eval_char(beta, g: AffElt) -> ValuedScalar:
     """β(t) = f^{β₀}·z^{β₁} on a torus t = (diag(f, f^{-1}), z), β in the dual
-    coordinates of roots.affine_sl2_system()."""
+    coordinates of roots.AFFINE_SL2."""
     f, z = torus_parts(g)
     return f ** beta[0] * z ** beta[1]
 
@@ -279,7 +273,6 @@ def entry_root(r: int, c: int, k: int) -> tuple[int, int]:
 LAMBDA = (1, 3)
 LAMBDA_PRIME = (1, 1)
 VFORM_TORUS = 2
-_SIMPLE_ROOTS = roots.affine_sl2_system().simple_roots
 
 
 def nu_translation(g: AffElt):
@@ -290,7 +283,7 @@ def nu_translation(g: AffElt):
 
 def fixes_test_point(g: AffElt, i: int, n: int) -> bool:
     """ω(α_i(t) − 1) ≥ n (i = 0, 1): whether the torus t fixes x_{α_i}(ϖ^{-n})·0."""
-    return (eval_char(_SIMPLE_ROOTS[i], g) - 1).valuation() >= n
+    return (eval_char(roots.AFFINE_SL2.simple_roots[i], g) - 1).valuation() >= n
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +378,19 @@ def aff_member(g: AffElt, spec: AffSubgroupSpec) -> bool:
 # row degree of M until both are 0 and what is left lies in K[u^{-1}].  Each
 # step lowers the sum of the row degrees, which starts at most 2N (N the
 # largest u-exponent of M) and never falls below deg det = 0, so at most 2N
-# steps run.  Each factor is then checked entry-wise.
+# steps run.  Each factor is then checked coefficient-wise.
 
 def _pattern_violations(a: SL2Elt, mu, sign: int) -> list[str]:
     """Entry conditions of u_+ ∈ t_{-μ}·U0^{pm+}·t_{μ} (sign 1) or of its
-    mirror u_- ∈ t_{μ}·U0^{nm-}·t_{-μ} (sign −1), μ = n·λ: sign·k ≥ 0 at the
-    root sign·å, sign·k ≥ 1 elsewhere, and ω ≥ ⟨β, sign·μ⟩ at the root β."""
-    name, beyond = ("u_+", "<") if sign > 0 else ("u_-", ">")
+    mirror u_- ∈ t_{μ}·U0^{nm-}·t_{-μ} (sign −1), μ = n·λ: ω ≥ ⟨β, sign·μ⟩
+    at the root β.  Their exponent conditions, sign·k ≥ 0 at the root sign·å
+    and ≥ 1 elsewhere, hold by construction: _birkhoff's A ∈ SL2(K[u]) has
+    A(0) upper unitriangular, and B ∈ SL2(K[u^{-1}]) has B(∞) lower."""
+    name = "u_+" if sign > 0 else "u_-"
     out = []
     for r, c, k, coeff in deviation(a):
-        lowest = 0 if c - r == sign else 1
         bound = sign * roots.eval_pairing(entry_root(r, c, k), mu)
-        if sign * k < lowest:
-            out.append(f"{name} entry ({r + 1},{c + 1}) has exponent {k} "
-                       f"{beyond} {sign * lowest}")
-        elif coeff.valuation() < bound:
+        if coeff.valuation() < bound:
             out.append(f"{name} entry ({r + 1},{c + 1}) u^{k}: ω < {bound}")
     return out
 
@@ -473,11 +464,10 @@ def kp_witness(n: int, depth: int):
         raise ValueError("n and depth must be >= 1")
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the limit of {MAX_DEPTH}")
-    system = roots.affine_sl2_system()
     simple = ((1, 0), (0, 1))
     # r(α_j) for each letter r; the action on Q-coordinates is linear, so
     # (w·r)(α_j) = Σ_k r(α_j)_k · w(α_k) steps the prefix w one letter on.
-    reflected = [[roots.co_reflect(system, r, a) for a in simple] for r in (0, 1)]
+    reflected = [[roots.co_reflect(roots.AFFINE_SL2, r, a) for a in simple] for r in (0, 1)]
     images = simple          # w(α_0), w(α_1) for the prefix w read so far
     betas = []
     witness = None

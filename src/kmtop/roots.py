@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 from .record import Record
+from .valued import check_digits, exact_fraction
 
 RootVec = tuple[int, ...]
 ApartmentVec = tuple[Fraction, ...]
@@ -36,9 +37,16 @@ class KacMoodyMatrix(Record):
         return self.entries[ij[0]][ij[1]]
 
 
+def _integer(x) -> int:
+    """x, if it is an int; TypeError otherwise, a bool included."""
+    if type(x) is not int:
+        raise TypeError(f"not an integer: {x!r}")
+    return x
+
+
 def validate_km(rows) -> KacMoodyMatrix:
     """Check the generalized Cartan axioms; name the violated one on failure."""
-    entries = tuple(tuple(int(x) for x in row) for row in rows)
+    entries = tuple(tuple(_integer(x) for x in row) for row in rows)
     size = len(entries)
     if any(len(row) != size for row in entries):
         raise ValueError("matrix must be square")
@@ -81,7 +89,7 @@ class RootGenSys(Record):
                         f"pairing alpha_{j}(alpha_{i}^) != a[{i}][{j}]")
 
     def apartment_vec(self, coords) -> ApartmentVec:
-        v = tuple(Fraction(c) for c in coords)
+        v = tuple(exact_fraction(c) for c in coords)
         if len(v) != self.rank:
             raise ValueError("dimension mismatch")
         return v
@@ -186,37 +194,25 @@ def tits_classify(system: RootGenSys, v, max_steps: int):
 # ---------------------------------------------------------------------------
 # Built-in systems and fixture files.
 
-def a1_system() -> RootGenSys:
-    """SL2: X-basis the fundamental weight, å = 2·weight, Y = Z·å∨."""
-    return RootGenSys(validate_km([[2]]), 1, ((2,),), ((1,),))
+# SL2: X-basis the fundamental weight, å = 2·weight, Y = Z·å∨.
+A1 = RootGenSys(validate_km([[2]]), 1, ((2,),), ((1,),))
 
+# Affine SL2 lattices X = Zå ⊕ Zδ, Y = Zå∨ ⊕ Zd, non-free coroots.  In the
+# (å∨, d)-dual coordinates: α_0 = δ − å = (−2, 1), α_1 = å = (2, 0),
+# α_0∨ = −å∨, α_1∨ = å∨.
+AFFINE_SL2 = RootGenSys(validate_km([[2, -2], [-2, 2]]), 2,
+                        ((-2, 1), (2, 0)), ((-1, 0), (1, 0)))
 
-def affine_sl2_system() -> RootGenSys:
-    """Affine SL2 lattices X = Zå ⊕ Zδ, Y = Zå∨ ⊕ Zd, non-free coroots.
-
-    In the (å∨, d)-dual coordinates: α_0 = δ − å = (−2, 1), α_1 = å = (2, 0),
-    α_0∨ = −å∨, α_1∨ = å∨.
-    """
-    return RootGenSys(
-        validate_km([[2, -2], [-2, 2]]), 2,
-        ((-2, 1), (2, 0)),
-        ((-1, 0), (1, 0)),
-    )
-
-
-BUILTIN_SYSTEMS = {
-    "a1": a1_system,
-    "affine-sl2": affine_sl2_system,
-}
+BUILTIN_SYSTEMS = {"a1": A1, "affine-sl2": AFFINE_SL2}
 
 
 def system_from_fixture(data: dict) -> RootGenSys:
     try:
         return RootGenSys(
             validate_km(data["cartan"]),
-            int(data["rank"]),
-            tuple(tuple(int(x) for x in r) for r in data["simple_roots"]),
-            tuple(tuple(int(x) for x in r) for r in data["simple_coroots"]),
+            _integer(data["rank"]),
+            tuple(tuple(_integer(x) for x in r) for r in data["simple_roots"]),
+            tuple(tuple(_integer(x) for x in r) for r in data["simple_coroots"]),
         )
     except KeyError as exc:
         raise ValueError(f"fixture is missing field {exc.args[0]!r}") from exc
@@ -227,10 +223,11 @@ def system_from_fixture(data: dict) -> RootGenSys:
 def load_system(name_or_path: str) -> RootGenSys:
     """Resolve --system: a built-in name or a JSON fixture file path."""
     if name_or_path in BUILTIN_SYSTEMS:
-        return BUILTIN_SYSTEMS[name_or_path]()
+        return BUILTIN_SYSTEMS[name_or_path]
     try:
         with open(name_or_path) as fh:
-            data = json.load(fh)
+            # an integer past int()'s digit limit is named as check_digits does
+            data = json.load(fh, parse_int=lambda text: int(check_digits(text)))
     except OSError as exc:      # an unreadable fixture is a bad input
         raise ValueError(str(exc)) from None
     return system_from_fixture(data)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import roots
 from .record import Record
-from .valued import Field, ValuedScalar, check_digits, exact_str
+from .valued import Field, ValuedScalar, check_digits, exact_fraction, exact_str
 
 
 class NotInBigCell(ValueError):
@@ -123,7 +123,7 @@ def birkhoff_decompose(g: SL2Elt):
     f = g.field
     if not g.d.is_zero():
         return (g.b / g.d, diag_torus(g.d.inv()), g.c / g.d)
-    n = SL2Elt(f.zero(), g.b, -g.b.inv(), f.zero())
+    n = SL2Elt._trusted(f.zero(), g.b, -g.b.inv(), f.zero())     # det g12·g12^{-1} = 1
     return (-(g.a * g.b), n, f.zero())
 
 
@@ -170,12 +170,13 @@ class SubgroupSpec(Record):
             raise ValueError(f"spec {kind!r} does not apply to {self.GROUP} elements")
         want = self.KINDS[kind][0]
         if want == LEVEL:
-            if not isinstance(arg, int) or arg < 1:
+            if type(arg) is not int or arg < 1:     # a bool is no level
                 raise ValueError(f"spec {kind!r} needs a level, e.g. {kind}:2")
         elif want == RATIONAL:
             try:
                 object.__setattr__(self, "arg",
-                                   parse_rational(arg) if isinstance(arg, str) else Fraction(arg))
+                                   parse_rational(arg) if isinstance(arg, str)
+                                   else exact_fraction(arg))
             except ZeroDivisionError:
                 raise ValueError(f"spec {kind!r} has a zero denominator") from None
             except (TypeError, ValueError):
@@ -185,14 +186,13 @@ class SubgroupSpec(Record):
 
 
 # vlambda:n is x_+(ω ≥ n·⟨α, λ⟩)·x_-(ω ≥ n·⟨−α, −λ⟩)·T_{VLAMBDA_TORUS·n},
-# λ = å∨ the coroot of roots.a1_system(); both pairings are ⟨α, λ⟩.
-_A1 = roots.a1_system()
+# λ = å∨ the coroot of roots.A1; both pairings are ⟨α, λ⟩.
 VLAMBDA_TORUS = 4
 
 
 def vlambda_levels(n: int) -> tuple[int, int, int]:
     """The least ω(b), ω(c) and ω(δ − 1) of x_+(b)·x_-(c)·diag(δ) in vlambda:n."""
-    level = n * roots.eval_pairing(_A1.simple_roots[0], _A1.simple_coroots[0])
+    level = n * roots.eval_pairing(roots.A1.simple_roots[0], roots.A1.simple_coroots[0])
     return level, level, VLAMBDA_TORUS * n
 
 
@@ -278,7 +278,7 @@ class TreePoint(Record):
 
     @staticmethod
     def make(g: SL2Elt, y) -> "TreePoint":
-        return TreePoint(g, Fraction(y))
+        return TreePoint(g, exact_fraction(y))
 
     def __str__(self):
         return f"point({self.g}, {self.y})"

@@ -44,9 +44,10 @@ trimmed tuples.  Over a prime p a product of nonzero leading coefficients is
 nonzero, so a product, a quotient and a nonzero scaling need no trim; only
 remainders and sums of operands of one length do.  Division takes only what
 its caller uses: ``_pgcd`` the remainders (``_prem``), and the callers that
-divide by a gcd the quotient (``_pquo``).  A kernel may return an operand
-itself (a product by 1), and the callers in ``RationalFunctionField`` skip
-the call where an operand they pick is the polynomial 1.
+divide by a gcd the quotient (``_pquo``), which takes the monic divisor
+``_pgcd`` gives.  A kernel may return an operand itself (a product by 1),
+and the callers in ``RationalFunctionField`` skip the call where an operand
+they pick is 1.
 Results are built as ``tuple([...])``, never ``tuple(genexpr)``: CPython
 allocates a tuple built from a generator from a length guess and resizes it
 afterwards, and built that way the kernels' tuples raised the verify-fq peak
@@ -86,6 +87,13 @@ def exact_str(x) -> str:
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"a result of more than {limit} digits exceeds the limit "
                          f"of {limit} digits") from None
+
+
+def exact_fraction(x) -> Fraction:
+    """An int or a Fraction as a Fraction; TypeError otherwise, a bool included."""
+    if type(x) is bool or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {x!r}")
+    return Fraction(x)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -206,21 +214,20 @@ def _prem(a, b, p):
 
 
 def _pquo(a, b, p):
-    """The quotient a/b, for b ≠ 0 dividing a: the remainder, 0, is not formed."""
+    """a/b for a monic b dividing a: the remainder, 0, is not formed."""
     lb = len(b)
-    inv_lead = pow(b[-1], -1, p)
     if len(a) == lb:
         # a is an associate of b: a constant quotient
-        return ((a[-1] * inv_lead) % p,)
+        return (a[-1],)
     a = list(a)
     q = [0] * (len(a) - lb + 1)
     for i in range(len(a) - lb, -1, -1):
-        coeff = (a[i + lb - 1] * inv_lead) % p
+        coeff = a[i + lb - 1] % p
         if coeff:
             q[i] = coeff
             for j in range(lb - 1):
                 a[i + j] -= coeff * b[j]
-    # q[-1] = a[-1]/b[-1] is nonzero: nothing to trim
+    # q[-1] = a[-1] is nonzero: nothing to trim
     return tuple(q)
 
 
@@ -468,17 +475,13 @@ class RationalFunctionField(Field):
             # of n1·e2 below
             n2 = (0,) * (v2 - v1) + n2
         q = self.q
-        if d1 == d2 == (1,):
-            e1 = g = (1,)
-            num = _padd(n1, n2, q)
-        else:
-            # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and
-            # only factors of g can cancel: a prime dividing e1 but not g
-            # divides neither n1 nor e2, so not the numerator (and so for e2)
-            g = (1,) if d1 == (1,) or d2 == (1,) else _pgcd(d1, d2, q)
-            e1, e2 = (d1, d2) if g == (1,) else (_pquo(d1, g, q), _pquo(d2, g, q))
-            num = _padd(n1 if e2 == (1,) else _pmul(n1, e2, q),
-                        n2 if e1 == (1,) else _pmul(n2, e1, q), q)
+        # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and
+        # only factors of g can cancel: a prime dividing e1 but not g
+        # divides neither n1 nor e2, so not the numerator (and so for e2)
+        g = (1,) if d1 == (1,) or d2 == (1,) else _pgcd(d1, d2, q)
+        e1, e2 = (d1, d2) if g == (1,) else (_pquo(d1, g, q), _pquo(d2, g, q))
+        num = _padd(n1 if e2 == (1,) else _pmul(n1, e2, q),
+                    n2 if e1 == (1,) else _pmul(n2, e1, q), q)
         if not num:
             return self.ZERO
         if not num[0]:

@@ -14,7 +14,7 @@ Runs, in order and in-process through kmtop.cli.main:
 The repr of (argv, stdout, stderr, exit code) of every run is fed into one
 hash.  Prints the number of runs and the hex digest; equal lines before and
 after a change mean equal outputs.  The file is not named test_*, so pytest
-does not collect it.
+does not collect it; tests/test_cli.py runs its digest() and pins the line.
 """
 
 from __future__ import annotations
@@ -55,16 +55,21 @@ def argvs():
             yield ["--json", *argv]
 
 
-def main() -> int:
-    digest = hashlib.sha256()
+def digest() -> tuple[int, str]:
+    """(number of runs, hex digest) of the runs argvs() lists."""
+    sha = hashlib.sha256()
     runs = 0
     for argv in argvs():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        digest.update(repr((argv, out.getvalue(), err.getvalue(), code)).encode())
+        sha.update(repr((argv, out.getvalue(), err.getvalue(), code)).encode())
         runs += 1
-    print(runs, digest.hexdigest())
+    return runs, sha.hexdigest()
+
+
+def main() -> int:
+    print(*digest())
     return 0
 
 

@@ -124,7 +124,7 @@ def test_10_fix_criterion():
 
 def test_11_root_enumeration():
     t0 = time.perf_counter()
-    aff = roots.affine_sl2_system()
+    aff = roots.AFFINE_SL2
     found = roots.real_roots_up_to_height(aff, 9)
     closed = set()
     for k in range(0, 5):
@@ -138,7 +138,7 @@ def test_11_root_enumeration():
         positives = sum(1 for b in roots.real_roots_up_to_height(aff, h)
                         if any(x > 0 for x in b) and all(x >= 0 for x in b))
         assert positives == 2 * ((h + 1) // 2)   # 2·⌈h/2⌉ per window
-    assert roots.real_roots_up_to_height(roots.a1_system(), 9) == \
+    assert roots.real_roots_up_to_height(roots.A1, 9) == \
         frozenset({(1,), (-1,)})
     _done("11 root enumeration (height 9 closed form; A1)", t0, 1)
 

@@ -101,7 +101,7 @@ def test_inverse_and_associativity():
         assert (g * h).inverse().m == (h.inverse() * g.inverse()).m
 
 
-ALPHA_0, ALPHA_1 = roots.affine_sl2_system().simple_roots     # δ − å and å
+ALPHA_0, ALPHA_1 = roots.AFFINE_SL2.simple_roots     # δ − å and å
 DELTA = (0, 1)
 
 
@@ -314,7 +314,7 @@ def test_kp_witness_matches_weyl_word_action():
     """Differential check of the stepped simple-root images against the
     action of each whole prefix word, co-reflected letter by letter with the
     last letter acting first."""
-    system = roots.affine_sl2_system()
+    system = roots.AFFINE_SL2
     word, expected = [], []
     for i in range(60):
         letter = (1, 0)[i % 2]
@@ -666,6 +666,34 @@ def test_birkhoff_recovers_built_factors(spec, data):
     f = data.draw(_scalars(field).filter(lambda x: not x.is_zero()))
     c = b * A.aff_torus(f, field.one())
     assert A._birkhoff((a * c).m) == (a.m, c.m)
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 3), word=st.booleans())
+def test_birkhoff_factors_have_the_pattern_exponents(spec, seed, n, word):
+    """On vform draws, and on word draws that factor, _birkhoff's A is in
+    SL2(K[u]) with A(0) upper unitriangular and B = C·diag(f^{-1}, f) in
+    SL2(K[u^{-1}]) with B(∞) lower unitriangular: every coefficient of A − I
+    (sign 1) and of B − I (sign −1) at u^k has sign·k ≥ 0 at the root sign·å
+    and sign·k ≥ 1 elsewhere, the exponent conditions that
+    _pattern_violations does not check."""
+    field = parse_field(spec)
+    cfg = harness.SamplerConfig(field, seed, 1)
+    rng = cfg.rng("shape")
+    g = (harness.sample_aff_word(rng, cfg) if word else harness.sample_aff_vform(rng, cfg, n))[1]
+    factors = A._birkhoff(g.m)
+    if factors is None:
+        assert word
+        return
+    a, c = factors
+    assert a * c == g.m
+    f = c.a.get(0)
+    zero = A.LaurentPoly.zero(field)
+    b = c * SL2Elt(A.LaurentPoly.const(f.inv()), zero, zero, A.LaurentPoly.const(f))
+    for m, sign in ((a, 1), (b, -1)):
+        for r, col, k, _ in A.deviation(m):
+            assert sign * k >= (0 if col - r == sign else 1), (sign, r, col, k)
 
 
 @settings(deadline=None, max_examples=60)

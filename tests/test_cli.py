@@ -1,11 +1,13 @@
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -197,8 +199,22 @@ def test_roots_from_fixture_file(capsys, tmp_path):
 _AFF_FIXTURE = {"cartan": [[2, -2], [-2, 2]], "rank": 2,
                 "simple_roots": [[-2, 1], [2, 0]], "simple_coroots": [[-1, 0], [1, 0]]}
 
-# Each a fixture document (written to a file and passed as --system) or an
-# argv: every one is a bad input, refused with exit 2 and one error line.
+def _write_fixture(path, case):
+    """Write a fixture document to path: a str as it is, else as JSON."""
+    path.write_text(case if isinstance(case, str) else json.dumps(case))
+    return str(path)
+
+
+def _fixture_text(**fields) -> str:
+    """The affine fixture as JSON text, with each named field's value given as
+    its JSON text."""
+    return json.dumps(_AFF_FIXTURE)[:-1] + "".join(f', "{k}": {v}' for k, v in fields.items()) + "}"
+
+
+# Each a fixture document (written to a file and passed as --system; a str is
+# the file's text) or an argv: every one is a bad input, refused with exit 2
+# and one error line.  A fixture number must be a JSON integer, not a number
+# int() would make one of.
 MALFORMED_INPUTS = {
     "roots not a list": {**_AFF_FIXTURE, "simple_roots": 5},
     "not an object": [1, 2],
@@ -210,6 +226,14 @@ MALFORMED_INPUTS = {
     "Arabic-Indic digit": ("mul", "xp(٣)"),
     "Arabic-Indic level": ("member", "--spec", "hn:٣", "xp(1; 3)"),
     "Arabic-Indic field prime": ("mul", "--field", "p:٣", "xp(3)"),
+    "cartan entry 2.7": {**_AFF_FIXTURE, "cartan": [[2.7, -2], [-2, 2]]},
+    "cartan entry text": {**_AFF_FIXTURE, "cartan": [["2", -2], [-2, 2]]},
+    "cartan entry true": {**_AFF_FIXTURE, "cartan": [[True, -2], [-2, 2]]},
+    "rank true": {**_AFF_FIXTURE, "rank": True},
+    "root entry true": {**_AFF_FIXTURE, "simple_roots": [[-2, True], [2, 0]]},
+    "coroot entry 1.0": {**_AFF_FIXTURE, "simple_coroots": [[-1, 0], [1.0, 0]]},
+    "cartan entry 1e999": _fixture_text(cartan="[[1e999, -2], [-2, 2]]"),
+    "coroot entry past the digit limit": _fixture_text(simple_coroots=f"[[-1, 0], [{'1' * 5000}, 0]]"),
 }
 
 
@@ -219,12 +243,48 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, tmp_path, name):
     if isinstance(case, tuple):
         argv = case
     else:
-        fixture = tmp_path / "system.json"
-        fixture.write_text(json.dumps(case))
-        argv = ("roots", "--system", str(fixture), "--height", "2")
+        argv = ("roots", "--system", _write_fixture(tmp_path / "system.json", case), "--height", "2")
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_fixture_numbers_must_be_json_integers(capsys, tmp_path):
+    """A non-integer is named, where int() took 2.7 as 2, "2" as 2 and true as
+    1, and 1e999 ended in an OverflowError traceback; an integer past the
+    digit limit is named with its digit count, as check_digits names it."""
+    limit = sys.get_int_max_str_digits()
+    for name, message in (
+            ("cartan entry 2.7", "malformed fixture: not an integer: 2.7"),
+            ("cartan entry text", "malformed fixture: not an integer: '2'"),
+            ("cartan entry true", "malformed fixture: not an integer: True"),
+            ("cartan entry 1e999", "malformed fixture: not an integer: inf"),
+            ("coroot entry past the digit limit",
+             f"a number of 5000 digits exceeds the limit of {limit} digits")):
+        fixture = _write_fixture(tmp_path / "system.json", MALFORMED_INPUTS[name])
+        code, _, err = run(capsys, "roots", "--system", fixture, "--height", "2")
+        assert (code, err) == (2, f"error: {message}\n")
+
+
+# Commands whose code path no other test takes, with what they print and exit.
+UNREACHED_PATHS = (
+    (("decompose", "w"), 0,
+     "triangular: not in the big cell\nbirkhoff: beta=0 monomial=[[0, -1], [1, 0]] gamma=0\n", ""),
+    (("fix-interval", "diag(1/3)"), 0, "empty\n", ""),
+    (("fix-interval", "diag(2)"), 0, "all\n", ""),
+    (("member", "--spec", "hn:1", "point(w, 0)"), 2, "", "error: member does not apply to tree points\n"),
+    (("member", "--spec", "tn:1", "s0 s1"), 0,
+     "false\n  violated: not a torus element: diagonal is not a constant pair (f, 1/f)\n", ""),
+    (("mul", "w )"), 2, "", "error: syntax error at 2: expected end of input\n"),
+    (("mul", "xp(1/0)"), 2, "", "error: division by zero in scalar\n"),
+    (("mul", "xp(0^-1)"), 2, "", "error: zero to a negative power\n"),
+)
+
+
+@pytest.mark.parametrize("argv,code,out,err", UNREACHED_PATHS,
+                         ids=[" ".join(argv) for argv, *_ in UNREACHED_PATHS])
+def test_otherwise_unreached_cli_paths(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
 
 
 def test_mul_prints_a_tree_point_in_expression_notation(capsys):
@@ -902,6 +962,23 @@ def test_verify_matches_the_benchmark_reference_digest(capsys):
                            "--seed", str(ref["seed"]), "--trials", str(ref["trials"]))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# tests/output_digest.py's line: a change that means to alter an output
+# re-records it and says why.
+OUTPUT_DIGEST = "4024 4afb5e7333deaa8020d51497633919f98608b8ffc945ec4b4034de85bc24835c"
+
+
+def test_output_digest_of_4024_runs(monkeypatch):
+    """The hash of tests/output_digest.py over every cli-mix command of two
+    seeds and verify on six fields, each as text and as JSON, in-process."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)    # leave kmbench/ untouched
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", Path(__file__).with_name("output_digest.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runs, hexdigest = module.digest()
+    assert f"{runs} {hexdigest}" == OUTPUT_DIGEST
 
 
 # Every help text and these usage errors, as kmtop prints them at 80 columns;

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,31 @@ F3 = PAdicField(3)
 
 def small_cfg(trials=40, field=F3, seed=42):
     return H.SamplerConfig(field, seed, trials)
+
+
+def test_verify_divides_by_monic_gcds_and_scales_by_z_other_than_1():
+    """Over a verify run on fq:3, every divisor _pquo gets is monic, as every
+    caller divides by a _pgcd result, and every z that substitute_scale gets
+    is not 1, as its one caller takes z = 1 as the identity.  A profiler sees
+    each call of the two code objects, whatever name it is made through."""
+    from kmtop import cli, valued
+    quo, scale = valued._pquo.__code__, affine.LaurentPoly.substitute_scale.__code__
+    divisors, scalars = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is quo:
+            divisors.append(frame.f_locals["b"])
+        elif event == "call" and frame.f_code is scale:
+            scalars.append(frame.f_locals["z"])
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            assert cli.main(["verify", "--field", "fq:3", "--trials", "2"]) == 0
+        finally:
+            sys.setprofile(None)
+    assert divisors and all(b[-1] == 1 for b in divisors)
+    assert scalars and not any(z.is_one() for z in scalars)
 
 
 def test_unknown_suite():

@@ -6,8 +6,8 @@ import pytest
 
 from kmtop import roots as R
 
-AFF = R.affine_sl2_system()
-A1 = R.a1_system()
+AFF = R.AFFINE_SL2
+A1 = R.A1
 
 
 def test_validate_km():
@@ -155,6 +155,32 @@ def test_fixture_roundtrip(tmp_path):
         R.system_from_fixture({"cartan": [[2]], "rank": 1})
     with pytest.raises(ValueError, match="malformed fixture"):
         R.system_from_fixture({**data, "rank": None})
+
+
+def test_builtin_systems_are_the_checked_constants():
+    """--system a1 and affine-sl2 are the constants, built and checked once."""
+    assert R.load_system("a1") is R.A1 and R.load_system("affine-sl2") is R.AFFINE_SL2
+    assert R.A1.matrix.entries == ((2,),) and AFF.simple_roots == ((-2, 1), (2, 0))
+
+
+def test_fixture_numbers_are_integers():
+    """int() took 2.7 as 2, "2" as 2 and True as 1; a fixture's numbers are
+    ints, and an apartment vector is exact, so each of these is refused."""
+    data = {"cartan": [[2, -2], [-2, 2]], "rank": 2,
+            "simple_roots": [[-2, 1], [2, 0]], "simple_coroots": [[-1, 0], [1, 0]]}
+    for bad in (2.7, 2.0, "2", True, float("inf")):
+        with pytest.raises(TypeError, match="not an integer"):
+            R.validate_km([[bad]])
+        for field, value in (("cartan", [[bad, -2], [-2, 2]]), ("rank", bad),
+                             ("simple_roots", [[-2, 1], [bad, 0]]),
+                             ("simple_coroots", [[-1, 0], [1, bad]])):
+            with pytest.raises(ValueError, match="malformed fixture: not an integer"):
+                R.system_from_fixture({**data, field: value})
+    assert R.system_from_fixture(data) == AFF
+    for bad in ((0.1, 1), (True, 1), ("1", 1)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            AFF.apartment_vec(bad)
+    assert AFF.apartment_vec((Fraction(1, 3), 1)) == (Fraction(1, 3), Fraction(1))
 
 
 def test_system_checks_its_vectors_at_construction():

@@ -91,6 +91,9 @@ def test_birkhoff_examples():
     assert beta == F3.scalar(-1) and gamma == ZERO
     assert n == S.SL2Elt(ZERO, ONE, -ONE, ZERO)
     assert S.x_plus(beta) * n * S.x_minus(gamma) == g
+    g = S.SL2Elt(PI, PI, -PI.inv(), ZERO)
+    beta, n, gamma = S.birkhoff_decompose(g)
+    assert (n.a * n.d - n.b * n.c).is_one() and n.b == PI and n.c == -PI.inv()
     g = S.SL2Elt(ONE + PI * PI, PI, PI, ONE)
     beta, n, gamma = S.birkhoff_decompose(g)
     assert (beta, gamma) == (PI, PI) and n == S.identity(F3)
@@ -113,8 +116,9 @@ def test_birkhoff_reconstruction_random():
                 g = g * S.weyl_w(F3)
         beta, n, gamma = S.birkhoff_decompose(g)
         assert S.x_plus(beta) * n * S.x_minus(gamma) == g
-        # monomial: diagonal or antidiagonal
+        # monomial: diagonal or antidiagonal, of det 1 (built unchecked)
         assert (n.b.is_zero() and n.c.is_zero()) or (n.a.is_zero() and n.d.is_zero())
+        assert (n.a * n.d - n.b * n.c).is_one()
 
 
 def test_member_examples():
@@ -132,6 +136,25 @@ def test_member_examples():
     assert not S.sl2_member(S.diag_torus(PI), S.SL2SubgroupSpec("bigcello"))
     assert S.sl2_member(S.compose_upt(PI ** 2, PI ** 2, ONE + PI ** 4),
                         S.SL2SubgroupSpec("vlambda", 1))
+
+
+def test_exact_arguments_take_no_float_and_no_bool():
+    """A float would store its binary value (0.1 as 3602879701896397/2^55) and
+    a bool would be the level 1, so both are refused, as Field.scalar refuses
+    a float; ints and Fractions are taken as they are."""
+    g = S.identity(F3)
+    for bad in (0.1, 0.5, True):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            S.TreePoint.make(g, bad)
+        with pytest.raises(ValueError, match="needs a rational"):
+            S.SL2SubgroupSpec("fixpoint", bad)
+    for bad in (True, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match="needs a level"):
+            S.SL2SubgroupSpec("kerpi", bad)
+    assert S.TreePoint.make(g, 1).y == 1 and S.TreePoint.make(g, Fraction(1, 2)).y == Fraction(1, 2)
+    assert S.SL2SubgroupSpec("fixpoint", Fraction(1, 3)).arg == Fraction(1, 3)
+    assert S.SL2SubgroupSpec("fixpoint", "1/3").arg == Fraction(1, 3)
+    assert S.SL2SubgroupSpec("kerpi", 2).arg == 2
 
 
 def test_kerpi_product_form_agreement():

@@ -826,7 +826,9 @@ def test_remainder_and_quotient_kernels(q, data):
     schoolbook gcd and sympy's, for a linear divisor (whose remainder _prem
     takes as a value at the root), a constant one and a general one, each
     against a zero dividend, a shorter one, an associate, a multiple and a
-    general one.  _pquo of a multiple m·b by b is m, as the schoolbook
+    general one, and _pgcd's result is monic.  _pquo takes only monic
+    divisors, as every caller divides by a _pgcd result: of a multiple m·b
+    by the monic associate b of each divisor it is m, as the schoolbook
     quotient and sympy's say, for a constant m (operands of one length, whose
     quotient _pquo takes from the leading coefficients) or any other; and
     _pquo(0, b) is 0.  _padd equals sympy's sum on operands of unequal length,
@@ -847,7 +849,9 @@ def test_remainder_and_quotient_kernels(q, data):
             assert trimmed(rem) and len(rem) < len(b)
             assert rem == _pdivmod_ref(a, b, q)[1] == raw(sympy.rem(to_poly(a), to_poly(b)))
             g = _pgcd(a, b, q)
+            assert g[-1] == 1
             assert g == _pgcd_ref(a, b, q) == raw(sympy.gcd(to_poly(a), to_poly(b)).monic())
+        b = _pscale(b, pow(b[-1], -1, q), q)
         for m in ((c,), cofactor):
             a = _pmul_ref(b, m, q)
             quo = _pquo(a, b, q)
