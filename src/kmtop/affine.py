@@ -22,7 +22,7 @@ from math import factorial
 from . import roots
 from .record import Record
 from .sl2 import LEVEL, SL2Elt, SubgroupSpec, bound_violations
-from .valued import Field, ValuedScalar
+from .valued import INFINITY, Field, ValuedScalar
 
 
 class NotTorus(ValueError):
@@ -283,44 +283,44 @@ def nu_translation(g: AffElt):
 
 def fixes_test_point(g: AffElt, i: int, n: int) -> bool:
     """ω(α_i(t) − 1) ≥ n (i = 0, 1): whether the torus t fixes x_{α_i}(ϖ^{-n})·0."""
-    return (eval_char(roots.AFFINE_SL2.simple_roots[i], g) - 1).valuation() >= n
+    return eval_char(roots.AFFINE_SL2.simple_roots[i], g).valuation_from_one() >= n
 
 
 # ---------------------------------------------------------------------------
 # Subgroup membership.
 
 def deviation(m: SL2Elt):
-    """(r, c, k, coefficient) for each nonzero coefficient of m − I, entry by
-    entry in row order and by increasing exponent within an entry.  Read in
-    place: only a diagonal entry's u^0 coefficient differs from m's, by −1."""
-    minus_one = -m.field.one()
+    """(r, c, k, ω) for each nonzero coefficient of m − I, ω its valuation,
+    entry by entry in row order and by increasing exponent within an entry.
+    Read in place, with no coefficient built: only a diagonal entry's u^0
+    coefficient c0 differs from m's, by −1, and its ω is c0's
+    valuation_from_one, or ω(−1) = 0 when m has no u^0 term there."""
     for (r, c), e in zip(((0, 0), (0, 1), (1, 0), (1, 1)), m.entries()):
         coeffs = e.coeffs
         if r != c:
             for k in sorted(coeffs):
-                yield r, c, k, coeffs[k]
+                yield r, c, k, coeffs[k].valuation()
             continue
         for k in sorted(coeffs.keys() | {0}):
             if k:
-                yield r, c, k, coeffs[k]
+                yield r, c, k, coeffs[k].valuation()
                 continue
             c0 = coeffs.get(0)
             if c0 is None:
-                yield r, c, 0, minus_one
-            elif not c0.is_one():       # 1 − 1 = 0 is left out
-                yield r, c, 0, c0 + minus_one
+                yield r, c, 0, 0
+            elif (v := c0.valuation_from_one()) != INFINITY:     # 1 − 1 = 0 is left out
+                yield r, c, 0, v
 
 
 def _congruence(g: AffElt, n: int, ring: bool) -> list[str]:
     """ker π_n: ω ≥ n on each coefficient of m − I and ω(z − 1) ≥ n.  H_n
     (ring) raises the bound at u^k to n·|k|, one bound per coefficient."""
     out = []
-    for r, c, k, coeff in deviation(g.m):
+    for r, c, k, v in deviation(g.m):
         bound = n * max(1, abs(k)) if ring else n
-        v = coeff.valuation()
         if v < bound:
             out.append(f"entry ({r + 1},{c + 1}) u^{k}: ω = {v} < {bound}")
-    return out + bound_violations((("z-1", g.z - 1, n),))
+    return out + bound_violations((("z-1", g.z.valuation_from_one(), n),))
 
 
 def _center(g: AffElt) -> list[str]:
@@ -342,7 +342,7 @@ class AffSubgroupSpec(SubgroupSpec):
     KINDS = {
         "kerpi": (LEVEL, lambda g, n: _congruence(g, n, False)),
         "hn": (LEVEL, lambda g, n: _congruence(g, n, True)),
-        "tn": (LEVEL, lambda g, n: bound_violations((f"{name}-1", e - 1, n)
+        "tn": (LEVEL, lambda g, n: bound_violations((f"{name}-1", e.valuation_from_one(), n)
                                                     for name, e in zip("fz", torus_parts(g)))),
         "tnphi": (LEVEL, lambda g, n: [f"ω(α{i}(t)-1) < {n}" for i in (0, 1)
                                        if not fixes_test_point(g, i, n)]),
@@ -388,9 +388,9 @@ def _pattern_violations(a: SL2Elt, mu, sign: int) -> list[str]:
     A(0) upper unitriangular, and B ∈ SL2(K[u^{-1}]) has B(∞) lower."""
     name = "u_+" if sign > 0 else "u_-"
     out = []
-    for r, c, k, coeff in deviation(a):
+    for r, c, k, v in deviation(a):
         bound = sign * roots.eval_pairing(entry_root(r, c, k), mu)
-        if coeff.valuation() < bound:
+        if v < bound:
             out.append(f"{name} entry ({r + 1},{c + 1}) u^{k}: ω < {bound}")
     return out
 
@@ -430,7 +430,7 @@ def _birkhoff(m: SL2Elt):
 
 def vform_violations(g: AffElt, n: int) -> list[str]:
     level = VFORM_TORUS * n
-    if out := bound_violations((("z-1", g.z - 1, level),)):
+    if out := bound_violations((("z-1", g.z.valuation_from_one(), level),)):
         return out
     factors = _birkhoff(g.m)
     if factors is None:
@@ -439,7 +439,8 @@ def vform_violations(g: AffElt, n: int) -> list[str]:
     f = C.a.get(0)
     zero = LaurentPoly.zero(g.field)
     B = C * SL2Elt._trusted(LaurentPoly.const(f.inv()), zero, zero, LaurentPoly.const(f))
-    out = [f"torus factor: {line}" for line in bound_violations((("f-1", f - 1, level),))]
+    out = [f"torus factor: {line}"
+           for line in bound_violations((("f-1", f.valuation_from_one(), level),))]
     mu = tuple(n * x for x in LAMBDA)
     out.extend(_pattern_violations(A, mu, 1))
     out.extend(_pattern_violations(B, mu, -1))

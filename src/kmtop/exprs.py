@@ -362,3 +362,8 @@ def print_expr(node) -> str:
             f"({print_expr(f)})" if isinstance(f, Product) else print_expr(f)
             for f in node.factors)
     return _TEMPLATES[node.kind, len(node.args)].format(*node.args)
+
+
+# str of a node, and so f"{node}", is its text: a node can be kept and printed
+# only where its text is read
+Gen.__str__ = Product.__str__ = Point.__str__ = print_expr

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from . import affine, roots, sl2
-from .exprs import AFFINE, SL2, SPECS, Gen, Point, Product, build, print_expr
+from .exprs import AFFINE, SL2, SPECS, Gen, Point, Product, build
 from .record import Record
 from .valued import INFINITY, Field, ValuedScalar
 
@@ -105,14 +105,15 @@ class SuiteReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# Scalar and element samplers.  Every sampler returns (expression, element)
-# and its output passes its defining predicate by construction.  Element
-# samplers draw an expression node and take both from it, so the text always
-# parses back to the element.
+# Scalar and element samplers.  Every element sampler returns (expression
+# node, element) and its output passes its defining predicate by
+# construction.  The element is built from the node, so the node's text,
+# str(node), always parses back to the element; it is rendered only where a
+# failure reports it.
 
 def _made(node, target: str, field: Field):
-    """(printed text, built element) of an expression node."""
-    return print_expr(node), build(node, target, field)
+    """(node, built element) of an expression node."""
+    return node, build(node, target, field)
 
 
 def sample_unit(rng: random.Random, field: Field) -> ValuedScalar:
@@ -168,9 +169,9 @@ def sample_sl2_torus(rng: random.Random, cfg: SamplerConfig):
 
 
 def sample_tree_point(rng: random.Random, cfg: SamplerConfig):
-    expr, g = sample_sl2_generic(rng, cfg)
+    node, g = sample_sl2_generic(rng, cfg)
     y = Fraction(rng.randint(2 * VALUATION_RANGE[0], 2 * VALUATION_RANGE[1]), 2)
-    return f"point({expr}, {y})", sl2.TreePoint.make(g, y)
+    return Point(node, y), sl2.TreePoint.make(g, y)
 
 
 def sample_aff_word(rng: random.Random, cfg: SamplerConfig):
@@ -251,19 +252,21 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
     f = field.one() + sample_scalar_min_val(rng, field, affine.VFORM_TORUS * n)
     z = field.one() + sample_scalar_min_val(rng, field, affine.VFORM_TORUS * n)
     torus = Gen("torus", (f, z))
-    # built as u_+ · u_- · torus; printed flat
-    return (print_expr(Product((*plus_nodes, *minus_nodes, torus))),
+    # built as u_+ · u_- · torus; its node is flat
+    return (Product((*plus_nodes, *minus_nodes, torus)),
             u_plus * u_minus * build(torus, AFFINE, field))
 
 
 # ---------------------------------------------------------------------------
 # Suites.  A suite is a generator over its trials: it yields one item per
 # counted trial, None when the check held or (inputs, expected, got) when it
-# failed.  It may return one more (inputs, expected, got) for a check that is
-# not a trial, numbered like the last trial, and raises NotApplicable before
-# its first trial when the field lacks what its witness needs.  Failures are
-# numbered by the 1-based index of their trial.  Any other exception ends the
-# suite with one more trial, failed, that names the exception.
+# failed, each of the three a str or a value whose str is its text (an
+# expression node is rendered only then).  It may return one more (inputs,
+# expected, got) for a check that is not a trial, numbered like the last
+# trial, and raises NotApplicable before its first trial when the field lacks
+# what its witness needs.  Failures are numbered by the 1-based index of
+# their trial.  Any other exception ends the suite with one more trial,
+# failed, that names the exception.
 
 class NotApplicable(Exception):
     pass
@@ -288,10 +291,10 @@ def _tally(trials) -> tuple[int, tuple[Failure, ...], str]:
             outcome = next(trials)
             count += 1
             if outcome is not None:
-                failures.append(Failure(count, *outcome))
+                failures.append(Failure(count, *map(str, outcome)))
     except StopIteration as stop:
         if stop.value is not None:
-            failures.append(Failure(count, *stop.value))
+            failures.append(Failure(count, *map(str, stop.value)))
     except NotApplicable as exc:
         return 0, (), str(exc)
     except Exception as exc:    # a suite that raises fails, and only itself
@@ -385,13 +388,14 @@ def _closure(cfg: SamplerConfig, label, sampler, target, kind):
         g_inv = g.inverse()
         escaped = [what for what, x in (("product", g * h), ("inverse", g_inv))
                    if spec.violations(x)]
-        inputs = f"n={n}: ({e1})·({e2})"
         if escaped:
-            yield inputs, f"product and inverse in {kind}:{n}", " and ".join(escaped) + " escaped"
+            failed = f"product and inverse in {kind}:{n}", " and ".join(escaped) + " escaped"
         elif not (g * g_inv).is_identity():
-            yield inputs, "g·g⁻¹ = 1", "g·g⁻¹ ≠ 1"
+            failed = "g·g⁻¹ = 1", "g·g⁻¹ ≠ 1"
         else:
             yield None
+            continue
+        yield f"n={n}: ({e1})·({e2})", *failed
 
 
 @_suite("rank1-refinement")
@@ -454,9 +458,9 @@ def _h2n_in_v(cfg: SamplerConfig):
         expr, g = sample_aff_hn(rng, cfg, 2 * n)
         h = t_conj[n].conj(g)
         bad = [] if h.z.valuation() == 0 else ["z not a unit"]
-        for r, c, k, coeff in affine.deviation(h.m):
+        for r, c, k, v in affine.deviation(h.m):
             bound = 2 * n * max(1, abs(k)) + roots.eval_pairing(affine.entry_root(r, c, k), mus[n])
-            if coeff.valuation() < bound:
+            if v < bound:
                 bad.append(f"({r + 1},{c + 1}) u^{k}: ω < {bound}")
         yield (f"n={n}: {expr}", "shifted valuation bounds", "; ".join(bad)) if bad else None
 
@@ -508,11 +512,10 @@ def _hausdorff(cfg: SamplerConfig):
             yield None
             continue
         candidates = []
-        vz = (g.z - 1).valuation()
+        vz = g.z.valuation_from_one()
         if vz != INFINITY:
             candidates.append(max(1, int(vz) + 1))
-        for _, _, k, coeff in affine.deviation(g.m):
-            v = coeff.valuation()
+        for _, _, k, v in affine.deviation(g.m):
             candidates.append(max(1, int(v // max(1, abs(k))) + 1) if v >= 0 else 1)
         n_escape = min(candidates)
         if affine.aff_member(g, affine.AffSubgroupSpec("hn", n_escape)):
@@ -632,7 +635,7 @@ def _fix_criterion(cfg: SamplerConfig):
         expr, t = sample_sl2_torus(rng, cfg)
         s = t.a
         for n in range(1, 5):
-            valuation_side = (s * s - 1).valuation() >= n
+            valuation_side = (s * s).valuation_from_one() >= n
             base = sl2.tree_act(sl2.x_plus(field.pi_power(-n)), sl2.apartment_point(field, 0))
             geometric_side = sl2.tree_point_equal(sl2.tree_act(t, base), base)
             yield (None if valuation_side == geometric_side

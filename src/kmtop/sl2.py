@@ -197,10 +197,12 @@ def vlambda_levels(n: int) -> tuple[int, int, int]:
 
 
 def bound_violations(bounds) -> list[str]:
-    """"ω(name) = v < bound" for each (name, x, bound) with v = ω(x) below
-    the bound, in order: the one wording of a failed valuation bound."""
+    """"ω(name) = v < bound" for each (name, v, bound) with the valuation v
+    below the bound, in order: the one wording of a failed valuation bound.
+    Callers pass ω(x) or, for a name x-1, ω(x − 1) read by
+    valuation_from_one, so that no difference is built."""
     return [f"ω({name}) = {v} < {exact_str(bound)}"
-            for name, x, bound in bounds if (v := x.valuation()) < bound]
+            for name, v, bound in bounds if v < bound]
 
 
 def _upt_violations(g: SL2Elt, levels) -> list[str]:
@@ -209,12 +211,16 @@ def _upt_violations(g: SL2Elt, levels) -> list[str]:
         b, c, delta = upt_decompose(g)
     except NotInBigCell:
         return ["not in the big cell"]
-    return bound_violations(zip(("b", "c", "δ-1"), (b, c, delta - 1), levels))
+    # δ − 1 is built here, not read by valuation_from_one: this route is the
+    # product-form oracle of _kerpi, and shares no ω(x − 1) code with it
+    return bound_violations(zip(("b", "c", "δ-1"),
+                                (b.valuation(), c.valuation(), (delta - 1).valuation()),
+                                levels))
 
 
 def _kerpi(g: SL2Elt, n: int) -> list[str]:
-    return bound_violations((("a-1", g.a - 1, n), ("b", g.b, n),
-                             ("c", g.c, n), ("d-1", g.d - 1, n)))
+    return bound_violations((("a-1", g.a.valuation_from_one(), n), ("b", g.b.valuation(), n),
+                             ("c", g.c.valuation(), n), ("d-1", g.d.valuation_from_one(), n)))
 
 
 def _diagonal(g: SL2Elt, n: int | None) -> list[str]:
@@ -223,7 +229,7 @@ def _diagonal(g: SL2Elt, n: int | None) -> list[str]:
         return ["not diagonal"]
     if n is None:
         return [f"ω(δ) = {g.a.valuation()} != 0"] if g.a.valuation() != 0 else []
-    return bound_violations((("δ-1", g.a - 1, n),))
+    return bound_violations((("δ-1", g.a.valuation_from_one(), n),))
 
 
 def _bigcello(g: SL2Elt, _) -> list[str]:
@@ -231,7 +237,7 @@ def _bigcello(g: SL2Elt, _) -> list[str]:
         b, c, delta = upt_decompose(g)
     except NotInBigCell:
         return ["not in the big cell"]
-    out = bound_violations((("b", b, 0), ("c", c, 0)))
+    out = bound_violations((("b", b.valuation(), 0), ("c", c.valuation(), 0)))
     if delta.valuation() != 0:
         out.append(f"ω(δ) = {delta.valuation()} != 0")
     return out
@@ -295,8 +301,10 @@ def apartment_violations(h: SL2Elt, yp, yq) -> list[str]:
     gives these four valuation bounds (exact for half-integral y,
     extension-by-formula for other rationals).
     """
-    return bound_violations((("a", h.a, yq - yp), ("d", h.d, yp - yq),
-                             ("b", h.b, -(yp + yq)), ("c", h.c, yp + yq)))
+    return bound_violations((("a", h.a.valuation(), yq - yp),
+                             ("d", h.d.valuation(), yp - yq),
+                             ("b", h.b.valuation(), -(yp + yq)),
+                             ("c", h.c.valuation(), yp + yq)))
 
 
 def tree_point_equal(p: TreePoint, q: TreePoint) -> bool:

@@ -23,8 +23,9 @@ scalar.  A field kind is a ``Field`` subclass that provides
 
 * raw-value methods ``_add(a, b)``, ``_neg(a)``, ``_mul(a, b)``, ``_inv(a)``
   (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when k < 0),
-  ``_is_zero(a)``, ``_val(a)``, ``_format(a)`` and ``_number(value)`` (the
-  raw value of a Python number);
+  ``_is_zero(a)``, ``_val(a)``, ``_val_from_one(a)`` (ω(a − 1), read from
+  a without building a − 1), ``_format(a)`` and ``_number(value)`` (the raw
+  value of a Python number, never a bool);
 * ``uniformizer()``, ``sample_unit(rng)`` and ``degree(s)`` (the size that a
   power's cost grows with);
 * attributes ``kind`` (the ``--field`` prefix), ``char`` (the prime, also the
@@ -60,6 +61,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 INFINITY = math.inf
 _DIGIT_RUN = re.compile("[0-9]+")
@@ -325,7 +327,7 @@ class PAdicField(Field):
         self.p = self.char = _prime_arg(p, "p")
 
     def _number(self, value) -> Fraction:
-        if isinstance(value, (int, Fraction)):
+        if type(value) is not bool and isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise TypeError(f"cannot build a p-adic scalar from {value!r}")
 
@@ -369,12 +371,21 @@ class PAdicField(Field):
     def _val(self, raw: Fraction):
         if raw == 0:
             return INFINITY
-        v, n, d = 0, raw.numerator, raw.denominator
-        while n % self.p == 0:
-            n //= self.p
+        return self._ratio_val(raw.numerator, raw.denominator)
+
+    def _val_from_one(self, raw: Fraction):
+        # x − 1 = (n − d)/d is in lowest terms, as gcd(n − d, d) = gcd(n, d)
+        n, d = raw.numerator, raw.denominator
+        return INFINITY if n == d else self._ratio_val(n - d, d)
+
+    def _ratio_val(self, n: int, d: int) -> int:
+        """ω(n/d) for coprime n ≠ 0 and d."""
+        v, p = 0, self.p
+        while n % p == 0:
+            n //= p
             v += 1
-        while d % self.p == 0:
-            d //= self.p
+        while d % p == 0:
+            d //= p
             v -= 1
         return v
 
@@ -424,7 +435,7 @@ class RationalFunctionField(Field):
         return ValuedScalar(self, self._canonical(num, den))
 
     def _number(self, value):
-        if isinstance(value, int):
+        if type(value) is not bool and isinstance(value, int):
             c = value % self.q
             return (0, (c,), (1,)) if c else self.ZERO
         raise TypeError(f"cannot build an F_q(t) scalar from {value!r}")
@@ -543,6 +554,18 @@ class RationalFunctionField(Field):
     def _val(self, raw):
         return raw[0] if raw[1] else INFINITY
 
+    def _val_from_one(self, raw):
+        # 0 − 1 and a v > 0 minus 1 are units; at v < 0 the −1 does not reach
+        # t^v.  At v = 0, x − 1 = (num − den)/den with den(0) ≠ 0, so ω is the
+        # first index where num and den differ, the shorter padded with zeros.
+        v, num, den = raw
+        if v or not num:
+            return min(v, 0)
+        for i, (a, b) in enumerate(zip_longest(num, den, fillvalue=0)):
+            if a != b:
+                return i
+        return INFINITY
+
     def _format(self, raw) -> str:
         num, den = _fq_pair(raw)
         if den == (1,):
@@ -642,6 +665,10 @@ class ValuedScalar:
     def valuation(self):
         """ω(x): an integer, or INFINITY iff x = 0."""
         return self.field._val(self.raw)
+
+    def valuation_from_one(self):
+        """ω(x − 1), without building x − 1: INFINITY iff x = 1."""
+        return self.field._val_from_one(self.raw)
 
     def __str__(self):
         return self.field._format(self.raw)

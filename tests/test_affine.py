@@ -204,8 +204,8 @@ def test_hn_nesting_and_closure():
 
 
 def _kerpi_violations(g, n):
-    out = [f"entry ({r + 1},{c + 1}) u^{k}: ω = {coeff.valuation()} < {n}"
-           for r, c, k, coeff in A.deviation(g.m) if coeff.valuation() < n]
+    out = [f"entry ({r + 1},{c + 1}) u^{k}: ω = {v} < {n}"
+           for r, c, k, v in A.deviation(g.m) if v < n]
     if (g.z - 1).valuation() < n:
         out.append(f"ω(z-1) = {(g.z - 1).valuation()} < {n}")
     return out
@@ -253,9 +253,10 @@ def test_one_pass_hn_matches_two_pass_oracle(spec):
 
 def _subtracted_deviation(m):
     """deviation as it was defined before it read m − I in place: the
-    coefficients of e − 1 for a diagonal entry e and of e elsewhere."""
+    valuations of the coefficients of e − 1, built by subtraction, for a
+    diagonal entry e and of e elsewhere."""
     one = A.LaurentPoly.one(m.field)
-    return [(r, c, k, coeff)
+    return [(r, c, k, coeff.valuation())
             for (r, c), e in zip(((0, 0), (0, 1), (1, 0), (1, 1)), m.entries())
             for k, coeff in sorted((e - one if r == c else e).coeffs.items())]
 
@@ -720,5 +721,5 @@ def test_vform_bounds_follow_lambda(a, b, sign, near, k, seed):
         patch.setattr(A, "LAMBDA", mu)
         for n in (1, 2):
             expr, g = harness.sample_aff_vform(rng, cfg, n)
-            assert f"t({-n * a}, {-n * b})" in expr
+            assert f"t({-n * a}, {-n * b})" in str(expr)
             assert A.vform_violations(g, n) == [], expr

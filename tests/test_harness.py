@@ -41,6 +41,57 @@ def test_verify_divides_by_monic_gcds_and_scales_by_z_other_than_1():
     assert scalars and not any(z.is_one() for z in scalars)
 
 
+# The failure inputs of verify --suite all --field fq:3 --trials 2 under the
+# tree_retract off-by-one, as printed when every sample's text was rendered
+# as it was drawn.
+RETRACT_OFF_BY_ONE_INPUTS = [
+    "point(xm(t), 1)",
+    "point(xp(0), 1/4)",
+    "point(xp(0), -2)",
+    "point(w diag((1+t)/t^3) xm(0) w xp(0) w, 5/2)",
+    "point(w diag((1+t)/t^3), 11/2)",
+]
+
+
+def test_verify_reads_omega_of_x_minus_1_in_place_and_renders_only_failures(monkeypatch):
+    """A passing verify run on fq:3 builds no x − 1 in the membership
+    predicates, which read ω(x − 1) with valuation_from_one, and renders no
+    sample's text.  A failing run prints the same failure inputs as when
+    every sample's text was rendered as it was drawn."""
+    from kmtop import cli, valued
+    subtract = {valued.ValuedScalar.__sub__.__code__, valued.ValuedScalar.__rsub__.__code__}
+    from_one, printer = valued.ValuedScalar.valuation_from_one.__code__, exprs.print_expr.__code__
+    predicates = {f.__code__ for f in (affine._congruence, affine.deviation, sl2._kerpi,
+                                       affine.vform_violations, sl2._diagonal,
+                                       affine.fixes_test_point, H._hausdorff, H._fix_criterion)}
+    subtracted, calls = [], {from_one: 0, printer: 0}
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code in subtract and frame.f_back.f_code in predicates:
+            subtracted.append(frame.f_back.f_code.co_name)
+        elif frame.f_code in calls:
+            calls[frame.f_code] += 1
+
+    argv = ["--json", "verify", "--suite", "all", "--field", "fq:3", "--trials", "2"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            sys.setprofile(None)
+    assert subtracted == [] and calls[from_one] > 0 and calls[printer] == 0
+    retract = sl2.tree_retract
+    monkeypatch.setattr(sl2, "tree_retract", lambda p: retract(p) + 1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 3
+    inputs = [f["inputs"] for suite in json.loads(out.getvalue())["suites"]
+              for f in suite["failures"]]
+    assert inputs == RETRACT_OFF_BY_ONE_INPUTS
+
+
 def test_unknown_suite():
     with pytest.raises(H.UnknownSuite):
         H.run_suite("no-such-suite", small_cfg())
@@ -119,11 +170,16 @@ def test_replay_covers_every_element_sampler():
 @pytest.mark.parametrize("name", sorted(REPLAYED))
 @pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
 def test_sample_expressions_replay(field, name):
-    # recorded expressions rebuild the recorded element, or point, exactly
+    # a sampled node's text parses back to the node, a lone generator as a
+    # one-factor product, and rebuilds the sampled element, or point, exactly
     target, draws = REPLAYED[name]
-    for expr, g in draws(small_cfg(field=field)):
-        _, rebuilt = exprs.parse_element(expr, target, field)
-        assert rebuilt == g, expr
+    for node, g in draws(small_cfg(field=field)):
+        text = str(node)
+        assert text == exprs.print_expr(node)
+        parsed, rebuilt = exprs.parse_element(text, target, field)
+        assert parsed == (node if isinstance(node, (exprs.Product, exprs.Point))
+                          else exprs.Product((node,))), text
+        assert rebuilt == g, text
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -302,8 +358,8 @@ def test_conj_invariance_fails_under_a_wrong_bound(monkeypatch, field, mutant):
 def test_failures_are_replayable():
     # a deliberately wrong expectation exercises the failure payload path
     cfg = small_cfg(trials=5)
-    expr, g = H.sample_aff_hn(cfg.rng("hn:1:0"), cfg, 1)
-    failure = H.Failure(0, expr, "x", "y")
+    node, g = H.sample_aff_hn(cfg.rng("hn:1:0"), cfg, 1)
+    failure = H.Failure(0, str(node), "x", "y")
     report = H.SuiteReport("demo", 1, (failure,), 0.0, "")
     assert report.verdict == "fail"
     payload = report.as_dict()

@@ -201,7 +201,11 @@ def test_scalar_rejects_floats_and_strings():
             F2T.scalar(bad)
     with pytest.raises(TypeError):
         F3.one() + 0.5
-    assert F3.scalar(True) == 1                  # bool is an int
+    for bad in (True, False):                    # an int, but no exact number
+        with pytest.raises(TypeError):
+            F3.scalar(bad)
+        with pytest.raises(TypeError):
+            F2T.scalar(bad)
     with pytest.raises(FieldMismatch):
         F3.scalar(PAdicField(5).one())
 
@@ -266,6 +270,28 @@ def test_valuation_properties(spec, data):
     if not x.is_zero():
         assert x.inv().valuation() == -vx
     assert field.uniformizer().valuation() == 1
+
+
+@pytest.mark.parametrize("spec", FIELDS + ["fq:5"])
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(data=st.data())
+def test_valuation_from_one_matches_the_subtraction(spec, data):
+    """valuation_from_one, read from x's raw, is ω of the built x − 1: on 0,
+    1 and −1, on scalars t^v·num/den with v ≠ 0 and den ≠ 1 among them, and
+    on 1 + c·ϖ^k·w, w a unit and k ≤ 6, whose F_q(t) num and den agree on
+    their low terms and may differ in length.  Kills a scan that stops at
+    the shorter of num and den (1 + t^4 gives 1, not 4), 0 for v < 0 and ∞
+    for x = 0."""
+    field = parse_field(spec)
+    one = field.one()
+    unit = st.integers(0, 10 ** 6).map(lambda seed: field.sample_unit(random.Random(seed)))
+    near_one = st.builds(lambda c, k, w: one + field.scalar(c) * field.pi_power(k) * w,
+                         st.integers(1, field.char - 1), st.integers(0, 6), unit)
+    drawn = [data.draw(scalars(field)) for _ in range(3)] + [data.draw(near_one) for _ in range(3)]
+    for x in (field.zero(), one, -one, one + field.pi_power(4), *drawn):
+        assert x.valuation_from_one() == (x - 1).valuation(), x
+    assert (one + field.pi_power(4)).valuation_from_one() == 4
+    assert field.zero().valuation_from_one() == 0 and one.valuation_from_one() == INFINITY
 
 
 @pytest.mark.parametrize("spec", FIELDS)
