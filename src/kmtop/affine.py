@@ -391,7 +391,7 @@ def _pattern_violations(a: SL2Elt, mu, sign: int) -> list[str]:
     for r, c, k, v in deviation(a):
         bound = sign * roots.eval_pairing(entry_root(r, c, k), mu)
         if v < bound:
-            out.append(f"{name} entry ({r + 1},{c + 1}) u^{k}: ω < {bound}")
+            out.append(f"{name} entry ({r + 1},{c + 1}) u^{k}: ω = {v} < {bound}")
     return out
 
 

@@ -461,7 +461,7 @@ def _h2n_in_v(cfg: SamplerConfig):
         for r, c, k, v in affine.deviation(h.m):
             bound = 2 * n * max(1, abs(k)) + roots.eval_pairing(affine.entry_root(r, c, k), mus[n])
             if v < bound:
-                bad.append(f"({r + 1},{c + 1}) u^{k}: ω < {bound}")
+                bad.append(f"({r + 1},{c + 1}) u^{k}: ω = {v} < {bound}")
         yield (f"n={n}: {expr}", "shifted valuation bounds", "; ".join(bad)) if bad else None
 
 

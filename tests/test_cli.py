@@ -518,16 +518,19 @@ def test_tits_output_digest(capsys, system, as_json):
 
 
 # SHA-256 of the concatenated `member --json --spec vform:n` outputs on p:3
-# for these words, recorded before the u_+ and u_- pattern rules were folded
-# into one: every violation message keeps its text and its order.
+# for these words, first recorded before the u_+ and u_- pattern rules were
+# folded into one: every violation message keeps its text and its order.
+# Re-recorded when the pattern violations took the wording "ω = v < bound"
+# of every other failed bound; deleting " = v" from each gives the first
+# recording's text.
 VFORM_WORDS = ("xp(0; 1)", "xm(0; 1)", "xp(1; 1)", "xm(1; 1)", "xp(-1; 1)", "xm(-1; 1)",
                "s1", "s0", "xp(2; 3) xm(-1; 1)", "t(1, 3) xm(0; 1) t(-1, -3)",
                "xm(2; 1/3) xp(-2; 27)", "xp(1; 9) xm(-1; 3) torus(4; 10)",
                "xm(1; 1) xp(0; 1)", "xp(-1; 1) xm(0; 1)",
                "xm(1; 27) xp(0; 9) xp(-1; 9) xm(0; 27)")
 VFORM_DIGESTS = {
-    1: "b7e126170041a8ff0fd0640a3ea9d041583644d5bdb3715d3f65346515c54e1c",
-    2: "ea589aa0f393010e97792a225d548ad2ec5f3dca76ed65792660e8ff8697af09",
+    1: "49ebca8ba0269fa56ccfad24753980cb07634902ef46bff826c5c7da54e3021d",
+    2: "a07b0472c18c4f028419b20d1cc2efc355fea8eb0804d1c81ce847de56bf7230",
 }
 
 
@@ -732,7 +735,8 @@ def test_retract_takes_a_coordinate_of_any_length(capsys, expr, coordinate):
 
 
 # One row per wording of a failed valuation bound, as `member` printed them
-# before the checks were shared by sl2.bound_violations: (field, spec,
+# before the checks were shared by sl2.bound_violations, and the vform
+# pattern bounds, which print the valuation as the others do: (field, spec,
 # expression, violations), no violation meaning a member.
 VIOLATION_WORDINGS = (
     ('p:3', 'kerpi:2', 'xp(3) diag(4)', ('ω(a-1) = 1 < 2', 'ω(b) = 1 < 2', 'ω(d-1) = 1 < 2')),
@@ -763,6 +767,8 @@ VIOLATION_WORDINGS = (
     ('p:3', 'hn:2', 'xm(-1; 9) t(1, 0)', ('entry (1,1) u^0: ω = -1 < 2', 'entry (2,1) u^-1: ω = 1 < 2', 'entry (2,2) u^0: ω = 0 < 2')),
     ('p:3', 'vform:1', 'torus(1; 4)', ('ω(z-1) = 1 < 2',)),
     ('p:3', 'vform:1', 'torus(4; 1)', ('torus factor: ω(f-1) = 1 < 2',)),
+    ('p:3', 'vform:1', 'xp(0; 1/3)', ('u_+ entry (1,2) u^0: ω = -1 < 2',)),
+    ('p:3', 'vform:1', 'xm(-1; 1)', ('u_- entry (2,1) u^-1: ω = 0 < 5',)),
     ('fq:3', 'kerpi:2', 'xp(t) diag(1+t)', ('ω(a-1) = 1 < 2', 'ω(b) = 1 < 2', 'ω(d-1) = 1 < 2')),
     ('fq:3', 'kerpi:1', 'xp(1/t) xm(1)', ('ω(a-1) = -1 < 1', 'ω(b) = -1 < 1', 'ω(c) = 0 < 1')),
     ('fq:3', 'tn:2', 'diag(1+t)', ('ω(δ-1) = 1 < 2',)),
@@ -783,6 +789,7 @@ VIOLATION_WORDINGS = (
     ('fq:3', 'hn:2', 'xm(-1; t^2) t(1, 0)', ('entry (1,1) u^0: ω = -1 < 2', 'entry (2,1) u^-1: ω = 1 < 2', 'entry (2,2) u^0: ω = 0 < 2')),
     ('fq:3', 'vform:1', 'torus(1; 1+t)', ('ω(z-1) = 1 < 2',)),
     ('fq:3', 'vform:1', 'torus(1+t; 1)', ('torus factor: ω(f-1) = 1 < 2',)),
+    ('fq:3', 'vform:1', 'xp(0; 1/t)', ('u_+ entry (1,2) u^0: ω = -1 < 2',)),
 )
 
 

@@ -383,6 +383,18 @@ def test_hn_closure_fails_under_an_inverse_that_substitutes_z(monkeypatch, field
     assert {(f.expected, f.got) for f in report.failures} == {("g·g⁻¹ = 1", "g·g⁻¹ ≠ 1")}
 
 
+def test_h2n_in_v_failure_prints_the_valuation(monkeypatch):
+    """A failed shifted bound reads "(r,c) u^k: ω = v < bound", as every
+    failed valuation bound does: xp(0; 1) drawn as an H_2n element has its
+    u^0 coefficient scaled by ϖ^2n, below the bound 2n + 2n."""
+    cfg = small_cfg(trials=2)
+    monkeypatch.setattr(H, "sample_aff_hn", lambda rng, cfg, n: H._made(
+        exprs.Gen("xp", (0, cfg.field.one())), exprs.AFFINE, cfg.field))
+    report = H.run_suite("h2n-in-v", cfg)
+    assert [(f.inputs, f.got) for f in report.failures] == [
+        ("n=1: xp(0; 1)", "(1,2) u^0: ω = 2 < 4"), ("n=2: xp(0; 1)", "(1,2) u^0: ω = 4 < 8")]
+
+
 def test_hausdorff_checks_that_the_escape_level_is_tight(monkeypatch):
     """An H_n predicate that says false for every level passes the escape
     side; the tightness side, g ∈ H_{n_escape − 1} for n_escape ≥ 2, fails."""
