@@ -199,8 +199,9 @@ def vlambda_levels(n: int) -> tuple[int, int, int]:
 def bound_violations(bounds) -> list[str]:
     """"ω(name) = v < bound" for each (name, v, bound) with the valuation v
     below the bound, in order: the one wording of a failed valuation bound.
-    Callers pass ω(x) or, for a name x-1, ω(x − 1) read by
-    valuation_from_one, so that no difference is built."""
+    Callers pass ω(x), or for a name x-1 ω(x − 1), which valuation_from_one
+    reads without building x − 1; only the product-form oracle
+    _upt_violations builds δ − 1."""
     return [f"ω({name}) = {v} < {exact_str(bound)}"
             for name, v, bound in bounds if v < bound]
 

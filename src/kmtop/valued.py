@@ -374,12 +374,12 @@ class PAdicField(Field):
         return self._ratio_val(raw.numerator, raw.denominator)
 
     def _val_from_one(self, raw: Fraction):
-        # x − 1 = (n − d)/d is in lowest terms, as gcd(n − d, d) = gcd(n, d)
+        # x − 1 = (n − d)/d
         n, d = raw.numerator, raw.denominator
         return INFINITY if n == d else self._ratio_val(n - d, d)
 
     def _ratio_val(self, n: int, d: int) -> int:
-        """ω(n/d) for coprime n ≠ 0 and d."""
+        """ω(n/d) = ω_p(n) − ω_p(d) for nonzero integers n and d."""
         v, p = 0, self.p
         while n % p == 0:
             n //= p
