@@ -22,7 +22,7 @@ from math import factorial
 from . import roots
 from .record import Record
 from .sl2 import LEVEL, SL2Elt, SubgroupSpec, bound_violations
-from .valued import INFINITY, Field, ValuedScalar
+from .valued import INFINITY, Field, ValuedScalar, exact_str
 
 
 class NotTorus(ValueError):
@@ -312,15 +312,20 @@ def deviation(m: SL2Elt):
                 yield r, c, 0, v
 
 
-def _congruence(g: AffElt, n: int, ring: bool) -> list[str]:
-    """ker π_n: ω ≥ n on each coefficient of m − I and ω(z − 1) ≥ n.  H_n
-    (ring) raises the bound at u^k to n·|k|, one bound per coefficient."""
-    out = []
-    for r, c, k, v in deviation(g.m):
-        bound = n * max(1, abs(k)) if ring else n
-        if v < bound:
-            out.append(f"entry ({r + 1},{c + 1}) u^{k}: ω = {v} < {bound}")
-    return out + bound_violations((("z-1", g.z.valuation_from_one(), n),))
+def entry_violations(m: SL2Elt, bound, prefix: str = ""):
+    """"{prefix}(r,c) u^k: ω = v < b" for each coefficient of m − I whose
+    valuation v is below b = bound(r, c, k), in deviation's order, r and c
+    1-based: the one wording of a failed bound on a matrix coefficient."""
+    for r, c, k, v in deviation(m):
+        if v < (b := bound(r, c, k)):
+            yield f"{prefix}({r + 1},{c + 1}) u^{k}: ω = {v} < {exact_str(b)}"
+
+
+def _congruence(g: AffElt, n: int, bound) -> list[str]:
+    """ω ≥ bound(r, c, k) on each coefficient of m − I and ω(z − 1) ≥ n:
+    ker π_n bounds every coefficient by n, H_n the one at u^k by n·max(1, |k|)."""
+    return [*entry_violations(g.m, bound, "entry "),
+            *bound_violations((("z-1", g.z.valuation_from_one(), n),))]
 
 
 def _center(g: AffElt) -> list[str]:
@@ -340,8 +345,8 @@ class AffSubgroupSpec(SubgroupSpec):
     GROUP = "affine"
     # vform is looked up when called, so a wrapped vform_violations is the one run
     KINDS = {
-        "kerpi": (LEVEL, lambda g, n: _congruence(g, n, False)),
-        "hn": (LEVEL, lambda g, n: _congruence(g, n, True)),
+        "kerpi": (LEVEL, lambda g, n: _congruence(g, n, lambda r, c, k: n)),
+        "hn": (LEVEL, lambda g, n: _congruence(g, n, lambda r, c, k: n * max(1, abs(k)))),
         "tn": (LEVEL, lambda g, n: bound_violations((f"{name}-1", e.valuation_from_one(), n)
                                                     for name, e in zip("fz", torus_parts(g)))),
         "tnphi": (LEVEL, lambda g, n: [f"ω(α{i}(t)-1) < {n}" for i in (0, 1)
@@ -364,10 +369,6 @@ def aff_violations(g: AffElt, spec: AffSubgroupSpec) -> list[str]:
         return [str(exc)]
 
 
-def aff_member(g: AffElt, spec: AffSubgroupSpec) -> bool:
-    return not aff_violations(g, spec)
-
-
 # ---------------------------------------------------------------------------
 # V-form: sufficient-pattern membership for the λ-segment filtration sets,
 # λ = LAMBDA.  g must factor as u_+ · u_- · t with u_± in the t_{∓nλ}-shifted
@@ -379,21 +380,6 @@ def aff_member(g: AffElt, spec: AffSubgroupSpec) -> bool:
 # step lowers the sum of the row degrees, which starts at most 2N (N the
 # largest u-exponent of M) and never falls below deg det = 0, so at most 2N
 # steps run.  Each factor is then checked coefficient-wise.
-
-def _pattern_violations(a: SL2Elt, mu, sign: int) -> list[str]:
-    """Entry conditions of u_+ ∈ t_{-μ}·U0^{pm+}·t_{μ} (sign 1) or of its
-    mirror u_- ∈ t_{μ}·U0^{nm-}·t_{-μ} (sign −1), μ = n·λ: ω ≥ ⟨β, sign·μ⟩
-    at the root β.  Their exponent conditions, sign·k ≥ 0 at the root sign·å
-    and ≥ 1 elsewhere, hold by construction: _birkhoff's A ∈ SL2(K[u]) has
-    A(0) upper unitriangular, and B ∈ SL2(K[u^{-1}]) has B(∞) lower."""
-    name = "u_+" if sign > 0 else "u_-"
-    out = []
-    for r, c, k, v in deviation(a):
-        bound = sign * roots.eval_pairing(entry_root(r, c, k), mu)
-        if v < bound:
-            out.append(f"{name} entry ({r + 1},{c + 1}) u^{k}: ω = {v} < {bound}")
-    return out
-
 
 def _birkhoff(m: SL2Elt):
     """(A, C) with m = A·C, A ∈ SL2(K[u]) with A(0) upper unitriangular and
@@ -441,9 +427,16 @@ def vform_violations(g: AffElt, n: int) -> list[str]:
     B = C * SL2Elt._trusted(LaurentPoly.const(f.inv()), zero, zero, LaurentPoly.const(f))
     out = [f"torus factor: {line}"
            for line in bound_violations((("f-1", f.valuation_from_one(), level),))]
+    # u_+ = A ∈ t_{-μ}·U0^{pm+}·t_{μ} and its mirror u_- = B ∈ t_{μ}·U0^{nm-}·t_{-μ},
+    # μ = n·λ: ω ≥ ⟨β, ±μ⟩ at the root β.  Their exponent conditions, ±k ≥ 0
+    # at the root ±å and ≥ 1 elsewhere, hold by construction: _birkhoff's
+    # A ∈ SL2(K[u]) has A(0) upper unitriangular, and B ∈ SL2(K[u^{-1}]) has
+    # B(∞) lower.
     mu = tuple(n * x for x in LAMBDA)
-    out.extend(_pattern_violations(A, mu, 1))
-    out.extend(_pattern_violations(B, mu, -1))
+    for name, factor, sign in (("u_+", A, 1), ("u_-", B, -1)):
+        out.extend(entry_violations(
+            factor, lambda r, c, k: sign * roots.eval_pairing(entry_root(r, c, k), mu),
+            f"{name} entry "))
     return out
 
 

@@ -153,7 +153,8 @@ def parse_rational(text: str) -> Fraction:
 class SubgroupSpec(Record):
     """A subgroup kind and its argument, checked on construction against the
     family's KINDS table: kind -> (argument kind, predicate).  A predicate
-    maps (g, arg) to the conditions g violates, empty iff g is a member."""
+    maps (g, arg) to the conditions g violates, empty iff g is a member;
+    violations(g) runs it, and g in spec is the one membership question."""
     __slots__ = ("kind", "arg")
     kind: str
     arg: int | Fraction | str | None
@@ -184,6 +185,9 @@ class SubgroupSpec(Record):
         elif arg is not None:
             raise ValueError(f"spec {kind!r} takes no argument")
 
+    def __contains__(self, g) -> bool:
+        return not self.violations(g)
+
 
 # vlambda:n is x_+(ω ≥ n·⟨α, λ⟩)·x_-(ω ≥ n·⟨−α, −λ⟩)·T_{VLAMBDA_TORUS·n},
 # λ = å∨ the coroot of roots.A1; both pairings are ⟨α, λ⟩.
@@ -198,7 +202,8 @@ def vlambda_levels(n: int) -> tuple[int, int, int]:
 
 def bound_violations(bounds) -> list[str]:
     """"ω(name) = v < bound" for each (name, v, bound) with the valuation v
-    below the bound, in order: the one wording of a failed valuation bound.
+    below the bound, in order: the one wording of a failed bound on a named
+    valuation (affine.entry_violations words those on matrix coefficients).
     Callers pass ω(x), or for a name x-1 ω(x − 1), which valuation_from_one
     reads without building x − 1; only the product-form oracle
     _upt_violations builds δ − 1."""
@@ -265,13 +270,9 @@ def sl2_violations(g: SL2Elt, spec: SL2SubgroupSpec) -> list[str]:
     return spec.KINDS[spec.kind][1](g, spec.arg)
 
 
-def sl2_member(g: SL2Elt, spec: SL2SubgroupSpec) -> bool:
-    return not sl2_violations(g, spec)
-
-
 def kerpi_product_member(g: SL2Elt, n: int) -> bool:
     """ker π_n via the product form x_+(ϖ^n O)·x_-(ϖ^n O)·diag(1+ϖ^n O),
-    independent of the entry-congruence route in sl2_member."""
+    independent of the entry-congruence route in _kerpi."""
     return not _upt_violations(g, (n, n, n))
 
 

@@ -709,12 +709,18 @@ def test_a_retraction_past_the_digit_limit_is_named(capsys, expr):
     assert err == f"error: a result of more than {limit} digits exceeds the limit of {limit} digits\n"
 
 
-def test_a_violated_bound_past_the_digit_limit_is_named(capsys):
-    """w fails fixpoint:y at ω(c) = 0 < 2y, and 2y has one digit more than y."""
+@pytest.mark.parametrize("kind,expr", [("fixpoint", "w"), ("hn", "xp(2; 1)"), ("vform", "xp(0; 1)")],
+                         ids=["fixpoint", "hn", "vform"])
+def test_a_violated_bound_past_the_digit_limit_is_named(capsys, kind, expr):
+    """The level y or n has as many digits as the limit allows, and the
+    violated bound one more: w fails fixpoint:y at ω(c) = 0 < 2y, xp(2; 1)
+    fails hn:n at its u^2 coefficient, ω = 0 < 2n, and xp(0; 1) fails vform:n
+    at u_+'s u^0 coefficient, ω = 0 < ⟨å, nλ⟩ = 2n."""
     limit = sys.get_int_max_str_digits()
-    code, out, err = run(capsys, "member", "--spec", f"fixpoint:{'9' * limit}", "w")
-    assert code == 2 and out == ""
-    assert err == f"error: a result of more than {limit} digits exceeds the limit of {limit} digits\n"
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, *json_flag, "member", "--spec", f"{kind}:{'9' * limit}", expr)
+        assert code == 2 and out == ""
+        assert err == f"error: a result of more than {limit} digits exceeds the limit of {limit} digits\n"
 
 
 NINES_400 = int("9" * 400)

@@ -131,12 +131,12 @@ def test_sample_element_determinism_and_self_validation():
         e2, g2 = sampler(cfg.rng(f"{sampler.__name__}:{n}:7"), cfg, *args)
         assert e1 == e2
         if sampler is H.sample_sl2_kerpi:
-            assert sl2.sl2_member(g1, sl2.SL2SubgroupSpec("kerpi", n))
+            assert g1 in sl2.SL2SubgroupSpec("kerpi", n)
         if sampler is H.sample_aff_hn:
-            assert affine.aff_member(g1, affine.AffSubgroupSpec("hn", n))
+            assert g1 in affine.AffSubgroupSpec("hn", n)
         if sampler is H.sample_aff_vform:
-            assert affine.aff_member(g1, affine.AffSubgroupSpec("hn", n))
-            assert affine.aff_member(g1, affine.AffSubgroupSpec("vform", n))
+            assert g1 in affine.AffSubgroupSpec("hn", n)
+            assert g1 in affine.AffSubgroupSpec("vform", n)
 
 
 def _drawn(name, *args):
@@ -283,7 +283,7 @@ def _searched_bound(g, n, cfg):
     conj_bound(g, n), None past it."""
     g_inv, spec = g.inverse(), affine.AffSubgroupSpec("hn", n)
     for m in range(1, affine.conj_bound(g, n) + 1):
-        if all(affine.aff_member(g * H.sample_aff_hn(rng, cfg, m)[1] * g_inv, spec)
+        if all(g * H.sample_aff_hn(rng, cfg, m)[1] * g_inv in spec
                for _, _, rng in H._draws(cfg, "conj", (m,))):
             return m
     return None
@@ -320,8 +320,8 @@ def test_conj_bound_holds_for_sampled_conjugators(field):
             sampled = [H.sample_aff_hn(cfg.rng(f"conjugated:{i}:{n}:{j}"), cfg, m)[1]
                        for j in range(3)]
             for h in edge + sampled:
-                assert affine.aff_member(h, affine.AffSubgroupSpec("hn", m))
-                assert affine.aff_member(g * h * g_inv, spec), (expr, n, str(h))
+                assert h in affine.AffSubgroupSpec("hn", m)
+                assert g * h * g_inv in spec, (expr, n, str(h))
 
 
 def _conj_bound_without_2a(bound):
@@ -398,7 +398,7 @@ def test_h2n_in_v_failure_prints_the_valuation(monkeypatch):
 def test_hausdorff_checks_that_the_escape_level_is_tight(monkeypatch):
     """An H_n predicate that says false for every level passes the escape
     side; the tightness side, g ∈ H_{n_escape − 1} for n_escape ≥ 2, fails."""
-    monkeypatch.setattr(affine, "aff_member", lambda g, spec: False)
+    monkeypatch.setattr(affine.AffSubgroupSpec, "__contains__", lambda spec, g: False)
     report = H.run_suite("hausdorff", small_cfg(trials=200))
     assert report.verdict == "fail" and report.failures
     assert {f.got for f in report.failures} == {"escaped"}

@@ -122,20 +122,19 @@ def test_birkhoff_reconstruction_random():
 
 
 def test_member_examples():
-    assert S.sl2_member(S.x_plus(PI), S.SL2SubgroupSpec("kerpi", 1))
+    assert S.x_plus(PI) in S.SL2SubgroupSpec("kerpi", 1)
     d = S.diag_torus(ONE + PI)
-    assert S.sl2_member(d, S.SL2SubgroupSpec("kerpi", 1))
-    assert not S.sl2_member(d, S.SL2SubgroupSpec("vlambda", 1))
-    assert S.sl2_member(S.weyl_w(F3), S.SL2SubgroupSpec("fixpoint", 0))
-    assert not S.sl2_member(S.weyl_w(F3), S.SL2SubgroupSpec("fixpoint", 1))
-    assert S.sl2_member(d, S.SL2SubgroupSpec("tn", 1))
-    assert not S.sl2_member(d, S.SL2SubgroupSpec("tn", 2))
-    assert S.sl2_member(_minus_i(F3), S.SL2SubgroupSpec("tnunits"))
-    assert not S.sl2_member(S.diag_torus(PI), S.SL2SubgroupSpec("tnunits"))
-    assert S.sl2_member(S.x_plus(ONE) * S.x_minus(PI), S.SL2SubgroupSpec("bigcello"))
-    assert not S.sl2_member(S.diag_torus(PI), S.SL2SubgroupSpec("bigcello"))
-    assert S.sl2_member(S.compose_upt(PI ** 2, PI ** 2, ONE + PI ** 4),
-                        S.SL2SubgroupSpec("vlambda", 1))
+    assert d in S.SL2SubgroupSpec("kerpi", 1)
+    assert d not in S.SL2SubgroupSpec("vlambda", 1)
+    assert S.weyl_w(F3) in S.SL2SubgroupSpec("fixpoint", 0)
+    assert S.weyl_w(F3) not in S.SL2SubgroupSpec("fixpoint", 1)
+    assert d in S.SL2SubgroupSpec("tn", 1)
+    assert d not in S.SL2SubgroupSpec("tn", 2)
+    assert _minus_i(F3) in S.SL2SubgroupSpec("tnunits")
+    assert S.diag_torus(PI) not in S.SL2SubgroupSpec("tnunits")
+    assert S.x_plus(ONE) * S.x_minus(PI) in S.SL2SubgroupSpec("bigcello")
+    assert S.diag_torus(PI) not in S.SL2SubgroupSpec("bigcello")
+    assert S.compose_upt(PI ** 2, PI ** 2, ONE + PI ** 4) in S.SL2SubgroupSpec("vlambda", 1)
 
 
 def test_exact_arguments_take_no_float_and_no_bool():
@@ -165,7 +164,7 @@ def test_kerpi_product_form_agreement():
             c = F3.scalar(rng.randint(-40, 40)) * F3.pi_power(rng.randint(0, 4))
             d = ONE + F3.scalar(rng.randint(-10, 10)) * F3.pi_power(rng.randint(1, 4))
             g = S.compose_upt(b, c, d)
-            assert S.sl2_member(g, S.SL2SubgroupSpec("kerpi", n)) == \
+            assert (g in S.SL2SubgroupSpec("kerpi", n)) == \
                 S.kerpi_product_member(g, n)
 
 
@@ -226,7 +225,7 @@ def test_fixator_compatibility():
         y = Fraction(rng.randint(-6, 6), 2)
         base = S.apartment_point(F3, y)
         geometric = S.tree_point_equal(S.tree_act(g, base), base)
-        assert geometric == S.sl2_member(g, S.SL2SubgroupSpec("fixpoint", y))
+        assert geometric == (g in S.SL2SubgroupSpec("fixpoint", y))
 
 
 def test_half_apartment_action():
@@ -238,9 +237,9 @@ def test_half_apartment_action():
         # D(å, r) in y-coordinates: 2y + r >= 0
         y = Fraction(rng.randint(-8, 8), 2)
         if 2 * y + r >= 0:
-            assert S.sl2_member(S.x_plus(u), S.SL2SubgroupSpec("fixpoint", y))
+            assert S.x_plus(u) in S.SL2SubgroupSpec("fixpoint", y)
         if -2 * y + r >= 0:
-            assert S.sl2_member(S.x_minus(u), S.SL2SubgroupSpec("fixpoint", y))
+            assert S.x_minus(u) in S.SL2SubgroupSpec("fixpoint", y)
 
 
 def test_retract_examples():
@@ -284,7 +283,7 @@ def test_fixed_interval_examples():
     for twice_y in range(-8, 9):
         y = Fraction(twice_y, 2)
         inside = (lo is None or y >= lo) and (hi is None or y <= hi)
-        assert inside == S.sl2_member(g, S.SL2SubgroupSpec("fixpoint", y))
+        assert inside == (g in S.SL2SubgroupSpec("fixpoint", y))
 
 
 def test_works_over_function_field():
