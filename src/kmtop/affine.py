@@ -281,9 +281,10 @@ def nu_translation(g: AffElt):
     return (-f.valuation(), -z.valuation())
 
 
-def fixes_test_point(g: AffElt, i: int, n: int) -> bool:
-    """ω(α_i(t) − 1) ≥ n (i = 0, 1): whether the torus t fixes x_{α_i}(ϖ^{-n})·0."""
-    return eval_char(roots.AFFINE_SL2.simple_roots[i], g).valuation_from_one() >= n
+def fix_level(g: AffElt, i: int):
+    """ω(α_i(t) − 1) (i = 0, 1): the torus t fixes x_{α_i}(ϖ^{-n})·0 iff n is
+    at most this level."""
+    return eval_char(roots.AFFINE_SL2.simple_roots[i], g).valuation_from_one()
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +350,8 @@ class AffSubgroupSpec(SubgroupSpec):
         "hn": (LEVEL, lambda g, n: _congruence(g, n, lambda r, c, k: n * max(1, abs(k)))),
         "tn": (LEVEL, lambda g, n: bound_violations((f"{name}-1", e.valuation_from_one(), n)
                                                     for name, e in zip("fz", torus_parts(g)))),
-        "tnphi": (LEVEL, lambda g, n: [f"ω(α{i}(t)-1) < {n}" for i in (0, 1)
-                                       if not fixes_test_point(g, i, n)]),
+        "tnphi": (LEVEL, lambda g, n: bound_violations((f"α{i}(t)-1", fix_level(g, i), n)
+                                                       for i in (0, 1))),
         "center": (None, lambda g, _: _center(g)),
         "centero": (None, lambda g, _: _center(g)),
         "vform": (LEVEL, lambda g, n: vform_violations(g, n)),

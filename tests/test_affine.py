@@ -184,11 +184,9 @@ def test_tnphi_and_center_relations():
 
 def test_fixes_test_point_examples():
     minus_i = A.aff_torus(-ONE, ONE)
-    for i in (0, 1):
-        for n in (1, 3, 7):
-            assert A.fixes_test_point(minus_i, i, n)
-    assert A.fixes_test_point(A.aff_torus(ONE + PI ** 2, ONE), 1, 2)
-    assert not A.fixes_test_point(A.aff_torus(ONE + PI, ONE), 1, 2)
+    assert [A.fix_level(minus_i, i) for i in (0, 1)] == [math.inf, math.inf]
+    assert A.fix_level(A.aff_torus(ONE + PI ** 2, ONE), 1) == 2
+    assert A.fix_level(A.aff_torus(ONE + PI, ONE), 1) == 1
 
 
 def test_hn_nesting_and_closure():

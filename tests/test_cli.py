@@ -742,8 +742,8 @@ def test_retract_takes_a_coordinate_of_any_length(capsys, expr, coordinate):
 
 # One row per wording of a failed valuation bound, as `member` printed them
 # before the checks were shared by sl2.bound_violations, and the vform
-# pattern bounds, which print the valuation as the others do: (field, spec,
-# expression, violations), no violation meaning a member.
+# pattern and tnphi bounds, which print the valuation as the others do:
+# (field, spec, expression, violations), no violation meaning a member.
 VIOLATION_WORDINGS = (
     ('p:3', 'kerpi:2', 'xp(3) diag(4)', ('ω(a-1) = 1 < 2', 'ω(b) = 1 < 2', 'ω(d-1) = 1 < 2')),
     ('p:3', 'kerpi:1', 'xp(1/3) xm(1)', ('ω(a-1) = -1 < 1', 'ω(b) = -1 < 1', 'ω(c) = 0 < 1')),
@@ -767,6 +767,8 @@ VIOLATION_WORDINGS = (
     ('p:3', 'bigcello', 'w', ('not in the big cell',)),
     ('p:3', 'tn:2', 'torus(4; 4)', ('ω(f-1) = 1 < 2', 'ω(z-1) = 1 < 2')),
     ('p:3', 'tn:1', 'torus(2; 1)', ('ω(f-1) = 0 < 1',)),
+    ('p:3', 'tnphi:2', 'torus(1; 4)', ('ω(α0(t)-1) = 1 < 2',)),
+    ('p:3', 'tnphi:2', 'torus(2; 1)', ('ω(α0(t)-1) = 1 < 2', 'ω(α1(t)-1) = 1 < 2')),
     ('p:3', 'kerpi:2', 'xp(0; 3) torus(1; 4)', ('entry (1,2) u^0: ω = 1 < 2', 'ω(z-1) = 1 < 2')),
     ('p:3', 'kerpi:1', 'xm(1; 1/3)', ('entry (2,1) u^1: ω = -1 < 1',)),
     ('p:3', 'hn:1', 'xp(2; 3) torus(1; 2)', ('entry (1,2) u^2: ω = 1 < 2', 'ω(z-1) = 0 < 1')),
@@ -790,6 +792,7 @@ VIOLATION_WORDINGS = (
     ('fq:3', 'tn:1', 'diag(1+t)', ()),
     ('fq:3', 'tn:2', 'torus(1+t; 1+t)', ('ω(f-1) = 1 < 2', 'ω(z-1) = 1 < 2')),
     ('fq:3', 'tn:1', 'torus(2; 1)', ('ω(f-1) = 0 < 1',)),
+    ('fq:3', 'tnphi:3', 'torus(1+t^2; 1+t)', ('ω(α0(t)-1) = 1 < 3', 'ω(α1(t)-1) = 2 < 3')),
     ('fq:3', 'kerpi:2', 'xp(0; t) torus(1; 1+t)', ('entry (1,2) u^0: ω = 1 < 2', 'ω(z-1) = 1 < 2')),
     ('fq:3', 'hn:1', 'xp(2; t) torus(1; 2)', ('entry (1,2) u^2: ω = 1 < 2', 'ω(z-1) = 0 < 1')),
     ('fq:3', 'hn:2', 'xm(-1; t^2) t(1, 0)', ('entry (1,1) u^0: ω = -1 < 2', 'entry (2,1) u^-1: ω = 1 < 2', 'entry (2,2) u^0: ω = 0 < 2')),

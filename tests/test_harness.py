@@ -63,7 +63,7 @@ def test_verify_reads_omega_of_x_minus_1_in_place_and_renders_only_failures(monk
     from_one, printer = valued.ValuedScalar.valuation_from_one.__code__, exprs.print_expr.__code__
     predicates = {f.__code__ for f in (affine._congruence, affine.deviation, sl2._kerpi,
                                        affine.vform_violations, sl2._diagonal,
-                                       affine.fixes_test_point, H._hausdorff, H._fix_criterion)}
+                                       affine.fix_level, H._hausdorff, H._fix_criterion)}
     subtracted, calls = [], {from_one: 0, printer: 0}
 
     def profile(frame, event, arg):
@@ -468,13 +468,13 @@ def test_a_wrong_sl2_inverse_fails_both_groups(monkeypatch, field, inverse):
 
 @pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
 def test_center_separation_census_pins_the_test_point_level(monkeypatch, field):
-    """A fixes_test_point that checks level n − 1 lets torus(1; 1+ϖ) into
-    tnphi:2: the census after center-separation's trials fails; (−I, 1) alone
-    fixes every level and cannot tell."""
+    """A fix_level one too high lets torus(1; 1+ϖ) into tnphi:2: the census
+    after center-separation's trials fails; (−I, 1) alone fixes every level
+    and cannot tell."""
     report = H.run_suite("center-separation", small_cfg(trials=2, field=field))
     assert report.verdict == "pass" and report.trials == 22
-    level = affine.fixes_test_point
-    monkeypatch.setattr(affine, "fixes_test_point", lambda g, i, n: level(g, i, n - 1))
+    level = affine.fix_level
+    monkeypatch.setattr(affine, "fix_level", lambda g, i: level(g, i) + 1)
     report = H.run_suite("center-separation", small_cfg(trials=2, field=field))
     assert report.verdict == "fail" and report.trials == 22
     [census] = report.failures
