@@ -25,18 +25,6 @@ class NotGCM(ValueError):
         super().__init__(f"Kac-Moody axiom ({axiom}) fails at {position}")
 
 
-class KacMoodyMatrix(Record):
-    __slots__ = ("entries",)
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-
 def _integer(x) -> int:
     """x, if it is an int; TypeError otherwise, a bool included."""
     if type(x) is not int:
@@ -44,8 +32,9 @@ def _integer(x) -> int:
     return x
 
 
-def validate_km(rows) -> KacMoodyMatrix:
-    """Check the generalized Cartan axioms; name the violated one on failure."""
+def validate_km(rows) -> tuple[tuple[int, ...], ...]:
+    """The rows as a tuple of integer tuples, after checking the generalized
+    Cartan axioms; name the violated one on failure."""
     entries = tuple(tuple(_integer(x) for x in row) for row in rows)
     size = len(entries)
     if any(len(row) != size for row in entries):
@@ -58,7 +47,7 @@ def validate_km(rows) -> KacMoodyMatrix:
                 raise NotGCM("ii", (i, j))
             if (entries[i][j] == 0) != (entries[j][i] == 0):
                 raise NotGCM("iii", (i, j))
-    return KacMoodyMatrix(entries)
+    return entries
 
 
 class RootGenSys(Record):
@@ -70,13 +59,13 @@ class RootGenSys(Record):
     """
 
     __slots__ = ("matrix", "rank", "simple_roots", "simple_coroots")
-    matrix: KacMoodyMatrix
+    matrix: tuple[tuple[int, ...], ...]
     rank: int
     simple_roots: tuple[tuple[int, ...], ...]
     simple_coroots: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        size, roots, coroots = self.matrix.size, self.simple_roots, self.simple_coroots
+        size, roots, coroots = len(self.matrix), self.simple_roots, self.simple_coroots
         if len(roots) != size or len(coroots) != size:
             raise ValueError(f"{len(roots)} simple roots and {len(coroots)} coroots "
                              f"for a {size}x{size} Cartan matrix")
@@ -84,7 +73,7 @@ class RootGenSys(Record):
             raise ValueError(f"every simple root and coroot needs rank = {self.rank} entries")
         for i, cov in enumerate(self.simple_coroots):
             for j, root in enumerate(self.simple_roots):
-                if eval_pairing(root, cov) != self.matrix[i, j]:
+                if eval_pairing(root, cov) != self.matrix[i][j]:
                     raise ValueError(
                         f"pairing alpha_{j}(alpha_{i}^) != a[{i}][{j}]")
 
@@ -113,7 +102,7 @@ def reflect(system: RootGenSys, i: int, v) -> ApartmentVec:
 
 def co_reflect(system: RootGenSys, i: int, beta: RootVec) -> RootVec:
     """Dual action on Q-coordinates: β − β(α_i∨)·α_i, β(α_i∨) = Σ_j β_j a_ij."""
-    pairing = sum(b * system.matrix[i, j] for j, b in enumerate(beta))
+    pairing = sum(b * system.matrix[i][j] for j, b in enumerate(beta))
     out = list(beta)
     out[i] -= pairing
     return tuple(out)
@@ -135,7 +124,7 @@ def real_roots_up_to_height(system: RootGenSys, max_height: int) -> frozenset[Ro
     """
     if max_height < 1:
         raise ValueError("height bound must be >= 1")
-    n = system.matrix.size
+    n = len(system.matrix)
     seeds = [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
     seen = set(seeds)
     frontier = list(seeds)

@@ -466,6 +466,28 @@ def test_a_wrong_sl2_inverse_fails_both_groups(monkeypatch, field, inverse):
                       "conj-invariance": ("fail", 24, 18)}
 
 
+# Wrong H_n bounds at u^k, each with the suite that fails on it at seed 42,
+# trials 20: n·|k| keeps s1, whose u^0 coefficients have ω = 0, in every H_n
+# (hausdorff), and one less than n·max(1, |k|) at |k| ≥ 2 keeps the
+# conjugates of conj-invariance's witnesses, which reach u^±2, inside H_n.
+HN_MUTANTS = {
+    "n-abs-k": (lambda n, k: n * abs(k), "hausdorff"),
+    "one-low-from-abs-k-2": (lambda n, k: n * max(1, abs(k)) - (abs(k) >= 2), "conj-invariance"),
+}
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+@pytest.mark.parametrize("mutant", sorted(HN_MUTANTS))
+def test_a_wrong_hn_bound_fails_the_verdict(monkeypatch, field, mutant):
+    """verify --suite all fails when the hn row of AffSubgroupSpec.KINDS has a
+    wrong coefficient bound: every suite that asks H_n reads that row."""
+    bound, killer = HN_MUTANTS[mutant]
+    monkeypatch.setitem(affine.AffSubgroupSpec.KINDS, "hn", (sl2.LEVEL, lambda g, n: (
+        affine._congruence(g, n, lambda r, c, k: bound(n, k)))))
+    reports = H.run_suites(H.all_suite_names(), small_cfg(trials=20, field=field))
+    assert killer in {r.suite for r in reports if r.verdict == "fail"}
+
+
 @pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
 def test_center_separation_census_pins_the_test_point_level(monkeypatch, field):
     """A fix_level one too high lets torus(1; 1+ϖ) into tnphi:2: the census
