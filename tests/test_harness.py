@@ -62,8 +62,9 @@ def test_verify_reads_omega_of_x_minus_1_in_place_and_renders_only_failures(monk
     subtract = {valued.ValuedScalar.__sub__.__code__, valued.ValuedScalar.__rsub__.__code__}
     from_one, printer = valued.ValuedScalar.valuation_from_one.__code__, exprs.print_expr.__code__
     predicates = {f.__code__ for f in (affine._congruence, affine.deviation, sl2._kerpi,
-                                       affine.vform_violations, sl2._diagonal,
-                                       affine.fix_level, H._hausdorff, H._fix_criterion)}
+                                       affine.entry_violations, affine.vform_violations,
+                                       sl2._diagonal, affine.fix_level, H._hausdorff,
+                                       H._fix_criterion)}
     subtracted, calls = [], {from_one: 0, printer: 0}
 
     def profile(frame, event, arg):
