@@ -219,6 +219,7 @@ MALFORMED_INPUTS = {
     "roots not a list": {**_AFF_FIXTURE, "simple_roots": 5},
     "not an object": [1, 2],
     "three roots, 2x2 matrix": {**_AFF_FIXTURE, "simple_roots": [[-2, 1], [2, 0], [0, 0]]},
+    "1x2 matrix": {"cartan": [[2, -1]], "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
     "one root and coroot, 2x2 matrix": {**_AFF_FIXTURE, "simple_roots": [[-2, 1]],
                                          "simple_coroots": [[-1, 0]]},
     "vectors of 3 and 1 entries at rank 2": {**_AFF_FIXTURE, "simple_roots": [[-2, 1, 0], [2]]},
@@ -272,12 +273,19 @@ UNREACHED_PATHS = (
      "triangular: not in the big cell\nbirkhoff: beta=0 monomial=[[0, -1], [1, 0]] gamma=0\n", ""),
     (("fix-interval", "diag(1/3)"), 0, "empty\n", ""),
     (("fix-interval", "diag(2)"), 0, "all\n", ""),
+    (("kp-witness", "-n", "0"), 2, "", "error: n and depth must be >= 1\n"),
     (("member", "--spec", "hn:1", "point(w, 0)"), 2, "", "error: member does not apply to tree points\n"),
     (("member", "--spec", "tn:1", "s0 s1"), 0,
      "false\n  violated: not a torus element: diagonal is not a constant pair (f, 1/f)\n", ""),
     (("mul", "w )"), 2, "", "error: syntax error at 2: expected end of input\n"),
     (("mul", "xp(1/0)"), 2, "", "error: division by zero in scalar\n"),
     (("mul", "xp(0^-1)"), 2, "", "error: zero to a negative power\n"),
+    (("mul", "xp(+)"), 2, "", "error: syntax error at 3: expected a scalar\n"),
+    (("mul", "1"), 2, "", "error: syntax error at 0: expected a generator name\n"),
+    (("retract", "xp(1)"), 2, "", "error: syntax error at 0: expected point(...)\n"),
+    (("roots", "--height", "0"), 2, "", "error: height bound must be >= 1\n"),
+    (("tits", "--coords", "1,3", "--max-steps", "0"), 2, "", "error: max_steps must be >= 1\n"),
+    (("tits", "--coords", "1,3,5"), 2, "", "error: dimension mismatch\n"),
 )
 
 
