@@ -444,8 +444,8 @@ def vform_violations(g: AffElt, n: int) -> list[str]:
 # ---------------------------------------------------------------------------
 # Kac-Peterson strictness witness.
 
-# Largest depth kp_witness accepts: a letter costs about 3 µs and adds one
-# line of CLI output, so the limit bounds a call to about 30 ms and 350 kB.
+# Largest depth kp_witness accepts: a root adds one line of CLI output, so the
+# limit bounds a call's output to about 350 kB.
 MAX_DEPTH = 10000
 
 
@@ -453,27 +453,16 @@ def kp_witness(n: int, depth: int):
     """Roots β[i] of the alternating word r1 r0 r1 ... and the least index
     where n·ht(β[i]) < ht(β[i])!, witnessing escape from the colimit open set.
 
+    As a01 = a10 = −2, r1(α0) = α0 + 2α1 and r0(α1) = 2α0 + α1, so
+    consecutive roots differ by δ = α0 + α1: β[i] = α1 + (i−1)δ, which is
+    (i−1, i) in (α0, α1) coordinates, of height 2i − 1.
+
     Returns ([(beta, height), ...], index or None), indices 1-based.
     """
     if n < 1 or depth < 1:
         raise ValueError("n and depth must be >= 1")
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the limit of {MAX_DEPTH}")
-    simple = ((1, 0), (0, 1))
-    # r(α_j) for each letter r; the action on Q-coordinates is linear, so
-    # (w·r)(α_j) = Σ_k r(α_j)_k · w(α_k) steps the prefix w one letter on.
-    reflected = [[roots.co_reflect(roots.AFFINE_SL2, r, a) for a in simple] for r in (0, 1)]
-    images = simple          # w(α_0), w(α_1) for the prefix w read so far
-    betas = []
-    witness = None
-    for i in range(1, depth + 1):
-        letter = i % 2           # r1 r0 r1 ...
-        beta = images[letter]
-        ht = roots.height(beta)
-        betas.append((beta, ht))
-        if witness is None and n * ht < factorial(ht):
-            witness = i
-        images = tuple(
-            tuple(sum(c * img[m] for c, img in zip(r_a, images)) for m in range(2))
-            for r_a in reflected[letter])
+    betas = [((i - 1, i), 2 * i - 1) for i in range(1, depth + 1)]
+    witness = next((i for i, (_, ht) in enumerate(betas, 1) if n * ht < factorial(ht)), None)
     return betas, witness

@@ -406,23 +406,24 @@ def _rank1_refinement(cfg: SamplerConfig):
     see the level, as the set is closed for T_{kn} at every k ≤ 4."""
     yield from _closure(cfg, "rank1", "sample_sl2_vlambda", SL2, "vlambda")
     pi, one = cfg.field.uniformizer(), cfg.field.one()
-    wrong = _census(cfg.field, SL2, [(Gen("diag", (one + pi ** (4 * n - e),)), "vlambda", n, e == 0)
-                                     for n in (1, 2) for e in (0, 1)])
-    if wrong:
-        return "vlambda census", "diag(1+ϖ^4n) in vlambda:n, diag(1+ϖ^(4n-1)) out", wrong
+    return _census(cfg.field, SL2, "vlambda census",
+                   "diag(1+ϖ^4n) in vlambda:n, diag(1+ϖ^(4n-1)) out",
+                   [(Gen("diag", (one + pi ** (4 * n - e),)), "vlambda", n, e == 0)
+                    for n in (1, 2) for e in (0, 1)])
 
 
-def _census(field: Field, target: str, checks) -> str:
-    """"{expr} {not }in {kind}[:{level}]" for each (node, kind, level, want)
-    whose target element's membership is not want, joined by "; "; level is
-    None for a kind without an argument."""
+def _census(field: Field, target: str, name: str, expected: str, checks):
+    """The failure (name, expected, got) of a census, or None when it holds:
+    got is "{expr} {not }in {kind}[:{level}]" for each (node, kind, level,
+    want) whose target element's membership is not want, joined by "; ";
+    level is None for a kind without an argument."""
     wrong = []
     for node, kind, level, want in checks:
         expr, g = _made(node, target, field)
         if (g in SPECS[target](kind, level)) != want:
             spec = kind if level is None else f"{kind}:{level}"
             wrong.append(f"{expr} {'not ' if want else ''}in {spec}")
-    return "; ".join(wrong)
+    return (name, expected, "; ".join(wrong)) if wrong else None
 
 
 @_suite("v-in-h")
@@ -433,18 +434,17 @@ def _v_in_h(cfg: SamplerConfig):
     the torus factor lies in T_2n."""
     for n, _, rng in _draws(cfg, "vinh", (1, 2)):
         expr, g = sample_aff_vform(rng, cfg, n)
-        viol = affine.aff_violations(g, affine.AffSubgroupSpec("hn", n))
+        viol = affine.AffSubgroupSpec("hn", n).violations(g)
         yield (f"n={n}: {expr}", "member of H_n", "; ".join(viol)) if viol else None
     pi, one = cfg.field.uniformizer(), cfg.field.one()
-    wrong = _census(cfg.field, AFFINE, [
+    return _census(cfg.field, AFFINE, "vform census",
+                   "x_-(1; ϖ^n) and T_2n on the vform:n bounds", [
         check for n in (1, 2) for check in (
             (Gen("xm", (1, pi ** n)), "vform", n, True),
             (Gen("xm", (1, pi ** n)), "hn", n + 1, False),
             (Gen("xm", (1, pi ** (n - 1))), "vform", n, False),
             (Gen("torus", (one + pi ** (2 * n), one + pi ** (2 * n))), "vform", n, True),
             (Gen("torus", (one + pi ** (2 * n - 1), one + pi ** (2 * n))), "vform", n, False))])
-    if wrong:
-        return "vform census", "x_-(1; ϖ^n) and T_2n on the vform:n bounds", wrong
 
 
 @_suite("h2n-in-v")
@@ -546,15 +546,14 @@ def _center_separation(cfg: SamplerConfig):
     for what, ok in checks:
         yield None if ok else (expr, what, "false")
     pi, one = field.uniformizer(), field.one()
-    wrong = _census(field, AFFINE, (
-        (Gen("torus", (one, one + pi)), "tnphi", 2, False),
-        (Gen("torus", (one, one + pi ** 2)), "tnphi", 2, True),
-        *((Gen("torus", parts), kind, None, False)
-          for parts in ((pi, one), (one, one + pi)) for kind in ("center", "centero"))))
-    if wrong:
-        return ("tnphi and center census",
-                "torus(1; 1+ϖ) out of tnphi:2, torus(1; 1+ϖ^2) in it; "
-                "torus(ϖ; 1) and torus(1; 1+ϖ) out of center and centero", wrong)
+    return _census(field, AFFINE, "tnphi and center census",
+                   "torus(1; 1+ϖ) out of tnphi:2, torus(1; 1+ϖ^2) in it; "
+                   "torus(ϖ; 1) and torus(1; 1+ϖ) out of center and centero", (
+                       (Gen("torus", (one, one + pi)), "tnphi", 2, False),
+                       (Gen("torus", (one, one + pi ** 2)), "tnphi", 2, True),
+                       *((Gen("torus", parts), kind, None, False)
+                         for parts in ((pi, one), (one, one + pi))
+                         for kind in ("center", "centero"))))
 
 
 @_suite("coset-count")

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .record import Record
-from .valued import check_digits, exact_fraction
+from .valued import check_digits, exact_fraction, exact_int
 
 RootVec = tuple[int, ...]
 ApartmentVec = tuple[Fraction, ...]
@@ -25,17 +25,10 @@ class NotGCM(ValueError):
         super().__init__(f"Kac-Moody axiom ({axiom}) fails at {position}")
 
 
-def _integer(x) -> int:
-    """x, if it is an int; TypeError otherwise, a bool included."""
-    if type(x) is not int:
-        raise TypeError(f"not an integer: {x!r}")
-    return x
-
-
 def validate_km(rows) -> tuple[tuple[int, ...], ...]:
     """The rows as a tuple of integer tuples, after checking the generalized
     Cartan axioms; name the violated one on failure."""
-    entries = tuple(tuple(_integer(x) for x in row) for row in rows)
+    entries = tuple(tuple(exact_int(x) for x in row) for row in rows)
     size = len(entries)
     if any(len(row) != size for row in entries):
         raise ValueError("matrix must be square")
@@ -199,9 +192,9 @@ def system_from_fixture(data: dict) -> RootGenSys:
     try:
         return RootGenSys(
             validate_km(data["cartan"]),
-            _integer(data["rank"]),
-            tuple(tuple(_integer(x) for x in r) for r in data["simple_roots"]),
-            tuple(tuple(_integer(x) for x in r) for r in data["simple_coroots"]),
+            exact_int(data["rank"]),
+            tuple(tuple(exact_int(x) for x in r) for r in data["simple_roots"]),
+            tuple(tuple(exact_int(x) for x in r) for r in data["simple_coroots"]),
         )
     except KeyError as exc:
         raise ValueError(f"fixture is missing field {exc.args[0]!r}") from exc

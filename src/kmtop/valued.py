@@ -98,6 +98,13 @@ def exact_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def exact_int(x) -> int:
+    """x, if it is an int; TypeError otherwise, a bool included."""
+    if type(x) is not int:
+        raise TypeError(f"not an integer: {x!r}")
+    return x
+
+
 class DivisionByZero(ZeroDivisionError):
     pass
 
@@ -326,10 +333,7 @@ class PAdicField(Field):
     def __init__(self, p: int):
         self.p = self.char = _prime_arg(p, "p")
 
-    def _number(self, value) -> Fraction:
-        if type(value) is not bool and isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise TypeError(f"cannot build a p-adic scalar from {value!r}")
+    _number = staticmethod(exact_fraction)
 
     def uniformizer(self) -> "ValuedScalar":
         return self.scalar(self.p)
@@ -435,10 +439,8 @@ class RationalFunctionField(Field):
         return ValuedScalar(self, self._canonical(num, den))
 
     def _number(self, value):
-        if type(value) is not bool and isinstance(value, int):
-            c = value % self.q
-            return (0, (c,), (1,)) if c else self.ZERO
-        raise TypeError(f"cannot build an F_q(t) scalar from {value!r}")
+        c = exact_int(value) % self.q
+        return (0, (c,), (1,)) if c else self.ZERO
 
     def uniformizer(self) -> "ValuedScalar":
         return ValuedScalar(self, (1, (1,), (1,)))
@@ -611,9 +613,6 @@ class ValuedScalar:
     def __sub__(self, other):
         return self + -self.field.scalar(other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         f = self.field
         if other.__class__ is not ValuedScalar or other.field is not f:
@@ -630,9 +629,6 @@ class ValuedScalar:
 
     def __truediv__(self, other):
         return self * self.field.scalar(other).inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
 
     def __pow__(self, k: int):
         f = self.field
