@@ -518,3 +518,68 @@ def test_center_separation_census_pins_the_center(monkeypatch, field):
     pi, one_plus_pi = ("3", "4") if field is F3 else ("t", "1+t")
     assert census.got == (f"torus({pi}; 1) in center; torus({pi}; 1) in centero; "
                           f"torus(1; {one_plus_pi}) in center; torus(1; {one_plus_pi}) in centero")
+
+
+def _diag_inverted(f):
+    z = f.field.zero()
+    return sl2.SL2Elt(f.inv(), z, z, f)
+
+
+def _upt_reordered(b, c, delta):
+    return sl2.x_minus(c) * sl2.x_plus(b) * sl2.diag_torus(delta)
+
+
+def _hn_constant_at(level, member):
+    """The hn row of AffSubgroupSpec.KINDS with H_level holding every element,
+    or none."""
+    kind, predicate = affine.AffSubgroupSpec.KINDS["hn"]
+    return kind, lambda g, n: predicate(g, n) if n != level else [] if member else ["planted"]
+
+
+def _census_got(got):
+    census = ("coset census", ">= 10 distinct H_2-cosets", got)
+    return lambda f: (f.inputs, f.expected, f.got) == census
+
+
+# A planted fault for each suite whose failure branch no other test takes:
+# (suite, fault, failures at seed 42, trials 20 on p:3 and on fq:3, and a
+# test that a failure is worded as the suite words it).
+SUITE_FAULTS = {
+    "commutation/diag-inverted": (
+        "commutation", lambda mp: mp.setattr(sl2, "diag_torus", _diag_inverted), (18, 18),
+        lambda f: f.inputs.startswith("a=") and f.got.startswith("form1=") and ", form2=" in f.got),
+    "uut-uniqueness/x_minus-first": (
+        "uut-uniqueness", lambda mp: mp.setattr(sl2, "compose_upt", _upt_reordered), (19, 17),
+        lambda f: f.expected == "({})".format(
+            f.inputs.replace("b=", "", 1).replace(", c=", ", ").replace(", δ=", ", "))),
+    "kerpi-sl2/product-always-true": (
+        "kerpi-sl2", lambda mp: mp.setattr(sl2, "kerpi_product_member", lambda g, n: True),
+        (28, 28), lambda f: (f.expected, f.got) == ("congruence == product-form",
+                                                    "congruence=False, product=True")),
+    "fix-criterion/points-always-equal": (
+        "fix-criterion", lambda mp: mp.setattr(sl2, "tree_point_equal", lambda p, q: True),
+        (30, 49), lambda f: (f.expected, f.got) == ("criterion=False", "geometric=True")),
+    "coset-count/h2-holds-all": (
+        "coset-count", lambda mp: mp.setitem(affine.AffSubgroupSpec.KINDS, "hn",
+                                             _hn_constant_at(2, True)),
+        (1, 1), _census_got("1")),
+    "coset-count/h1-holds-none": (
+        "coset-count", lambda mp: mp.setitem(affine.AffSubgroupSpec.KINDS, "hn",
+                                             _hn_constant_at(1, False)),
+        (14, 14), lambda f: (f.expected, f.got) == ("in H_1", "outside") or _census_got("0")(f)),
+}
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+@pytest.mark.parametrize("fault", sorted(SUITE_FAULTS))
+def test_a_planted_fault_fails_its_suite(monkeypatch, field, fault):
+    """Each suite passes, then fails under its planted fault with its own
+    wording: these are the failure branches no other test reaches."""
+    suite, plant, counts, worded = SUITE_FAULTS[fault]
+    cfg = small_cfg(trials=20, field=field)
+    assert H.run_suite(suite, cfg).verdict == "pass"
+    plant(monkeypatch)
+    report = H.run_suite(suite, cfg)
+    assert report.verdict == "fail"
+    assert len(report.failures) == counts[field is not F3]
+    assert all(worded(f) for f in report.failures), report.failures[:2]
