@@ -19,6 +19,7 @@ factor position it is the translation torus generator -- arity disambiguates.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from . import affine, sl2
@@ -128,35 +129,28 @@ class Point(Record):
 # --- tokenizer --------------------------------------------------------------
 
 _PUNCT = "();,+-*/^"
+# One alternative per token class, tried in order; every character matches
+# one.  re's \s is str.isspace() and its \w is str.isalnum() or "_", so a
+# name is a letter and then letters, digits or "_", and a \w run that starts
+# with anything else (_, ², ٣, ½) is no token.  Integers are ASCII 0-9:
+# str.isdigit also takes ² and ٣.
+_TOKEN = re.compile(rf"[{re.escape(_PUNCT)}]|[0-9]+|\s+|\w+|.")
 
 
 def _tokenize(src: str):
     toks = []  # (kind, value, pos)
     i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
+    for text in _TOKEN.findall(src):
+        ch = text[0]
         if ch in _PUNCT:
             toks.append((ch, ch, i))
-            i += 1
-            continue
-        if "0" <= ch <= "9":       # ASCII only: str.isdigit also takes ² and ٣
-            j = i
-            while j < len(src) and "0" <= src[j] <= "9":
-                j += 1
-            toks.append(("int", int(check_digits(src[i:j])), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(i, f"a token (got {ch!r})")
+        elif "0" <= ch <= "9":
+            toks.append(("int", int(check_digits(text)), i))
+        elif ch.isalpha():
+            toks.append(("name", text, i))
+        elif not ch.isspace():
+            raise ExprSyntaxError(i, f"a token (got {ch!r})")
+        i += len(text)
     toks.append(("end", None, len(src)))
     return toks
 
