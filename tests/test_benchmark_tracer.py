@@ -1,5 +1,6 @@
-"""The benchmark's tracer still finds every name it wraps, and its command
-mix still gets its known answers.
+"""The benchmark's tracer still finds every name it wraps and counts a call
+in every layer the workloads reach, and its command mix still gets its
+known answers.
 
 kmbench/layers.py wraps kmtop functions by name and reads 0 for a layer
 whose function is gone, so a refactor that deletes or renames a traced name
@@ -74,3 +75,23 @@ def test_cli_mix_pass_gets_every_known_answer(monkeypatch):
         if code != 0 or not mix.check(cmd, json.loads(out.getvalue())):
             wrong.append(cmd.argv)
     assert wrong == []
+
+
+# Layers that neither run below reaches: each command builds one field and
+# scalar operations compare fields by identity first, so valued.field_eq
+# never runs; cli.mul, cli.fix-interval and cli.tits are in neither workload.
+_UNREACHED_LAYERS = {"valued.field_eq", "cli.mul", "cli.fix-interval", "cli.tits"}
+
+
+def test_every_traced_layer_counts_a_call(monkeypatch):
+    """A refactor that routes the workloads around a traced name would read
+    0 for that layer without losing the name; one verify run on fq:3 and one
+    cli-mix pass reach every layer but the unreached ones."""
+    layers, mix = _kmbench(monkeypatch, "layers"), _kmbench(monkeypatch, "mix")
+    tracer = layers.Tracer()
+    with layers.installed(tracer), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--field", "fq:3", "--trials", "2"]) == 0
+        for cmd in mix.generate(1):
+            assert cli.main(cmd.argv) == 0
+    names = {name for *_, name in layers._COUNTED + layers._SPANS} | {"valued.gcd"}
+    assert {name for name in names if not tracer.calls[name]} == _UNREACHED_LAYERS

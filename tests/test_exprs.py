@@ -1,13 +1,15 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kmtop import exprs as E
 from kmtop import sl2
-from kmtop.valued import PAdicField, RationalFunctionField
+from kmtop.valued import PAdicField, RationalFunctionField, check_digits
 
 F3 = PAdicField(3)
 F2T = RationalFunctionField(2)
@@ -42,6 +44,69 @@ def test_syntax_error_has_position():
         with pytest.raises(E.ExprSyntaxError) as err:
             E.parse_element(f"xp({digit})", E.SL2, F3)
         assert err.value.position == 3
+
+
+def _tokenize_by_loop(src: str):
+    """The character loop exprs._tokenize replaced, kept as its oracle."""
+    toks = []  # (kind, value, pos)
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in E._PUNCT:
+            toks.append((ch, ch, i))
+            i += 1
+            continue
+        if "0" <= ch <= "9":       # ASCII only: str.isdigit also takes ² and ٣
+            j = i
+            while j < len(src) and "0" <= src[j] <= "9":
+                j += 1
+            toks.append(("int", int(check_digits(src[i:j])), i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(("name", src[i:j], i))
+            i = j
+            continue
+        raise E.ExprSyntaxError(i, f"a token (got {ch!r})")
+    toks.append(("end", None, len(src)))
+    return toks
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return tokenize(src)
+    except E.ExprSyntaxError as err:
+        return "syntax", err.position, err.expected
+    except ValueError as err:
+        return "value", str(err)
+
+
+# Characters at the edges of the token classes: punctuation and ASCII
+# digits; spaces str.isspace() takes; letters past ASCII; word characters
+# that are no letter (_, ², ½, ٣, Ⅻ, 𝟘); a combining mark, other
+# punctuation, NUL and an astral emoji.
+_EDGE_CHARS = (E._PUNCT + "0123456789" + "\x0b\x1c\u00a0\u2003\u3000" + "éßΩǅ"
+               + "_²½٣Ⅻ𝟘" + "\u0301!.\x00\U0001f600")
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(st.text(st.one_of(st.sampled_from(_EDGE_CHARS), st.characters()), max_size=24))
+@example("xp(" + "7" * 5000 + ")")
+def test_tokenize_matches_the_character_loop(src):
+    assert _tokens_or_error(E._tokenize, src) == _tokens_or_error(_tokenize_by_loop, src)
+
+
+def test_re_space_and_word_are_the_str_predicates():
+    """The tokenizer's \\s and \\w classes, on every code point."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [ch for ch in chars if ch.isspace()]
+    assert re.findall(r"\w", chars) == [ch for ch in chars if ch.isalnum() or ch == "_"]
 
 
 def test_scalar_grammar():

@@ -489,6 +489,34 @@ def test_a_wrong_hn_bound_fails_the_verdict(monkeypatch, field, mutant):
     assert killer in {r.suite for r in reports if r.verdict == "fail"}
 
 
+# An hn row with no bound on the entries (1,2) and (2,1) at u^0 passes the
+# whole verdict at trials 20: only hausdorff's escape level sees it, at
+# trials 100 on seed 42, in these trials.
+HN_OFF_DIAGONAL_U0_KILLS = {
+    "p:3": [(27, "xm(0; -9)", "escape by n = 3"),
+            (85, "xm(0; -1/5) xp(2; 216) torus(5/2; 1)", "escape by n = 1")],
+    "fq:3": [(27, "xm(0; t^2+t^3)", "escape by n = 3")],
+}
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+def test_an_hn_skipping_the_off_diagonal_at_u0_fails_only_hausdorff(monkeypatch, field):
+    cfg = small_cfg(trials=100, field=field)
+    assert H.run_suite("hausdorff", cfg).verdict == "pass"
+    hn = affine.AffSubgroupSpec.KINDS["hn"][1]
+    monkeypatch.setitem(affine.AffSubgroupSpec.KINDS, "hn", (sl2.LEVEL, lambda g, n: (
+        affine._congruence(g, n, lambda r, c, k: -INFINITY if r != c and k == 0
+                           else n * max(1, abs(k))))))
+    xm = affine.aff_x_minus(field, 0, field.one())     # entry (2,1) at u^0 has ω = 0
+    assert hn(xm, 1) and not affine.AffSubgroupSpec.KINDS["hn"][1](xm, 1)
+    reports = H.run_suites(H.all_suite_names(), small_cfg(trials=20, field=field))
+    assert [r.suite for r in reports if r.verdict != "pass"] == []
+    report = H.run_suite("hausdorff", cfg)
+    assert report.verdict == "fail"
+    assert [(f.trial, f.inputs, f.expected, f.got) for f in report.failures] == [
+        (*kill, "still inside") for kill in HN_OFF_DIAGONAL_U0_KILLS[field.spec_string()]]
+
+
 @pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
 def test_center_separation_census_pins_the_test_point_level(monkeypatch, field):
     """A fix_level one too high lets torus(1; 1+ϖ) into tnphi:2: the census
