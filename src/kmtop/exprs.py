@@ -129,11 +129,10 @@ class Point(Record):
 # --- tokenizer --------------------------------------------------------------
 
 _PUNCT = "();,+-*/^"
-# One alternative per token class, tried in order; every character matches
-# one.  re's \s is str.isspace() and its \w is str.isalnum() or "_", so a
+# One alternative per token class, tried in order, and every character
+# matches one.  re's \s is str.isspace() and \w is str.isalnum() or "_": a
 # name is a letter and then letters, digits or "_", and a \w run that starts
-# with anything else (_, ², ٣, ½) is no token.  Integers are ASCII 0-9:
-# str.isdigit also takes ² and ٣.
+# with anything else (_, ², ٣, ½) is no token.  Integers are ASCII 0-9 only.
 _TOKEN = re.compile(rf"[{re.escape(_PUNCT)}]|[0-9]+|\s+|\w+|.")
 
 

@@ -3,7 +3,8 @@
 Two field kinds are supported:
 
 * ``PAdicField(p)`` -- K = Q with the p-adic valuation, ϖ = p, O = rationals
-  with no p in the denominator.  Raw values are ``Fraction``.
+  with no p in the denominator.  Raw values are ``Fraction``, and the raw
+  ops are its own operators.
 * ``RationalFunctionField(q)`` -- K = F_q(t) (q prime) with the order-at-zero
   valuation, ϖ = t, O = ratios whose denominator is a unit at t = 0.  Raw
   values are triples (v, num, den) meaning t^v·num/den, with num and den
@@ -25,8 +26,7 @@ scalar.  A field kind is a ``Field`` subclass that provides
   (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when k < 0),
   ``_is_zero(a)``, ``_val(a)``, ``_val_from_one(a)`` (ω(a − 1), read from
   a without building a − 1), ``_format(a)`` and ``_number(value)`` (the raw
-  value of a Python number, never a bool); the p-adic raw ops are
-  ``Fraction``'s own operators;
+  value of a Python number, never a bool);
 * ``pi_power(n)`` (ϖ^n, the one place a kind builds it), ``sample_unit(rng)``
   and ``degree(s)`` (the size that a power's cost grows with);
 * attributes ``kind`` (the ``--field`` prefix), ``char`` (the prime, also the
@@ -355,8 +355,7 @@ class PAdicField(Field):
         den = _nth_prime_to(p, rng.randrange(2 * p - 2))
         return self.scalar(Fraction(num, den))
 
-    # raw ops on Fraction values: Fraction's own operators, and a Fraction
-    # is falsy iff it is 0
+    # raw ops: Fraction's own operators (a Fraction is falsy iff it is 0)
     _add = staticmethod(operator.add)
     _neg = staticmethod(operator.neg)
     _mul = staticmethod(operator.mul)
@@ -534,7 +533,8 @@ class RationalFunctionField(Field):
 
     def _pow(self, a, k: int):
         # the powers of a reduced fraction's num and den stay coprime, den^e
-        # stays monic and num^e keeps a nonzero constant term: no gcd
+        # stays monic and num^e keeps a nonzero constant term: no gcd.  0^e
+        # is ZERO itself, since _ppow((), e) is ()
         v, num, den = a if k > 0 else self._inv(a)
         e = abs(k)
         return (v * e, _ppow(num, e, self.q), _ppow(den, e, self.q))
