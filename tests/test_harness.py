@@ -490,8 +490,8 @@ def test_a_wrong_hn_bound_fails_the_verdict(monkeypatch, field, mutant):
 
 
 # An hn row with no bound on the entries (1,2) and (2,1) at u^0 passes the
-# whole verdict at trials 20: only hausdorff's escape level sees it, at
-# trials 100 on seed 42, in these trials.
+# whole verdict at trials 20.  Only hausdorff's escape level sees it: at
+# seed 42, trials 100, it fails in these trials.
 HN_OFF_DIAGONAL_U0_KILLS = {
     "p:3": [(27, "xm(0; -9)", "escape by n = 3"),
             (85, "xm(0; -1/5) xp(2; 216) torus(5/2; 1)", "escape by n = 1")],
