@@ -165,6 +165,15 @@ class AffElt(Record):
         if self.z.is_zero():
             raise ValueError("semidirect scalar must be nonzero")
 
+    @staticmethod
+    def _trusted(m: SL2Elt, z: ValuedScalar) -> "AffElt":
+        """Record._trusted written out for the two fields: one is built per
+        product."""
+        g = _new(AffElt)
+        _set_m(g, m)
+        _set_z(g, z)
+        return g
+
     @property
     def field(self) -> Field:
         return self.z.field
@@ -184,6 +193,10 @@ class AffElt(Record):
 
     def __str__(self):
         return f"({self.m}, {self.z})"
+
+
+_new = object.__new__
+_set_m, _set_z = AffElt._setters
 
 
 def conj_bound(g: AffElt, n: int) -> int:
@@ -210,18 +223,20 @@ def conj_bound(g: AffElt, n: int) -> int:
 def aff_x_plus(field: Field, k: int, y: ValuedScalar) -> AffElt:
     """x_{å+kδ}(y) = ((1, u^k y; 0, 1), 1)."""
     one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
-    return AffElt(SL2Elt(one, LaurentPoly.monomial(field, k, y), zero, one), field.one())
+    return AffElt._trusted(SL2Elt._trusted(one, LaurentPoly.monomial(field, k, y), zero, one),
+                          field.one())
 
 
 def aff_x_minus(field: Field, k: int, y: ValuedScalar) -> AffElt:
     """x_{−å+kδ}(y) = ((1, 0; u^k y, 1), 1)."""
     one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
-    return AffElt(SL2Elt(one, zero, LaurentPoly.monomial(field, k, y), one), field.one())
+    return AffElt._trusted(SL2Elt._trusted(one, zero, LaurentPoly.monomial(field, k, y), one),
+                          field.one())
 
 
 def aff_torus(f: ValuedScalar, z: ValuedScalar) -> AffElt:
     zero = LaurentPoly.zero(f.field)
-    return AffElt(SL2Elt(LaurentPoly.const(f), zero, zero, LaurentPoly.const(f.inv())), z)
+    return AffElt(SL2Elt._trusted(LaurentPoly.const(f), zero, zero, LaurentPoly.const(f.inv())), z)
 
 
 def aff_t_mu(field: Field, ell: int, n: int) -> AffElt:

@@ -32,9 +32,10 @@ VALUATION_RANGE = (-3, 6)
 LAURENT_SUPPORT = 6
 WORD_LENGTH = 8
 
-# Largest trial count a config accepts: verify --suite all takes about 5 ms a
-# trial on fq:3 (2-vCPU VM, CPython 3.11), so the limit bounds a run to about
-# a minute.
+# Largest trial count a config accepts: verify --suite all takes about 2.8 ms
+# a trial on fq:3 (one process per run, x86_64, 2 vCPU, CPython 3.11.7: 0.59 s
+# at trials 200, 2.75 s at trials 1000), so the limit bounds a run to about
+# 30 s.
 MAX_TRIALS = 10000
 
 

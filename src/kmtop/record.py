@@ -4,6 +4,12 @@ Elements, subgroup specs, tree points, root systems and expression nodes are
 records.  A frozen dataclass behaves the same, but importing ``dataclasses``
 loads ``inspect`` and compiles methods for every class, about 0.5 MB of
 resident memory in every process that runs even one command.
+
+A record's invariants are checked once, where its values come from outside:
+``Cls(*values)`` runs ``__post_init__``.  Values whose invariants are known
+(products and inverses of checked elements, generators whose shape has them)
+are built by ``Cls._trusted(*values)``, which skips the check.  Both refuse a
+wrong number of values with TypeError.
 """
 
 from __future__ import annotations
@@ -32,21 +38,24 @@ class Record:
         cls._setters += tuple(cls.__dict__[name].__set__ for name in slots)
 
     def __init__(self, *values):
+        self._set_fields(values)
+        self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Build without __post_init__, for values whose invariants are known:
+        products and inverses of checked records, and elements whose shape
+        has them.  A class built once per product writes its own."""
+        self = object.__new__(cls)
+        self._set_fields(values)
+        return self
+
+    def _set_fields(self, values):
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, "
                             f"got {len(values)}")
         for set_field, value in zip(self._setters, values):
             set_field(self, value)
-        self.__post_init__()
-
-    @classmethod
-    def _trusted(cls, *values):
-        """Build without __post_init__, for products and inverses of checked
-        records: exact arithmetic keeps their invariants."""
-        self = object.__new__(cls)
-        for set_field, value in zip(cls._setters, values):
-            set_field(self, value)
-        return self
 
     def __post_init__(self):
         """Check the fields; a record class with invariants overrides this."""

@@ -37,7 +37,11 @@ def _dot(a0, b0, a1, b1):
 
 class SL2Elt(Record):
     """[[a, b], [c, d]] of det 1 over K (ValuedScalar entries) or K[u, u^{-1}]
-    (LaurentPoly entries): the code asks only *, -, is_zero() and is_one()."""
+    (LaurentPoly entries): the code asks only *, -, is_zero() and is_one().
+
+    ``SL2Elt(a, b, c, d)`` checks det 1, for entries from outside.  The
+    generators below, products and inverses have det 1 by their shape or by
+    exact arithmetic, so they build through ``_trusted``, which skips it."""
     __slots__ = ("a", "b", "c", "d")
     a: ValuedScalar
     b: ValuedScalar
@@ -47,6 +51,17 @@ class SL2Elt(Record):
     def __post_init__(self):
         if not (self.a * self.d - self.b * self.c).is_one():
             raise ValueError("determinant must be 1")
+
+    @staticmethod
+    def _trusted(a, b, c, d) -> "SL2Elt":
+        """Record._trusted written out for the four fields: one is built
+        per product."""
+        g = _new(SL2Elt)
+        _set_a(g, a)
+        _set_b(g, b)
+        _set_c(g, c)
+        _set_d(g, d)
+        return g
 
     @property
     def field(self) -> Field:
@@ -71,30 +86,34 @@ class SL2Elt(Record):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
+_new = object.__new__
+_set_a, _set_b, _set_c, _set_d = SL2Elt._setters
+
+
 def identity(field: Field) -> SL2Elt:
     one, zero = field.one(), field.zero()
-    return SL2Elt(one, zero, zero, one)
+    return SL2Elt._trusted(one, zero, zero, one)
 
 
 def x_plus(c: ValuedScalar) -> SL2Elt:
     f = c.field
-    return SL2Elt(f.one(), c, f.zero(), f.one())
+    return SL2Elt._trusted(f.one(), c, f.zero(), f.one())
 
 
 def x_minus(c: ValuedScalar) -> SL2Elt:
     f = c.field
-    return SL2Elt(f.one(), f.zero(), c, f.one())
+    return SL2Elt._trusted(f.one(), f.zero(), c, f.one())
 
 
 def diag_torus(f: ValuedScalar) -> SL2Elt:
     """diag(f, f^{-1})."""
     z = f.field.zero()
-    return SL2Elt(f, z, z, f.inv())
+    return SL2Elt._trusted(f, z, z, f.inv())
 
 
 def weyl_w(field: Field) -> SL2Elt:
     one, zero = field.one(), field.zero()
-    return SL2Elt(zero, -one, one, zero)
+    return SL2Elt._trusted(zero, -one, one, zero)
 
 
 def upt_decompose(g: SL2Elt):
