@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kmtop import affine, sl2
 from kmtop import exprs as E
-from kmtop import sl2
 from kmtop.valued import PAdicField, RationalFunctionField, check_digits
 
 F3 = PAdicField(3)
@@ -238,6 +238,41 @@ def test_print_expr_parses_back(field, target, data):
     can print: each generator shape, nested products and tree points."""
     node = data.draw(_nodes(field, target))
     assert E.parse_element(E.print_expr(node), target, field)[0] == node
+
+
+def _checked_rebuild(g):
+    """g built again through the public constructors, which check det 1
+    (and z ≠ 0 for an affine element)."""
+    if isinstance(g, affine.AffElt):
+        return affine.AffElt(sl2.SL2Elt(*g.m.entries()), g.z)
+    return sl2.SL2Elt(*g.entries())
+
+
+@pytest.mark.parametrize("field", [F3, FQ3], ids=["p:3", "fq:3"])
+@pytest.mark.parametrize("target,name", [(target, name) for target in (E.SL2, E.AFFINE)
+                                         for name in E.GENERATORS[target]])
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(data=st.data())
+def test_generators_pass_the_checked_constructors(field, target, name, data):
+    """The generator constructors skip the det-1 check, trusting their
+    shape: every element they build, on zero scalars too where the shape
+    takes them, passes the checks of the public constructors unchanged."""
+    shape, construct = E.GENERATORS[target][name]
+    scalar = _scalars(field)
+    if name in _NONZERO_ARGS:
+        scalar = scalar.filter(lambda s: not s.is_zero())
+    else:
+        scalar = st.one_of(st.just(field.zero()), scalar)
+    args = [data.draw(st.integers(-5, 5) if ch == "i" else scalar) for ch in shape if ch in "is"]
+    g = construct(field, *args)
+    assert _checked_rebuild(g) == g
+
+
+@pytest.mark.parametrize("field", [F3, FQ3], ids=["p:3", "fq:3"])
+@pytest.mark.parametrize("construct", [sl2.identity, sl2.weyl_w])
+def test_identity_and_w_pass_the_checked_constructor(field, construct):
+    g = construct(field)
+    assert _checked_rebuild(g) == g
 
 
 def test_parenthesized_products():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kmtop import affine, exprs, roots, sl2
+from kmtop import affine, exprs, harness, roots, sl2
 from kmtop.record import Record
 from kmtop.valued import parse_field
 
@@ -66,3 +66,56 @@ def test_trusted_build_sets_the_fields_in_order_without_the_check():
     assert sl2.SL2Elt._trusted(one, one, one, one).entries() == (one, one, one, one)   # det 0
     assert sl2.SL2SubgroupSpec._trusted("kerpi", 2) == sl2.SL2SubgroupSpec("kerpi", 2)
     assert affine.AffSubgroupSpec._trusted("no such kind", None).kind == "no such kind"
+
+
+def _record_classes(cls=Record):
+    """Every record class of the package, found by walking the subclasses."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("kmtop."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+_W = exprs.Gen("w", ())
+
+# Field values each record class's checked build keeps as they are.
+_CHECKED_EXAMPLES = {
+    sl2.SL2Elt: (F3.one(), F3.scalar(3), F3.zero(), F3.one()),
+    affine.AffElt: (affine.aff_x_plus(F3, 1, F3.scalar(2)).m, F3.scalar(3)),
+    sl2.SL2SubgroupSpec: ("fixpoint", Fraction(1, 2)),
+    affine.AffSubgroupSpec: ("hn", 2),
+    sl2.TreePoint: (sl2.identity(F3), Fraction(1, 2)),
+    harness.SamplerConfig: (F3, 42, 20),
+    harness.Failure: (3, "n=1: xp(1)", "inside", "outside"),
+    harness.SuiteReport: ("hausdorff", 20, (), 0.5, ""),
+    roots.RootGenSys: roots.A1._values(),
+    roots.TitsClassification: ((1, 0), frozenset({2})),
+    exprs.Gen: ("xp", (F3.one(),)),
+    exprs.Product: ((_W,),),
+    exprs.Point: (exprs.Product((_W,)), Fraction(1, 2)),
+}
+
+
+def test_every_record_class_has_a_checked_example():
+    """SubgroupSpec has no kinds, so only its two subclasses build checked."""
+    assert set(_record_classes()) == set(_CHECKED_EXAMPLES) | {sl2.SubgroupSpec}
+
+
+@pytest.mark.parametrize("cls", sorted(_record_classes(), key=lambda c: c.__qualname__),
+                         ids=lambda c: c.__qualname__)
+def test_trusted_build_of_every_record_class(cls):
+    """_trusted sets each value to its field, in the order of the slots of
+    the record bases and then of the class, equals the checked build on
+    values that pass the check, and refuses a wrong number of values as the
+    checked build does."""
+    fields = tuple(name for klass in reversed(cls.__mro__)
+                   for name in klass.__dict__.get("__slots__", ()))
+    values = tuple(object() for _ in fields)
+    rec = cls._trusted(*values)
+    assert type(rec) is cls and all(getattr(rec, name) is v for name, v in zip(fields, values))
+    for wrong in (values[:-1], values + (object(),)):
+        with pytest.raises(TypeError):
+            cls._trusted(*wrong)
+    if cls in _CHECKED_EXAMPLES:
+        example = _CHECKED_EXAMPLES[cls]
+        assert cls._trusted(*example) == cls(*example)
