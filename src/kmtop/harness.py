@@ -32,10 +32,10 @@ VALUATION_RANGE = (-3, 6)
 LAURENT_SUPPORT = 6
 WORD_LENGTH = 8
 
-# Largest trial count a config accepts: verify --suite all takes about 2.8 ms
-# a trial on fq:3 (one process per run, x86_64, 2 vCPU, CPython 3.11.7: 0.59 s
-# at trials 200, 2.75 s at trials 1000), so the limit bounds a run to about
-# 30 s.
+# Largest trial count a config accepts: verify --suite all takes about 2.6 ms
+# a trial on fq:3 (one process per run, x86_64, 2 vCPU, CPython 3.11.7: 0.57 s
+# at trials 200, 2.58 s at trials 1000), so the limit bounds a run to about
+# 26 s.
 MAX_TRIALS = 10000
 
 
@@ -108,9 +108,12 @@ class SuiteReport(Record):
 # ---------------------------------------------------------------------------
 # Scalar and element samplers.  Every element sampler returns (expression
 # node, element) and its output passes its defining predicate by
-# construction.  The element is built from the node, so the node's text,
-# str(node), always parses back to the element; it is rendered only where a
-# failure reports it.
+# construction.  The element equals build(node), so the node's text,
+# str(node), always parses back to it; it is rendered only where a failure
+# reports it.  sample_aff_vform builds its conjugates t·x·t⁻¹ in closed form
+# rather than from the node; tests/test_harness.py::
+# test_sample_expressions_replay rebuilds them from the text at levels 1
+# and 2.
 
 def _made(node, target: str, field: Field):
     """(node, built element) of an expression node."""
@@ -223,9 +226,16 @@ def sample_aff_torus(rng: random.Random, cfg: SamplerConfig):
     return _made(Gen("torus", (f, z)), AFFINE, field)
 
 
+# The one-root generators of sample_aff_vform: each kind's constructor and
+# the matrix entry (r, c) of its coefficient.
+_ROOT_GENERATORS = {"xp": (affine.aff_x_plus, (0, 1)), "xm": (affine.aff_x_minus, (1, 0))}
+
+
 def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
     """u_+ · u_- · t with u_± built from one-root generators conjugated by
     t_{∓nλ} (λ = affine.LAMBDA): a deliberate under-approximation of the sets.
+    A conjugate t·x_β(k; c)·t⁻¹ is built as x_β(k; c·β(t)), the torus law of
+    affine.entry_root, with no product; its node stays t x(k; c) t⁻¹.
     """
     field = cfg.field
     shift, unshift = (Gen("t", tuple(s * n * x for x in affine.LAMBDA)) for s in (1, -1))
@@ -242,9 +252,10 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
                 kind, k = near, sign * rng.randrange(0, 3)
             else:
                 kind, k = far, sign * rng.randrange(1, 3)
-            x = Gen(kind, (k, sample_scalar_min_val(rng, field, 0)))
-            nodes += (left, x, right)
-            lxr = built[left] * build(x, AFFINE, field) * built[right]
+            c = sample_scalar_min_val(rng, field, 0)
+            nodes += (left, Gen(kind, (k, c)), right)
+            make, (r, col) = _ROOT_GENERATORS[kind]
+            lxr = make(field, k, c * affine.eval_char(affine.entry_root(r, col, k), built[left]))
             product = lxr if product is None else product * lxr
         return nodes, product
 
@@ -482,20 +493,22 @@ def _conj_invariance(cfg: SamplerConfig):
     has a conjugate outside H_n, so no smaller m would do."""
     field = cfg.field
     samples: dict = {}      # m -> the samples of H_m, shared by every (g, n)
+    witnesses: dict = {}    # m -> the witnesses that lie in H_{m−1}, likewise
     for expr, g in conj_generator_list(field):
         g_inv = g.inverse()
         for n in (1, 2):
             m, spec = affine.conj_bound(g, n), affine.AffSubgroupSpec("hn", n)
             if m not in samples:
                 samples[m] = [sample_aff_hn(rng, cfg, m) for _, _, rng in _draws(cfg, "conj", (m,))]
+                if m >= 2:
+                    below = affine.AffSubgroupSpec("hn", m - 1)
+                    witnesses[m] = [
+                        w for make in (affine.aff_x_plus, affine.aff_x_minus) for k in (-1, 0, 1)
+                        if (w := make(field, k, field.pi_power((m - 1) * max(1, abs(k))))) in below]
             bad = [f"g·({e})·g⁻¹ not in H_{n}" for e, h in samples[m]
                    if g * h * g_inv not in spec][:1]
-            if m >= 2:
-                below = affine.AffSubgroupSpec("hn", m - 1)
-                witnesses = (make(field, k, field.pi_power((m - 1) * max(1, abs(k))))
-                             for make in (affine.aff_x_plus, affine.aff_x_minus) for k in (-1, 0, 1))
-                if not any(w in below and g * w * g_inv not in spec for w in witnesses):
-                    bad.append(f"no witness in H_{m - 1} escapes H_{n}")
+            if m >= 2 and not any(g * w * g_inv not in spec for w in witnesses[m]):
+                bad.append(f"no witness in H_{m - 1} escapes H_{n}")
             yield (f"g={expr}, n={n}", f"g·H_m·g⁻¹ in H_{n} at m = {m}, exactly",
                    "; ".join(bad)) if bad else None
 
@@ -627,12 +640,13 @@ def _retract_oracle(p: sl2.TreePoint):
 def _fix_criterion(cfg: SamplerConfig):
     """For SL2 tori, ω(α(t)−1) ≥ n iff t fixes the point x_+(ϖ^{-n})·0."""
     field = cfg.field
+    bases = {n: sl2.tree_act(sl2.x_plus(field.pi_power(-n)), sl2.apartment_point(field, 0))
+             for n in range(1, 5)}
     for _, _, rng in _draws(cfg, "fixcrit"):
         expr, t = sample_sl2_torus(rng, cfg)
         s = t.a
-        for n in range(1, 5):
+        for n, base in bases.items():
             valuation_side = (s * s).valuation_from_one() >= n
-            base = sl2.tree_act(sl2.x_plus(field.pi_power(-n)), sl2.apartment_point(field, 0))
             geometric_side = sl2.tree_point_equal(sl2.tree_act(t, base), base)
             yield (None if valuation_side == geometric_side
                    else (f"{expr}, n={n}", f"criterion={valuation_side}",

@@ -230,14 +230,37 @@ def bound_violations(bounds) -> list[str]:
             for name, v, bound in bounds if v < bound]
 
 
+def _big_cell(g: SL2Elt, levels) -> list[str]:
+    """Why g is not x_+(b)·x_-(c)·diag(δ) with ω(b), ω(c) and ω(δ − 1) at
+    least levels, or, for a last level None, ω(δ) = 0: vlambda:n and
+    bigcello.  The valuations are read from g's entries with no factor built:
+    upt_decompose gives b = g12·g22^{-1}, c = g21·g22 and δ = g22^{-1}, and
+    δ − 1 = (1 − g22)·g22^{-1}, so with w = ω(g22) ω is ω(g12) − w,
+    ω(g21) + w, ω(g22 − 1) − w and −w."""
+    d = g.d
+    if d.is_zero():
+        return ["not in the big cell"]
+    w = d.valuation()
+    level_b, level_c, level_delta = levels
+    out = bound_violations((("b", g.b.valuation() - w, level_b),
+                            ("c", g.c.valuation() + w, level_c)))
+    if level_delta is None:
+        if w != 0:
+            out.append(f"ω(δ) = {-w} != 0")
+    else:
+        out.extend(bound_violations((("δ-1", d.valuation_from_one() - w, level_delta),)))
+    return out
+
+
 def _upt_violations(g: SL2Elt, levels) -> list[str]:
-    """Why g is not x_+(b)·x_-(c)·diag(δ) with ω(b), ω(c), ω(δ − 1) ≥ levels."""
+    """Why g is not x_+(b)·x_-(c)·diag(δ) with ω(b), ω(c), ω(δ − 1) ≥ levels,
+    by building b, c, δ and δ − 1: the product-form oracle of
+    kerpi_product_member, its one caller, which shares no valuation read
+    with _kerpi or _big_cell."""
     try:
         b, c, delta = upt_decompose(g)
     except NotInBigCell:
         return ["not in the big cell"]
-    # δ − 1 is built here, not read by valuation_from_one: this route is the
-    # product-form oracle of _kerpi, and shares no ω(x − 1) code with it
     return bound_violations(zip(("b", "c", "δ-1"),
                                 (b.valuation(), c.valuation(), (delta - 1).valuation()),
                                 levels))
@@ -257,17 +280,6 @@ def _diagonal(g: SL2Elt, n: int | None) -> list[str]:
     return bound_violations((("δ-1", g.a.valuation_from_one(), n),))
 
 
-def _bigcello(g: SL2Elt, _) -> list[str]:
-    try:
-        b, c, delta = upt_decompose(g)
-    except NotInBigCell:
-        return ["not in the big cell"]
-    out = bound_violations((("b", b.valuation(), 0), ("c", c.valuation(), 0)))
-    if delta.valuation() != 0:
-        out.append(f"ω(δ) = {delta.valuation()} != 0")
-    return out
-
-
 class SL2SubgroupSpec(SubgroupSpec):
     __slots__ = ()
     GROUP = "SL2"
@@ -275,9 +287,9 @@ class SL2SubgroupSpec(SubgroupSpec):
         "kerpi": (LEVEL, _kerpi),
         "tn": (LEVEL, _diagonal),
         "tnunits": (None, _diagonal),
-        "vlambda": (LEVEL, lambda g, n: _upt_violations(g, vlambda_levels(n))),
+        "vlambda": (LEVEL, lambda g, n: _big_cell(g, vlambda_levels(n))),
         "fixpoint": (RATIONAL, lambda g, y: apartment_violations(g, y, y)),
-        "bigcello": (None, _bigcello),
+        "bigcello": (None, lambda g, _: _big_cell(g, (0, 0, None))),
     }
 
     def violations(self, g: SL2Elt) -> list[str]:

@@ -55,7 +55,8 @@ RETRACT_OFF_BY_ONE_INPUTS = [
 
 def test_verify_reads_omega_of_x_minus_1_in_place_and_renders_only_failures(monkeypatch):
     """A passing verify run on fq:3 builds no x − 1 in the membership
-    predicates, which read ω(x − 1) with valuation_from_one, and renders no
+    predicates, which read ω(x − 1) with valuation_from_one (vlambda and
+    bigcello read ω(δ − 1) from g22, with no δ built), and renders no
     sample's text.  A failing run prints the same failure inputs as when
     every sample's text was rendered as it was drawn."""
     from kmtop import cli, valued
@@ -63,8 +64,8 @@ def test_verify_reads_omega_of_x_minus_1_in_place_and_renders_only_failures(monk
     from_one, printer = valued.ValuedScalar.valuation_from_one.__code__, exprs.print_expr.__code__
     predicates = {f.__code__ for f in (affine._congruence, affine.deviation, sl2._kerpi,
                                        affine.entry_violations, affine.vform_violations,
-                                       sl2._diagonal, affine.fix_level, H._hausdorff,
-                                       H._fix_criterion)}
+                                       sl2._diagonal, sl2._big_cell, affine.fix_level,
+                                       H._hausdorff, H._fix_criterion)}
     subtracted, calls = [], {from_one: 0, printer: 0}
 
     def profile(frame, event, arg):
@@ -147,7 +148,8 @@ def _drawn(name, *args):
 
 
 # What each element sampler, and conj_generator_list, returns: its target
-# grammar and a function from a config to (expression, element) pairs.
+# grammar and a function from a config to (expression, element) pairs, keyed
+# by its name, or by name:level for a further level drawn.
 REPLAYED = {
     "sample_sl2_generic": (exprs.SL2, _drawn("sample_sl2_generic")),
     "sample_sl2_kerpi": (exprs.SL2, _drawn("sample_sl2_kerpi", 1)),
@@ -158,6 +160,8 @@ REPLAYED = {
     "sample_aff_hn": (exprs.AFFINE, _drawn("sample_aff_hn", 2)),
     "sample_aff_torus": (exprs.AFFINE, _drawn("sample_aff_torus")),
     "sample_aff_vform": (exprs.AFFINE, _drawn("sample_aff_vform", 1)),
+    # the conjugates' scaling ϖ^⟨β, ±nλ⟩ depends on n
+    "sample_aff_vform:2": (exprs.AFFINE, _drawn("sample_aff_vform", 2)),
     "conj_generator_list": (exprs.AFFINE, lambda cfg: H.conj_generator_list(cfg.field)),
 }
 
@@ -165,7 +169,8 @@ REPLAYED = {
 def test_replay_covers_every_element_sampler():
     scalar_samplers = {"sample_unit", "sample_scalar", "sample_scalar_min_val"}
     samplers = {name for name in vars(H) if name.startswith("sample_")}
-    assert samplers - scalar_samplers == set(REPLAYED) - {"conj_generator_list"}
+    replayed = {name.partition(":")[0] for name in REPLAYED}
+    assert samplers - scalar_samplers == replayed - {"conj_generator_list"}
 
 
 @pytest.mark.parametrize("name", sorted(REPLAYED))

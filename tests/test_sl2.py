@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -166,6 +168,57 @@ def test_kerpi_product_form_agreement():
             g = S.compose_upt(b, c, d)
             assert (g in S.SL2SubgroupSpec("kerpi", n)) == \
                 S.kerpi_product_member(g, n)
+
+
+def _built_violations(g, levels):
+    """vlambda's and bigcello's violations from the built factors: b, c and
+    δ from upt_decompose, and δ − 1 by subtraction; a last level None asks
+    ω(δ) = 0."""
+    try:
+        b, c, delta = S.upt_decompose(g)
+    except S.NotInBigCell:
+        return ["not in the big cell"]
+    out = S.bound_violations((("b", b.valuation(), levels[0]), ("c", c.valuation(), levels[1])))
+    if levels[2] is None:
+        return out + ([f"ω(δ) = {delta.valuation()} != 0"] if delta.valuation() != 0 else [])
+    return out + S.bound_violations((("δ-1", (delta - 1).valuation(), levels[2]),))
+
+
+def _big_cell_cases(field):
+    """One strategy per case of the big-cell read: words in the generators;
+    ω(g22) ≠ 0 (δ of nonzero valuation); g12 = g21 = 0 (b = c = 0); g22 = 1
+    (δ = 1); g22 = 0 (x_+(b)·w·diag(f)); and δ near 1, where vlambda's
+    ω(δ − 1) bound decides."""
+    one, zero, pi = field.one(), field.zero(), field.uniformizer()
+    unit = st.integers(0, 10 ** 6).map(lambda seed: field.sample_unit(random.Random(seed)))
+    scalar = st.one_of(st.just(zero), st.builds(lambda u, v: u * pi ** v, unit, st.integers(-3, 9)))
+    off_unit = st.builds(lambda u, v: u * pi ** v, unit, st.integers(-3, 3).filter(bool))
+    near_one = st.builds(lambda u, v: one + u * pi ** v, unit, st.integers(1, 9))
+    word = st.lists(_generators(field), min_size=1, max_size=6)
+    return (word.map(lambda w: functools.reduce(operator.mul, w)),
+            st.builds(S.compose_upt, scalar, scalar, off_unit),
+            st.builds(S.compose_upt, st.just(zero), st.just(zero), st.one_of(off_unit, near_one)),
+            st.builds(S.compose_upt, scalar, scalar, st.just(one)),
+            st.builds(lambda b, f: S.x_plus(b) * S.weyl_w(field) * S.diag_torus(f),
+                      scalar, st.one_of(unit, off_unit)),
+            st.builds(S.compose_upt, scalar, scalar, near_one))
+
+
+@pytest.mark.parametrize("spec", ["p:3", "fq:3"])
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(data=st.data())
+def test_big_cell_reads_the_valuations_of_the_built_factors(spec, data):
+    """vlambda:n (n = 1, 2) and bigcello read ω(b), ω(c), ω(δ − 1) and ω(δ)
+    from g's entries; each element of every case gives the violations that
+    the built factors give, wording and values included.  Kills reading
+    ω(c) as ω(g21) − ω(g22) and ω(δ − 1) as ω(g22 − 1)."""
+    field = parse_field(spec)
+    for case in _big_cell_cases(field):
+        g = data.draw(case)
+        for n in (1, 2):
+            assert (S.SL2SubgroupSpec("vlambda", n).violations(g)
+                    == _built_violations(g, S.vlambda_levels(n))), g
+        assert S.SL2SubgroupSpec("bigcello").violations(g) == _built_violations(g, (0, 0, None)), g
 
 
 def test_tree_point_equal_examples():
