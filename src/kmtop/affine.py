@@ -167,8 +167,8 @@ class AffElt(Record):
 
     @staticmethod
     def _trusted(m: SL2Elt, z: ValuedScalar) -> "AffElt":
-        """Record._trusted written out for the two fields: one is built per
-        product."""
+        """Build without the z ≠ 0 check, setting the two fields in place:
+        one is built per product."""
         g = _new(AffElt)
         _set_m(g, m)
         _set_z(g, z)

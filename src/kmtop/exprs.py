@@ -309,7 +309,7 @@ def build(node, target: str, field: Field):
     AFFINE, a TreePoint for a Point.  Products multiply in the node's
     grouping."""
     if isinstance(node, Point):
-        return sl2.TreePoint.make(build(node.elt, SL2, field), node.y)
+        return sl2.TreePoint(build(node.elt, SL2, field), node.y)
     if isinstance(node, Product):
         factors = iter(node.factors)    # the grammar gives a product at least one
         out = build(next(factors), target, field)

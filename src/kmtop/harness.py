@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import affine, roots, sl2
 from .exprs import AFFINE, SL2, SPECS, Gen, Point, Product, build
 from .record import Record
-from .valued import INFINITY, Field, ValuedScalar
+from .valued import INFINITY, Field, ValuedScalar, exact_int
 
 
 class UnknownSuite(KeyError):
@@ -46,6 +46,8 @@ class SamplerConfig(Record):
     trials: int
 
     def __post_init__(self):
+        exact_int(self.seed)
+        exact_int(self.trials)      # a bool would be 1 trial, echoed as true
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.trials > MAX_TRIALS:
@@ -175,7 +177,7 @@ def sample_sl2_torus(rng: random.Random, cfg: SamplerConfig):
 def sample_tree_point(rng: random.Random, cfg: SamplerConfig):
     node, g = sample_sl2_generic(rng, cfg)
     y = Fraction(rng.randint(2 * VALUATION_RANGE[0], 2 * VALUATION_RANGE[1]), 2)
-    return Point(node, y), sl2.TreePoint.make(g, y)
+    return Point(node, y), sl2.TreePoint(g, y)
 
 
 def sample_aff_word(rng: random.Random, cfg: SamplerConfig):

@@ -6,10 +6,10 @@ loads ``inspect`` and compiles methods for every class, about 0.5 MB of
 resident memory in every process that runs even one command.
 
 A record's invariants are checked once, where its values come from outside:
-``Cls(*values)`` runs ``__post_init__``.  Values whose invariants are known
-(products and inverses of checked elements, generators whose shape has them)
-are built by ``Cls._trusted(*values)``, which skips the check.  Both refuse a
-wrong number of values with TypeError.
+``Cls(*values)`` runs ``__post_init__``, and refuses a wrong number of values
+with TypeError.  ``SL2Elt`` and ``AffElt``, whose products, inverses and
+generators have their invariants by construction, each add an unchecked
+``_trusted`` build of their own.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ class Record:
     and of its record bases, in order.
 
     Built from the field values, positionally; then ``__post_init__``
-    checks them, and ``_trusted`` builds without the check.  Records of one
-    class with equal fields are equal, the hash is that of the fields, the
-    repr reads ``Name(field=value, ...)``, and no attribute can be set
-    afterwards: the behaviour of a frozen dataclass.  A subclass that adds no
-    field declares ``__slots__ = ()``.
+    checks them.  Records of one class with equal fields are equal, the hash
+    is that of the fields, the repr reads ``Name(field=value, ...)``, and no
+    attribute can be set afterwards: the behaviour of a frozen dataclass.  A
+    subclass that adds no field declares ``__slots__ = ()``.
     """
 
     __slots__ = ()
@@ -38,24 +37,12 @@ class Record:
         cls._setters += tuple(cls.__dict__[name].__set__ for name in slots)
 
     def __init__(self, *values):
-        self._set_fields(values)
-        self.__post_init__()
-
-    @classmethod
-    def _trusted(cls, *values):
-        """Build without __post_init__, for values whose invariants are known:
-        products and inverses of checked records, and elements whose shape
-        has them.  A class built once per product writes its own."""
-        self = object.__new__(cls)
-        self._set_fields(values)
-        return self
-
-    def _set_fields(self, values):
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values, "
                             f"got {len(values)}")
         for set_field, value in zip(self._setters, values):
             set_field(self, value)
+        self.__post_init__()
 
     def __post_init__(self):
         """Check the fields; a record class with invariants overrides this."""

@@ -54,8 +54,8 @@ class SL2Elt(Record):
 
     @staticmethod
     def _trusted(a, b, c, d) -> "SL2Elt":
-        """Record._trusted written out for the four fields: one is built
-        per product."""
+        """Build without the det-1 check, setting the four fields in
+        place: one is built per product."""
         g = _new(SL2Elt)
         _set_a(g, a)
         _set_b(g, b)
@@ -315,16 +315,16 @@ class TreePoint(Record):
     g: SL2Elt
     y: Fraction
 
-    @staticmethod
-    def make(g: SL2Elt, y) -> "TreePoint":
-        return TreePoint(g, exact_fraction(y))
+    def __post_init__(self):
+        if type(self.y) is not Fraction:
+            object.__setattr__(self, "y", exact_fraction(self.y))
 
     def __str__(self):
         return f"point({self.g}, {self.y})"
 
 
 def apartment_point(field: Field, y) -> TreePoint:
-    return TreePoint.make(identity(field), y)
+    return TreePoint(identity(field), y)
 
 
 def apartment_violations(h: SL2Elt, yp, yq) -> list[str]:

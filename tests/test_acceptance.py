@@ -108,7 +108,7 @@ def test_09_tree_retraction():
     t0 = time.perf_counter()
     report = _run("tree-retraction", _cfg(500))
     assert report.trials == 503                  # 500 random + 3 closed cases
-    assert sl2.tree_retract(sl2.TreePoint.make(sl2.x_minus(P3.uniformizer()), 1)) == 0
+    assert sl2.tree_retract(sl2.TreePoint(sl2.x_minus(P3.uniformizer()), 1)) == 0
     for y in (Fraction(-7, 2), Fraction(0), Fraction(9, 4)):
         assert sl2.tree_retract(sl2.apartment_point(P3, y)) == y
     _done("9 tree-retraction (500 points vs candidate-scan oracle)", t0, 10)

@@ -995,14 +995,18 @@ OUTPUT_DIGEST = "4024 4afb5e7333deaa8020d51497633919f98608b8ffc945ec4b4034de85bc
 
 def test_output_digest_of_4024_runs(monkeypatch):
     """The hash of tests/output_digest.py over every cli-mix command of two
-    seeds and verify on six fields, each as text and as JSON, in-process."""
+    seeds and verify on six fields, each as text and as JSON, in-process.
+    Each run's hash is also compared with tests/output_digest_index.txt, so
+    a failure names the runs whose outputs changed."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)    # leave kmbench/ untouched
     spec = importlib.util.spec_from_file_location(
         "output_digest", Path(__file__).with_name("output_digest.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    runs, hexdigest = module.digest()
-    assert f"{runs} {hexdigest}" == OUTPUT_DIGEST
+    line, runs = module.digest()
+    report = module.changes(runs)
+    assert not report, report
+    assert line == OUTPUT_DIGEST
 
 
 # Every help text and these usage errors, as kmtop prints them at 80 columns;

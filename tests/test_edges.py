@@ -118,12 +118,12 @@ def test_tree_equality_transitive_across_representatives():
                 g = g * S.x_minus(F3.scalar(rng.randint(-4, 4)) * PI ** rng.randint(-2, 3))
             else:
                 g = g * S.weyl_w(F3)
-        p = S.TreePoint.make(g, y)
+        p = S.TreePoint(g, y)
         # build two other representatives by right-multiplying with fixators of p_y
         stab1 = S.x_plus(F3.pi_power(max(0, -int(2 * y)) + rng.randint(0, 1)))
         stab2 = S.x_minus(F3.pi_power(max(0, int(2 * y)) + rng.randint(0, 1)))
-        q = S.TreePoint.make(g * stab1, y)
-        r = S.TreePoint.make(g * stab2 * stab1, y)
+        q = S.TreePoint(g * stab1, y)
+        r = S.TreePoint(g * stab2 * stab1, y)
         assert S.tree_point_equal(p, q)
         assert S.tree_point_equal(q, r)
         assert S.tree_point_equal(p, r)     # transitivity
@@ -133,7 +133,7 @@ def test_tree_equality_transitive_across_representatives():
 def test_retract_representative_independence_fq():
     f2 = RationalFunctionField(2)
     t = f2.uniformizer()
-    p = S.TreePoint.make(S.x_minus(t) * S.weyl_w(f2), Fraction(3, 2))
+    p = S.TreePoint(S.x_minus(t) * S.weyl_w(f2), Fraction(3, 2))
     cfg = H.SamplerConfig(f2, 42, 1)
     assert H._retract_oracle(p) == S.tree_retract(p)
     assert cfg.field is f2
@@ -142,13 +142,13 @@ def test_retract_representative_independence_fq():
 def test_retract_hand_computed_cases():
     # (w, y): w reflects the apartment at 0, so the point is p_{-y} in A
     for y in (Fraction(2), Fraction(-3, 2), Fraction(0)):
-        p = S.TreePoint.make(S.weyl_w(F3), y)
+        p = S.TreePoint(S.weyl_w(F3), y)
         assert S.tree_retract(p) == -y
     # x_-(ϖ^{-1}) moves p_0 off the apartment; folding lands at -1
-    assert S.tree_retract(S.TreePoint.make(S.x_minus(PI.inv()), 0)) == -1
+    assert S.tree_retract(S.TreePoint(S.x_minus(PI.inv()), 0)) == -1
     # x_-(ϖ) fixes p_{1/2}, then diag(ϖ^{-2}, ϖ^2) translates by +2
     g = S.diag_torus(PI.inv() ** 2) * S.x_minus(PI)
-    assert S.tree_retract(S.TreePoint.make(g, Fraction(1, 2))) == Fraction(5, 2)
+    assert S.tree_retract(S.TreePoint(g, Fraction(1, 2))) == Fraction(5, 2)
 
 
 def test_vform_with_larger_loop_exponents():

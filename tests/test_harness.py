@@ -106,6 +106,18 @@ def test_config_rejects_nonpositive_trials():
             small_cfg(trials=trials)
 
 
+def test_config_takes_only_int_seeds_and_trials():
+    """A bool would run 1 trial and echo "trials": true, and a float seed
+    would seed another stream, so both are refused before the range checks."""
+    for bad in (True, 20.0, Fraction(20), "20"):
+        with pytest.raises(TypeError, match="not an integer"):
+            small_cfg(trials=bad)
+        with pytest.raises(TypeError, match="not an integer"):
+            small_cfg(seed=bad)
+    with pytest.raises(TypeError, match="not an integer"):
+        small_cfg(trials=0.5)
+
+
 def test_config_caps_trials():
     assert small_cfg(trials=H.MAX_TRIALS).trials == H.MAX_TRIALS
     with pytest.raises(ValueError, match=f"trials must be at most {H.MAX_TRIALS}"):
@@ -217,7 +229,7 @@ def test_retract_oracle_is_independent_and_agrees():
     cfg = small_cfg(trials=60)
     for i in range(60):
         _, p = H.sample_sl2_generic(cfg.rng(f"generic:{i}"), cfg)
-        point = sl2.TreePoint.make(p, 0)
+        point = sl2.TreePoint(p, 0)
         assert H._retract_oracle(point) == sl2.tree_retract(point)
 
 
@@ -237,7 +249,7 @@ def _per_candidate_retract_oracle(p: sl2.TreePoint):
     for twice in range(-2 * width, 2 * width + 1):
         y2 = Fraction(twice, 2)
         for c0 in c_options:
-            q = sl2.TreePoint.make(sl2.x_plus(c0), y2)
+            q = sl2.TreePoint(sl2.x_plus(c0), y2)
             if sl2.tree_point_equal(q, p):
                 candidates.append(y2)
                 break
@@ -251,7 +263,7 @@ def _per_candidate_retract_oracle(p: sl2.TreePoint):
 def test_retract_oracle_matches_the_per_candidate_scan(field):
     cfg = small_cfg(field=field)
     pi = field.uniformizer()
-    points = [sl2.TreePoint.make(sl2.x_minus(pi), 1),         # the suite's closed cases
+    points = [sl2.TreePoint(sl2.x_minus(pi), 1),         # the suite's closed cases
               sl2.apartment_point(field, Fraction(1, 4)),
               sl2.apartment_point(field, -2)]
     points += [H.sample_tree_point(cfg.rng(f"retract:{i}"), cfg)[1] for i in range(100)]
@@ -260,7 +272,7 @@ def test_retract_oracle_matches_the_per_candidate_scan(field):
         for i in range(40):
             rng = cfg.rng(f"retract:{den}:{i}")
             g = H.sample_sl2_generic(rng, cfg)[1]
-            points.append(sl2.TreePoint.make(g, Fraction(rng.randint(-6 * den, 6 * den), den)))
+            points.append(sl2.TreePoint(g, Fraction(rng.randint(-6 * den, 6 * den), den)))
     found = [H._retract_oracle(p) for p in points]
     assert found == [_per_candidate_retract_oracle(p) for p in points]
     # off the half-integers, some scans find one candidate and some none
@@ -616,3 +628,50 @@ def test_a_planted_fault_fails_its_suite(monkeypatch, field, fault):
     assert report.verdict == "fail"
     assert len(report.failures) == counts[field is not F3]
     assert all(worded(f) for f in report.failures), report.failures[:2]
+
+
+# Decision coverage of the verdict: the (group, kind, answer) triples that no
+# subgroup predicate gives during `verify --suite all` at seed 42, trials 20,
+# on p:3 and fq:3 alike.  A predicate replaced by the constant it never gives
+# passes the verdict there: a kind never asked survives both constants, and
+# one never seen answering "member" survives "never a member".  A change that
+# closes a gap deletes its row; one that opens a gap fails the test.
+DECISION_GAPS = {
+    *((group, kind, answer) for group, kind in (("SL2", "tn"), ("SL2", "tnunits"),
+                                                ("SL2", "fixpoint"), ("SL2", "bigcello"),
+                                                ("affine", "tn"))
+      for answer in ("member", "non-member")),
+    ("affine", "kerpi", "member"),
+    ("affine", "center", "member"),
+}
+
+
+def _answer_counting(spec_cls, kind, seen, monkeypatch):
+    """Wrap the KINDS row of kind so that each call adds its answer to seen;
+    a predicate that raises (NotTorus) answers "non-member"."""
+    arg_kind, predicate = spec_cls.KINDS[kind]
+
+    def counted(g, arg):
+        answer = "non-member"
+        try:
+            violations = predicate(g, arg)
+            if not violations:
+                answer = "member"
+            return violations
+        finally:
+            seen.add((spec_cls.GROUP, kind, answer))
+
+    monkeypatch.setitem(spec_cls.KINDS, kind, (arg_kind, counted))
+
+
+@pytest.mark.parametrize("field", [F3, RationalFunctionField(3)], ids=["p:3", "fq:3"])
+def test_decision_coverage_gaps_of_the_verdict(monkeypatch, field):
+    seen = set()
+    every = set()
+    for spec_cls in (sl2.SL2SubgroupSpec, affine.AffSubgroupSpec):
+        for kind in list(spec_cls.KINDS):
+            _answer_counting(spec_cls, kind, seen, monkeypatch)
+            every |= {(spec_cls.GROUP, kind, "member"), (spec_cls.GROUP, kind, "non-member")}
+    reports = H.run_suites(H.all_suite_names(), small_cfg(trials=20, field=field))
+    assert all(r.verdict == "pass" for r in reports)
+    assert every - seen == DECISION_GAPS

@@ -58,14 +58,11 @@ def test_record_subclasses_share_fields_and_checks():
 
 
 def test_trusted_build_sets_the_fields_in_order_without_the_check():
-    """Record._trusted, for products and inverses, sets the fields through
-    the slot setters of the class and of its record bases, and skips
-    __post_init__."""
+    """SL2Elt._trusted, for products and inverses, sets the fields through
+    the slot setters and skips __post_init__."""
     one, zero = F3.one(), F3.zero()
     assert sl2.SL2Elt._trusted(one, zero, zero, one) == sl2.identity(F3)
     assert sl2.SL2Elt._trusted(one, one, one, one).entries() == (one, one, one, one)   # det 0
-    assert sl2.SL2SubgroupSpec._trusted("kerpi", 2) == sl2.SL2SubgroupSpec("kerpi", 2)
-    assert affine.AffSubgroupSpec._trusted("no such kind", None).kind == "no such kind"
 
 
 def _record_classes(cls=Record):
@@ -97,17 +94,32 @@ _CHECKED_EXAMPLES = {
 
 
 def test_every_record_class_has_a_checked_example():
-    """SubgroupSpec has no kinds, so only its two subclasses build checked."""
+    """SubgroupSpec has no kinds, so only its two subclasses build checked.
+    Cls(*values) sets each value to its field, in the order of the slots of
+    the record bases and then of the class, and refuses one value too many."""
     assert set(_record_classes()) == set(_CHECKED_EXAMPLES) | {sl2.SubgroupSpec}
+    for cls, example in _CHECKED_EXAMPLES.items():
+        assert cls(*example)._values() == tuple(example)
+        with pytest.raises(TypeError):
+            cls(*example, object())
+
+
+# The record classes built once per product, which write out a build that
+# skips the check; every other record class is built only by Cls(...).
+_TRUSTED = (sl2.SL2Elt, affine.AffElt)
 
 
 @pytest.mark.parametrize("cls", sorted(_record_classes(), key=lambda c: c.__qualname__),
                          ids=lambda c: c.__qualname__)
 def test_trusted_build_of_every_record_class(cls):
-    """_trusted sets each value to its field, in the order of the slots of
-    the record bases and then of the class, equals the checked build on
-    values that pass the check, and refuses a wrong number of values as the
-    checked build does."""
+    """Only SL2Elt and AffElt have a build without the check.  It sets each
+    value to its field, in the order of the slots, equals the checked build
+    on values that pass the check, and refuses a wrong number of values as
+    the checked build does."""
+    assert not hasattr(Record, "_trusted") and not hasattr(Record, "_set_fields")
+    if cls not in _TRUSTED:
+        assert not hasattr(cls, "_trusted")
+        return
     fields = tuple(name for klass in reversed(cls.__mro__)
                    for name in klass.__dict__.get("__slots__", ()))
     values = tuple(object() for _ in fields)
@@ -116,6 +128,5 @@ def test_trusted_build_of_every_record_class(cls):
     for wrong in (values[:-1], values + (object(),)):
         with pytest.raises(TypeError):
             cls._trusted(*wrong)
-    if cls in _CHECKED_EXAMPLES:
-        example = _CHECKED_EXAMPLES[cls]
-        assert cls._trusted(*example) == cls(*example)
+    example = _CHECKED_EXAMPLES[cls]
+    assert cls._trusted(*example) == cls(*example)

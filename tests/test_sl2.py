@@ -146,13 +146,14 @@ def test_exact_arguments_take_no_float_and_no_bool():
     g = S.identity(F3)
     for bad in (0.1, 0.5, True):
         with pytest.raises(TypeError, match="not an exact rational"):
-            S.TreePoint.make(g, bad)
+            S.TreePoint(g, bad)
         with pytest.raises(ValueError, match="needs a rational"):
             S.SL2SubgroupSpec("fixpoint", bad)
     for bad in (True, 1.0, Fraction(1)):
         with pytest.raises(ValueError, match="needs a level"):
             S.SL2SubgroupSpec("kerpi", bad)
-    assert S.TreePoint.make(g, 1).y == 1 and S.TreePoint.make(g, Fraction(1, 2)).y == Fraction(1, 2)
+    assert S.TreePoint(g, 1).y == 1 and S.TreePoint(g, Fraction(1, 2)).y == Fraction(1, 2)
+    assert type(S.TreePoint(g, 1).y) is Fraction
     assert S.SL2SubgroupSpec("fixpoint", Fraction(1, 3)).arg == Fraction(1, 3)
     assert S.SL2SubgroupSpec("fixpoint", "1/3").arg == Fraction(1, 3)
     assert S.SL2SubgroupSpec("kerpi", 2).arg == 2
@@ -224,9 +225,9 @@ def test_big_cell_reads_the_valuations_of_the_built_factors(spec, data):
 def test_tree_point_equal_examples():
     i0 = S.apartment_point(F3, 0)
     assert S.tree_point_equal(i0, i0)
-    assert S.tree_point_equal(S.TreePoint.make(S.x_minus(PI), 0), i0)
+    assert S.tree_point_equal(S.TreePoint(S.x_minus(PI), 0), i0)
     trans = S.diag_torus(PI.inv())
-    assert S.tree_point_equal(S.TreePoint.make(trans, 0), S.apartment_point(F3, 1))
+    assert S.tree_point_equal(S.TreePoint(trans, 0), S.apartment_point(F3, 1))
     assert not S.tree_point_equal(i0, S.apartment_point(F3, 1))
 
 
@@ -260,11 +261,11 @@ def test_tree_equal_is_equivalence_and_act_respects():
     for _ in range(150):
         g = _random_sl2(rng, F3)
         y = Fraction(rng.randint(-6, 6), 2)
-        p = S.TreePoint.make(g, y)
+        p = S.TreePoint(g, y)
         assert S.tree_point_equal(p, p)
         # symmetric pair: perturb by an element fixing p_y
         u = S.x_plus(F3.pi_power(max(0, -int(2 * y)) + rng.randint(0, 2)))
-        q = S.TreePoint.make(g * u, y)
+        q = S.TreePoint(g * u, y)
         assert S.tree_point_equal(p, q) == S.tree_point_equal(q, p)
         h = _random_sl2(rng, F3)
         if S.tree_point_equal(p, q):
@@ -297,8 +298,8 @@ def test_half_apartment_action():
 
 def test_retract_examples():
     assert S.tree_retract(S.apartment_point(F3, Fraction(5, 2))) == Fraction(5, 2)
-    assert S.tree_retract(S.TreePoint.make(S.x_minus(PI), 1)) == 0
-    assert S.tree_retract(S.TreePoint.make(S.x_minus(PI), Fraction(1, 4))) == Fraction(1, 4)
+    assert S.tree_retract(S.TreePoint(S.x_minus(PI), 1)) == 0
+    assert S.tree_retract(S.TreePoint(S.x_minus(PI), Fraction(1, 4))) == Fraction(1, 4)
 
 
 def test_retract_is_exact_past_the_float_range():
@@ -310,7 +311,7 @@ def test_retract_is_exact_past_the_float_range():
                         (S.diag_torus(third), 1 + y),      # c = 0, ω(d) = 1
                         (S.weyl_w(F3), -y),                # d = 0
                         (S.x_minus(PI), min(1 - y, y))):   # both nonzero
-            got = S.tree_retract(S.TreePoint.make(g, y))
+            got = S.tree_retract(S.TreePoint(g, y))
             assert type(got) is Fraction and got == want
 
 
@@ -319,7 +320,7 @@ def test_retract_u_plus_invariance():
     for _ in range(200):
         g = _random_sl2(rng, F3)
         y = Fraction(rng.randint(-6, 6), 2)
-        p = S.TreePoint.make(g, y)
+        p = S.TreePoint(g, y)
         c = F3.scalar(rng.randint(-9, 9)) * F3.pi_power(rng.randint(-3, 3))
         assert S.tree_retract(S.tree_act(S.x_plus(c), p)) == S.tree_retract(p)
 
@@ -344,4 +345,4 @@ def test_works_over_function_field():
     t = f.uniformizer()
     g = S.x_plus(t) * S.x_minus(t)
     assert S.upt_decompose(g) == (t, t, f.one())
-    assert S.tree_retract(S.TreePoint.make(S.x_minus(t), 1)) == 0
+    assert S.tree_retract(S.TreePoint(S.x_minus(t), 1)) == 0
