@@ -96,8 +96,9 @@ def changes(runs) -> str:
         return ""
     lines = [f"{len(changed)} runs differ from {INDEX.name} ({len(new)} runs now, "
              f"{len(old)} indexed): {' '.join(map(str, changed))}"]
-    lines += [f"  run {number}: {' '.join(runs[number - 1][0]) if number <= len(runs) else '(gone)'}"
-              for number in changed[:10]]
+    for number in changed[:10]:
+        argv = " ".join(runs[number - 1][0]) if number <= len(runs) else "(no such run now)"
+        lines.append(f"  run {number}: {argv}")
     return "\n".join(lines)
 
 
