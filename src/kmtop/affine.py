@@ -57,11 +57,11 @@ class LaurentPoly:
 
     @staticmethod
     def zero(field: Field) -> "LaurentPoly":
-        return LaurentPoly(field, {})
+        return LaurentPoly._trusted(field, {})
 
     @staticmethod
     def one(field: Field) -> "LaurentPoly":
-        return LaurentPoly(field, {0: field.one()})
+        return LaurentPoly._trusted(field, {0: field.one()})
 
     # LaurentPoly is never mutated, so a sum with 0 or a product with 0 or 1
     # is an operand itself
@@ -179,7 +179,11 @@ class AffElt(Record):
         return self.z.field
 
     def __mul__(self, other: "AffElt") -> "AffElt":
-        return AffElt._trusted(self.m * _subst(other.m, self.z), self.z * other.z)
+        # a unit z on either side: the product's z is the other one, unmultiplied
+        z, z1 = self.z, other.z
+        if z.is_one():
+            return AffElt._trusted(self.m * other.m, z1)
+        return AffElt._trusted(self.m * _subst(other.m, z), z if z1.is_one() else z * z1)
 
     def inverse(self) -> "AffElt":
         zi = self.z.inv()
@@ -305,27 +309,31 @@ def fix_level(g: AffElt, i: int):
 # ---------------------------------------------------------------------------
 # Subgroup membership.
 
-def deviation(m: SL2Elt):
-    """(r, c, k, ω) for each nonzero coefficient of m − I, ω its valuation,
+def deviation(m: SL2Elt) -> list:
+    """[(r, c, k, ω)] for each nonzero coefficient of m − I, ω its valuation,
     entry by entry in row order and by increasing exponent within an entry.
     Read in place, with no coefficient built: only a diagonal entry's u^0
     coefficient c0 differs from m's, by −1, and its ω is c0's
     valuation_from_one, or ω(−1) = 0 when m has no u^0 term there."""
+    out = []
     for (r, c), e in zip(((0, 0), (0, 1), (1, 0), (1, 1)), m.entries()):
         coeffs = e.coeffs
+        keys = sorted(coeffs) if len(coeffs) > 1 else coeffs
         if r != c:
-            for k in sorted(coeffs):
-                yield r, c, k, coeffs[k].valuation()
+            for k in keys:
+                out.append((r, c, k, coeffs[k].valuation()))
             continue
-        for k in sorted(coeffs.keys() | {0}):
+        c0 = coeffs.get(0)
+        v0 = 0 if c0 is None else c0.valuation_from_one()
+        at = len(out)                          # the u^0 term follows the negative exponents
+        for k in keys:
+            if k < 0:
+                at += 1
             if k:
-                yield r, c, k, coeffs[k].valuation()
-                continue
-            c0 = coeffs.get(0)
-            if c0 is None:
-                yield r, c, 0, 0
-            elif (v := c0.valuation_from_one()) != INFINITY:     # 1 − 1 = 0 is left out
-                yield r, c, 0, v
+                out.append((r, c, k, coeffs[k].valuation()))
+        if v0 != INFINITY:                     # 1 − 1 = 0 is left out
+            out.insert(at, (r, c, 0, v0))
+    return out
 
 
 def entry_violations(m: SL2Elt, bound, prefix: str = ""):

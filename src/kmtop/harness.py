@@ -32,10 +32,10 @@ VALUATION_RANGE = (-3, 6)
 LAURENT_SUPPORT = 6
 WORD_LENGTH = 8
 
-# Largest trial count a config accepts: verify --suite all takes about 2.6 ms
-# a trial on fq:3 (one process per run, x86_64, 2 vCPU, CPython 3.11.7: 0.57 s
-# at trials 200, 2.58 s at trials 1000), so the limit bounds a run to about
-# 26 s.
+# Largest trial count a config accepts: verify --suite all takes about 2.9 ms
+# a trial on fq:3 (one process per run, medians of 5, x86_64, 2 vCPU, CPython
+# 3.11.7: 0.65 s at trials 200, 2.94 s at trials 1000), so the limit bounds a
+# run to about 30 s.  README's --trials paragraph gives the same figures.
 MAX_TRIALS = 10000
 
 
@@ -46,6 +46,8 @@ class SamplerConfig(Record):
     trials: int
 
     def __post_init__(self):
+        if not isinstance(self.field, Field):     # a spec string would fail as a trial
+            raise TypeError(f"not a Field: {self.field!r}")
         exact_int(self.seed)
         exact_int(self.trials)      # a bool would be 1 trial, echoed as true
         if self.trials < 1:

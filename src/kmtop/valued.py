@@ -406,14 +406,23 @@ class RationalFunctionField(Field):
         self.q = self.char = _prime_arg(q, "q")
 
     def _canonical(self, num, den):
+        """The raw value of num/den, coefficient sequences (tuples or lists)
+        with entries in [0, q): the one reduction of a built fraction."""
         num = _ptrim(list(num))
         den = _ptrim(list(den))
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
             return self.ZERO
-        i, j = _pord(num), _pord(den)
-        num, den = num[i:], den[j:]
+        # the powers of t out: a nonzero constant term, as every sampled
+        # numerator and denominator has, leaves nothing to find or slice
+        i = j = 0
+        if not num[0]:
+            i = _pord(num)
+            num = num[i:]
+        if not den[0]:
+            j = _pord(den)
+            den = den[j:]
         g = _pgcd(num, den, self.q) if len(den) > 1 else (1,)    # a constant den: no gcd
         if len(g) > 1:
             num = _pquo(num, g, self.q)
@@ -450,12 +459,11 @@ class RationalFunctionField(Field):
         deg = rng.randrange(0, 3)
         num = [rng.randrange(q) for _ in range(deg + 1)]
         num[0] = rng.randrange(1, q)
-        if not any(num[1:]):
-            num = num[:1]
         den = [1]
         if rng.random() < 0.4:
             den = [rng.randrange(1, q), rng.randrange(q)]
-        return self.ratio(num, den)
+        # every draw is already in [0, q): ratio's mod-q pass would copy it
+        return ValuedScalar(self, self._canonical(num, den))
 
     # raw ops on (v, num, den) triples.  Operands are canonical, so _add and
     # _mul need no _canonical: they cancel only the factors two reduced

@@ -1009,6 +1009,30 @@ def test_output_digest_of_4024_runs(monkeypatch):
     assert line == OUTPUT_DIGEST
 
 
+def test_ab_inprocess_alternates_two_trees_and_stops_on_a_difference(monkeypatch):
+    """tests/ab_inprocess.py loads a src tree under a second package name,
+    times both trees on every seed and refuses outputs that differ."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "ab_inprocess", Path(__file__).with_name("ab_inprocess.py"))
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    other = ab.load_cli(src, "kmtop_ab_twin")
+    assert other.__name__ == "kmtop_ab_twin.cli" and other is not kmtop.cli
+    old_s, new_s = ab.compare(kmtop.cli, other, range(2), 2, "fq:3")
+    assert len(old_s) == len(new_s) == 2 and min(old_s + new_s) > 0
+
+    class Louder:
+        @staticmethod
+        def main(argv):
+            print("other bytes")
+            return 0
+
+    with pytest.raises(AssertionError, match="outputs differ at seed 0"):
+        ab.compare(kmtop.cli, Louder, range(2), 2, "fq:3")
+
+
 # Every help text and these usage errors, as kmtop prints them at 80 columns;
 # tests/cli_usage.txt holds the text recorded before the command table was
 # declared once, so the parser it builds may not change a byte.

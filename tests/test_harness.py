@@ -118,6 +118,14 @@ def test_config_takes_only_int_seeds_and_trials():
         small_cfg(trials=0.5)
 
 
+def test_config_takes_only_a_field():
+    """A spec string would be accepted and every trial would raise on it, a
+    config error reported as a failed identity."""
+    for bad in ("p:3", None, 3):
+        with pytest.raises(TypeError, match="not a Field"):
+            H.SamplerConfig(bad, 42, 2)
+
+
 def test_config_caps_trials():
     assert small_cfg(trials=H.MAX_TRIALS).trials == H.MAX_TRIALS
     with pytest.raises(ValueError, match=f"trials must be at most {H.MAX_TRIALS}"):

@@ -392,6 +392,61 @@ def test_fq_matches_sympy_rational_functions(q, data):
         assert (x / y).raw == canonical(ex / ey)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(data=st.data())
+def test_fq_canonical_matches_sympy(q, data):
+    """_canonical, the one reduction of a coefficient sequence, on numerators
+    and denominators with powers of t (a zero constant term) and trailing
+    zeros, given as tuples and as lists: sympy's reduced fraction, with the
+    powers of t taken out.  The slice that takes t^i out runs only when a
+    constant term is 0, so a wrong i or a missed slice shows here."""
+    to_sympy, sympy_canonical = _sympy_rational_functions(q)
+    F = RationalFunctionField(q)
+
+    def padded(top):
+        # t^i·body with trailing zeros; body ends in top
+        return st.builds(lambda i, body, end, j: [0] * i + body + end + [0] * j,
+                         st.integers(0, 3), st.lists(st.integers(0, q - 1), max_size=3),
+                         top, st.integers(0, 2))
+
+    num = data.draw(padded(st.one_of(st.just([]), st.integers(1, q - 1).map(lambda c: [c]))))
+    den = data.draw(padded(st.integers(1, q - 1).map(lambda c: [c])))
+    as_num, as_den = data.draw(st.sampled_from([tuple, list])), data.draw(st.sampled_from([tuple, list]))
+    raw = F._canonical(as_num(num), as_den(den))
+    _assert_canonical(raw, q)
+    assert raw == sympy_canonical(to_sympy((0, tuple(num), tuple(den))))
+    with pytest.raises(DivisionByZero):
+        F._canonical(as_num(num), as_den([0] * len(den)))
+
+
+def _ratio_sample_unit(field, rng):
+    """RationalFunctionField.sample_unit as it was before it skipped ratio:
+    the same draws, trimmed, then reduced mod q and canonicalized by ratio."""
+    q = field.q
+    deg = rng.randrange(0, 3)
+    num = [rng.randrange(q) for _ in range(deg + 1)]
+    num[0] = rng.randrange(1, q)
+    if not any(num[1:]):
+        num = num[:1]
+    den = [1]
+    if rng.random() < 0.4:
+        den = [rng.randrange(1, q), rng.randrange(q)]
+    return field.ratio(num, den)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_fq_sample_unit_is_ratio_of_its_draws(q):
+    """sample_unit hands its draws, already in [0, q), to _canonical with no
+    mod-q pass: on a twin rng, ratio of the same draws is the same scalar,
+    and both leave the rng in the same state."""
+    F = RationalFunctionField(q)
+    for seed in range(300):
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert F.sample_unit(rng).raw == _ratio_sample_unit(F, twin).raw
+        assert rng.getstate() == twin.getstate()
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @settings(deadline=None, max_examples=100)
 @given(data=st.data())
