@@ -309,31 +309,27 @@ def fix_level(g: AffElt, i: int):
 # ---------------------------------------------------------------------------
 # Subgroup membership.
 
-def deviation(m: SL2Elt) -> list:
-    """[(r, c, k, ω)] for each nonzero coefficient of m − I, ω its valuation,
+def deviation(m: SL2Elt):
+    """(r, c, k, ω) for each nonzero coefficient of m − I, ω its valuation,
     entry by entry in row order and by increasing exponent within an entry.
     Read in place, with no coefficient built: only a diagonal entry's u^0
     coefficient c0 differs from m's, by −1, and its ω is c0's
     valuation_from_one, or ω(−1) = 0 when m has no u^0 term there."""
-    out = []
     for (r, c), e in zip(((0, 0), (0, 1), (1, 0), (1, 1)), m.entries()):
         coeffs = e.coeffs
-        keys = sorted(coeffs) if len(coeffs) > 1 else coeffs
         if r != c:
-            for k in keys:
-                out.append((r, c, k, coeffs[k].valuation()))
+            for k in sorted(coeffs):
+                yield r, c, k, coeffs[k].valuation()
             continue
-        c0 = coeffs.get(0)
-        v0 = 0 if c0 is None else c0.valuation_from_one()
-        at = len(out)                          # the u^0 term follows the negative exponents
-        for k in keys:
-            if k < 0:
-                at += 1
+        for k in sorted(coeffs.keys() | {0}):
             if k:
-                out.append((r, c, k, coeffs[k].valuation()))
-        if v0 != INFINITY:                     # 1 − 1 = 0 is left out
-            out.insert(at, (r, c, 0, v0))
-    return out
+                yield r, c, k, coeffs[k].valuation()
+                continue
+            c0 = coeffs.get(0)
+            if c0 is None:
+                yield r, c, 0, 0
+            elif (v := c0.valuation_from_one()) != INFINITY:     # 1 − 1 = 0 is left out
+                yield r, c, 0, v
 
 
 def entry_violations(m: SL2Elt, bound, prefix: str = ""):

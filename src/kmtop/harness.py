@@ -32,10 +32,10 @@ VALUATION_RANGE = (-3, 6)
 LAURENT_SUPPORT = 6
 WORD_LENGTH = 8
 
-# Largest trial count a config accepts: verify --suite all takes about 2.9 ms
+# Largest trial count a config accepts: verify --suite all takes about 2.3 ms
 # a trial on fq:3 (one process per run, medians of 5, x86_64, 2 vCPU, CPython
-# 3.11.7: 0.65 s at trials 200, 2.94 s at trials 1000), so the limit bounds a
-# run to about 30 s.  README's --trials paragraph gives the same figures.
+# 3.11.7: 0.50 s at trials 200, 2.34 s at trials 1000), so the limit bounds a
+# run to about 25 s.  README's --trials paragraph gives the same figures.
 MAX_TRIALS = 10000
 
 

@@ -414,15 +414,8 @@ class RationalFunctionField(Field):
             raise DivisionByZero("zero denominator")
         if not num:
             return self.ZERO
-        # the powers of t out: a nonzero constant term, as every sampled
-        # numerator and denominator has, leaves nothing to find or slice
-        i = j = 0
-        if not num[0]:
-            i = _pord(num)
-            num = num[i:]
-        if not den[0]:
-            j = _pord(den)
-            den = den[j:]
+        i, j = _pord(num), _pord(den)
+        num, den = num[i:], den[j:]
         g = _pgcd(num, den, self.q) if len(den) > 1 else (1,)    # a constant den: no gcd
         if len(g) > 1:
             num = _pquo(num, g, self.q)
@@ -433,12 +426,6 @@ class RationalFunctionField(Field):
             num = _pscale(num, inv, self.q)
             den = _pscale(den, inv, self.q)
         return (i - j, num, den)
-
-    def ratio(self, num, den=(1,)) -> "ValuedScalar":
-        """Build a scalar from raw coefficient sequences num/den."""
-        num = [c % self.q for c in num]
-        den = [c % self.q for c in den]
-        return ValuedScalar(self, self._canonical(num, den))
 
     def _number(self, value):
         c = exact_int(value) % self.q
@@ -462,7 +449,7 @@ class RationalFunctionField(Field):
         den = [1]
         if rng.random() < 0.4:
             den = [rng.randrange(1, q), rng.randrange(q)]
-        # every draw is already in [0, q): ratio's mod-q pass would copy it
+        # every draw is already in [0, q): no mod-q pass
         return ValuedScalar(self, self._canonical(num, den))
 
     # raw ops on (v, num, den) triples.  Operands are canonical, so _add and

@@ -1,19 +1,18 @@
 """Size a speed change in one process: verify calls of two kmtop source trees,
 alternated on the same seeds.
 
-    python tests/ab_inprocess.py OLD_SRC NEW_SRC [--first 7000] [--count 300]
-                                 [--trials 20] [--field fq:3]
+    python tests/ab_inprocess.py OLD_SRC NEW_SRC [--count 300]
 
 OLD_SRC and NEW_SRC are `src` directories, e.g. the working tree's and that
 of a `git archive` of the parent commit unpacked elsewhere.  Each is loaded
 under its own package name (kmtop_old, kmtop_new), so both live in one
-interpreter and see the same machine state.  For each seed S from --first on,
-both run `--json verify --suite all --field F --seed S --trials T` through
-cli.main, the old tree first on even seeds and the new one first on odd
-seeds.  Their stdout, stderr and exit codes must be identical: the script
-stops at the first seed where they are not.  It prints each tree's median
-call time, the median of the per-seed ratios new/old and on how many seeds
-the new tree was faster.
+interpreter and see the same machine state.  For each of --count seeds S
+from 7000 on, both run `--json verify --suite all --field fq:3 --seed S
+--trials 20` through cli.main, the old tree first on even seeds and the new
+one first on odd seeds.  Their stdout, stderr and exit codes must be
+identical: the script stops at the first seed where they are not.  It prints
+each tree's median call time, the median of the per-seed ratios new/old and
+on how many seeds the new tree was faster.
 
 A ratio measured here sizes a change before the benchmark is run; it does not
 replace the benchmark's alternating pairs, which run each commit in its own
@@ -32,6 +31,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+FIELD, FIRST_SEED, TRIALS = "fq:3", 7000, 20
 
 
 def load_cli(src: str, name: str):
@@ -55,13 +56,13 @@ def timed_call(cli, argv) -> tuple[tuple, float]:
     return (out.getvalue(), err.getvalue(), code), elapsed
 
 
-def compare(old_cli, new_cli, seeds, trials: int, field: str) -> tuple[list, list]:
+def compare(old_cli, new_cli, seeds) -> tuple[list, list]:
     """Per-seed call times (old, new), alternating which tree runs first;
     raises AssertionError at the first seed whose outputs differ."""
     old_s, new_s = [], []
     for seed in seeds:
-        argv = ["--json", "verify", "--suite", "all", "--field", field,
-                "--seed", str(seed), "--trials", str(trials)]
+        argv = ["--json", "verify", "--suite", "all", "--field", FIELD,
+                "--seed", str(seed), "--trials", str(TRIALS)]
         order = ((old_cli, old_s), (new_cli, new_s))
         outputs = {}
         for cli, times in (order if seed % 2 == 0 else order[::-1]):
@@ -75,23 +76,20 @@ def main(args) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--first", type=int, default=7000)
     parser.add_argument("--count", type=int, default=300)
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--field", default="fq:3")
     opts = parser.parse_args(args)
     sys.dont_write_bytecode = True               # leave both trees as they are
     old_cli = load_cli(opts.old_src, "kmtop_old")
     new_cli = load_cli(opts.new_src, "kmtop_new")
-    seeds = range(opts.first, opts.first + opts.count)
+    seeds = range(FIRST_SEED, FIRST_SEED + opts.count)
     try:
-        old_s, new_s = compare(old_cli, new_cli, seeds, opts.trials, opts.field)
+        old_s, new_s = compare(old_cli, new_cli, seeds)
     except AssertionError as exc:
         print(exc, file=sys.stderr)
         return 1
     ratios = [n / o for o, n in zip(old_s, new_s)]
     wins = sum(r < 1 for r in ratios)
-    print(f"{opts.field}, trials {opts.trials}, seeds {seeds.start}-{seeds.stop - 1}: "
+    print(f"{FIELD}, trials {TRIALS}, seeds {seeds.start}-{seeds.stop - 1}: "
           f"{len(ratios)} calls per tree, identical outputs")
     print(f"median call: old {statistics.median(old_s) * 1e3:.1f} ms, "
           f"new {statistics.median(new_s) * 1e3:.1f} ms")

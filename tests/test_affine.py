@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fq_scalars import fq_ratio
 from kmtop import affine as A
 from kmtop import exprs, harness, roots
 from kmtop.sl2 import SL2Elt
@@ -378,7 +379,8 @@ def _scalars(field):
         base = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)).map(field.scalar)
     else:
         coeffs = st.lists(st.integers(0, field.q - 1), max_size=3)
-        base = st.builds(field.ratio, coeffs, coeffs.map(lambda c: c if any(c) else c + [1]))
+        base = st.builds(lambda n, d: fq_ratio(field, n, d),
+                         coeffs, coeffs.map(lambda c: c if any(c) else c + [1]))
     return st.builds(lambda x, v: x * field.pi_power(v), base, st.integers(-2, 2))
 
 

@@ -1020,7 +1020,7 @@ def test_ab_inprocess_alternates_two_trees_and_stops_on_a_difference(monkeypatch
     src = str(Path(__file__).resolve().parent.parent / "src")
     other = ab.load_cli(src, "kmtop_ab_twin")
     assert other.__name__ == "kmtop_ab_twin.cli" and other is not kmtop.cli
-    old_s, new_s = ab.compare(kmtop.cli, other, range(2), 2, "fq:3")
+    old_s, new_s = ab.compare(kmtop.cli, other, range(2))
     assert len(old_s) == len(new_s) == 2 and min(old_s + new_s) > 0
 
     class Louder:
@@ -1030,7 +1030,7 @@ def test_ab_inprocess_alternates_two_trees_and_stops_on_a_difference(monkeypatch
             return 0
 
     with pytest.raises(AssertionError, match="outputs differ at seed 0"):
-        ab.compare(kmtop.cli, Louder, range(2), 2, "fq:3")
+        ab.compare(kmtop.cli, Louder, range(2))
 
 
 # Every help text and these usage errors, as kmtop prints them at 80 columns;

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fq_scalars import fq_ratio
 from kmtop import affine, sl2
 from kmtop import exprs as E
 from kmtop.valued import PAdicField, RationalFunctionField, check_digits
@@ -143,7 +144,7 @@ def _random_scalar_ast(rng, field):
     if not any(num):
         num = [1]
     den = [1] if rng.random() < 0.5 else [1, 1]
-    return field.ratio(num, den) * field.pi_power(rng.randint(-2, 2))
+    return fq_ratio(field, num, den) * field.pi_power(rng.randint(-2, 2))
 
 
 def _random_gen(rng, field, target):
@@ -197,7 +198,7 @@ def _scalars(field):
     if isinstance(field, PAdicField):
         return st.fractions(-100, 100, max_denominator=50).map(field.scalar)
     coeffs = st.lists(st.integers(0, field.q - 1), max_size=4)
-    return st.builds(lambda num, den, k: field.ratio(num, den) * field.pi_power(k),
+    return st.builds(lambda num, den, k: fq_ratio(field, num, den) * field.pi_power(k),
                      coeffs, coeffs.filter(any), st.integers(-3, 3))
 
 
