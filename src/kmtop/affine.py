@@ -48,10 +48,6 @@ class LaurentPoly:
         return p
 
     @staticmethod
-    def const(s: ValuedScalar) -> "LaurentPoly":
-        return LaurentPoly(s.field, {0: s})
-
-    @staticmethod
     def monomial(field: Field, k: int, s: ValuedScalar) -> "LaurentPoly":
         return LaurentPoly(field, {k: s})
 
@@ -240,7 +236,8 @@ def aff_x_minus(field: Field, k: int, y: ValuedScalar) -> AffElt:
 
 def aff_torus(f: ValuedScalar, z: ValuedScalar) -> AffElt:
     zero = LaurentPoly.zero(f.field)
-    return AffElt(SL2Elt._trusted(LaurentPoly.const(f), zero, zero, LaurentPoly.const(f.inv())), z)
+    return AffElt(SL2Elt._trusted(LaurentPoly.monomial(f.field, 0, f), zero, zero,
+                                  LaurentPoly.monomial(f.field, 0, f.inv())), z)
 
 
 def aff_t_mu(field: Field, ell: int, n: int) -> AffElt:
@@ -250,14 +247,15 @@ def aff_t_mu(field: Field, ell: int, n: int) -> AffElt:
 
 def aff_s1(field: Field) -> AffElt:
     """r̃_1 = x_{α1}(1)·x_{−α1}(−1)·x_{α1}(1) = ((0, 1; −1, 0), 1)."""
-    one = field.one()
-    return aff_x_plus(field, 0, one) * aff_x_minus(field, 0, -one) * aff_x_plus(field, 0, one)
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    return AffElt._trusted(SL2Elt._trusted(zero, one, -one, zero), field.one())
 
 
 def aff_s0(field: Field) -> AffElt:
     """r̃_0 for α0 = δ − å: x_{α0}(1)·x_{−α0}(−1)·x_{α0}(1) = ((0, −u^{-1}; u, 0), 1)."""
-    one = field.one()
-    return aff_x_minus(field, 1, one) * aff_x_plus(field, -1, -one) * aff_x_minus(field, 1, one)
+    one, zero = field.one(), LaurentPoly.zero(field)
+    return AffElt._trusted(SL2Elt._trusted(zero, LaurentPoly.monomial(field, -1, -one),
+                                           LaurentPoly.monomial(field, 1, one), zero), one)
 
 
 def torus_parts(g: AffElt) -> tuple[ValuedScalar, ValuedScalar]:
@@ -282,7 +280,7 @@ def eval_char(beta, g: AffElt) -> ValuedScalar:
 
 def entry_root(r: int, c: int, k: int) -> tuple[int, int]:
     """The root β = (c − r)·å + k·δ of the u^k coefficient of entry (r, c):
-    conjugating by a torus t multiplies that coefficient by eval_char(β, t)."""
+    conjugating by a torus t multiplies it by eval_char(β, t), ϖ^{−⟨β, μ⟩} on t_μ."""
     return (2 * (c - r), k)
 
 
@@ -429,7 +427,7 @@ def _birkhoff(m: SL2Elt):
     r22 = rows[1][1].get(0)
     if r22.is_zero():
         return None         # every candidate C(∞) = x_+(·)·R(∞) has (2,2) entry 0
-    s = LaurentPoly.const(rows[0][1].get(0) * r22.inv())
+    s = LaurentPoly.monomial(field, 0, rows[0][1].get(0) * r22.inv())
     C = SL2Elt._trusted(*(a - s * b for a, b in zip(*rows)), *rows[1])
     return m * C.inverse(), C
 
@@ -444,7 +442,8 @@ def vform_violations(g: AffElt, n: int) -> list[str]:
     A, C = factors
     f = C.a.get(0)
     zero = LaurentPoly.zero(g.field)
-    B = C * SL2Elt._trusted(LaurentPoly.const(f.inv()), zero, zero, LaurentPoly.const(f))
+    B = C * SL2Elt._trusted(LaurentPoly.monomial(g.field, 0, f.inv()), zero, zero,
+                            LaurentPoly.monomial(g.field, 0, f))
     out = [f"torus factor: {line}"
            for line in bound_violations((("f-1", f.valuation_from_one(), level),))]
     # u_+ = A ∈ t_{-μ}·U0^{pm+}·t_{μ} and its mirror u_- = B ∈ t_{μ}·U0^{nm-}·t_{-μ},

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from . import affine, roots, sl2
-from .exprs import AFFINE, SL2, SPECS, Gen, Point, Product, build
+from .exprs import AFFINE, GENERATORS, SL2, SPECS, Gen, Point, Product, build
 from .record import Record
 from .valued import INFINITY, Field, ValuedScalar, exact_int
 
@@ -110,14 +110,12 @@ class SuiteReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# Scalar and element samplers.  Every element sampler returns (expression
-# node, element) and its output passes its defining predicate by
-# construction.  The element equals build(node), so the node's text,
-# str(node), always parses back to it; it is rendered only where a failure
-# reports it.  sample_aff_vform builds its conjugates t·x·t⁻¹ in closed form
-# rather than from the node; tests/test_harness.py::
-# test_sample_expressions_replay rebuilds them from the text at levels 1
-# and 2.
+# Scalar and element samplers.  Every element sampler returns (expression node,
+# element) and its output passes its defining predicate by construction.  The
+# element equals build(node), so its text, str(node), always parses back to it;
+# it is rendered only where a failure reports it.  sample_aff_vform builds each
+# conjugate t·x_β(k; c)·t⁻¹ as x_β(k; c·β(t)), β(t) = eval_char(β, t) on a torus
+# and ϖ^{−⟨β, μ⟩} on t_μ; test_harness.py::test_sample_expressions_replay checks it.
 
 def _made(node, target: str, field: Field):
     """(node, built element) of an expression node."""
@@ -230,20 +228,14 @@ def sample_aff_torus(rng: random.Random, cfg: SamplerConfig):
     return _made(Gen("torus", (f, z)), AFFINE, field)
 
 
-# The one-root generators of sample_aff_vform: each kind's constructor and
-# the matrix entry (r, c) of its coefficient.
-_ROOT_GENERATORS = {"xp": (affine.aff_x_plus, (0, 1)), "xm": (affine.aff_x_minus, (1, 0))}
-
-
 def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
     """u_+ · u_- · t with u_± built from one-root generators conjugated by
     t_{∓nλ} (λ = affine.LAMBDA): a deliberate under-approximation of the sets.
-    A conjugate t·x_β(k; c)·t⁻¹ is built as x_β(k; c·β(t)), the torus law of
-    affine.entry_root, with no product; its node stays t x(k; c) t⁻¹.
-    """
+    A conjugate t_μ·x_β(k; c)·t_μ⁻¹, β = ±å + kδ = (±2, k) and μ the t node's
+    args, is built with no product as x_β(k; c·ϖ^{−⟨β, μ⟩}), ϖ^{−⟨β, μ⟩} being
+    eval_char(β, t_μ) (see affine.entry_root); its node stays t x(k; c) t⁻¹."""
     field = cfg.field
     shift, unshift = (Gen("t", tuple(s * n * x for x in affine.LAMBDA)) for s in (1, -1))
-    built = {shift: build(shift, AFFINE, field), unshift: build(unshift, AFFINE, field)}
 
     def part(sign, left, right):
         """1-3 factors left·x·right: u_+ for sign 1, x = x_+(k) with k ≥ 0 or
@@ -258,8 +250,9 @@ def sample_aff_vform(rng: random.Random, cfg: SamplerConfig, n: int):
                 kind, k = far, sign * rng.randrange(1, 3)
             c = sample_scalar_min_val(rng, field, 0)
             nodes += (left, Gen(kind, (k, c)), right)
-            make, (r, col) = _ROOT_GENERATORS[kind]
-            lxr = make(field, k, c * affine.eval_char(affine.entry_root(r, col, k), built[left]))
+            beta = affine.entry_root(*((0, 1) if kind == "xp" else (1, 0)), k)
+            y = c * field.pi_power(-roots.eval_pairing(beta, left.args))
+            lxr = GENERATORS[AFFINE][kind][1](field, k, y)
             product = lxr if product is None else product * lxr
         return nodes, product
 

@@ -19,11 +19,12 @@ class Record:
     """An immutable value whose fields are the ``__slots__`` of its class
     and of its record bases, in order.
 
-    Built from the field values, positionally; then ``__post_init__``
-    checks them.  Records of one class with equal fields are equal, the hash
-    is that of the fields, the repr reads ``Name(field=value, ...)``, and no
-    attribute can be set afterwards: the behaviour of a frozen dataclass.  A
-    subclass that adds no field declares ``__slots__ = ()``.
+    Built from the field values, positionally; then ``__post_init__`` checks
+    them.  Records of one class with equal fields are equal, the hash is that
+    of the fields, the repr reads ``Name(field=value, ...)``, and no attribute
+    can be set afterwards: the behaviour of a frozen dataclass.  A subclass
+    whose fields are no canonical form may redefine ``==`` and have no hash
+    (``TreePoint``).  A subclass that adds no field declares ``__slots__ = ()``.
     """
 
     __slots__ = ()

@@ -1,9 +1,9 @@
 """SL2(K) with exact decompositions, filtration membership, and its tree.
 
-Tree points are pairs (g, y): the point g·p_y where p_y = y·å∨ in the
-standard apartment, so walls sit at 2y + k = 0.  Point equality is DEFINED by
-the one apartment predicate ``apartment_violations`` (at y_p = y_q, the
-``fixpoint:y`` spec): four valuation bounds from formally conjugating the
+Tree points are pairs (g, y): the point g·p_y where p_y = y·å∨ in the standard
+apartment, so walls sit at 2y + k = 0.  Point equality, TreePoint's ==, is
+DEFINED by the one apartment predicate ``apartment_violations`` (at y_p = y_q,
+the ``fixpoint:y`` spec): four valuation bounds from formally conjugating the
 SL2(O) fixator of 0 by the diagonal translation to y.  Operations emit
 canonical representatives with y in (1/2)Z but accept any rational y.
 """
@@ -318,6 +318,12 @@ class TreePoint(Record):
     def __post_init__(self):
         if type(self.y) is not Fraction:
             object.__setattr__(self, "y", exact_fraction(self.y))
+
+    def __eq__(self, other):    # tree_point_equal; points over two fields differ
+        return (self.g.field == other.g.field and tree_point_equal(self, other)
+                if other.__class__ is TreePoint else NotImplemented)
+
+    __hash__ = None     # no hash agrees with == without a canonical representative
 
     def __str__(self):
         return f"point({self.g}, {self.y})"

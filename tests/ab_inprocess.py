@@ -11,8 +11,11 @@ from 7000 on, both run `--json verify --suite all --field fq:3 --seed S
 --trials 20` through cli.main, the old tree first on even seeds and the new
 one first on odd seeds.  Their stdout, stderr and exit codes must be
 identical: the script stops at the first seed where they are not.  It prints
-each tree's median call time, the median of the per-seed ratios new/old and
-on how many seeds the new tree was faster.
+each tree's median call time with its first and third quartiles, the gap
+between the medians beside the old tree's quartile spread, the median of the
+per-seed ratios new/old and on how many seeds the new tree was faster: the
+figures that a claimed gain is read by (the new tree faster on nine tenths of
+the seeds, and a median gap larger than the old tree's quartile spread).
 
 A ratio measured here sizes a change before the benchmark is run; it does not
 replace the benchmark's alternating pairs, which run each commit in its own
@@ -87,15 +90,26 @@ def main(args) -> int:
     except AssertionError as exc:
         print(exc, file=sys.stderr)
         return 1
+    print(summary(seeds, old_s, new_s))
+    return 0
+
+
+def summary(seeds, old_s, new_s) -> str:
+    """The report of a finished compare(): quartiles by the inclusive method,
+    times in ms."""
     ratios = [n / o for o, n in zip(old_s, new_s)]
     wins = sum(r < 1 for r in ratios)
-    print(f"{FIELD}, trials {TRIALS}, seeds {seeds.start}-{seeds.stop - 1}: "
-          f"{len(ratios)} calls per tree, identical outputs")
-    print(f"median call: old {statistics.median(old_s) * 1e3:.1f} ms, "
-          f"new {statistics.median(new_s) * 1e3:.1f} ms")
-    print(f"median ratio new/old {statistics.median(ratios):.4f}; "
-          f"new faster on {wins} of {len(ratios)} seeds")
-    return 0
+    (o1, o2, o3), (n1, n2, n3) = (
+        [q * 1e3 for q in statistics.quantiles(s, n=4, method="inclusive")]
+        for s in (old_s, new_s))
+    return "\n".join((
+        f"{FIELD}, trials {TRIALS}, seeds {seeds.start}-{seeds.stop - 1}: "
+        f"{len(ratios)} calls per tree, identical outputs",
+        f"call time, median [q1, q3]: old {o2:.1f} ms [{o1:.1f}, {o3:.1f}], "
+        f"new {n2:.1f} ms [{n1:.1f}, {n3:.1f}]",
+        f"median gap old-new {o2 - n2:.2f} ms; old quartile spread {o3 - o1:.2f} ms",
+        f"median ratio new/old {statistics.median(ratios):.4f}; "
+        f"new faster on {wins} of {len(ratios)} seeds"))
 
 
 if __name__ == "__main__":

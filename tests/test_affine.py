@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -66,6 +67,19 @@ def test_generator_examples():
     assert t.m.a.coeffs == {0: PI.inv()} and t.z.is_one()
 
 
+@pytest.mark.parametrize("spec", ["p:2", "p:3", "fq:2", "fq:3"])
+def test_weyl_generators_equal_their_defining_products(spec):
+    """aff_s1 and aff_s0 are written down; the products that define r̃_1 and
+    r̃_0, for α1 = å and α0 = δ − å, are the oracle."""
+    field = parse_field(spec)
+    one = field.one()
+    s1 = A.aff_x_plus(field, 0, one) * A.aff_x_minus(field, 0, -one) * A.aff_x_plus(field, 0, one)
+    s0 = (A.aff_x_minus(field, 1, one) * A.aff_x_plus(field, -1, -one)
+          * A.aff_x_minus(field, 1, one))
+    for built, product in ((A.aff_s1(field), s1), (A.aff_s0(field), s0)):
+        assert built == product and str(built) == str(product)
+
+
 def test_semidirect_law_example():
     g = A.aff_torus(ONE, PI) * A.aff_x_plus(F3, 1, ONE)
     assert g.m.b.coeffs == {1: PI}
@@ -119,7 +133,10 @@ def test_char_examples():
 
 def test_char_conj_consistency():
     """Conjugating by a torus t multiplies the coefficient whose root is β by
-    eval_char(β, t): β = (2, k) for x_+ at u^k, (−2, k) for x_-."""
+    eval_char(β, t): β = (2, k) for x_+ at u^k, (−2, k) for x_-.  On a
+    translation t_μ that factor is ϖ^{−⟨β, μ⟩}, as sample_aff_vform scales
+    by: for |k| ≤ 3 and μ in [−4, 4]² on p:3 and fq:3, with the conjugate
+    itself checked for |k| ≤ 1 and μ in [−2, 2]²."""
     rng = random.Random(22)
     for _ in range(100):
         f = F3.scalar(rng.choice([1, 2, 5])) * PI ** rng.randint(-2, 2)
@@ -133,6 +150,16 @@ def test_char_conj_consistency():
             conj = t.conj(make(F3, k, y))
             expect = make(F3, k, A.eval_char(beta, t) * y)
             assert conj.m == expect.m and conj.z == expect.z
+    for field in (F3, parse_field("fq:3")):
+        y = field.one() + field.uniformizer()
+        for mu in itertools.product(range(-4, 5), repeat=2):
+            t = A.aff_t_mu(field, *mu)
+            for make, sign in ((A.aff_x_plus, 2), (A.aff_x_minus, -2)):
+                for k in range(-3, 4):
+                    scale = field.pi_power(-roots.eval_pairing((sign, k), mu))
+                    assert A.eval_char((sign, k), t) == scale
+                    if abs(k) <= 1 and max(map(abs, mu)) <= 2:
+                        assert t.conj(make(field, k, y)) == make(field, k, y * scale)
 
 
 def test_nu_examples():
@@ -348,7 +375,7 @@ def test_constructor_rejects_bad_entries():
     with pytest.raises(ValueError, match="determinant must be 1"):
         A.AffElt(SL2Elt(one, one, one, one), ONE)
     with pytest.raises(ValueError, match="determinant must be 1"):
-        A.AffElt(SL2Elt(A.LaurentPoly.const(PI), zero, zero, one), ONE)
+        A.AffElt(SL2Elt(A.LaurentPoly.monomial(F3, 0, PI), zero, zero, one), ONE)
     with pytest.raises(ValueError, match="semidirect scalar must be nonzero"):
         A.AffElt(SL2Elt(one, zero, zero, one), F3.zero())
 
@@ -691,7 +718,8 @@ def test_birkhoff_factors_have_the_pattern_exponents(spec, seed, n, word):
     assert a * c == g.m
     f = c.a.get(0)
     zero = A.LaurentPoly.zero(field)
-    b = c * SL2Elt(A.LaurentPoly.const(f.inv()), zero, zero, A.LaurentPoly.const(f))
+    b = c * SL2Elt(A.LaurentPoly.monomial(field, 0, f.inv()), zero, zero,
+                   A.LaurentPoly.monomial(field, 0, f))
     for m, sign in ((a, 1), (b, -1)):
         for r, col, k, _ in A.deviation(m):
             assert sign * k >= (0 if col - r == sign else 1), (sign, r, col, k)

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -1011,7 +1012,8 @@ def test_output_digest_of_4024_runs(monkeypatch):
 
 def test_ab_inprocess_alternates_two_trees_and_stops_on_a_difference(monkeypatch):
     """tests/ab_inprocess.py loads a src tree under a second package name,
-    times both trees on every seed and refuses outputs that differ."""
+    times both trees on every seed, refuses outputs that differ, and prints
+    each tree's median call time between its first and third quartiles."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "ab_inprocess", Path(__file__).with_name("ab_inprocess.py"))
@@ -1022,6 +1024,12 @@ def test_ab_inprocess_alternates_two_trees_and_stops_on_a_difference(monkeypatch
     assert other.__name__ == "kmtop_ab_twin.cli" and other is not kmtop.cli
     old_s, new_s = ab.compare(kmtop.cli, other, range(2))
     assert len(old_s) == len(new_s) == 2 and min(old_s + new_s) > 0
+    report = ab.summary(range(2), old_s, new_s)
+    for name, times in (("old", old_s), ("new", new_s)):
+        q1, q2, q3 = (f"{statistics.quantiles(times, n=4, method='inclusive')[i] * 1e3:.1f}"
+                      for i in range(3))
+        assert f"{name} {q2} ms [{q1}, {q3}]" in report
+    assert "quartile spread" in report and "seeds 0-1: 2 calls per tree" in report
 
     class Louder:
         @staticmethod

@@ -231,6 +231,25 @@ def test_tree_point_equal_examples():
     assert not S.tree_point_equal(i0, S.apartment_point(F3, 1))
 
 
+def test_tree_point_eq_is_the_defined_equality():
+    """TreePoint's == is tree_point_equal, not equality of the (g, y) pairs:
+    x_+(1) fixes p_0 but moves g.  Points over two fields are unequal, a value
+    of another type is left to its own ==, and no hash can agree with this
+    equality, so a point has none."""
+    p = S.apartment_point(F3, 0)
+    q = S.tree_act(S.x_plus(F3.one()), p)
+    assert p.g != q.g and S.tree_point_equal(p, q)
+    assert p == q and not p != q
+    far = S.TreePoint(S.x_minus(PI.inv()), 0)
+    assert not S.tree_point_equal(far, p) and far != p
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(p)
+    for spec in ("p:2", "fq:3"):
+        other = S.apartment_point(parse_field(spec), 0)
+        assert p != other and other != p
+    assert p.__eq__((p.g, p.y)) is NotImplemented and p != (p.g, p.y)
+
+
 def test_tree_act_examples():
     i0 = S.apartment_point(F3, 0)
     assert S.tree_point_equal(S.tree_act(S.identity(F3), i0), i0)
