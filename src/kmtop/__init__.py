@@ -1,8 +1,9 @@
 """Exact Kac-Moody group arithmetic over valued fields.
 
-Subpackages: valued (scalars with a discrete valuation), roots (root
-generating systems and the Weyl action), sl2 (SL2(K) and its tree), affine
-(SL2(K[u,u^{-1}]) ⋊ K*), harness (seeded verification suites), cli.
+Modules: record (the immutable-value base), valued (scalars with a discrete
+valuation), roots (root generating systems and the Weyl action), sl2 (SL2(K)
+and its tree), affine (SL2(K[u,u^{-1}]) ⋊ K*), exprs (the element and point
+grammar), harness (seeded verification suites), cli.
 """
 
 from .valued import (

@@ -22,34 +22,39 @@ from math import factorial
 from . import roots
 from .record import Record
 from .sl2 import LEVEL, SL2Elt, SubgroupSpec, bound_violations
-from .valued import INFINITY, Field, ValuedScalar, exact_str
+from .valued import INFINITY, Field, ValuedScalar, exact_int, exact_str
 
 
 class NotTorus(ValueError):
     pass
 
 
-class LaurentPoly:
-    """Element of K[u, u^{-1}]: a finite map exponent -> nonzero coefficient."""
+class LaurentPoly(Record):
+    """Element of K[u, u^{-1}]: a finite map int exponent -> nonzero
+    coefficient.  ``LaurentPoly(field, coeffs)`` coerces each coefficient by
+    ``field.scalar`` and drops the zero ones; ``_trusted`` takes them as is."""
 
     __slots__ = ("field", "coeffs")
+    field: Field
+    coeffs: dict[int, ValuedScalar]
 
-    def __init__(self, field: Field, coeffs: dict[int, ValuedScalar]):
-        self.field = field
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+    def __post_init__(self):
+        scalar = self.field.scalar
+        coeffs = {exact_int(k): scalar(v) for k, v in self.coeffs.items()}
+        _set_coeffs(self, {k: v for k, v in coeffs.items() if not v.is_zero()})
 
-    @classmethod
-    def _trusted(cls, field: Field, coeffs: dict[int, ValuedScalar]) -> "LaurentPoly":
-        """Build without the zero filter, for coefficients known nonzero: ==
-        and hash compare the dicts, so a zero coefficient must never be kept."""
-        p = object.__new__(cls)
-        p.field = field
-        p.coeffs = coeffs
+    @staticmethod
+    def _trusted(field: Field, coeffs: dict[int, ValuedScalar]) -> "LaurentPoly":
+        """Build without the checks, for coefficients known nonzero: == and
+        hash compare the dicts, so a zero coefficient must never be kept."""
+        p = _new(LaurentPoly)
+        _set_field(p, field)
+        _set_coeffs(p, coeffs)
         return p
 
     @staticmethod
     def monomial(field: Field, k: int, s: ValuedScalar) -> "LaurentPoly":
-        return LaurentPoly(field, {k: s})
+        return LaurentPoly._trusted(field, {} if s.is_zero() else {k: s})
 
     @staticmethod
     def zero(field: Field) -> "LaurentPoly":
@@ -104,7 +109,7 @@ class LaurentPoly:
                 prod = v1 * v2
                 s = out.get(k)
                 out[k] = prod if s is None else s + prod
-        return LaurentPoly(self.field, out)
+        return LaurentPoly._trusted(self.field, {k: v for k, v in out.items() if not v.is_zero()})
 
     def substitute_scale(self, z: ValuedScalar) -> "LaurentPoly":
         """u ← z·u for z ≠ 0, 1 (_subst skips z = 1): the exponent-k
@@ -114,11 +119,7 @@ class LaurentPoly:
         return LaurentPoly._trusted(self.field,
                                     {k: v * z ** k if k else v for k, v in self.coeffs.items()})
 
-    def __eq__(self, other):
-        return (isinstance(other, LaurentPoly) and other.field == self.field
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
+    def __hash__(self):     # a dict has no hash
         return hash(frozenset(self.coeffs.items()))
 
     def is_zero(self) -> bool:
@@ -196,6 +197,7 @@ class AffElt(Record):
 
 
 _new = object.__new__
+_set_field, _set_coeffs = LaurentPoly._setters
 _set_m, _set_z = AffElt._setters
 
 

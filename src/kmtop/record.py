@@ -1,15 +1,18 @@
 """Immutable value classes without ``dataclasses``.
 
-Elements, subgroup specs, tree points, root systems and expression nodes are
-records.  A frozen dataclass behaves the same, but importing ``dataclasses``
-loads ``inspect`` and compiles methods for every class, about 0.5 MB of
-resident memory in every process that runs even one command.
+Fields, scalars, Laurent polynomials, elements, subgroup specs, tree points,
+root systems, expression nodes and the harness's configs and reports: every
+value class of the package is a record.  A frozen dataclass behaves the
+same, but importing ``dataclasses`` loads ``inspect`` and compiles methods
+for every class, about 0.5 MB of resident memory in every process that runs
+even one command.
 
 A record's invariants are checked once, where its values come from outside:
 ``Cls(*values)`` runs ``__post_init__``, and refuses a wrong number of values
-with TypeError.  ``SL2Elt`` and ``AffElt``, whose products, inverses and
-generators have their invariants by construction, each add an unchecked
-``_trusted`` build of their own.
+with TypeError.  ``SL2Elt``, ``AffElt`` and ``LaurentPoly``, built per
+product, each add an unchecked ``_trusted`` build.  ``ValuedScalar``, built
+per operation, is the one record whose ``Cls(...)`` is unchecked, and
+``Field.scalar`` is its checked entry.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ class Record:
     them.  Records of one class with equal fields are equal, the hash is that
     of the fields, the repr reads ``Name(field=value, ...)``, and no attribute
     can be set afterwards: the behaviour of a frozen dataclass.  A subclass
-    whose fields are no canonical form may redefine ``==`` and have no hash
-    (``TreePoint``).  A subclass that adds no field declares ``__slots__ = ()``.
+    may redefine ``==`` or the hash: a ``TreePoint``'s fields are no canonical
+    form, a ``LaurentPoly``'s dict has no hash, and a ``ValuedScalar`` equals
+    a number.  A subclass that adds no field declares ``__slots__ = ()``.
     """
 
     __slots__ = ()

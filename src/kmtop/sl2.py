@@ -194,9 +194,7 @@ class SubgroupSpec(Record):
                 raise ValueError(f"spec {kind!r} needs a level, e.g. {kind}:2")
         elif want == RATIONAL:
             try:
-                object.__setattr__(self, "arg",
-                                   parse_rational(arg) if isinstance(arg, str)
-                                   else exact_fraction(arg))
+                _set_arg(self, parse_rational(arg) if isinstance(arg, str) else exact_fraction(arg))
             except ZeroDivisionError:
                 raise ValueError(f"spec {kind!r} has a zero denominator") from None
             except (TypeError, ValueError):
@@ -317,7 +315,7 @@ class TreePoint(Record):
 
     def __post_init__(self):
         if type(self.y) is not Fraction:
-            object.__setattr__(self, "y", exact_fraction(self.y))
+            _set_y(self, exact_fraction(self.y))
 
     def __eq__(self, other):    # tree_point_equal; points over two fields differ
         return (self.g.field == other.g.field and tree_point_equal(self, other)
@@ -327,6 +325,9 @@ class TreePoint(Record):
 
     def __str__(self):
         return f"point({self.g}, {self.y})"
+
+
+_set_arg, _set_y = SubgroupSpec._setters[1], TreePoint._setters[1]
 
 
 def apartment_point(field: Field, y) -> TreePoint:

@@ -13,9 +13,10 @@ Two field kinds are supported:
   numerator, and a sum shifts one numerator by a power of t.
 
 ``ValuedScalar`` pairs a field with a raw value and never looks inside the
-raw value: every operation is delegated to the field.  A field is a plain
-value, its kind and its prime, and holds no scalar.  The ``Field`` base
-provides ``==`` and ``hash`` (same kind and prime), ``spec_string()``,
+raw value: every operation is delegated to the field.  Both are records
+(``record.Record``): a field records only its prime ``char``, also the
+residue characteristic, since its class is its kind, and holds no scalar.
+The ``Field`` base checks the prime, and provides ``spec_string()``,
 ``scalar(value)``, ``zero()``, ``one()`` and ``uniformizer()`` (ϖ^1).
 ``scalar`` is the one coercion point, and every scalar operation hands it
 any operand but a scalar of its own field object: it builds a scalar from an
@@ -29,10 +30,10 @@ scalar.  A field kind is a ``Field`` subclass that provides
   value of a Python number, never a bool);
 * ``pi_power(n)`` (ϖ^n, the one place a kind builds it), ``sample_unit(rng)``
   and ``degree(s)`` (the size that a power's cost grows with);
-* attributes ``kind`` (the ``--field`` prefix), ``char`` (the prime, also the
-  residue characteristic), ``uniformizer_name`` (the name of ϖ in the scalar
-  grammar), and the raw values ``ZERO`` and ``ONE``, which ``is_one`` reads
-  without building a scalar.
+* class attributes ``kind`` (the ``--field`` prefix), ``prime_name`` (the
+  prime's name in messages), ``uniformizer_name`` (the name of ϖ in the
+  scalar grammar), and the raw values ``ZERO`` and ``ONE``, which ``is_one``
+  reads without building a scalar.
 
 Raw values are immutable and kept in canonical form (rationals in lowest
 terms; polynomial ratios reduced with monic denominator and the powers of t
@@ -64,6 +65,8 @@ import re
 import sys
 from fractions import Fraction
 from itertools import zip_longest
+
+from .record import Record
 
 INFINITY = math.inf
 _DIGIT_RUN = re.compile("[0-9]+")
@@ -134,13 +137,12 @@ def _is_prime(n: int) -> bool:
 MAX_PRIME = 2 ** 31 - 1
 
 
-def _prime_arg(n: int, name: str) -> int:
-    """n, if it is a prime at most MAX_PRIME; ValueError otherwise."""
+def _prime_arg(n: int, name: str) -> None:
+    """ValueError, naming the prime name, unless n is a prime at most MAX_PRIME."""
     if n > MAX_PRIME:
         raise ValueError(f"{name} = {n} is above the limit 2^31 - 1")
     if not _is_prime(n):
         raise ValueError(f"only prime {name} is supported, got {n}")
-    return n
 
 
 def _nth_prime_to(p: int, i: int) -> int:
@@ -287,25 +289,21 @@ def _fq_pair(raw):
 # ---------------------------------------------------------------------------
 
 
-class Field:
-    """Base of the field kinds; the module docstring lists what it provides
-    and what a subclass implements."""
+class Field(Record):
+    """Base of the field kinds, a record of one field, the prime ``char``;
+    the module docstring lists what it provides and what a kind implements."""
 
+    __slots__ = ("char",)
     kind: str
     char: int
+    prime_name: str
     uniformizer_name: str
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.char == self.char
-
-    def __hash__(self):
-        return hash((self.kind, self.char))
+    def __post_init__(self):
+        _prime_arg(exact_int(self.char), self.prime_name)
 
     def spec_string(self) -> str:
         return f"{self.kind}:{self.char}"
-
-    def __repr__(self):
-        return f"<field {self.spec_string()}>"
 
     def scalar(self, value) -> "ValuedScalar":
         if isinstance(value, ValuedScalar):
@@ -328,17 +326,14 @@ class Field:
 class PAdicField(Field):
     """Q with the p-adic valuation; ϖ = p."""
 
-    kind = "p"
-    uniformizer_name = "p"
+    __slots__ = ()
+    kind = prime_name = uniformizer_name = "p"
     ZERO, ONE = Fraction(0), Fraction(1)
-
-    def __init__(self, p: int):
-        self.p = self.char = _prime_arg(p, "p")
 
     _number = staticmethod(exact_fraction)
 
     def pi_power(self, n: int) -> "ValuedScalar":
-        return ValuedScalar(self, Fraction(self.p) ** n)
+        return ValuedScalar(self, Fraction(self.char) ** n)
 
     def degree(self, s: "ValuedScalar") -> int:
         """0: a rational has no degree for a power's cost to grow with."""
@@ -347,7 +342,7 @@ class PAdicField(Field):
     def sample_unit(self, rng) -> "ValuedScalar":
         """rng.choice of [k in [1, 4p) prime to p] + [−1, −2] over [k in
         [1, 2p] prime to p], with each index drawn as rng.choice draws it."""
-        p = self.p
+        p = self.char
         i = rng.randrange(4 * p - 2)
         num = _nth_prime_to(p, i) if i < 4 * p - 4 else 4 * p - 5 - i
         while num % p == 0:
@@ -377,7 +372,7 @@ class PAdicField(Field):
 
     def _ratio_val(self, n: int, d: int) -> int:
         """ω(n/d) = ω_p(n) − ω_p(d) for nonzero integers n and d."""
-        v, p = 0, self.p
+        v, p = 0, self.char
         while n % p == 0:
             n //= p
             v += 1
@@ -398,12 +393,9 @@ class RationalFunctionField(Field):
     rejected (coefficient arithmetic is plain F_p here).
     """
 
-    kind = "fq"
-    uniformizer_name = "t"
+    __slots__ = ()
+    kind, prime_name, uniformizer_name = "fq", "q", "t"
     ZERO, ONE = (0, (), (1,)), (0, (1,), (1,))
-
-    def __init__(self, q: int):
-        self.q = self.char = _prime_arg(q, "q")
 
     def _canonical(self, num, den):
         """The raw value of num/den, coefficient sequences (tuples or lists)
@@ -416,19 +408,19 @@ class RationalFunctionField(Field):
             return self.ZERO
         i, j = _pord(num), _pord(den)
         num, den = num[i:], den[j:]
-        g = _pgcd(num, den, self.q) if len(den) > 1 else (1,)    # a constant den: no gcd
+        g = _pgcd(num, den, self.char) if len(den) > 1 else (1,)    # a constant den: no gcd
         if len(g) > 1:
-            num = _pquo(num, g, self.q)
-            den = _pquo(den, g, self.q)
+            num = _pquo(num, g, self.char)
+            den = _pquo(den, g, self.char)
         lead = den[-1]
         if lead != 1:
-            inv = pow(lead, -1, self.q)
-            num = _pscale(num, inv, self.q)
-            den = _pscale(den, inv, self.q)
+            inv = pow(lead, -1, self.char)
+            num = _pscale(num, inv, self.char)
+            den = _pscale(den, inv, self.char)
         return (i - j, num, den)
 
     def _number(self, value):
-        c = exact_int(value) % self.q
+        c = exact_int(value) % self.char
         return (0, (c,), (1,)) if c else self.ZERO
 
     def pi_power(self, n: int) -> "ValuedScalar":
@@ -442,7 +434,7 @@ class RationalFunctionField(Field):
         return max(len(num), len(den)) - 1
 
     def sample_unit(self, rng) -> "ValuedScalar":
-        q = self.q
+        q = self.char
         deg = rng.randrange(0, 3)
         num = [rng.randrange(q) for _ in range(deg + 1)]
         num[0] = rng.randrange(1, q)
@@ -472,7 +464,7 @@ class RationalFunctionField(Field):
             # reduced, and the sum's numerator has the nonzero constant term
             # of n1·e2 below
             n2 = (0,) * (v2 - v1) + n2
-        q = self.q
+        q = self.char
         # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and
         # only factors of g can cancel: a prime dividing e1 but not g
         # divides neither n1 nor e2, so not the numerator (and so for e2)
@@ -494,13 +486,13 @@ class RationalFunctionField(Field):
 
     def _neg(self, a):
         v, num, den = a
-        return (v, _pneg(num, self.q), den)
+        return (v, _pneg(num, self.char), den)
 
     def _mul(self, a, b):
         (v1, n1, d1), (v2, n2, d2) = a, b
         if not n1 or not n2:
             return self.ZERO
-        q = self.q
+        q = self.char
         # c·t^k is a unit times a power of t: c·n/d is reduced, d stays monic
         if len(n1) == 1 and d1 == (1,):
             return (v1 + v2, n2 if n1[0] == 1 else _pscale(n2, n1[0], q), d2)
@@ -523,8 +515,8 @@ class RationalFunctionField(Field):
         # a reduced fraction inverts to a reduced one: no gcd, only a monic
         # denominator
         v, num, den = a
-        inv = pow(num[-1], -1, self.q)
-        return (-v, _pscale(den, inv, self.q), _pscale(num, inv, self.q))
+        inv = pow(num[-1], -1, self.char)
+        return (-v, _pscale(den, inv, self.char), _pscale(num, inv, self.char))
 
     def _pow(self, a, k: int):
         # the powers of a reduced fraction's num and den stay coprime, den^e
@@ -532,7 +524,7 @@ class RationalFunctionField(Field):
         # is ZERO itself, since _ppow((), e) is ()
         v, num, den = a if k > 0 else self._inv(a)
         e = abs(k)
-        return (v * e, _ppow(num, e, self.q), _ppow(den, e, self.q))
+        return (v * e, _ppow(num, e, self.char), _ppow(den, e, self.char))
 
     def _is_zero(self, a) -> bool:
         return not a[1]
@@ -565,21 +557,14 @@ class RationalFunctionField(Field):
         return f"{num_s}/{den_s}"
 
 
-class ValuedScalar:
+class ValuedScalar(Record):
     """An exact element of K carrying its field; canonical and immutable."""
 
     __slots__ = ("field", "raw")
 
     def __init__(self, field: Field, raw):
-        # the slots' own __set__, as Record._setters: about 3× quicker than
-        # two object.__setattr__ calls, and a scalar is built per operation
         _set_field(self, field)
         _set_raw(self, raw)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ValuedScalar is immutable")
-
-    __delattr__ = __setattr__
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
@@ -657,8 +642,7 @@ class ValuedScalar:
         return f"<{self} @ {self.field.spec_string()}>"
 
 
-_set_field = ValuedScalar.field.__set__
-_set_raw = ValuedScalar.raw.__set__
+_set_field, _set_raw = ValuedScalar._setters
 
 _KINDS = {cls.kind: cls for cls in (PAdicField, RationalFunctionField)}
 

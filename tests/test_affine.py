@@ -11,7 +11,7 @@ from fq_scalars import fq_ratio
 from kmtop import affine as A
 from kmtop import exprs, harness, roots
 from kmtop.sl2 import SL2Elt
-from kmtop.valued import Field, PAdicField, RationalFunctionField, parse_field
+from kmtop.valued import Field, FieldMismatch, PAdicField, RationalFunctionField, parse_field
 
 F3 = PAdicField(3)
 PI = F3.uniformizer()
@@ -42,6 +42,22 @@ def test_laurent_basics():
     assert p.substitute_scale(PI).coeffs[-2] == PI.inv() ** 2
     assert A.LaurentPoly.one(F3).is_one()
     assert not p.is_zero() and A.LaurentPoly.zero(F3).is_zero()
+
+
+def test_laurent_checked_build_takes_int_exponents_and_scalars_of_its_field():
+    """LaurentPoly(field, coeffs) coerces int coefficients, and refuses a
+    float or bool exponent and another field's scalar, so no u^0.5 can pass
+    the det-1 check of SL2Elt."""
+    assert A.LaurentPoly(F3, {0: 1, 2: 0, -1: Fraction(1, 3)}).coeffs \
+        == {0: ONE, -1: F3.scalar(Fraction(1, 3))}
+    for exponent in (0.5, True):
+        with pytest.raises(TypeError):
+            A.LaurentPoly(F3, {exponent: ONE})
+    with pytest.raises(TypeError):
+        SL2Elt(A.LaurentPoly(F3, {0.5: ONE}), A.LaurentPoly.zero(F3),
+               A.LaurentPoly.zero(F3), A.LaurentPoly(F3, {-0.5: ONE}))
+    with pytest.raises(FieldMismatch):
+        A.LaurentPoly(F3, {0: PAdicField(5).one()})
 
 
 def test_elements_hash_with_equality():
@@ -405,7 +421,7 @@ def _scalars(field):
     if field.uniformizer_name == "p":
         base = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)).map(field.scalar)
     else:
-        coeffs = st.lists(st.integers(0, field.q - 1), max_size=3)
+        coeffs = st.lists(st.integers(0, field.char - 1), max_size=3)
         base = st.builds(lambda n, d: fq_ratio(field, n, d),
                          coeffs, coeffs.map(lambda c: c if any(c) else c + [1]))
     return st.builds(lambda x, v: x * field.pi_power(v), base, st.integers(-2, 2))

@@ -140,7 +140,7 @@ def _random_scalar_ast(rng, field):
     if isinstance(field, PAdicField):
         return field.scalar(Fraction(rng.randint(-30, 30),
                                      rng.choice([1, 2, 5, 9])))
-    num = [rng.randrange(field.q) for _ in range(rng.randint(1, 3))]
+    num = [rng.randrange(field.char) for _ in range(rng.randint(1, 3))]
     if not any(num):
         num = [1]
     den = [1] if rng.random() < 0.5 else [1, 1]
@@ -197,7 +197,7 @@ def _scalars(field):
     """p-adic a/b, or F_q(t) t^k·num/den with num and den of degree < 4."""
     if isinstance(field, PAdicField):
         return st.fractions(-100, 100, max_denominator=50).map(field.scalar)
-    coeffs = st.lists(st.integers(0, field.q - 1), max_size=4)
+    coeffs = st.lists(st.integers(0, field.char - 1), max_size=4)
     return st.builds(lambda num, den, k: fq_ratio(field, num, den) * field.pi_power(k),
                      coeffs, coeffs.filter(any), st.integers(-3, 3))
 

@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 import pytest
 
-from kmtop import affine, exprs, harness, roots, sl2
+import kmtop
+from kmtop import affine, cli, exprs, harness, roots, sl2, valued
 from kmtop.record import Record
 from kmtop.valued import parse_field
 
@@ -77,6 +80,10 @@ _W = exprs.Gen("w", ())
 
 # Field values each record class's checked build keeps as they are.
 _CHECKED_EXAMPLES = {
+    valued.PAdicField: (3,),
+    valued.RationalFunctionField: (2,),
+    valued.ValuedScalar: (F3, Fraction(3, 2)),
+    affine.LaurentPoly: (F3, {1: F3.scalar(3), -2: F3.one()}),
     sl2.SL2Elt: (F3.one(), F3.scalar(3), F3.zero(), F3.one()),
     affine.AffElt: (affine.aff_x_plus(F3, 1, F3.scalar(2)).m, F3.scalar(3)),
     sl2.SL2SubgroupSpec: ("fixpoint", Fraction(1, 2)),
@@ -94,10 +101,11 @@ _CHECKED_EXAMPLES = {
 
 
 def test_every_record_class_has_a_checked_example():
-    """SubgroupSpec has no kinds, so only its two subclasses build checked.
-    Cls(*values) sets each value to its field, in the order of the slots of
-    the record bases and then of the class, and refuses one value too many."""
-    assert set(_record_classes()) == set(_CHECKED_EXAMPLES) | {sl2.SubgroupSpec}
+    """SubgroupSpec has no kinds and Field no kind, so only their subclasses
+    build checked.  Cls(*values) sets each value to its field, in the order
+    of the slots of the record bases and then of the class, and refuses one
+    value too many."""
+    assert set(_record_classes()) == set(_CHECKED_EXAMPLES) | {sl2.SubgroupSpec, valued.Field}
     for cls, example in _CHECKED_EXAMPLES.items():
         assert cls(*example)._values() == tuple(example)
         with pytest.raises(TypeError):
@@ -105,17 +113,18 @@ def test_every_record_class_has_a_checked_example():
 
 
 # The record classes built once per product, which write out a build that
-# skips the check; every other record class is built only by Cls(...).
-_TRUSTED = (sl2.SL2Elt, affine.AffElt)
+# skips the check; ValuedScalar's own Cls(...) is unchecked, and every other
+# record class is built only by Cls(...).
+_TRUSTED = (sl2.SL2Elt, affine.AffElt, affine.LaurentPoly)
 
 
 @pytest.mark.parametrize("cls", sorted(_record_classes(), key=lambda c: c.__qualname__),
                          ids=lambda c: c.__qualname__)
 def test_trusted_build_of_every_record_class(cls):
-    """Only SL2Elt and AffElt have a build without the check.  It sets each
-    value to its field, in the order of the slots, equals the checked build
-    on values that pass the check, and refuses a wrong number of values as
-    the checked build does."""
+    """Only SL2Elt, AffElt and LaurentPoly have a build without the check.
+    It sets each value to its field, in the order of the slots, equals the
+    checked build on values that pass the check, and refuses a wrong number
+    of values as the checked build does."""
     assert not hasattr(Record, "_trusted") and not hasattr(Record, "_set_fields")
     if cls not in _TRUSTED:
         assert not hasattr(cls, "_trusted")
@@ -130,3 +139,37 @@ def test_trusted_build_of_every_record_class(cls):
             cls._trusted(*wrong)
     example = _CHECKED_EXAMPLES[cls]
     assert cls._trusted(*example) == cls(*example)
+
+
+def test_fields_scalars_and_laurent_polys_are_immutable():
+    """A field's prime is its one field, char, and no value can be rebound."""
+    field, x = parse_field("fq:3"), F3.scalar(3)
+    poly = affine.LaurentPoly(F3, {1: x})
+    for obj, name, value in ((field, "char", 5), (x, "raw", Fraction(1)),
+                             (poly, "coeffs", {}), (poly, "field", field)):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert field == parse_field("fq:3") and x.raw == 3 and poly.coeffs == {1: x}
+    for f in (F3, field):
+        assert not hasattr(f, "p") and not hasattr(f, "q")
+    assert repr(field) == "RationalFunctionField(char=3)"
+
+
+def _package_classes():
+    """Every class defined in a module of the package."""
+    for info in pkgutil.iter_modules(kmtop.__path__):
+        module = importlib.import_module(f"kmtop.{info.name}")
+        yield from (obj for obj in vars(module).values()
+                    if isinstance(obj, type) and obj.__module__ == module.__name__)
+
+
+def test_every_value_class_is_a_record():
+    """Every class of the package but an exception or a parser is a Record,
+    and Record is the one class that defines how attributes are set."""
+    classes = set(_package_classes())
+    assert {affine.LaurentPoly, valued.Field, valued.ValuedScalar, Record} <= classes
+    others = {cls for cls in classes if not issubclass(cls, (Record, Exception))}
+    assert others == {exprs._Parser, cli._Parser}
+    assert [cls for cls in classes if "__setattr__" in vars(cls)] == [Record]

@@ -35,6 +35,11 @@ def test_field_validation():
     # prime powers are rejected
     with pytest.raises(ValueError, match="prime q"):
         RationalFunctionField(4)
+    # so is a prime that is no int, which would leak into the raw values
+    for kind in (PAdicField, RationalFunctionField):
+        for prime in (3.0, True, Fraction(3)):
+            with pytest.raises(TypeError, match="not an integer"):
+                kind(prime)
     assert parse_field("p:3") == F3
     assert parse_field("fq:2") == F2T
     with pytest.raises(ValueError):
@@ -49,7 +54,7 @@ def test_field_validation():
 
 def _list_sample_unit(field, rng):
     """PAdicField.sample_unit drawn with rng.choice over explicit lists."""
-    p = field.p
+    p = field.char
     num = rng.choice([k for k in range(1, 4 * p) if k % p] + [-1, -2])
     while num % p == 0:
         num = rng.randrange(1, 4 * p)
@@ -118,12 +123,12 @@ def _random_scalar(rng, field, allow_zero=True):
         return field.zero()
     v = rng.randint(-4, 5)
     if isinstance(field, PAdicField):
-        p = field.p
+        p = field.char
         num = rng.choice([k for k in range(1, 20) if k % p])
         den = rng.choice([k for k in range(1, 10) if k % p])
         unit = field.scalar(Fraction(rng.choice([num, -num]), den))
     else:
-        q = field.q
+        q = field.char
         num = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(2)]
         den = [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(1)]
         unit = fq_ratio(field, num, den)
@@ -223,7 +228,7 @@ def scalars(field):
     if field.uniformizer_name == "p":
         base = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 300)).map(field.scalar)
     else:
-        coeffs = st.lists(st.integers(0, field.q - 1), max_size=4)
+        coeffs = st.lists(st.integers(0, field.char - 1), max_size=4)
         base = st.builds(lambda n, d: fq_ratio(field, n, d),
                          coeffs, coeffs.map(lambda c: c if any(c) else c + [1]))
     return st.builds(lambda x, v: x * field.pi_power(v), base, st.integers(-5, 5))
@@ -424,7 +429,7 @@ def test_fq_canonical_matches_sympy(q, data):
 def _ratio_sample_unit(field, rng):
     """RationalFunctionField.sample_unit as it was before it skipped the
     mod-q pass: the same draws, trimmed, then reduced mod q and canonicalized."""
-    q = field.q
+    q = field.char
     deg = rng.randrange(0, 3)
     num = [rng.randrange(q) for _ in range(deg + 1)]
     num[0] = rng.randrange(1, q)
