@@ -22,7 +22,7 @@ from math import factorial
 from . import roots
 from .record import Record
 from .sl2 import LEVEL, SL2Elt, SubgroupSpec, bound_violations
-from .valued import INFINITY, Field, ValuedScalar, exact_int, exact_str
+from .valued import INFINITY, Field, ValuedScalar, exact_int, exact_str, nonzero
 
 
 class NotTorus(ValueError):
@@ -159,12 +159,14 @@ class AffElt(Record):
     z: ValuedScalar
 
     def __post_init__(self):
-        if self.z.is_zero():
+        z = self.m.field.scalar(self.z)     # FieldMismatch for another field's z
+        if z.is_zero():
             raise ValueError("semidirect scalar must be nonzero")
+        _set_z(self, z)
 
     @staticmethod
     def _trusted(m: SL2Elt, z: ValuedScalar) -> "AffElt":
-        """Build without the z ≠ 0 check, setting the two fields in place:
+        """Build without the checks of z, setting the two fields in place:
         one is built per product."""
         g = _new(AffElt)
         _set_m(g, m)
@@ -219,32 +221,34 @@ def conj_bound(g: AffElt, n: int) -> int:
     coeffs = [(k, c) for e in g.m.entries() for k, c in e.coeffs.items()]
     d = max(abs(k) for k, _ in coeffs)
     a = max(0, -min(c.valuation() for _, c in coeffs))
-    return n * (1 + 2 * d) + abs(g.z.valuation()) + 2 * a
+    return exact_int(n) * (1 + 2 * d) + abs(g.z.valuation()) + 2 * a
 
 
-def aff_x_plus(field: Field, k: int, y: ValuedScalar) -> AffElt:
+def aff_x_plus(field: Field, k: int, y) -> AffElt:
     """x_{å+kδ}(y) = ((1, u^k y; 0, 1), 1)."""
     one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
-    return AffElt._trusted(SL2Elt._trusted(one, LaurentPoly.monomial(field, k, y), zero, one),
-                          field.one())
+    e = LaurentPoly.monomial(field, exact_int(k), field.scalar(y))
+    return AffElt._trusted(SL2Elt._trusted(one, e, zero, one), field.one())
 
 
-def aff_x_minus(field: Field, k: int, y: ValuedScalar) -> AffElt:
+def aff_x_minus(field: Field, k: int, y) -> AffElt:
     """x_{−å+kδ}(y) = ((1, 0; u^k y, 1), 1)."""
     one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
-    return AffElt._trusted(SL2Elt._trusted(one, zero, LaurentPoly.monomial(field, k, y), one),
-                          field.one())
+    e = LaurentPoly.monomial(field, exact_int(k), field.scalar(y))
+    return AffElt._trusted(SL2Elt._trusted(one, zero, e, one), field.one())
 
 
-def aff_torus(f: ValuedScalar, z: ValuedScalar) -> AffElt:
-    zero = LaurentPoly.zero(f.field)
-    return AffElt(SL2Elt._trusted(LaurentPoly.monomial(f.field, 0, f), zero, zero,
-                                  LaurentPoly.monomial(f.field, 0, f.inv())), z)
+def aff_torus(field: Field, f, z) -> AffElt:
+    """(diag(f, f^{-1}), z) for f, z ≠ 0, built through the checked AffElt."""
+    f, z = nonzero(field.scalar(f), "torus"), nonzero(field.scalar(z), "torus")
+    zero = LaurentPoly.zero(field)
+    return AffElt(SL2Elt._trusted(LaurentPoly.monomial(field, 0, f), zero, zero,
+                                  LaurentPoly.monomial(field, 0, f.inv())), z)
 
 
 def aff_t_mu(field: Field, ell: int, n: int) -> AffElt:
     """t_μ for μ = ell·å∨ + n·d: (diag(ϖ^{-ell}, ϖ^{ell}), ϖ^{-n})."""
-    return aff_torus(field.pi_power(-ell), field.pi_power(-n))
+    return aff_torus(field, field.pi_power(-exact_int(ell)), field.pi_power(-exact_int(n)))
 
 
 def aff_s1(field: Field) -> AffElt:
@@ -479,7 +483,7 @@ def kp_witness(n: int, depth: int):
 
     Returns ([(beta, height), ...], index or None), indices 1-based.
     """
-    if n < 1 or depth < 1:
+    if min(exact_int(n), exact_int(depth)) < 1:
         raise ValueError("n and depth must be >= 1")
     if depth > MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds the limit of {MAX_DEPTH}")

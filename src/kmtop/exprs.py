@@ -7,10 +7,11 @@
     scalar    := sum over INT, 't', '+', '-', '*', '/', '^', parentheses
 
 GENERATORS is the one place a generator is defined: per target (SL2 or
-affine) it gives each name its argument shape and its constructor.  The
-parser reads the arguments, print_expr writes them and build constructs the
-element, all from that entry.  SPECS gives each target its subgroup spec
-class, for `member --spec` and the harness's censuses.
+affine) it gives each name its argument shape and names its constructor,
+ctor(field, *args), which checks the arguments.  The parser reads them,
+checking only syntax and work limits, print_expr writes them and build
+constructs the element, all from that entry.  SPECS gives each target its
+subgroup spec class, for `member --spec` and the harness's censuses.
 
 The ';' separator keeps exponent arguments apart from rational scalars.  In
 scalar position the name 't' is the uniformizer variable of F_q(t) fields; in
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from . import affine, sl2
 from .record import Record
-from .valued import Field, ValuedScalar, check_digits
+from .valued import Field, ValidationError, ValuedScalar, check_digits
 
 
 class ExprSyntaxError(ValueError):
@@ -32,10 +33,6 @@ class ExprSyntaxError(ValueError):
         self.position = position
         self.expected = expected
         super().__init__(f"syntax error at {position}: expected {expected}")
-
-
-class ValidationError(ValueError):
-    pass
 
 
 SL2 = "sl2"
@@ -64,28 +61,21 @@ def check_power(base: ValuedScalar, k: int, nesting: int = 1):
                               f"the limit of {MAX_EXPONENT}")
 
 
-def _nonzero(s: ValuedScalar, what: str) -> ValuedScalar:
-    if s.is_zero():
-        raise ValidationError(f"zero scalar where nonzero required ({what})")
-    return s
-
-
 # GENERATORS[target][name] = (shape, constructor).  A shape spells the
 # arguments in order, 'i' an integer and 's' a scalar, with the separator
-# between two of them; the constructor takes the field and the arguments.
+# between two of them; the constructor, ctor(field, *args), checks them.
 GENERATORS = {
     SL2: {
-        "xp": ("s", lambda field, c: sl2.x_plus(c)),
-        "xm": ("s", lambda field, c: sl2.x_minus(c)),
-        "diag": ("s", lambda field, f: sl2.diag_torus(_nonzero(f, "diag"))),
+        "xp": ("s", sl2.x_plus),
+        "xm": ("s", sl2.x_minus),
+        "diag": ("s", sl2.diag_torus),
         "w": ("", sl2.weyl_w),
     },
     AFFINE: {
         "xp": ("i;s", affine.aff_x_plus),
         "xm": ("i;s", affine.aff_x_minus),
         "t": ("i,i", affine.aff_t_mu),
-        "torus": ("s;s", lambda field, f, z: affine.aff_torus(_nonzero(f, "torus"),
-                                                              _nonzero(z, "torus"))),
+        "torus": ("s;s", affine.aff_torus),
         "s0": ("", affine.aff_s0),
         "s1": ("", affine.aff_s1),
     },

@@ -349,10 +349,12 @@ def _commutation(cfg: SamplerConfig):
         if r.is_zero():
             yield None
             continue
-        lhs = sl2.x_minus(b) * sl2.x_plus(a)
+        lhs = sl2.x_minus(field, b) * sl2.x_plus(field, a)
         rinv = r.inv()
-        form1 = sl2.x_plus(a * rinv) * sl2.diag_torus(rinv) * sl2.x_minus(b * rinv)
-        form2 = sl2.x_plus(a * rinv) * sl2.x_minus(b * r) * sl2.diag_torus(rinv)
+        form1 = (sl2.x_plus(field, a * rinv) * sl2.diag_torus(field, rinv)
+                 * sl2.x_minus(field, b * rinv))
+        form2 = (sl2.x_plus(field, a * rinv) * sl2.x_minus(field, b * r)
+                 * sl2.diag_torus(field, rinv))
         yield (None if lhs == form1 and lhs == form2
                else (f"a={a}, b={b}", str(lhs), f"form1={form1}, form2={form2}"))
 
@@ -622,7 +624,7 @@ def _retract_oracle(p: sl2.TreePoint):
         c_options.append(g.b / g.d)
     intervals = []
     for c0 in c_options:
-        a, b, c, d = (e.valuation() for e in (sl2.x_plus(-c0) * g).entries())
+        a, b, c, d = (e.valuation() for e in (sl2.x_plus(g.field, -c0) * g).entries())
         # ω(a) ≥ y − y', ω(b) ≥ −(y' + y), ω(c) ≥ y' + y, ω(d) ≥ y' − y;
         # a zero entry (ω = ∞) leaves its end open
         intervals.append((2 * max(y - a, -y - b), 2 * min(c - y, d + y)))
@@ -637,7 +639,7 @@ def _retract_oracle(p: sl2.TreePoint):
 def _fix_criterion(cfg: SamplerConfig):
     """For SL2 tori, ω(α(t)−1) ≥ n iff t fixes the point x_+(ϖ^{-n})·0."""
     field = cfg.field
-    bases = {n: sl2.tree_act(sl2.x_plus(field.pi_power(-n)), sl2.apartment_point(field, 0))
+    bases = {n: sl2.tree_act(sl2.x_plus(field, field.pi_power(-n)), sl2.apartment_point(field, 0))
              for n in range(1, 5)}
     for _, _, rng in _draws(cfg, "fixcrit"):
         expr, t = sample_sl2_torus(rng, cfg)

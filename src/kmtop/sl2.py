@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import roots
 from .record import Record
-from .valued import Field, ValuedScalar, check_digits, exact_fraction, exact_str
+from .valued import Field, ValuedScalar, check_digits, exact_fraction, exact_str, nonzero
 
 
 class NotInBigCell(ValueError):
@@ -95,19 +95,18 @@ def identity(field: Field) -> SL2Elt:
     return SL2Elt._trusted(one, zero, zero, one)
 
 
-def x_plus(c: ValuedScalar) -> SL2Elt:
-    f = c.field
-    return SL2Elt._trusted(f.one(), c, f.zero(), f.one())
+def x_plus(field: Field, c) -> SL2Elt:
+    return SL2Elt._trusted(field.one(), field.scalar(c), field.zero(), field.one())
 
 
-def x_minus(c: ValuedScalar) -> SL2Elt:
-    f = c.field
-    return SL2Elt._trusted(f.one(), f.zero(), c, f.one())
+def x_minus(field: Field, c) -> SL2Elt:
+    return SL2Elt._trusted(field.one(), field.zero(), field.scalar(c), field.one())
 
 
-def diag_torus(f: ValuedScalar) -> SL2Elt:
-    """diag(f, f^{-1})."""
-    z = f.field.zero()
+def diag_torus(field: Field, f) -> SL2Elt:
+    """diag(f, f^{-1}) for f ≠ 0."""
+    f = nonzero(field.scalar(f), "diag")
+    z = field.zero()
     return SL2Elt._trusted(f, z, z, f.inv())
 
 
@@ -129,7 +128,7 @@ def upt_decompose(g: SL2Elt):
 
 
 def compose_upt(b: ValuedScalar, c: ValuedScalar, delta: ValuedScalar) -> SL2Elt:
-    return x_plus(b) * x_minus(c) * diag_torus(delta)
+    return x_plus(delta.field, b) * x_minus(delta.field, c) * diag_torus(delta.field, delta)
 
 
 def birkhoff_decompose(g: SL2Elt):
@@ -141,7 +140,7 @@ def birkhoff_decompose(g: SL2Elt):
     """
     f = g.field
     if not g.d.is_zero():
-        return (g.b / g.d, diag_torus(g.d.inv()), g.c / g.d)
+        return (g.b / g.d, diag_torus(f, g.d.inv()), g.c / g.d)
     n = SL2Elt._trusted(f.zero(), g.b, -g.b.inv(), f.zero())     # det g12·g12^{-1} = 1
     return (-(g.a * g.b), n, f.zero())
 
@@ -223,7 +222,7 @@ def bound_violations(bounds) -> list[str]:
     valuation (affine.entry_violations words those on matrix coefficients).
     Callers pass ω(x), or for a name x-1 ω(x − 1), which valuation_from_one
     reads without building x − 1; only the product-form oracle
-    _upt_violations builds δ − 1."""
+    kerpi_product_member builds δ − 1, and it reads no violations."""
     return [f"ω({name}) = {v} < {exact_str(bound)}"
             for name, v, bound in bounds if v < bound]
 
@@ -248,20 +247,6 @@ def _big_cell(g: SL2Elt, levels) -> list[str]:
     else:
         out.extend(bound_violations((("δ-1", d.valuation_from_one() - w, level_delta),)))
     return out
-
-
-def _upt_violations(g: SL2Elt, levels) -> list[str]:
-    """Why g is not x_+(b)·x_-(c)·diag(δ) with ω(b), ω(c), ω(δ − 1) ≥ levels,
-    by building b, c, δ and δ − 1: the product-form oracle of
-    kerpi_product_member, its one caller, which shares no valuation read
-    with _kerpi or _big_cell."""
-    try:
-        b, c, delta = upt_decompose(g)
-    except NotInBigCell:
-        return ["not in the big cell"]
-    return bound_violations(zip(("b", "c", "δ-1"),
-                                (b.valuation(), c.valuation(), (delta - 1).valuation()),
-                                levels))
 
 
 def _kerpi(g: SL2Elt, n: int) -> list[str]:
@@ -300,9 +285,14 @@ def sl2_violations(g: SL2Elt, spec: SL2SubgroupSpec) -> list[str]:
 
 
 def kerpi_product_member(g: SL2Elt, n: int) -> bool:
-    """ker π_n via the product form x_+(ϖ^n O)·x_-(ϖ^n O)·diag(1+ϖ^n O),
-    independent of the entry-congruence route in _kerpi."""
-    return not _upt_violations(g, (n, n, n))
+    """ker π_n via the product form x_+(ϖ^n O)·x_-(ϖ^n O)·diag(1+ϖ^n O): whether
+    ω(b), ω(c) and ω(δ − 1) reach n, with b, c, δ and δ − 1 built, so it
+    shares no valuation read with _kerpi or _big_cell."""
+    try:
+        b, c, delta = upt_decompose(g)
+    except NotInBigCell:
+        return False
+    return min(b.valuation(), c.valuation(), (delta - 1).valuation()) >= n
 
 
 # ---------------------------------------------------------------------------

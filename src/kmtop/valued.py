@@ -21,7 +21,10 @@ The ``Field`` base checks the prime, and provides ``spec_string()``,
 ``scalar`` is the one coercion point, and every scalar operation hands it
 any operand but a scalar of its own field object: it builds a scalar from an
 int (or a p-adic Fraction) and raises ``FieldMismatch`` for another field's
-scalar.  A field kind is a ``Field`` subclass that provides
+scalar.  ``exact_int``, the one int guard, takes a field's prime, the
+exponents of ``**`` and ``pi_power`` and the generators' integer arguments;
+``nonzero`` is the generators' ``ValidationError`` for a zero scalar.  A
+field kind is a ``Field`` subclass that provides
 
 * raw-value methods ``_add(a, b)``, ``_neg(a)``, ``_mul(a, b)``, ``_inv(a)``
   (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when k < 0),
@@ -116,6 +119,17 @@ class DivisionByZero(ZeroDivisionError):
 
 class FieldMismatch(TypeError):
     pass
+
+
+class ValidationError(ValueError):
+    pass
+
+
+def nonzero(s: "ValuedScalar", what: str) -> "ValuedScalar":
+    """s, if it is not zero; ValidationError naming what needs it otherwise."""
+    if s.is_zero():
+        raise ValidationError(f"zero scalar where nonzero required ({what})")
+    return s
 
 
 def _is_prime(n: int) -> bool:
@@ -333,7 +347,7 @@ class PAdicField(Field):
     _number = staticmethod(exact_fraction)
 
     def pi_power(self, n: int) -> "ValuedScalar":
-        return ValuedScalar(self, Fraction(self.char) ** n)
+        return ValuedScalar(self, Fraction(self.char) ** exact_int(n))
 
     def degree(self, s: "ValuedScalar") -> int:
         """0: a rational has no degree for a power's cost to grow with."""
@@ -425,7 +439,7 @@ class RationalFunctionField(Field):
 
     def pi_power(self, n: int) -> "ValuedScalar":
         """t^n is the raw (n, (1,), (1,)) itself: no powering needed."""
-        return ValuedScalar(self, (n, (1,), (1,)))
+        return ValuedScalar(self, (exact_int(n), (1,), (1,)))
 
     def degree(self, s: "ValuedScalar") -> int:
         """The larger of the numerator and denominator degrees of t^v·num/den
@@ -601,7 +615,7 @@ class ValuedScalar(Record):
 
     def __pow__(self, k: int):
         f = self.field
-        if k == 0:
+        if exact_int(k) == 0:
             return f.one()
         if k < 0 and self.is_zero():
             raise DivisionByZero("inverse of zero")

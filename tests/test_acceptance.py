@@ -78,7 +78,7 @@ def test_06_conj_invariance():
 
 def test_07_center_separation():
     t0 = time.perf_counter()
-    minus_i = affine.aff_torus(-P3.one(), P3.one())
+    minus_i = affine.aff_torus(P3, -1, 1)
     assert minus_i in affine.AffSubgroupSpec("centero")
     for i in (0, 1):
         assert affine.fix_level(minus_i, i) >= 10
@@ -108,7 +108,7 @@ def test_09_tree_retraction():
     t0 = time.perf_counter()
     report = _run("tree-retraction", _cfg(500))
     assert report.trials == 503                  # 500 random + 3 closed cases
-    assert sl2.tree_retract(sl2.TreePoint(sl2.x_minus(P3.uniformizer()), 1)) == 0
+    assert sl2.tree_retract(sl2.TreePoint(sl2.x_minus(P3, P3.uniformizer()), 1)) == 0
     for y in (Fraction(-7, 2), Fraction(0), Fraction(9, 4)):
         assert sl2.tree_retract(sl2.apartment_point(P3, y)) == y
     _done("9 tree-retraction (500 points vs candidate-scan oracle)", t0, 10)

@@ -97,7 +97,7 @@ def test_weyl_generators_equal_their_defining_products(spec):
 
 
 def test_semidirect_law_example():
-    g = A.aff_torus(ONE, PI) * A.aff_x_plus(F3, 1, ONE)
+    g = A.aff_torus(F3, ONE, PI) * A.aff_x_plus(F3, 1, ONE)
     assert g.m.b.coeffs == {1: PI}
     assert g.z == PI
 
@@ -138,9 +138,9 @@ DELTA = (0, 1)
 
 def test_char_examples():
     assert (ALPHA_0, ALPHA_1) == ((-2, 1), (2, 0))
-    assert A.eval_char(ALPHA_1, A.aff_torus(PI, ONE)) == PI ** 2
-    assert A.eval_char(ALPHA_0, A.aff_torus(ONE, PI)) == PI
-    t = A.aff_torus(F3.scalar(Fraction(2, 3)), PI ** 2)
+    assert A.eval_char(ALPHA_1, A.aff_torus(F3, PI, ONE)) == PI ** 2
+    assert A.eval_char(ALPHA_0, A.aff_torus(F3, ONE, PI)) == PI
+    t = A.aff_torus(F3, Fraction(2, 3), PI ** 2)
     assert A.eval_char(DELTA, t) == PI ** 2
     assert A.eval_char(ALPHA_0, t) * A.eval_char(ALPHA_1, t) == A.eval_char(DELTA, t)
     with pytest.raises(A.NotTorus):
@@ -157,7 +157,7 @@ def test_char_conj_consistency():
     for _ in range(100):
         f = F3.scalar(rng.choice([1, 2, 5])) * PI ** rng.randint(-2, 2)
         z = F3.scalar(rng.choice([1, 2, 4])) * PI ** rng.randint(-2, 2)
-        t = A.aff_torus(f, z)
+        t = A.aff_torus(F3, f, z)
         k = rng.randint(-2, 2)
         y = F3.scalar(rng.randint(-5, 5))
         for make, (r, c) in ((A.aff_x_plus, (0, 1)), (A.aff_x_minus, (1, 0))):
@@ -180,16 +180,16 @@ def test_char_conj_consistency():
 
 def test_nu_examples():
     assert A.nu_translation(A.aff_t_mu(F3, 2, 5)) == (2, 5)
-    assert A.nu_translation(A.aff_torus(ONE, ONE)) == (0, 0)
-    assert A.nu_translation(A.aff_torus(F3.scalar(Fraction(2, 3)), ONE)) == (1, 0)
+    assert A.nu_translation(A.aff_torus(F3, ONE, ONE)) == (0, 0)
+    assert A.nu_translation(A.aff_torus(F3, Fraction(2, 3), ONE)) == (1, 0)
 
 
 def test_nu_is_morphism():
     rng = random.Random(23)
     for _ in range(100):
-        t1 = A.aff_torus(F3.scalar(rng.choice([1, 2])) * PI ** rng.randint(-2, 2),
+        t1 = A.aff_torus(F3, F3.scalar(rng.choice([1, 2])) * PI ** rng.randint(-2, 2),
                          F3.scalar(rng.choice([1, 4])) * PI ** rng.randint(-2, 2))
-        t2 = A.aff_torus(F3.scalar(rng.choice([1, 5])) * PI ** rng.randint(-2, 2),
+        t2 = A.aff_torus(F3, F3.scalar(rng.choice([1, 5])) * PI ** rng.randint(-2, 2),
                          F3.scalar(rng.choice([1, 2])) * PI ** rng.randint(-2, 2))
         x1, y1 = A.nu_translation(t1)
         x2, y2 = A.nu_translation(t2)
@@ -199,13 +199,13 @@ def test_nu_is_morphism():
 def test_member_examples():
     assert A.aff_x_plus(F3, 1, PI) in A.AffSubgroupSpec("hn", 1)
     assert A.aff_x_plus(F3, 2, PI) not in A.AffSubgroupSpec("hn", 1)
-    minus_i = A.aff_torus(-ONE, ONE)
+    minus_i = A.aff_torus(F3, -ONE, ONE)
     assert minus_i in A.AffSubgroupSpec("centero")
     assert minus_i in A.AffSubgroupSpec("center")
     assert minus_i not in A.AffSubgroupSpec("kerpi", 1)
     assert A.aff_x_plus(F3, 0, PI ** 2) in A.AffSubgroupSpec("kerpi", 2)
-    assert A.aff_torus(ONE, ONE + PI) not in A.AffSubgroupSpec("kerpi", 2)
-    assert A.aff_torus(ONE + PI, ONE + PI) in A.AffSubgroupSpec("tn", 1)
+    assert A.aff_torus(F3, ONE, ONE + PI) not in A.AffSubgroupSpec("kerpi", 2)
+    assert A.aff_torus(F3, ONE + PI, ONE + PI) in A.AffSubgroupSpec("tn", 1)
     # a torus kind answers a non-torus element with the reason, not a raise
     for kind, arg in (("tn", 1), ("tnphi", 1), ("center", None), ("centero", None)):
         assert A.aff_violations(A.aff_x_plus(F3, 0, ONE), A.AffSubgroupSpec(kind, arg)) == [
@@ -218,19 +218,19 @@ def test_tnphi_and_center_relations():
         n = rng.randint(1, 3)
         f = ONE + F3.scalar(rng.randint(-5, 5)) * PI ** n
         z = ONE + F3.scalar(rng.randint(-5, 5)) * PI ** n
-        t = A.aff_torus(f, z)
+        t = A.aff_torus(F3, f, z)
         assert t in A.AffSubgroupSpec("tn", n)
         assert t in A.AffSubgroupSpec("tnphi", n)
-    minus_i = A.aff_torus(-ONE, ONE)
+    minus_i = A.aff_torus(F3, -ONE, ONE)
     for n in range(1, 8):
         assert minus_i in A.AffSubgroupSpec("tnphi", n)
 
 
 def test_fixes_test_point_examples():
-    minus_i = A.aff_torus(-ONE, ONE)
+    minus_i = A.aff_torus(F3, -ONE, ONE)
     assert [A.fix_level(minus_i, i) for i in (0, 1)] == [math.inf, math.inf]
-    assert A.fix_level(A.aff_torus(ONE + PI ** 2, ONE), 1) == 2
-    assert A.fix_level(A.aff_torus(ONE + PI, ONE), 1) == 1
+    assert A.fix_level(A.aff_torus(F3, ONE + PI ** 2, ONE), 1) == 2
+    assert A.fix_level(A.aff_torus(F3, ONE + PI, ONE), 1) == 1
 
 
 def test_hn_nesting_and_closure():
@@ -331,7 +331,7 @@ def test_vform_accepts_built_factorizations():
     u_plus = t_l.inverse() * A.aff_x_plus(F3, 1, F3.scalar(2)) * t_l
     u_plus = u_plus * (t_l.inverse() * A.aff_x_minus(F3, 2, ONE) * t_l)
     u_minus = t_l * A.aff_x_minus(F3, -1, F3.scalar(4)) * t_l.inverse()
-    torus = A.aff_torus(ONE + PI ** 2, ONE + PI ** 3)
+    torus = A.aff_torus(F3, ONE + PI ** 2, ONE + PI ** 3)
     g = u_plus * u_minus * torus
     assert g in A.AffSubgroupSpec("vform", 1)
     assert g not in A.AffSubgroupSpec("vform", 2)
@@ -339,7 +339,7 @@ def test_vform_accepts_built_factorizations():
 
 def test_vform_rejections():
     assert A.aff_x_plus(F3, 0, PI.inv()) not in A.AffSubgroupSpec("vform", 1)
-    assert A.aff_torus(ONE, ONE + PI) not in A.AffSubgroupSpec("vform", 1)
+    assert A.aff_torus(F3, ONE, ONE + PI) not in A.AffSubgroupSpec("vform", 1)
     assert A.aff_x_plus(F3, 0, PI) not in A.AffSubgroupSpec("vform", 1)
     assert A.aff_s1(F3) not in A.AffSubgroupSpec("vform", 1)
     assert A.aff_x_plus(F3, 0, PI ** 2) in A.AffSubgroupSpec("vform", 1)
@@ -379,7 +379,7 @@ def test_function_field_variant():
     t = f2.uniformizer()
     g = A.aff_x_plus(f2, 1, t)
     assert g in A.AffSubgroupSpec("hn", 1)
-    assert A.eval_char(ALPHA_1, A.aff_torus(t, f2.one())) == t ** 2
+    assert A.eval_char(ALPHA_1, A.aff_torus(f2, t, 1)) == t ** 2
 
 
 # --- the det check sits at the trust boundary ------------------------------------
@@ -436,7 +436,7 @@ def _aff_elements(field):
     gen = st.one_of(
         st.builds(lambda k, c: A.aff_x_plus(field, k, c), st.integers(-2, 2), scalar),
         st.builds(lambda k, c: A.aff_x_minus(field, k, c), st.integers(-2, 2), scalar),
-        st.builds(A.aff_torus, unit, unit),
+        st.builds(lambda f, z: A.aff_torus(field, f, z), unit, unit),
         st.builds(lambda ell, n: A.aff_t_mu(field, ell, n), st.integers(-2, 2), st.integers(1, 2)),
         st.sampled_from([A.aff_s0(field), A.aff_s1(field)]))
 
@@ -708,7 +708,7 @@ def test_birkhoff_recovers_built_factors(spec, data):
     field = parse_field(spec)
     a, b = data.draw(_unipotent(field, 1)), data.draw(_unipotent(field, -1))
     f = data.draw(_scalars(field).filter(lambda x: not x.is_zero()))
-    c = b * A.aff_torus(f, field.one())
+    c = b * A.aff_torus(field, f, 1)
     assert A._birkhoff((a * c).m) == (a.m, c.m)
 
 

@@ -279,6 +279,9 @@ UNREACHED_PATHS = (
     (("member", "--spec", "tn:1", "s0 s1"), 0,
      "false\n  violated: not a torus element: diagonal is not a constant pair (f, 1/f)\n", ""),
     (("mul", "w )"), 2, "", "error: syntax error at 2: expected end of input\n"),
+    (("mul", "diag(0)"), 2, "", "error: zero scalar where nonzero required (diag)\n"),
+    (("mul", "torus(0; 1)"), 2, "", "error: zero scalar where nonzero required (torus)\n"),
+    (("mul", "torus(1; 0)"), 2, "", "error: zero scalar where nonzero required (torus)\n"),
     (("mul", "xp(1/0)"), 2, "", "error: division by zero in scalar\n"),
     (("mul", "xp(0^-1)"), 2, "", "error: zero to a negative power\n"),
     (("mul", "xp(+)"), 2, "", "error: syntax error at 3: expected a scalar\n"),

@@ -13,13 +13,13 @@ ONE = F3.one()
 
 def test_kerpi_borderline_levels():
     for n in (1, 2, 3):
-        g = S.x_plus(PI ** n) * S.x_minus(PI ** n) * S.diag_torus(ONE + PI ** n)
+        g = S.x_plus(F3, PI ** n) * S.x_minus(F3, PI ** n) * S.diag_torus(F3, ONE + PI ** n)
         assert g in S.SL2SubgroupSpec("kerpi", n)
         assert S.kerpi_product_member(g, n)
         assert g not in S.SL2SubgroupSpec("kerpi", n + 1)
         assert not S.kerpi_product_member(g, n + 1)
         # one factor short of the level
-        h = S.x_plus(PI ** (n - 1)) * S.x_minus(PI ** n) if n > 1 else S.x_plus(ONE)
+        h = S.x_plus(F3, PI ** (n - 1)) * S.x_minus(F3, PI ** n) if n > 1 else S.x_plus(F3, ONE)
         assert (h in S.SL2SubgroupSpec("kerpi", n)) == \
             S.kerpi_product_member(h, n) == False  # noqa: E712
 
@@ -46,9 +46,9 @@ def test_hn_borderlines():
 
 def test_vform_near_misses():
     # torus factor one level short of T_{2n}
-    t_shy = A.aff_torus(ONE + PI, ONE + PI ** 2)
+    t_shy = A.aff_torus(F3, ONE + PI, ONE + PI ** 2)
     assert t_shy not in A.AffSubgroupSpec("vform", 1)
-    t_ok = A.aff_torus(ONE + PI ** 2, ONE + PI ** 2)
+    t_ok = A.aff_torus(F3, ONE + PI ** 2, ONE + PI ** 2)
     assert t_ok in A.AffSubgroupSpec("vform", 1)
     # one-root factors at the exact pattern boundary, n = 1
     assert A.aff_x_plus(F3, 1, PI ** 5) in A.AffSubgroupSpec("vform", 1)
@@ -63,8 +63,8 @@ def test_vform_near_misses():
                                      (A.aff_x_minus, 0, 4, 3), (A.aff_x_minus, -1, 10, 9)):
         assert make(F3, k, PI ** inside) in A.AffSubgroupSpec("vform", 2)
         assert make(F3, k, PI ** outside) not in A.AffSubgroupSpec("vform", 2)
-    assert A.aff_torus(ONE + PI ** 4, ONE + PI ** 4) in A.AffSubgroupSpec("vform", 2)
-    assert A.aff_torus(ONE + PI ** 3, ONE + PI ** 4) not in A.AffSubgroupSpec("vform", 2)
+    assert A.aff_torus(F3, ONE + PI ** 4, ONE + PI ** 4) in A.AffSubgroupSpec("vform", 2)
+    assert A.aff_torus(F3, ONE + PI ** 3, ONE + PI ** 4) not in A.AffSubgroupSpec("vform", 2)
 
 
 def test_vform_factor_order_matters_only_as_pattern():
@@ -72,7 +72,7 @@ def test_vform_factor_order_matters_only_as_pattern():
     t_l = A.aff_t_mu(F3, 1, 3)
     u_plus = t_l.inverse() * A.aff_x_plus(F3, 0, F3.scalar(2)) * t_l
     u_minus = t_l * A.aff_x_minus(F3, 0, F3.scalar(2)) * t_l.inverse()
-    g = u_minus * u_plus * A.aff_torus(ONE + PI ** 2, ONE)
+    g = u_minus * u_plus * A.aff_torus(F3, ONE + PI ** 2, ONE)
     # reordering changes the element; the predicate answers for the element
     assert isinstance(g in A.AffSubgroupSpec("vform", 1), bool)
 
@@ -113,15 +113,15 @@ def test_tree_equality_transitive_across_representatives():
         for _ in range(rng.randint(1, 4)):
             pick = rng.random()
             if pick < 0.4:
-                g = g * S.x_plus(F3.scalar(rng.randint(-4, 4)) * PI ** rng.randint(-2, 3))
+                g = g * S.x_plus(F3, F3.scalar(rng.randint(-4, 4)) * PI ** rng.randint(-2, 3))
             elif pick < 0.8:
-                g = g * S.x_minus(F3.scalar(rng.randint(-4, 4)) * PI ** rng.randint(-2, 3))
+                g = g * S.x_minus(F3, F3.scalar(rng.randint(-4, 4)) * PI ** rng.randint(-2, 3))
             else:
                 g = g * S.weyl_w(F3)
         p = S.TreePoint(g, y)
         # build two other representatives by right-multiplying with fixators of p_y
-        stab1 = S.x_plus(F3.pi_power(max(0, -int(2 * y)) + rng.randint(0, 1)))
-        stab2 = S.x_minus(F3.pi_power(max(0, int(2 * y)) + rng.randint(0, 1)))
+        stab1 = S.x_plus(F3, F3.pi_power(max(0, -int(2 * y)) + rng.randint(0, 1)))
+        stab2 = S.x_minus(F3, F3.pi_power(max(0, int(2 * y)) + rng.randint(0, 1)))
         q = S.TreePoint(g * stab1, y)
         r = S.TreePoint(g * stab2 * stab1, y)
         assert S.tree_point_equal(p, q)
@@ -133,7 +133,7 @@ def test_tree_equality_transitive_across_representatives():
 def test_retract_representative_independence_fq():
     f2 = RationalFunctionField(2)
     t = f2.uniformizer()
-    p = S.TreePoint(S.x_minus(t) * S.weyl_w(f2), Fraction(3, 2))
+    p = S.TreePoint(S.x_minus(f2, t) * S.weyl_w(f2), Fraction(3, 2))
     cfg = H.SamplerConfig(f2, 42, 1)
     assert H._retract_oracle(p) == S.tree_retract(p)
     assert cfg.field is f2
@@ -145,9 +145,9 @@ def test_retract_hand_computed_cases():
         p = S.TreePoint(S.weyl_w(F3), y)
         assert S.tree_retract(p) == -y
     # x_-(ϖ^{-1}) moves p_0 off the apartment; folding lands at -1
-    assert S.tree_retract(S.TreePoint(S.x_minus(PI.inv()), 0)) == -1
+    assert S.tree_retract(S.TreePoint(S.x_minus(F3, PI.inv()), 0)) == -1
     # x_-(ϖ) fixes p_{1/2}, then diag(ϖ^{-2}, ϖ^2) translates by +2
-    g = S.diag_torus(PI.inv() ** 2) * S.x_minus(PI)
+    g = S.diag_torus(F3, PI.inv() ** 2) * S.x_minus(F3, PI)
     assert S.tree_retract(S.TreePoint(g, Fraction(1, 2))) == Fraction(5, 2)
 
 
@@ -158,7 +158,7 @@ def test_vform_with_larger_loop_exponents():
                               * A.aff_x_minus(F3, 5, ONE)) * t_l
     u_minus = t_l * (A.aff_x_minus(F3, -4, F3.scalar(7))
                      * A.aff_x_plus(F3, -5, ONE)) * t_l.inverse()
-    g = u_plus * u_minus * A.aff_torus(ONE + PI ** 3, ONE + PI ** 2)
+    g = u_plus * u_minus * A.aff_torus(F3, ONE + PI ** 3, ONE + PI ** 2)
     assert g in A.AffSubgroupSpec("vform", 1)
     assert g not in A.AffSubgroupSpec("vform", 2)
 

@@ -123,7 +123,7 @@ def test_scalar_grammar():
 def test_tree_point_parse():
     _, p = E.parse_element("point(xm(3) w, -1/2)", E.TREEPOINT, F3)
     assert p.y == Fraction(-1, 2)
-    assert p.g == sl2.x_minus(F3.uniformizer()) * sl2.weyl_w(F3)
+    assert p.g == sl2.x_minus(F3, F3.uniformizer()) * sl2.weyl_w(F3)
 
 
 def test_parse_auto_targets():

@@ -258,7 +258,7 @@ def _per_candidate_retract_oracle(p: sl2.TreePoint):
     for twice in range(-2 * width, 2 * width + 1):
         y2 = Fraction(twice, 2)
         for c0 in c_options:
-            q = sl2.TreePoint(sl2.x_plus(c0), y2)
+            q = sl2.TreePoint(sl2.x_plus(field, c0), y2)
             if sl2.tree_point_equal(q, p):
                 candidates.append(y2)
                 break
@@ -272,7 +272,7 @@ def _per_candidate_retract_oracle(p: sl2.TreePoint):
 def test_retract_oracle_matches_the_per_candidate_scan(field):
     cfg = small_cfg(field=field)
     pi = field.uniformizer()
-    points = [sl2.TreePoint(sl2.x_minus(pi), 1),         # the suite's closed cases
+    points = [sl2.TreePoint(sl2.x_minus(field, pi), 1),       # the suite's closed cases
               sl2.apartment_point(field, Fraction(1, 4)),
               sl2.apartment_point(field, -2)]
     points += [H.sample_tree_point(cfg.rng(f"retract:{i}"), cfg)[1] for i in range(100)]
@@ -343,7 +343,7 @@ def test_conj_bound_holds_for_sampled_conjugators(field):
             m, spec = affine.conj_bound(g, n), affine.AffSubgroupSpec("hn", n)
             edge = [make(field, k, field.pi_power(m * max(1, abs(k))))
                     for make in (affine.aff_x_plus, affine.aff_x_minus) for k in range(-2, 3)]
-            edge.append(affine.aff_torus(one + field.pi_power(m), one + field.pi_power(m)))
+            edge.append(affine.aff_torus(field, one + field.pi_power(m), one + field.pi_power(m)))
             sampled = [H.sample_aff_hn(cfg.rng(f"conjugated:{i}:{n}:{j}"), cfg, m)[1]
                        for j in range(3)]
             for h in edge + sampled:
@@ -574,13 +574,14 @@ def test_center_separation_census_pins_the_center(monkeypatch, field):
                           f"torus(1; {one_plus_pi}) in center; torus(1; {one_plus_pi}) in centero")
 
 
-def _diag_inverted(f):
-    z = f.field.zero()
+def _diag_inverted(field, f):
+    z = field.zero()
     return sl2.SL2Elt(f.inv(), z, z, f)
 
 
 def _upt_reordered(b, c, delta):
-    return sl2.x_minus(c) * sl2.x_plus(b) * sl2.diag_torus(delta)
+    field = delta.field
+    return sl2.x_minus(field, c) * sl2.x_plus(field, b) * sl2.diag_torus(field, delta)
 
 
 def _hn_constant_at(level, member):

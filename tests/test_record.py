@@ -44,7 +44,7 @@ def test_record_behaves_as_a_frozen_dataclass(values):
 
 
 def test_record_subclasses_share_fields_and_checks():
-    g = sl2.x_plus(F3.scalar(3))
+    g = sl2.x_plus(F3, 3)
     assert sl2.SL2SubgroupSpec("kerpi", 1).violations(g) == []
     assert sl2.SL2SubgroupSpec("kerpi", 1) != affine.AffSubgroupSpec("kerpi", 1)
     assert sl2.SL2SubgroupSpec("bigcello") == sl2.SL2SubgroupSpec("bigcello", None)

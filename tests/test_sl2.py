@@ -28,10 +28,10 @@ def test_determinant_enforced():
 def test_compose_examples():
     a = F3.scalar(Fraction(5, 2))
     b = F3.scalar(7)
-    assert S.x_plus(a) * S.x_plus(b) == S.x_plus(a + b)
+    assert S.x_plus(F3, a) * S.x_plus(F3, b) == S.x_plus(F3, a + b)
     w = S.weyl_w(F3)
     assert w.inverse() == S.SL2Elt(ZERO, ONE, -ONE, ZERO)
-    g = S.x_plus(PI) * S.x_minus(PI)
+    g = S.x_plus(F3, PI) * S.x_minus(F3, PI)
     assert g == S.SL2Elt(ONE + PI * PI, PI, PI, ONE)
 
 
@@ -42,8 +42,9 @@ def _generators(field):
     scalar = st.builds(lambda c, v: field.scalar(c) * pi ** v,
                        st.integers(-4, 4), st.integers(-2, 2))
     unit = scalar.filter(lambda x: not x.is_zero())
-    return st.one_of(scalar.map(S.x_plus), scalar.map(S.x_minus),
-                     unit.map(S.diag_torus), st.just(S.weyl_w(field)))
+    return st.one_of(scalar.map(lambda c: S.x_plus(field, c)),
+                     scalar.map(lambda c: S.x_minus(field, c)),
+                     unit.map(lambda f: S.diag_torus(field, f)), st.just(S.weyl_w(field)))
 
 
 def _naive_product(x, y):
@@ -92,7 +93,7 @@ def test_birkhoff_examples():
     beta, n, gamma = S.birkhoff_decompose(g)
     assert beta == F3.scalar(-1) and gamma == ZERO
     assert n == S.SL2Elt(ZERO, ONE, -ONE, ZERO)
-    assert S.x_plus(beta) * n * S.x_minus(gamma) == g
+    assert S.x_plus(F3, beta) * n * S.x_minus(F3, gamma) == g
     g = S.SL2Elt(PI, PI, -PI.inv(), ZERO)
     beta, n, gamma = S.birkhoff_decompose(g)
     assert (n.a * n.d - n.b * n.c).is_one() and n.b == PI and n.c == -PI.inv()
@@ -109,23 +110,23 @@ def test_birkhoff_reconstruction_random():
         for _ in range(word):
             kind = rng.choice("pmdw")
             if kind == "p":
-                g = g * S.x_plus(F3.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+                g = g * S.x_plus(F3, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
             elif kind == "m":
-                g = g * S.x_minus(F3.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+                g = g * S.x_minus(F3, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
             elif kind == "d":
-                g = g * S.diag_torus(F3.scalar(Fraction(rng.choice([1, 2, 3, 9]), rng.choice([1, 2]))))
+                g = g * S.diag_torus(F3, Fraction(rng.choice([1, 2, 3, 9]), rng.choice([1, 2])))
             else:
                 g = g * S.weyl_w(F3)
         beta, n, gamma = S.birkhoff_decompose(g)
-        assert S.x_plus(beta) * n * S.x_minus(gamma) == g
+        assert S.x_plus(F3, beta) * n * S.x_minus(F3, gamma) == g
         # monomial: diagonal or antidiagonal, of det 1 (built unchecked)
         assert (n.b.is_zero() and n.c.is_zero()) or (n.a.is_zero() and n.d.is_zero())
         assert (n.a * n.d - n.b * n.c).is_one()
 
 
 def test_member_examples():
-    assert S.x_plus(PI) in S.SL2SubgroupSpec("kerpi", 1)
-    d = S.diag_torus(ONE + PI)
+    assert S.x_plus(F3, PI) in S.SL2SubgroupSpec("kerpi", 1)
+    d = S.diag_torus(F3, ONE + PI)
     assert d in S.SL2SubgroupSpec("kerpi", 1)
     assert d not in S.SL2SubgroupSpec("vlambda", 1)
     assert S.weyl_w(F3) in S.SL2SubgroupSpec("fixpoint", 0)
@@ -133,9 +134,9 @@ def test_member_examples():
     assert d in S.SL2SubgroupSpec("tn", 1)
     assert d not in S.SL2SubgroupSpec("tn", 2)
     assert _minus_i(F3) in S.SL2SubgroupSpec("tnunits")
-    assert S.diag_torus(PI) not in S.SL2SubgroupSpec("tnunits")
-    assert S.x_plus(ONE) * S.x_minus(PI) in S.SL2SubgroupSpec("bigcello")
-    assert S.diag_torus(PI) not in S.SL2SubgroupSpec("bigcello")
+    assert S.diag_torus(F3, PI) not in S.SL2SubgroupSpec("tnunits")
+    assert S.x_plus(F3, ONE) * S.x_minus(F3, PI) in S.SL2SubgroupSpec("bigcello")
+    assert S.diag_torus(F3, PI) not in S.SL2SubgroupSpec("bigcello")
     assert S.compose_upt(PI ** 2, PI ** 2, ONE + PI ** 4) in S.SL2SubgroupSpec("vlambda", 1)
 
 
@@ -200,7 +201,7 @@ def _big_cell_cases(field):
             st.builds(S.compose_upt, scalar, scalar, off_unit),
             st.builds(S.compose_upt, st.just(zero), st.just(zero), st.one_of(off_unit, near_one)),
             st.builds(S.compose_upt, scalar, scalar, st.just(one)),
-            st.builds(lambda b, f: S.x_plus(b) * S.weyl_w(field) * S.diag_torus(f),
+            st.builds(lambda b, f: S.x_plus(field, b) * S.weyl_w(field) * S.diag_torus(field, f),
                       scalar, st.one_of(unit, off_unit)),
             st.builds(S.compose_upt, scalar, scalar, near_one))
 
@@ -225,8 +226,8 @@ def test_big_cell_reads_the_valuations_of_the_built_factors(spec, data):
 def test_tree_point_equal_examples():
     i0 = S.apartment_point(F3, 0)
     assert S.tree_point_equal(i0, i0)
-    assert S.tree_point_equal(S.TreePoint(S.x_minus(PI), 0), i0)
-    trans = S.diag_torus(PI.inv())
+    assert S.tree_point_equal(S.TreePoint(S.x_minus(F3, PI), 0), i0)
+    trans = S.diag_torus(F3, PI.inv())
     assert S.tree_point_equal(S.TreePoint(trans, 0), S.apartment_point(F3, 1))
     assert not S.tree_point_equal(i0, S.apartment_point(F3, 1))
 
@@ -237,10 +238,10 @@ def test_tree_point_eq_is_the_defined_equality():
     of another type is left to its own ==, and no hash can agree with this
     equality, so a point has none."""
     p = S.apartment_point(F3, 0)
-    q = S.tree_act(S.x_plus(F3.one()), p)
+    q = S.tree_act(S.x_plus(F3, F3.one()), p)
     assert p.g != q.g and S.tree_point_equal(p, q)
     assert p == q and not p != q
-    far = S.TreePoint(S.x_minus(PI.inv()), 0)
+    far = S.TreePoint(S.x_minus(F3, PI.inv()), 0)
     assert not S.tree_point_equal(far, p) and far != p
     with pytest.raises(TypeError, match="unhashable"):
         hash(p)
@@ -253,7 +254,7 @@ def test_tree_point_eq_is_the_defined_equality():
 def test_tree_act_examples():
     i0 = S.apartment_point(F3, 0)
     assert S.tree_point_equal(S.tree_act(S.identity(F3), i0), i0)
-    assert S.tree_point_equal(S.tree_act(S.x_plus(ONE), i0), i0)
+    assert S.tree_point_equal(S.tree_act(S.x_plus(F3, ONE), i0), i0)
     moved = S.tree_act(S.weyl_w(F3), S.apartment_point(F3, 1))
     assert S.tree_point_equal(moved, S.apartment_point(F3, -1))
 
@@ -265,11 +266,12 @@ def _random_sl2(rng, field):
         kind = rng.choice("pmdw")
         scalar = field.scalar(rng.randint(-6, 6)) * pi ** rng.randint(-2, 3)
         if kind == "p":
-            g = g * S.x_plus(scalar)
+            g = g * S.x_plus(field, scalar)
         elif kind == "m":
-            g = g * S.x_minus(scalar)
+            g = g * S.x_minus(field, scalar)
         elif kind == "d":
-            g = g * S.diag_torus(field.scalar(rng.choice([1, 2, -1])) * pi ** rng.randint(-2, 2))
+            f = field.scalar(rng.choice([1, 2, -1])) * pi ** rng.randint(-2, 2)
+            g = g * S.diag_torus(field, f)
         else:
             g = g * S.weyl_w(field)
     return g
@@ -283,7 +285,7 @@ def test_tree_equal_is_equivalence_and_act_respects():
         p = S.TreePoint(g, y)
         assert S.tree_point_equal(p, p)
         # symmetric pair: perturb by an element fixing p_y
-        u = S.x_plus(F3.pi_power(max(0, -int(2 * y)) + rng.randint(0, 2)))
+        u = S.x_plus(F3, F3.pi_power(max(0, -int(2 * y)) + rng.randint(0, 2)))
         q = S.TreePoint(g * u, y)
         assert S.tree_point_equal(p, q) == S.tree_point_equal(q, p)
         h = _random_sl2(rng, F3)
@@ -310,15 +312,15 @@ def test_half_apartment_action():
         # D(å, r) in y-coordinates: 2y + r >= 0
         y = Fraction(rng.randint(-8, 8), 2)
         if 2 * y + r >= 0:
-            assert S.x_plus(u) in S.SL2SubgroupSpec("fixpoint", y)
+            assert S.x_plus(F3, u) in S.SL2SubgroupSpec("fixpoint", y)
         if -2 * y + r >= 0:
-            assert S.x_minus(u) in S.SL2SubgroupSpec("fixpoint", y)
+            assert S.x_minus(F3, u) in S.SL2SubgroupSpec("fixpoint", y)
 
 
 def test_retract_examples():
     assert S.tree_retract(S.apartment_point(F3, Fraction(5, 2))) == Fraction(5, 2)
-    assert S.tree_retract(S.TreePoint(S.x_minus(PI), 1)) == 0
-    assert S.tree_retract(S.TreePoint(S.x_minus(PI), Fraction(1, 4))) == Fraction(1, 4)
+    assert S.tree_retract(S.TreePoint(S.x_minus(F3, PI), 1)) == 0
+    assert S.tree_retract(S.TreePoint(S.x_minus(F3, PI), Fraction(1, 4))) == Fraction(1, 4)
 
 
 def test_retract_is_exact_past_the_float_range():
@@ -326,10 +328,10 @@ def test_retract_is_exact_past_the_float_range():
     read from the other entry without ω(0) = ∞ entering the arithmetic."""
     third = F3.scalar(Fraction(1, 3))
     for y in (Fraction(10 ** 400 + 1, 2), -Fraction(10 ** 309)):
-        for g, want in ((S.x_plus(third), y),              # c = 0
-                        (S.diag_torus(third), 1 + y),      # c = 0, ω(d) = 1
+        for g, want in ((S.x_plus(F3, third), y),              # c = 0
+                        (S.diag_torus(F3, third), 1 + y),      # c = 0, ω(d) = 1
                         (S.weyl_w(F3), -y),                # d = 0
-                        (S.x_minus(PI), min(1 - y, y))):   # both nonzero
+                        (S.x_minus(F3, PI), min(1 - y, y))):   # both nonzero
             got = S.tree_retract(S.TreePoint(g, y))
             assert type(got) is Fraction and got == want
 
@@ -341,17 +343,17 @@ def test_retract_u_plus_invariance():
         y = Fraction(rng.randint(-6, 6), 2)
         p = S.TreePoint(g, y)
         c = F3.scalar(rng.randint(-9, 9)) * F3.pi_power(rng.randint(-3, 3))
-        assert S.tree_retract(S.tree_act(S.x_plus(c), p)) == S.tree_retract(p)
+        assert S.tree_retract(S.tree_act(S.x_plus(F3, c), p)) == S.tree_retract(p)
 
 
 def test_fixed_interval_examples():
-    assert S.fixed_interval(S.x_plus(PI ** 3)) == (Fraction(-3, 2), None)
-    assert S.fixed_interval(S.diag_torus(PI)) is None
+    assert S.fixed_interval(S.x_plus(F3, PI ** 3)) == (Fraction(-3, 2), None)
+    assert S.fixed_interval(S.diag_torus(F3, PI)) is None
     assert S.fixed_interval(_minus_i(F3)) == (None, None)
-    assert S.fixed_interval(S.diag_torus(F3.scalar(2))) == (None, None)
-    assert S.fixed_interval(S.x_minus(PI)) == (None, Fraction(1, 2))
+    assert S.fixed_interval(S.diag_torus(F3, F3.scalar(2))) == (None, None)
+    assert S.fixed_interval(S.x_minus(F3, PI)) == (None, Fraction(1, 2))
     # interval membership agrees with the fixator predicate
-    g = S.x_plus(PI) * S.x_minus(PI ** 2)
+    g = S.x_plus(F3, PI) * S.x_minus(F3, PI ** 2)
     lo, hi = S.fixed_interval(g)
     for twice_y in range(-8, 9):
         y = Fraction(twice_y, 2)
@@ -362,6 +364,6 @@ def test_fixed_interval_examples():
 def test_works_over_function_field():
     f = RationalFunctionField(2)
     t = f.uniformizer()
-    g = S.x_plus(t) * S.x_minus(t)
+    g = S.x_plus(f, t) * S.x_minus(f, t)
     assert S.upt_decompose(g) == (t, t, f.one())
-    assert S.tree_retract(S.TreePoint(S.x_minus(t), 1)) == 0
+    assert S.tree_retract(S.TreePoint(S.x_minus(f, t), 1)) == 0
