@@ -159,7 +159,10 @@ class AffElt(Record):
     z: ValuedScalar
 
     def __post_init__(self):
-        z = self.m.field.scalar(self.z)     # FieldMismatch for another field's z
+        m = self.m
+        if type(m) is not SL2Elt or any(type(e) is not LaurentPoly for e in m.entries()):
+            raise TypeError(f"AffElt needs an SL2Elt over K[u, u^-1], got {type(m).__name__}")
+        z = m.field.scalar(self.z)     # FieldMismatch for another field's z
         if z.is_zero():
             raise ValueError("semidirect scalar must be nonzero")
         _set_z(self, z)

@@ -39,9 +39,12 @@ class SL2Elt(Record):
     """[[a, b], [c, d]] of det 1 over K (ValuedScalar entries) or K[u, u^{-1}]
     (LaurentPoly entries): the code asks only *, -, is_zero() and is_one().
 
-    ``SL2Elt(a, b, c, d)`` checks det 1, for entries from outside.  The
-    generators below, products and inverses have det 1 by their shape or by
-    exact arithmetic, so they build through ``_trusted``, which skips it."""
+    ``SL2Elt(a, b, c, d)`` checks entries from outside: all four are
+    scalars, some of them ints coerced through the field of the others, or
+    all four are Laurent polynomials, of one field, with det 1.  The
+    generators below, products and inverses are built from such entries and
+    have det 1 by their shape or by exact arithmetic, so they build through
+    ``_trusted``, which skips the check."""
     __slots__ = ("a", "b", "c", "d")
     a: ValuedScalar
     b: ValuedScalar
@@ -49,13 +52,27 @@ class SL2Elt(Record):
     d: ValuedScalar
 
     def __post_init__(self):
+        from .affine import LaurentPoly     # affine imports this module
+        entries = self.entries()
+        kinds = {type(e) for e in entries}
+        if kinds - {int} == {ValuedScalar}:
+            field = next(e.field for e in entries if type(e) is ValuedScalar)
+            for set_entry, e in zip(self._setters, entries):
+                set_entry(self, field.scalar(e))
+        elif kinds == {LaurentPoly}:
+            for e in entries:
+                self.a.field.check_same(e.field)
+        else:
+            names = ", ".join(type(e).__name__ for e in entries)
+            raise TypeError(f"SL2Elt needs scalars (ints coerced) or Laurent polynomials, "
+                            f"got {names}")
         if not (self.a * self.d - self.b * self.c).is_one():
             raise ValueError("determinant must be 1")
 
     @staticmethod
     def _trusted(a, b, c, d) -> "SL2Elt":
-        """Build without the det-1 check, setting the four fields in
-        place: one is built per product."""
+        """Build without the checks, setting the four fields in place: one
+        is built per product."""
         g = _new(SL2Elt)
         _set_a(g, a)
         _set_b(g, b)
@@ -304,6 +321,9 @@ class TreePoint(Record):
     y: Fraction
 
     def __post_init__(self):
+        g = self.g
+        if type(g) is not SL2Elt or any(type(e) is not ValuedScalar for e in g.entries()):
+            raise TypeError(f"a tree point needs an SL2Elt over K, got {type(g).__name__}")
         if type(self.y) is not Fraction:
             _set_y(self, exact_fraction(self.y))
 

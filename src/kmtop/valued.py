@@ -1,15 +1,15 @@
 """Exact scalars in a field K with a discrete valuation normalized so ω(ϖ) = 1.
 
-Two field kinds are supported:
+Two field kinds are supported, and both keep a raw value as a triple
+(v, num, den) meaning ϖ^v·num/den, with ϖ dividing neither num nor den, so
+that ω is v and ϖ enters no gcd:
 
 * ``PAdicField(p)`` -- K = Q with the p-adic valuation, ϖ = p, O = rationals
-  with no p in the denominator.  Raw values are ``Fraction``, and the raw
-  ops are its own operators.
+  with no p in the denominator.  num and den are coprime ints, den > 0.
 * ``RationalFunctionField(q)`` -- K = F_q(t) (q prime) with the order-at-zero
-  valuation, ϖ = t, O = ratios whose denominator is a unit at t = 0.  Raw
-  values are triples (v, num, den) meaning t^v·num/den, with num and den
-  coefficient tuples over F_q that have nonzero constant terms.  ω is v, and
-  t enters no gcd: a product by c·t^k (every ϖ-power) only scales the other
+  valuation, ϖ = t, O = ratios whose denominator is a unit at t = 0.  num and
+  den are coprime coefficient tuples over F_q that have nonzero constant
+  terms, den monic.  A product by c·t^k (every ϖ-power) only scales the other
   numerator, and a sum shifts one numerator by a power of t.
 
 ``ValuedScalar`` pairs a field with a raw value and never looks inside the
@@ -23,14 +23,17 @@ any operand but a scalar of its own field object: it builds a scalar from an
 int (or a p-adic Fraction) and raises ``FieldMismatch`` for another field's
 scalar.  ``exact_int``, the one int guard, takes a field's prime, the
 exponents of ``**`` and ``pi_power`` and the generators' integer arguments;
-``nonzero`` is the generators' ``ValidationError`` for a zero scalar.  A
+``nonzero`` is the generators' ``ValidationError`` for a zero scalar, and
+``check_same`` the one ``FieldMismatch`` for values of two fields.  A
 field kind is a ``Field`` subclass that provides
 
 * raw-value methods ``_add(a, b)``, ``_neg(a)``, ``_mul(a, b)``, ``_inv(a)``
   (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when k < 0),
-  ``_is_zero(a)``, ``_val(a)``, ``_val_from_one(a)`` (ω(a − 1), read from
-  a without building a − 1), ``_format(a)`` and ``_number(value)`` (the raw
-  value of a Python number, never a bool);
+  ``_val_from_one(a)`` (ω(a − 1), read from a without building a − 1),
+  ``_format(a)``, ``_number(value)`` (the raw value of a Python number,
+  never a bool), and ``_equals_number(a, x)`` and ``_hash(a)``, which
+  ``ValuedScalar`` asks for ``==`` with an int or a Fraction and for its
+  hash (``Field`` itself reads ω and zero, v and num, from any triple);
 * ``pi_power(n)`` (ϖ^n, the one place a kind builds it), ``sample_unit(rng)``
   and ``degree(s)`` (the size that a power's cost grows with);
 * class attributes ``kind`` (the ``--field`` prefix), ``prime_name`` (the
@@ -38,10 +41,10 @@ field kind is a ``Field`` subclass that provides
   scalar grammar), and the raw values ``ZERO`` and ``ONE``, which ``is_one``
   reads without building a scalar.
 
-Raw values are immutable and kept in canonical form (rationals in lowest
-terms; polynomial ratios reduced with monic denominator and the powers of t
-taken out), so equality is structural and every operation is pure.  ω(0) is
-the distinguished tag ``INFINITY``, never an integer sentinel.
+Raw values are immutable and kept in canonical form (the triples above;
+zero is (0, 0, 1) or (0, (), (1,))), so equality is structural and every
+operation is pure.  ω(0) is the distinguished tag ``INFINITY``, never an
+integer sentinel.
 
 The F_q(t) kernels (``_padd``, ``_pmul``, ``_ppow``, ``_prem``, ``_pquo``,
 ``_pgcd`` and ``_pscale``) take trimmed coefficient tuples over F_p, p prime:
@@ -63,7 +66,6 @@ RSS by about 12% and the traced peak of Python allocations threefold.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import sys
 from fractions import Fraction
@@ -321,11 +323,15 @@ class Field(Record):
 
     def scalar(self, value) -> "ValuedScalar":
         if isinstance(value, ValuedScalar):
-            if value.field is not self and value.field != self:
-                raise FieldMismatch(
-                    f"mixed fields: {self.spec_string()} vs {value.field.spec_string()}")
+            if value.field is not self:
+                self.check_same(value.field)
             return value
         return ValuedScalar(self, self._number(value))
+
+    def check_same(self, other: "Field") -> None:
+        """FieldMismatch naming both fields, unless other is this field."""
+        if other is not self and other != self:
+            raise FieldMismatch(f"mixed fields: {self.spec_string()} vs {other.spec_string()}")
 
     def zero(self) -> "ValuedScalar":
         return ValuedScalar(self, self.ZERO)
@@ -336,18 +342,45 @@ class Field(Record):
     def uniformizer(self) -> "ValuedScalar":
         return self.pi_power(1)
 
+    # both kinds' raw values are triples (v, num, den) with num falsy iff zero
+    def _is_zero(self, raw) -> bool:
+        return not raw[1]
+
+    def _val(self, raw):
+        return raw[0] if raw[1] else INFINITY
+
 
 class PAdicField(Field):
-    """Q with the p-adic valuation; ϖ = p."""
+    """Q with the p-adic valuation; ϖ = p.
+
+    A raw value is a triple (v, num, den) of ints meaning p^v·num/den: p
+    divides neither num nor den, den > 0 and gcd(num, den) = 1; zero is
+    ``ZERO``.
+    """
 
     __slots__ = ()
     kind = prime_name = uniformizer_name = "p"
-    ZERO, ONE = Fraction(0), Fraction(1)
+    ZERO, ONE = (0, 0, 1), (0, 1, 1)
 
-    _number = staticmethod(exact_fraction)
+    def _ratio(self, num: int, den: int, v: int = 0):
+        """The raw value of p^v·num/den, for coprime ints num and den > 0."""
+        if not num:
+            return self.ZERO
+        p = self.char
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        return (v, num, den)
+
+    def _number(self, value):
+        x = exact_fraction(value)
+        return self._ratio(x.numerator, x.denominator)
 
     def pi_power(self, n: int) -> "ValuedScalar":
-        return ValuedScalar(self, Fraction(self.char) ** exact_int(n))
+        return ValuedScalar(self, (exact_int(n), 1, 1))
 
     def degree(self, s: "ValuedScalar") -> int:
         """0: a rational has no degree for a power's cost to grow with."""
@@ -362,40 +395,73 @@ class PAdicField(Field):
         while num % p == 0:
             num = rng.randrange(1, 4 * p)
         den = _nth_prime_to(p, rng.randrange(2 * p - 2))
-        return self.scalar(Fraction(num, den))
+        # both draws are prime to p: only their gcd is taken out
+        g = math.gcd(num, den)
+        return ValuedScalar(self, (0, num // g, den // g))
 
-    # raw ops: Fraction's own operators (a Fraction is falsy iff it is 0)
-    _add = staticmethod(operator.add)
-    _neg = staticmethod(operator.neg)
-    _mul = staticmethod(operator.mul)
-    _pow = staticmethod(operator.pow)
-    _is_zero = staticmethod(operator.not_)
+    # raw ops on (v, num, den) triples.  Operands are canonical, so they
+    # cancel only what two reduced fractions can share, as Fraction does,
+    # and p, prime to every num and den, enters no gcd: ω is v, and only a
+    # sum of equal valuations can carry p in its numerator.
+    def _add(self, a, b):
+        (v1, n1, d1), (v2, n2, d2) = a, b
+        if not n1:
+            return b
+        if not n2:
+            return a
+        if v1 > v2:
+            (v1, n1, d1), (v2, n2, d2) = b, a
+        # p^v1·(n1/d1 + p^(v2−v1)·n2/d2), both reduced: with d1 = g·e1 and
+        # d2 = g·e2, only factors of g can cancel from the sum
+        n2 *= self.char ** (v2 - v1)
+        g = math.gcd(d1, d2)
+        num = n1 * (d2 // g) + n2 * (d1 // g)
+        g2 = math.gcd(num, g)
+        return self._ratio(num // g2, d1 // g * (d2 // g2), v1)
 
-    def _inv(self, a: Fraction) -> Fraction:
-        return 1 / a
+    def _neg(self, a):
+        v, num, den = a
+        return (v, -num, den)
 
-    def _val(self, raw: Fraction):
-        if raw == 0:
-            return INFINITY
-        return self._ratio_val(raw.numerator, raw.denominator)
+    def _mul(self, a, b):
+        (v1, n1, d1), (v2, n2, d2) = a, b
+        if not n1 or not n2:
+            return self.ZERO
+        g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+        return (v1 + v2, n1 // g1 * (n2 // g2), d1 // g2 * (d2 // g1))
 
-    def _val_from_one(self, raw: Fraction):
-        # x − 1 = (n − d)/d
-        n, d = raw.numerator, raw.denominator
-        return INFINITY if n == d else self._ratio_val(n - d, d)
+    def _inv(self, a):
+        v, num, den = a
+        return (-v, den, num) if num > 0 else (-v, -den, -num)
 
-    def _ratio_val(self, n: int, d: int) -> int:
-        """ω(n/d) = ω_p(n) − ω_p(d) for nonzero integers n and d."""
-        v, p = 0, self.char
-        while n % p == 0:
-            n //= p
-            v += 1
-        while d % p == 0:
-            d //= p
-            v -= 1
-        return v
+    def _pow(self, a, k: int):
+        # the powers of coprime num and den stay coprime and prime to p
+        v, num, den = a if k > 0 else self._inv(a)
+        e = abs(k)
+        return (v * e, num ** e, den ** e)
 
-    _format = staticmethod(exact_str)
+    def _val_from_one(self, raw):
+        # 0 − 1 and a v > 0 minus 1 are units; at v < 0 the −1 does not reach
+        # p^v.  At v = 0, x − 1 = (num − den)/den.
+        v, num, den = raw
+        if v or not num:
+            return min(v, 0)
+        return self._val(self._ratio(num - den, den))
+
+    def _fraction(self, raw) -> Fraction:
+        """raw as a Fraction, which prints and hashes it."""
+        v, num, den = raw
+        p = self.char
+        return Fraction(num * p ** v, den) if v >= 0 else Fraction(num, den * p ** -v)
+
+    def _format(self, raw) -> str:
+        return exact_str(self._fraction(raw))
+
+    def _equals_number(self, raw, x) -> bool:
+        return raw == self._ratio(x.numerator, x.denominator)
+
+    def _hash(self, raw) -> int:
+        return hash(self._fraction(raw))
 
 
 class RationalFunctionField(Field):
@@ -540,12 +606,6 @@ class RationalFunctionField(Field):
         e = abs(k)
         return (v * e, _ppow(num, e, self.char), _ppow(den, e, self.char))
 
-    def _is_zero(self, a) -> bool:
-        return not a[1]
-
-    def _val(self, raw):
-        return raw[0] if raw[1] else INFINITY
-
     def _val_from_one(self, raw):
         # 0 − 1 and a v > 0 minus 1 are units; at v < 0 the −1 does not reach
         # t^v.  At v = 0, x − 1 = (num − den)/den with den(0) ≠ 0, so ω is the
@@ -569,6 +629,12 @@ class RationalFunctionField(Field):
         if "+" in den_s or "*" in den_s:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
+
+    def _equals_number(self, raw, x) -> bool:
+        # ints are reduced mod q, so 1 and 1 + q would both equal one()
+        return False
+
+    _hash = staticmethod(hash)
 
 
 class ValuedScalar(Record):
@@ -627,13 +693,13 @@ class ValuedScalar(Record):
             return ((other.field is self.field or other.field == self.field)
                     and self.raw == other.raw)
         if isinstance(other, (int, Fraction)):
-            # A Fraction raw (p-adic) equals the same number and hashes like
-            # it; a polynomial-pair raw (F_q(t)) equals no Python number.
-            return self.raw == other
+            # the field decides: a p-adic scalar equals the same number and
+            # hashes like it, an F_q(t) scalar equals no Python number
+            return self.field._equals_number(self.raw, other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.raw)
+        return self.field._hash(self.raw)
 
     def is_zero(self) -> bool:
         return self.field._is_zero(self.raw)

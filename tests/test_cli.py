@@ -1016,7 +1016,9 @@ def test_output_digest_of_4024_runs(monkeypatch):
 def test_ab_inprocess_alternates_two_trees_and_stops_on_a_difference(monkeypatch):
     """tests/ab_inprocess.py loads a src tree under a second package name,
     times both trees on every seed, refuses outputs that differ, and prints
-    each tree's median call time between its first and third quartiles."""
+    each tree's median call time between its first and third quartiles; its
+    cli-mix mode times whole passes of the mix and names the first command
+    whose outputs differ."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "ab_inprocess", Path(__file__).with_name("ab_inprocess.py"))
@@ -1042,6 +1044,23 @@ def test_ab_inprocess_alternates_two_trees_and_stops_on_a_difference(monkeypatch
 
     with pytest.raises(AssertionError, match="outputs differ at seed 0"):
         ab.compare(kmtop.cli, Louder, range(2))
+
+    # cli-mix: the first commands of kmbench/mix.py's passes, timed as one unit
+    old_s, new_s = ab.compare(kmtop.cli, other, range(1, 3), "cli-mix", commands=20)
+    assert len(old_s) == len(new_s) == 2 and min(old_s + new_s) > 0
+    report = ab.summary(range(1, 3), old_s, new_s, "cli-mix")
+    assert report.startswith("cli-mix on p:3, seeds 1-2: 2 passes per tree, identical outputs")
+    assert "\npass time, median [q1, q3]: old " in report
+    argvs = ab.mix_argvs(1)
+    assert len(argvs) == 1000 and all("--json" in argv for argv in argvs)
+
+    class QuieterAtFive:
+        @staticmethod
+        def main(argv):
+            return 0 if argv == argvs[5] else kmtop.cli.main(argv)
+
+    with pytest.raises(AssertionError, match=r"outputs differ at seed 1, command 5: \["):
+        ab.compare(kmtop.cli, QuieterAtFive, range(1, 2), "cli-mix", commands=20)
 
 
 # Every help text and these usage errors, as kmtop prints them at 80 columns;

@@ -151,7 +151,7 @@ def test_fields_scalars_and_laurent_polys_are_immutable():
             setattr(obj, name, value)
         with pytest.raises(AttributeError):
             delattr(obj, name)
-    assert field == parse_field("fq:3") and x.raw == 3 and poly.coeffs == {1: x}
+    assert field == parse_field("fq:3") and x.raw == (1, 1, 1) and poly.coeffs == {1: x}
     for f in (F3, field):
         assert not hasattr(f, "p") and not hasattr(f, "q")
     assert repr(field) == "RationalFunctionField(char=3)"

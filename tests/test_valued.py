@@ -158,7 +158,7 @@ def test_canonical_idempotence():
     d = (F2T.one() + F2T.uniformizer()) / F2T.uniformizer()
     assert c == d and c.raw == d.raw
     x = F3.scalar(Fraction(14, 4))
-    assert x.raw == Fraction(7, 2)
+    assert x.raw == (0, 7, 2)
 
 
 def test_formatting_is_stable():
@@ -315,6 +315,68 @@ def test_inverse_and_hash_properties(spec, data):
         field.zero() ** -1
     route = (x * y) / y                           # the same value, built another way
     assert route == x and hash(route) == hash(x)
+
+
+def _fraction_val(x: Fraction, p: int):
+    """ω_p of a Fraction, by dividing p out of its numerator and denominator."""
+    if not x:
+        return INFINITY
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _padic_rationals(p):
+    """±p^e·n/d with e in [-60, 60] and n, d up to 10^6, many of them
+    multiples of p, and zero: a Fraction, the oracle of the p-adic kernel."""
+    ints = st.one_of(st.integers(1, 10 ** 6), st.integers(1, 400).map(lambda n: n * p ** 3))
+    signed = st.builds(lambda sign, n, d, e: sign * Fraction(n, d) * Fraction(p) ** e,
+                       st.sampled_from((1, -1)), ints, ints, st.integers(-60, 60))
+    return st.one_of(st.just(Fraction(0)), st.just(Fraction(1)), signed,
+                     st.integers(-10 ** 6, 10 ** 6).map(Fraction))
+
+
+def _assert_padic_canonical(raw, field):
+    """(v, num, den) ints with p dividing neither num nor den, den > 0 and
+    gcd 1; zero is ZERO."""
+    v, num, den = raw
+    assert type(v) is type(num) is type(den) is int
+    if not num:
+        assert raw == field.ZERO
+        return
+    p = field.char
+    assert num % p and den % p and den > 0 and math.gcd(num, den) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(data=st.data())
+def test_padic_kernel_matches_fraction(p, data):
+    """Every p-adic operation, read back through ==, hash, str and both
+    valuations, gives what Fraction gives, and every raw value it builds is
+    canonical."""
+    field = PAdicField(p)
+    a, b = data.draw(_padic_rationals(p)), data.draw(_padic_rationals(p))
+    k = data.draw(st.integers(-12, 12))
+    x, y = field.scalar(a), field.scalar(b)
+    results = [(x, a), (y, b), (-x, -a), (x + y, a + b), (x - y, a - b), (x * y, a * b)]
+    if b:
+        results += [(x / y, a / b), (y.inv(), 1 / b)]
+    if a or k >= 0:
+        results.append((x ** k, a ** k))
+    for got, want in results:
+        _assert_padic_canonical(got.raw, field)
+        assert got == want and want == got and got != want + 1
+        assert hash(got) == hash(want)
+        if want.denominator == 1:
+            assert got == int(want) and hash(got) == hash(int(want))
+        assert str(got) == str(want)
+        assert got.valuation() == _fraction_val(want, p)
+        assert got.valuation_from_one() == _fraction_val(want - 1, p)
+        assert got.is_zero() == (want == 0) and got.is_one() == (want == 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
