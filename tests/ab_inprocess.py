@@ -2,7 +2,7 @@
 two kmtop source trees, alternated on the same seeds.
 
     python tests/ab_inprocess.py OLD_SRC NEW_SRC
-        [--workload verify-fq|verify-p3|cli-mix] [--first S] [--count N] [--commands N]
+        [--workload verify-fq|verify-p3|cli-mix] [--first S] [--count N]
 
 OLD_SRC and NEW_SRC are `src` directories, e.g. the working tree's and that
 of a `git archive` of the parent commit unpacked elsewhere.  Each is loaded
@@ -15,8 +15,7 @@ tree first on even seeds and the new one first on odd seeds:
               verify --suite all --field fq:3 --seed S --trials 20`;
   verify-p3   the same call on the field p:3;
   cli-mix     (seeds from 1, count 20) one whole pass of kmbench/mix.py's
-              generate(S), 1000 one-shot commands on p:3, or its first
-              --commands of them.
+              generate(S), 1000 one-shot commands on p:3.
 
 Every command's stdout, stderr and exit code must be identical on the two
 trees: the script stops at the first seed where a command's are not and
@@ -133,7 +132,6 @@ def main(args) -> int:
     parser.add_argument("--workload", choices=tuple(WORKLOADS), default="verify-fq")
     parser.add_argument("--first", type=int)
     parser.add_argument("--count", type=int)
-    parser.add_argument("--commands", type=int)
     opts = parser.parse_args(args)
     sys.dont_write_bytecode = True               # leave both trees as they are
     old_cli = load_cli(opts.old_src, "kmtop_old")
@@ -142,7 +140,7 @@ def main(args) -> int:
     first = first if opts.first is None else opts.first
     seeds = range(first, first + (opts.count or count))
     try:
-        old_s, new_s = compare(old_cli, new_cli, seeds, opts.workload, opts.commands)
+        old_s, new_s = compare(old_cli, new_cli, seeds, opts.workload)
     except AssertionError as exc:
         print(exc, file=sys.stderr)
         return 1
