@@ -41,7 +41,8 @@ class SL2Elt(Record):
 
     ``SL2Elt(a, b, c, d)`` checks entries from outside: all four are
     scalars, some of them ints coerced through the field of the others, or
-    all four are Laurent polynomials, of one field, with det 1.  The
+    all four are of one other type with a field (Laurent polynomials, whose
+    type AffElt checks), of one field, with det 1.  The
     generators below, products and inverses are built from such entries and
     have det 1 by their shape or by exact arithmetic, so they build through
     ``_trusted``, which skips the check."""
@@ -52,14 +53,14 @@ class SL2Elt(Record):
     d: ValuedScalar
 
     def __post_init__(self):
-        from .affine import LaurentPoly     # affine imports this module
         entries = self.entries()
         kinds = {type(e) for e in entries}
         if kinds - {int} == {ValuedScalar}:
             field = next(e.field for e in entries if type(e) is ValuedScalar)
             for set_entry, e in zip(self._setters, entries):
                 set_entry(self, field.scalar(e))
-        elif kinds == {LaurentPoly}:
+        elif len(kinds) == 1 and all(isinstance(getattr(e, "field", None), Field)
+                                     for e in entries):
             for e in entries:
                 self.a.field.check_same(e.field)
         else:

@@ -2,14 +2,15 @@
 two kmtop source trees, alternated on the same seeds.
 
     python tests/ab_inprocess.py OLD_SRC NEW_SRC
-        [--workload verify-fq|verify-p3|cli-mix] [--first S] [--count N]
+        [--workload verify-fq|verify-p3|cli-mix] [--count N]
 
 OLD_SRC and NEW_SRC are `src` directories, e.g. the working tree's and that
 of a `git archive` of the parent commit unpacked elsewhere.  Each is loaded
 under its own package name (kmtop_old, kmtop_new), so both live in one
 interpreter and see the same machine state.  For each of --count seeds S
-from --first on, both trees run one timed unit through cli.main, the old
-tree first on even seeds and the new one first on odd seeds:
+from the workload's first seed on, both trees run one timed unit through
+cli.main, the old tree first on even seeds and the new one first on odd
+seeds:
 
   verify-fq   (default, seeds from 7000, count 300) one call of `--json
               verify --suite all --field fq:3 --seed S --trials 20`;
@@ -130,14 +131,12 @@ def main(args) -> int:
     parser.add_argument("old_src")
     parser.add_argument("new_src")
     parser.add_argument("--workload", choices=tuple(WORKLOADS), default="verify-fq")
-    parser.add_argument("--first", type=int)
     parser.add_argument("--count", type=int)
     opts = parser.parse_args(args)
     sys.dont_write_bytecode = True               # leave both trees as they are
     old_cli = load_cli(opts.old_src, "kmtop_old")
     new_cli = load_cli(opts.new_src, "kmtop_new")
     _, first, count, *_ = WORKLOADS[opts.workload]
-    first = first if opts.first is None else opts.first
     seeds = range(first, first + (opts.count or count))
     try:
         old_s, new_s = compare(old_cli, new_cli, seeds, opts.workload)

@@ -59,18 +59,20 @@ NOT_SCALARS = (0.5, True, "1")        # nor exact rationals
 
 
 def _inexact(x) -> bool:
-    """Whether x holds a value that is neither an int, a Fraction nor a str
-    (a float, a bool) anywhere in its records, dicts and tuples; fields
-    excepted."""
+    """Whether x holds a value that is neither an int nor a Fraction (a float,
+    a bool, a str) anywhere in its records, dicts and tuples; fields and the
+    kind name of a subgroup spec excepted."""
     if isinstance(x, Field):
         return False
+    if isinstance(x, sl2.SubgroupSpec):
+        return _inexact(x.arg)
     if isinstance(x, Record):
         return any(_inexact(getattr(x, name)) for name in x._fields)
     if isinstance(x, dict):
         return any(_inexact(k) or _inexact(v) for k, v in x.items())
     if isinstance(x, (tuple, list)):
         return any(map(_inexact, x))
-    return x is not None and type(x) not in (int, Fraction, str)
+    return x is not None and type(x) not in (int, Fraction)
 
 
 def test_every_generator_constructor_is_named_and_takes_the_field_first():
