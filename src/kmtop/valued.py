@@ -1,16 +1,16 @@
 """Exact scalars in a field K with a discrete valuation normalized so ω(ϖ) = 1.
 
-Two field kinds are supported, and both keep a raw value as a triple
-(v, num, den) meaning ϖ^v·num/den, with ϖ dividing neither num nor den, so
-that ω is v and ϖ enters no gcd:
+Both field kinds are fractions over a Euclidean ring R in which ϖ is prime,
+and both keep a raw value as a triple (v, num, den) meaning ϖ^v·num/den, with
+num and den coprime in R and ϖ dividing neither, so that ω is v and ϖ enters
+no gcd.  Raw values are immutable and canonical, so equality is structural
+and every operation is pure.  ω(0) is the tag ``INFINITY``, never an int.
 
-* ``PAdicField(p)`` -- K = Q with the p-adic valuation, ϖ = p, O = rationals
-  with no p in the denominator.  num and den are coprime ints, den > 0.
+* ``PAdicField(p)`` -- K = Q with the p-adic valuation, R = Z, ϖ = p; den > 0,
+  and zero is (0, 0, 1).
 * ``RationalFunctionField(q)`` -- K = F_q(t) (q prime) with the order-at-zero
-  valuation, ϖ = t, O = ratios whose denominator is a unit at t = 0.  num and
-  den are coprime coefficient tuples over F_q that have nonzero constant
-  terms, den monic.  A product by c·t^k (every ϖ-power) only scales the other
-  numerator, and a sum shifts one numerator by a power of t.
+  valuation, R = F_q[t], ϖ = t; num and den are coefficient tuples, den
+  monic, and zero is (0, (), (1,)).
 
 ``ValuedScalar`` pairs a field with a raw value and never looks inside the
 raw value: every operation is delegated to the field.  Both are records
@@ -24,39 +24,39 @@ int (or a p-adic Fraction) and raises ``FieldMismatch`` for another field's
 scalar.  ``exact_int``, the one int guard, takes a field's prime, the
 exponents of ``**`` and ``pi_power`` and the generators' integer arguments;
 ``nonzero`` is the generators' ``ValidationError`` for a zero scalar, and
-``check_same`` the one ``FieldMismatch`` for values of two fields.  A
-field kind is a ``Field`` subclass that provides
+``check_same`` the one ``FieldMismatch`` for values of two fields.
 
-* raw-value methods ``_add(a, b)``, ``_neg(a)``, ``_mul(a, b)``, ``_inv(a)``
-  (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when k < 0),
-  ``_val_from_one(a)`` (ω(a − 1), read from a without building a − 1),
-  ``_format(a)``, ``_number(value)`` (the raw value of a Python number,
-  never a bool), and ``_equals_number(a, x)`` and ``_hash(a)``, which
-  ``ValuedScalar`` asks for ``==`` with an int or a Fraction and for its
-  hash (``Field`` itself reads ω and zero, v and num, from any triple);
-* ``pi_power(n)`` (ϖ^n, the one place a kind builds it), ``sample_unit(rng)``
-  and ``degree(s)`` (the size that a power's cost grows with);
+``Field`` also holds the one kernel on raw values, written over R: ``_add``,
+``_mul``, ``_inv`` (a nonzero), ``_pow(a, k)`` (k != 0, a nonzero when
+k < 0), ``_val_from_one`` (ω(a − 1), read without building a − 1),
+``_canonical(num, den)`` (the one reduction of a built fraction), ``_is_zero``
+and ``_val``.  A field kind is a ``Field`` subclass that provides
+
+* its ring: ``ONE_R``, ``_rsum``, ``_rmul``, ``_rgcd``, ``_rquo`` (the exact
+  quotient by a gcd), ``_rpow`` (e ≥ 1), ``_elt`` (a ring element from what
+  ``_canonical`` is given), ``_shift(x, k)`` (x·ϖ^k), ``_strip(x)`` ((k,
+  x/ϖ^k) for the largest k, x nonzero), ``_unit(v, num, den)`` (den made
+  positive or monic) and ``_ord_sub(a, b)`` (ω(a − b), without a − b);
+* ``_neg(a)``, ``_format(a)``, ``_number(value)`` (the raw value of a Python
+  number, never a bool), ``_equals_number(a, x)`` and ``_hash(a)`` (``==``
+  with an int or a Fraction, and the hash), ``pi_power(n)`` (ϖ^n, the one
+  place a kind builds it), ``sample_unit(rng)`` and ``degree(s)`` (the size
+  that a power's cost grows with);
 * class attributes ``kind`` (the ``--field`` prefix), ``prime_name`` (the
   prime's name in messages), ``uniformizer_name`` (the name of ϖ in the
   scalar grammar), and the raw values ``ZERO`` and ``ONE``, which ``is_one``
   reads without building a scalar.
 
-Raw values are immutable and kept in canonical form (the triples above;
-zero is (0, 0, 1) or (0, (), (1,))), so equality is structural and every
-operation is pure.  ω(0) is the distinguished tag ``INFINITY``, never an
-integer sentinel.
-
-The F_q(t) kernels (``_padd``, ``_pmul``, ``_ppow``, ``_prem``, ``_pquo``,
-``_pgcd`` and ``_pscale``) take trimmed coefficient tuples over F_p, p prime:
-entries in [0, p), no trailing zero, () for zero.  They return exact-size
-trimmed tuples.  Over a prime p a product of nonzero leading coefficients is
+F_q[t]'s operations and the module's ``_prem``, ``_pgcd``, ``_pscale`` and
+``_pneg`` take trimmed coefficient tuples over F_p, p prime: entries in
+[0, p), no trailing zero, () for zero.  They return exact-size trimmed
+tuples.  Over a prime p a product of nonzero leading coefficients is
 nonzero, so a product, a quotient and a nonzero scaling need no trim; only
 remainders and sums of operands of one length do.  Division takes only what
 its caller uses: ``_pgcd`` the remainders (``_prem``), and the callers that
-divide by a gcd the quotient (``_pquo``), which takes the monic divisor
-``_pgcd`` gives.  A kernel may return an operand itself (a product by 1),
-and the callers in ``RationalFunctionField`` skip the call where an operand
-they pick is 1.
+divide by a gcd the quotient (``_rquo``), which takes the monic divisor
+``_pgcd`` gives.  A product by 1 may return the other operand itself, and
+``_rgcd`` of a constant is (1,) with no ``_pgcd``.
 Results are built as ``tuple([...])``, never ``tuple(genexpr)``: CPython
 allocates a tuple built from a generator from a length guess and resizes it
 afterwards, and built that way the kernels' tuples raised the verify-fq peak
@@ -66,6 +66,7 @@ RSS by about 12% and the traced peak of Python allocations threefold.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -175,17 +176,6 @@ def _ptrim(c: list[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _padd(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    c = [(x + y) % p for x, y in zip(a, b)]
-    if len(a) == len(b):
-        return _ptrim(c)
-    # the longer operand's leading coefficient survives: nothing to trim
-    c += a[len(b):]
-    return tuple(c)
-
-
 def _pneg(a, p):
     return tuple([(-x) % p for x in a])
 
@@ -193,29 +183,6 @@ def _pneg(a, p):
 def _pscale(a, s, p):
     """s·a for s ≠ 0 mod p: the leading coefficient stays nonzero."""
     return tuple([(x * s) % p for x in a])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    if len(a) == 1 or len(b) == 1:
-        (s,), c = (a, b) if len(a) == 1 else (b, a)
-        return c if s == 1 else _pscale(c, s, p)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    # the leading coefficient a[-1]·b[-1] is nonzero mod p: nothing to trim
-    return tuple([c % p for c in out])
-
-
-def _ppow(a, e, p):
-    """a^e for e ≥ 1, by repeated squaring; 1^e is 1."""
-    if e == 1 or a == (1,):
-        return a
-    half = _ppow(_pmul(a, a, p), e >> 1, p)
-    return _pmul(half, a, p) if e & 1 else half
 
 
 def _prem(a, b, p):
@@ -242,24 +209,6 @@ def _prem(a, b, p):
     return _ptrim([x % p for x in a[:lb - 1]])
 
 
-def _pquo(a, b, p):
-    """a/b for a monic b dividing a: the remainder, 0, is not formed."""
-    lb = len(b)
-    if len(a) == lb:
-        # a is an associate of b: a constant quotient
-        return (a[-1],)
-    a = list(a)
-    q = [0] * (len(a) - lb + 1)
-    for i in range(len(a) - lb, -1, -1):
-        coeff = a[i + lb - 1] % p
-        if coeff:
-            q[i] = coeff
-            for j in range(lb - 1):
-                a[i + j] -= coeff * b[j]
-    # q[-1] = a[-1] is nonzero: nothing to trim
-    return tuple(q)
-
-
 def _pgcd(a, b, p):
     """The monic gcd; (1,) as soon as a remainder is a nonzero constant."""
     while b:
@@ -269,13 +218,6 @@ def _pgcd(a, b, p):
     if a and a[-1] != 1:
         a = _pscale(a, pow(a[-1], -1, p), p)
     return a
-
-
-def _pord(a) -> int:
-    for i, x in enumerate(a):
-        if x:
-            return i
-    raise ValueError("zero polynomial has no order")
 
 
 def _pformat(a) -> str:
@@ -306,8 +248,9 @@ def _fq_pair(raw):
 
 
 class Field(Record):
-    """Base of the field kinds, a record of one field, the prime ``char``;
-    the module docstring lists what it provides and what a kind implements."""
+    """Base of the field kinds, a record of one field, the prime ``char``,
+    and the one kernel on raw values; the module docstring lists what it
+    provides and what a kind implements."""
 
     __slots__ = ("char",)
     kind: str
@@ -342,42 +285,137 @@ class Field(Record):
     def uniformizer(self) -> "ValuedScalar":
         return self.pi_power(1)
 
-    # both kinds' raw values are triples (v, num, den) with num falsy iff zero
+    # raw ops on (v, num, den) triples, num falsy iff zero.  Operands are
+    # canonical, so a sum or a product cancels only what two reduced fractions
+    # can share (Henrici's reduced-fraction arithmetic, as in Fraction), and
+    # ϖ, prime to every num and den, enters no gcd; R's 1 enters no gcd or product.
     def _is_zero(self, raw) -> bool:
         return not raw[1]
 
     def _val(self, raw):
         return raw[0] if raw[1] else INFINITY
 
+    def _canonical(self, num, den):
+        """The raw value of num/den, ring elements (F_q(t): coefficient
+        sequences with entries in [0, q)); the one reduction of a fraction."""
+        num, den = self._elt(num), self._elt(den)
+        if not den:
+            raise DivisionByZero("zero denominator")
+        if not num:
+            return self.ZERO
+        (i, num), (j, den) = self._strip(num), self._strip(den)
+        g = self._rgcd(num, den)
+        if g != self.ONE_R:
+            num, den = self._rquo(num, g), self._rquo(den, g)
+        return self._unit(i - j, num, den)
+
+    def _add(self, a, b):
+        (v1, n1, d1), (v2, n2, d2) = a, b
+        if not n1:
+            return b
+        if not n2:
+            return a
+        if v1 > v2:
+            (v1, n1, d1), (v2, n2, d2) = b, a
+        if v2 > v1:
+            # ϖ^v1·(n1/d1 + ϖ^(v2−v1)·n2/d2): the second fraction is still
+            # reduced, and ϖ does not divide the sum's numerator
+            n2 = self._shift(n2, v2 - v1)
+        one, rmul, rquo = self.ONE_R, self._rmul, self._rquo
+        # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and
+        # only factors of g can cancel: a prime dividing e1 but not g
+        # divides neither n1 nor e2, so not the numerator (and so for e2)
+        g = one if d1 == one or d2 == one else self._rgcd(d1, d2)
+        e1, e2 = (d1, d2) if g == one else (rquo(d1, g), rquo(d2, g))
+        num = self._rsum(n1 if e2 == one else rmul(n1, e2), n2 if e1 == one else rmul(n2, e1))
+        if not num:
+            return self.ZERO
+        if v1 == v2:
+            # at equal valuations the numerator can gain a power of ϖ
+            k, num = self._strip(num)
+            v1 += k
+        if g != one:
+            g2 = self._rgcd(num, g)
+            if g2 != one:
+                num, d2 = rquo(num, g2), rquo(d2, g2)
+        return (v1, num, d2 if e1 == one else e1 if d2 == one else rmul(e1, d2))
+
+    def _mul(self, a, b):
+        (v1, n1, d1), (v2, n2, d2) = a, b
+        if not n1 or not n2:
+            return self.ZERO
+        one, rmul = self.ONE_R, self._rmul
+        # n1/d1 and n2/d2 are reduced, so only n1 with d2 and n2 with d1 can cancel
+        if d2 != one:
+            g = self._rgcd(n1, d2)
+            if g != one:
+                n1, d2 = self._rquo(n1, g), self._rquo(d2, g)
+        if d1 != one:
+            g = self._rgcd(n2, d1)
+            if g != one:
+                n2, d1 = self._rquo(n2, g), self._rquo(d1, g)
+        num = n2 if n1 == one else n1 if n2 == one else rmul(n1, n2)
+        den = d2 if d1 == one else d1 if d2 == one else rmul(d1, d2)
+        return (v1 + v2, num, den)
+
+    def _inv(self, a):
+        # a reduced fraction inverts to a reduced one: no gcd, only _unit
+        v, num, den = a
+        return self._unit(-v, den, num)
+
+    def _pow(self, a, k: int):
+        # the powers of coprime num and den stay coprime and prime to ϖ, and
+        # a positive or monic den^e stays so: no gcd.  0^e is ZERO itself
+        v, num, den = a if k > 0 else self._inv(a)
+        e = abs(k)
+        return (v * e, self._rpow(num, e), self._rpow(den, e))
+
+    def _val_from_one(self, raw):
+        # 0 − 1 and a v > 0 minus 1 are units; at v < 0 the −1 does not reach
+        # ϖ^v.  At v = 0, x − 1 = (num − den)/den with ϖ prime to den.
+        v, num, den = raw
+        if v or not num:
+            return min(v, 0)
+        return self._ord_sub(num, den)
+
 
 class PAdicField(Field):
-    """Q with the p-adic valuation; ϖ = p.
+    """Q with the p-adic valuation; ϖ = p, R = Z.
 
     A raw value is a triple (v, num, den) of ints meaning p^v·num/den: p
-    divides neither num nor den, den > 0 and gcd(num, den) = 1; zero is
-    ``ZERO``.
-    """
+    divides neither num nor den, den > 0 and gcd(num, den) = 1.  The ring
+    operations are builtins, which bind no self and so add no Python frame."""
 
     __slots__ = ()
     kind = prime_name = uniformizer_name = "p"
-    ZERO, ONE = (0, 0, 1), (0, 1, 1)
+    ZERO, ONE, ONE_R = (0, 0, 1), (0, 1, 1), 1
+    _rsum, _rmul, _rquo, _rpow = operator.add, operator.mul, operator.floordiv, pow
+    _rgcd, _elt = math.gcd, operator.index
 
-    def _ratio(self, num: int, den: int, v: int = 0):
-        """The raw value of p^v·num/den, for coprime ints num and den > 0."""
-        if not num:
-            return self.ZERO
-        p = self.char
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        return (v, num, den)
+    def _shift(self, x, k):
+        return x * self.char ** k
+
+    def _strip(self, x):
+        p, k = self.char, 0
+        while x % p == 0:
+            x //= p
+            k += 1
+        return k, x
+
+    def _unit(self, v, num, den):
+        return (v, num, den) if den > 0 else (v, -num, -den)
+
+    def _ord_sub(self, a, b):
+        return self._strip(a - b)[0] if a != b else INFINITY
 
     def _number(self, value):
+        # a Fraction is reduced: only the powers of p are taken out
         x = exact_fraction(value)
-        return self._ratio(x.numerator, x.denominator)
+        num, den = x.numerator, x.denominator
+        if not num:
+            return self.ZERO
+        (i, num), (j, den) = self._strip(num), self._strip(den)
+        return (i - j, num, den)
 
     def pi_power(self, n: int) -> "ValuedScalar":
         return ValuedScalar(self, (exact_int(n), 1, 1))
@@ -399,57 +437,12 @@ class PAdicField(Field):
         g = math.gcd(num, den)
         return ValuedScalar(self, (0, num // g, den // g))
 
-    # raw ops on (v, num, den) triples.  Operands are canonical, so they
-    # cancel only what two reduced fractions can share, as Fraction does,
-    # and p, prime to every num and den, enters no gcd: ω is v, and only a
-    # sum of equal valuations can carry p in its numerator.
-    def _add(self, a, b):
-        (v1, n1, d1), (v2, n2, d2) = a, b
-        if not n1:
-            return b
-        if not n2:
-            return a
-        if v1 > v2:
-            (v1, n1, d1), (v2, n2, d2) = b, a
-        # p^v1·(n1/d1 + p^(v2−v1)·n2/d2), both reduced: with d1 = g·e1 and
-        # d2 = g·e2, only factors of g can cancel from the sum
-        n2 *= self.char ** (v2 - v1)
-        g = math.gcd(d1, d2)
-        num = n1 * (d2 // g) + n2 * (d1 // g)
-        g2 = math.gcd(num, g)
-        return self._ratio(num // g2, d1 // g * (d2 // g2), v1)
-
     def _neg(self, a):
         v, num, den = a
         return (v, -num, den)
 
-    def _mul(self, a, b):
-        (v1, n1, d1), (v2, n2, d2) = a, b
-        if not n1 or not n2:
-            return self.ZERO
-        g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
-        return (v1 + v2, n1 // g1 * (n2 // g2), d1 // g2 * (d2 // g1))
-
-    def _inv(self, a):
-        v, num, den = a
-        return (-v, den, num) if num > 0 else (-v, -den, -num)
-
-    def _pow(self, a, k: int):
-        # the powers of coprime num and den stay coprime and prime to p
-        v, num, den = a if k > 0 else self._inv(a)
-        e = abs(k)
-        return (v * e, num ** e, den ** e)
-
-    def _val_from_one(self, raw):
-        # 0 − 1 and a v > 0 minus 1 are units; at v < 0 the −1 does not reach
-        # p^v.  At v = 0, x − 1 = (num − den)/den.
-        v, num, den = raw
-        if v or not num:
-            return min(v, 0)
-        return self._val(self._ratio(num - den, den))
-
     def _fraction(self, raw) -> Fraction:
-        """raw as a Fraction, which prints and hashes it."""
+        """raw as a Fraction, which prints, compares and hashes it."""
         v, num, den = raw
         p = self.char
         return Fraction(num * p ** v, den) if v >= 0 else Fraction(num, den * p ** -v)
@@ -458,14 +451,14 @@ class PAdicField(Field):
         return exact_str(self._fraction(raw))
 
     def _equals_number(self, raw, x) -> bool:
-        return raw == self._ratio(x.numerator, x.denominator)
+        return self._fraction(raw) == x
 
     def _hash(self, raw) -> int:
         return hash(self._fraction(raw))
 
 
 class RationalFunctionField(Field):
-    """F_q(t), q prime, with the order-at-zero valuation; ϖ = t.
+    """F_q(t), q prime, with the order-at-zero valuation; ϖ = t, R = F_q[t].
 
     A raw value is a triple (v, num, den) meaning t^v·num/den: num and den
     are coefficient tuples over F_q with nonzero constant terms, coprime, and
@@ -475,29 +468,88 @@ class RationalFunctionField(Field):
 
     __slots__ = ()
     kind, prime_name, uniformizer_name = "fq", "q", "t"
-    ZERO, ONE = (0, (), (1,)), (0, (1,), (1,))
+    ZERO, ONE, ONE_R = (0, (), (1,)), (0, (1,), (1,)), (1,)
 
-    def _canonical(self, num, den):
-        """The raw value of num/den, coefficient sequences (tuples or lists)
-        with entries in [0, q): the one reduction of a built fraction."""
-        num = _ptrim(list(num))
-        den = _ptrim(list(den))
-        if not den:
-            raise DivisionByZero("zero denominator")
-        if not num:
-            return self.ZERO
-        i, j = _pord(num), _pord(den)
-        num, den = num[i:], den[j:]
-        g = _pgcd(num, den, self.char) if len(den) > 1 else (1,)    # a constant den: no gcd
-        if len(g) > 1:
-            num = _pquo(num, g, self.char)
-            den = _pquo(den, g, self.char)
+    def _rsum(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        p = self.char
+        c = [(x + y) % p for x, y in zip(a, b)]
+        if len(a) == len(b):
+            return _ptrim(c)
+        # the longer operand's leading coefficient survives: nothing to trim
+        c += a[len(b):]
+        return tuple(c)
+
+    def _rmul(self, a, b):
+        if not a or not b:
+            return ()
+        p = self.char
+        if len(a) == 1 or len(b) == 1:
+            (s,), c = (a, b) if len(a) == 1 else (b, a)
+            return c if s == 1 else _pscale(c, s, p)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        # the leading coefficient a[-1]·b[-1] is nonzero mod p: nothing to trim
+        return tuple([c % p for c in out])
+
+    def _rgcd(self, a, b):
+        # a constant operand, such as c in every c·t^k, shares nothing
+        return (1,) if len(a) == 1 or len(b) == 1 else _pgcd(a, b, self.char)
+
+    def _rquo(self, a, b):
+        """a/b for a monic b dividing a: the remainder, 0, is not formed."""
+        lb = len(b)
+        if len(a) == lb:
+            # a is an associate of b: a constant quotient
+            return (a[-1],)
+        p = self.char
+        a = list(a)
+        q = [0] * (len(a) - lb + 1)
+        for i in range(len(a) - lb, -1, -1):
+            coeff = a[i + lb - 1] % p
+            if coeff:
+                q[i] = coeff
+                for j in range(lb - 1):
+                    a[i + j] -= coeff * b[j]
+        # q[-1] = a[-1] is nonzero: nothing to trim
+        return tuple(q)
+
+    def _rpow(self, a, e):
+        """a^e for e ≥ 1, by repeated squaring; 1^e is 1."""
+        if e == 1 or a == (1,):
+            return a
+        half = self._rpow(self._rmul(a, a), e >> 1)
+        return self._rmul(half, a) if e & 1 else half
+
+    def _elt(self, c):
+        return _ptrim(list(c))
+
+    def _shift(self, x, k):
+        return (0,) * k + x
+
+    def _strip(self, x):
+        k = 0
+        while not x[k]:
+            k += 1
+        return k, x[k:]
+
+    def _unit(self, v, num, den):
         lead = den[-1]
-        if lead != 1:
-            inv = pow(lead, -1, self.char)
-            num = _pscale(num, inv, self.char)
-            den = _pscale(den, inv, self.char)
-        return (i - j, num, den)
+        if lead == 1:
+            return (v, num, den)
+        inv = pow(lead, -1, self.char)
+        return (v, _pscale(num, inv, self.char), _pscale(den, inv, self.char))
+
+    def _ord_sub(self, a, b):
+        # den(0) ≠ 0: the first index where a and b differ, the shorter zero-padded
+        for i, (x, y) in enumerate(zip_longest(a, b, fillvalue=0)):
+            if x != y:
+                return i
+        return INFINITY
 
     def _number(self, value):
         c = exact_int(value) % self.char
@@ -524,99 +576,9 @@ class RationalFunctionField(Field):
         # every draw is already in [0, q): no mod-q pass
         return ValuedScalar(self, self._canonical(num, den))
 
-    # raw ops on (v, num, den) triples.  Operands are canonical, so _add and
-    # _mul need no _canonical: they cancel only the factors two reduced
-    # fractions can share (Henrici's reduced-fraction arithmetic, as in
-    # Fraction).  t is prime to every num and den, so a power of t never
-    # enters a gcd: a product by c·t^k, whose num is (c,) and den (1,), only
-    # scales the other numerator.  Denominators stay monic, since _pgcd
-    # returns monic gcds.
-    def _add(self, a, b):
-        (v1, n1, d1), (v2, n2, d2) = a, b
-        if not n1:
-            return b
-        if not n2:
-            return a
-        if v1 > v2:
-            (v1, n1, d1), (v2, n2, d2) = b, a
-        if v2 > v1:
-            # t^v1·(n1/d1 + t^(v2−v1)·n2/d2): the second fraction is still
-            # reduced, and the sum's numerator has the nonzero constant term
-            # of n1·e2 below
-            n2 = (0,) * (v2 - v1) + n2
-        q = self.char
-        # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and
-        # only factors of g can cancel: a prime dividing e1 but not g
-        # divides neither n1 nor e2, so not the numerator (and so for e2)
-        g = (1,) if d1 == (1,) or d2 == (1,) else _pgcd(d1, d2, q)
-        e1, e2 = (d1, d2) if g == (1,) else (_pquo(d1, g, q), _pquo(d2, g, q))
-        num = _padd(n1 if e2 == (1,) else _pmul(n1, e2, q),
-                    n2 if e1 == (1,) else _pmul(n2, e1, q), q)
-        if not num:
-            return self.ZERO
-        if not num[0]:
-            # equal valuations whose constant terms cancelled
-            k = _pord(num)
-            v1, num = v1 + k, num[k:]
-        if g != (1,):
-            g2 = _pgcd(num, g, q)
-            if g2 != (1,):
-                num, d2 = _pquo(num, g2, q), _pquo(d2, g2, q)
-        return (v1, num, d2 if e1 == (1,) else e1 if d2 == (1,) else _pmul(e1, d2, q))
-
     def _neg(self, a):
         v, num, den = a
         return (v, _pneg(num, self.char), den)
-
-    def _mul(self, a, b):
-        (v1, n1, d1), (v2, n2, d2) = a, b
-        if not n1 or not n2:
-            return self.ZERO
-        q = self.char
-        # c·t^k is a unit times a power of t: c·n/d is reduced, d stays monic
-        if len(n1) == 1 and d1 == (1,):
-            return (v1 + v2, n2 if n1[0] == 1 else _pscale(n2, n1[0], q), d2)
-        if len(n2) == 1 and d2 == (1,):
-            return (v1 + v2, n1 if n2[0] == 1 else _pscale(n1, n2[0], q), d1)
-        # n1/d1 and n2/d2 are reduced, so only n1 with d2 and n2 with d1 can cancel
-        if d2 != (1,):
-            g = _pgcd(n1, d2, q)
-            if g != (1,):
-                n1, d2 = _pquo(n1, g, q), _pquo(d2, g, q)
-        if d1 != (1,):
-            g = _pgcd(n2, d1, q)
-            if g != (1,):
-                n2, d1 = _pquo(n2, g, q), _pquo(d1, g, q)
-        num = n2 if n1 == (1,) else n1 if n2 == (1,) else _pmul(n1, n2, q)
-        den = d2 if d1 == (1,) else d1 if d2 == (1,) else _pmul(d1, d2, q)
-        return (v1 + v2, num, den)
-
-    def _inv(self, a):
-        # a reduced fraction inverts to a reduced one: no gcd, only a monic
-        # denominator
-        v, num, den = a
-        inv = pow(num[-1], -1, self.char)
-        return (-v, _pscale(den, inv, self.char), _pscale(num, inv, self.char))
-
-    def _pow(self, a, k: int):
-        # the powers of a reduced fraction's num and den stay coprime, den^e
-        # stays monic and num^e keeps a nonzero constant term: no gcd.  0^e
-        # is ZERO itself, since _ppow((), e) is ()
-        v, num, den = a if k > 0 else self._inv(a)
-        e = abs(k)
-        return (v * e, _ppow(num, e, self.char), _ppow(den, e, self.char))
-
-    def _val_from_one(self, raw):
-        # 0 − 1 and a v > 0 minus 1 are units; at v < 0 the −1 does not reach
-        # t^v.  At v = 0, x − 1 = (num − den)/den with den(0) ≠ 0, so ω is the
-        # first index where num and den differ, the shorter padded with zeros.
-        v, num, den = raw
-        if v or not num:
-            return min(v, 0)
-        for i, (a, b) in enumerate(zip_longest(num, den, fillvalue=0)):
-            if a != b:
-                return i
-        return INFINITY
 
     def _format(self, raw) -> str:
         num, den = _fq_pair(raw)
@@ -638,7 +600,10 @@ class RationalFunctionField(Field):
 
 
 class ValuedScalar(Record):
-    """An exact element of K carrying its field; canonical and immutable."""
+    """An exact element of K carrying its field; canonical and immutable.
+    ``ValuedScalar(field, raw)``, the trusted build of every operation's result,
+    takes a canonical raw value unchecked: ``ValuedScalar(PAdicField(3), 3)``
+    builds, and its ``valuation()`` raises TypeError.  ``Field.scalar`` checks."""
 
     __slots__ = ("field", "raw")
 

@@ -17,12 +17,13 @@ def small_cfg(trials=40, field=F3, seed=42):
 
 
 def test_verify_divides_by_monic_gcds_and_scales_by_z_other_than_1():
-    """Over a verify run on fq:3, every divisor _pquo gets is monic, as every
+    """Over a verify run on fq:3, every divisor _rquo gets is monic, as every
     caller divides by a _pgcd result, and every z that substitute_scale gets
     is not 1, as its one caller takes z = 1 as the identity.  A profiler sees
     each call of the two code objects, whatever name it is made through."""
     from kmtop import cli, valued
-    quo, scale = valued._pquo.__code__, affine.LaurentPoly.substitute_scale.__code__
+    quo = valued.RationalFunctionField._rquo.__code__
+    scale = affine.LaurentPoly.substitute_scale.__code__
     divisors, scalars = [], []
 
     def profile(frame, event, arg):

@@ -173,3 +173,15 @@ def test_every_value_class_is_a_record():
     others = {cls for cls in classes if not issubclass(cls, (Record, Exception))}
     assert others == {exprs._Parser, cli._Parser}
     assert [cls for cls in classes if "__setattr__" in vars(cls)] == [Record]
+
+
+def test_the_valued_kernel_is_written_once():
+    """Field holds the one sum, product, inverse, power, ω(x − 1) and
+    canonicalization on raw values; a field kind gives only its ring."""
+    kinds = {cls for cls in _package_classes() if issubclass(cls, valued.Field)} - {valued.Field}
+    assert {valued.PAdicField, valued.RationalFunctionField} <= kinds
+    for name in ("_add", "_mul", "_inv", "_pow", "_val_from_one", "_canonical"):
+        shared = vars(valued.Field)[name]
+        # a traced benchmark run puts back the shared function on each class
+        # whose attribute it wrapped
+        assert all(vars(cls).get(name, shared) is shared for cls in kinds), name

@@ -13,11 +13,8 @@ from kmtop.valued import (
     FieldMismatch,
     PAdicField,
     RationalFunctionField,
-    _padd,
     _pgcd,
-    _pmul,
     _pneg,
-    _pquo,
     _prem,
     _pscale,
     parse_field,
@@ -456,6 +453,7 @@ def test_fq_matches_sympy_rational_functions(q, data):
     assert (x - y).raw == canonical(ex - ey)
     assert (x * y).raw == canonical(ex * ey)
     assert x.valuation() == order_at_zero(ex)
+    assert x.valuation_from_one() == order_at_zero(ex - to_sympy(F.one()))
     if not y.is_zero():
         assert y.inv().raw == canonical(ey ** -1)
         assert (x / y).raw == canonical(ex / ey)
@@ -527,9 +525,9 @@ def test_fq_polynomial_fast_path(q, data):
     b = data.draw(st.one_of(poly, st.just(F._neg(a))))      # includes a + b = 0
     (n1, one), (n2, _) = _pair(a), _pair(b)
     assert one == a[2] == (1,) and a == F._canonical(n1, one)
-    assert F._add(a, b) == F._canonical(_padd(_pmul(n1, one, q), _pmul(n2, one, q), q),
-                                        _pmul(one, one, q))
-    assert F._mul(a, b) == F._canonical(_pmul(n1, n2, q), _pmul(one, one, q))
+    assert F._add(a, b) == F._canonical(F._rsum(F._rmul(n1, one), F._rmul(n2, one)),
+                                        F._rmul(one, one))
+    assert F._mul(a, b) == F._canonical(F._rmul(n1, n2), F._rmul(one, one))
 
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
@@ -624,13 +622,13 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
     def check(pieces, shape, swap, shifts):
         r, s, t, x, y, z = pieces
         ta, tb = (F.pi_power(k).raw for k in shifts)
-        a = F._mul(fq_ratio(F, _pmul(x, t, q), _pmul(r, s, q)).raw, ta)
+        a = F._mul(fq_ratio(F, F._rmul(x, t), F._rmul(r, s)).raw, ta)
         if shape == "shared":
-            b = F._mul(fq_ratio(F, _pmul(y, s, q), _pmul(r, t, q)).raw, tb)
+            b = F._mul(fq_ratio(F, F._rmul(y, s), F._rmul(r, t)).raw, tb)
         elif shape == "cancelling":                    # b = z/s − a, so a + b = z/s
             an, ad = _pair(a)
-            b = F._canonical(_padd(_pmul(z, ad, q), _pneg(_pmul(an, s, q), q), q),
-                             _pmul(s, ad, q))
+            b = F._canonical(F._rsum(F._rmul(z, ad), _pneg(F._rmul(an, s), q)),
+                             F._rmul(s, ad))
         elif shape == "negation":
             b = F._neg(a)
         else:
@@ -642,8 +640,8 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
 
         total, seen = run(F._add, a, b)
         _assert_canonical(total, q)
-        assert total == F._canonical(_padd(_pmul(p1, e2, q), _pmul(p2, e1, q), q),
-                                     _pmul(e1, e2, q))
+        assert total == F._canonical(F._rsum(F._rmul(p1, e2), F._rmul(p2, e1)),
+                                     F._rmul(e1, e2))
         assert total == sympy_canonical(to_sympy(a) + to_sympy(b))
         assert all(u[0] and w[0] for u, w, _ in seen)  # t enters no gcd
         if n1 and n2:
@@ -665,7 +663,7 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
 
         product, seen = run(F._mul, a, b)
         _assert_canonical(product, q)
-        assert product == F._canonical(_pmul(p1, p2, q), _pmul(e1, e2, q))
+        assert product == F._canonical(F._rmul(p1, p2), F._rmul(e1, e2))
         assert product == sympy_canonical(to_sympy(a) * to_sympy(b))
         assert all(u[0] and w[0] for u, w, _ in seen)
         units = [v for v, n, d in (a, b) if len(n) == 1 and d == (1,)]
@@ -690,8 +688,9 @@ def test_fq_cross_gcd_sums_and_products(q, monkeypatch):
 #
 # RationalFunctionField's _canonical, _add, _mul and _inv from before raw values
 # kept their power of t apart, word for word but for their names, q passed in
-# for self.q, _ptrim_ref for _ptrim and _pdivmod_ref for _pdivmod: raw values
-# (num, den), reduced with monic denominator, zero ((), (1,)).
+# for self.q, _ptrim_ref for _ptrim, _pdivmod_ref for _pdivmod, and the F_q[t]
+# sum and product of F = RationalFunctionField(q) for _padd and _pmul: raw
+# values (num, den), reduced with monic denominator, zero ((), (1,)).
 
 def _pair_canonical(num, den, q):
     num = _ptrim_ref(list(num))
@@ -713,28 +712,30 @@ def _pair_canonical(num, den, q):
 
 
 def _pair_add(a, b, q):
+    F = RationalFunctionField(q)
     (n1, d1), (n2, d2) = a, b
     if d1 == d2 == (1,):
-        return (_padd(n1, n2, q), (1,))
+        return (F._rsum(n1, n2), (1,))
     g = (1,) if d1 == (1,) or d2 == (1,) else _pgcd(d1, d2, q)
     if g == (1,):
         # a prime factor of d1 divides n1·d2 + n2·d1 iff it divides n1·d2:
         # never, so the sum is reduced (and nonzero, as d1 or d2 is not (1,))
-        return (_padd(_pmul(n1, d2, q), _pmul(n2, d1, q), q), _pmul(d1, d2, q))
+        return (F._rsum(F._rmul(n1, d2), F._rmul(n2, d1)), F._rmul(d1, d2))
     # d1 = g·e1, d2 = g·e2: the sum is (n1·e2 + n2·e1)/(g·e1·e2), and only
     # factors of g can cancel.  A zero sum has d1 = d2 = g = g2: ((), (1,)).
     e1, e2 = _pdivmod_ref(d1, g, q)[0], _pdivmod_ref(d2, g, q)[0]
-    num = _padd(_pmul(n1, e2, q), _pmul(n2, e1, q), q)
+    num = F._rsum(F._rmul(n1, e2), F._rmul(n2, e1))
     g2 = _pgcd(num, g, q)
     if g2 != (1,):
         num, d2 = _pdivmod_ref(num, g2, q)[0], _pdivmod_ref(d2, g2, q)[0]
-    return (num, _pmul(e1, d2, q))
+    return (num, F._rmul(e1, d2))
 
 
 def _pair_mul(a, b, q):
+    F = RationalFunctionField(q)
     (n1, d1), (n2, d2) = a, b
     if d1 == d2 == (1,):
-        return (_pmul(n1, n2, q), (1,))
+        return (F._rmul(n1, n2), (1,))
     if not n1 or not n2:
         return ((), (1,))
     # a nonzero constant c/1 is a unit: c·n/d is reduced, d stays monic
@@ -751,7 +752,7 @@ def _pair_mul(a, b, q):
         g = _pgcd(n2, d1, q)
         if g != (1,):
             n2, d1 = _pdivmod_ref(n2, g, q)[0], _pdivmod_ref(d1, g, q)[0]
-    return (_pmul(n1, n2, q), _pmul(d1, d2, q))
+    return (F._rmul(n1, n2), F._rmul(d1, d2))
 
 
 def _pair_inv(a, q):
@@ -869,9 +870,10 @@ def test_fq_powers_and_constant_denominators_need_no_gcd(q, monkeypatch):
 
 # --- the polynomial kernels against schoolbook references and sympy -------------
 #
-# The schoolbook kernels that _pmul, _pdivmod (now _prem and _pquo) and _pgcd
-# replaced, word for word but for their names: a reduction mod p at every
-# inner step and a trim on every result.
+# The schoolbook kernels that _pmul, _pdivmod and _pgcd replaced (now the
+# field's _rmul, _prem with the field's _rquo, and _pgcd), word for word but
+# for their names: a reduction mod p at every inner step and a trim on every
+# result.
 
 def _ptrim_ref(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
@@ -948,17 +950,18 @@ def _sympy_polys(p):
 @settings(deadline=None, max_examples=150)
 @given(data=st.data())
 def test_polynomial_kernels_match_schoolbook_and_sympy(p, data):
-    """On trimmed operands, _pmul and _pgcd equal the schoolbook kernels they
+    """On trimmed operands, _rmul and _pgcd equal the schoolbook kernels they
     replaced and sympy's arithmetic in GF(p)[t], and every result is trimmed
     (so built to its exact size).  test_remainder_and_quotient_kernels checks
     the division kernels."""
+    F = RationalFunctionField(p)
     sympy, to_poly, raw, trimmed = _sympy_polys(p)
     polys = _kernel_polys(p)
     a = data.draw(st.one_of(st.just(()), polys))
     b = data.draw(polys)
 
-    product = _pmul(a, b, p)
-    assert trimmed(product) and product == _pmul_ref(a, b, p) == _pmul(b, a, p)
+    product = F._rmul(a, b)
+    assert trimmed(product) and product == _pmul_ref(a, b, p) == F._rmul(b, a)
     assert product == raw(to_poly(a) * to_poly(b))
 
     g = _pgcd(a, b, p)
@@ -975,14 +978,15 @@ def test_remainder_and_quotient_kernels(q, data):
     schoolbook gcd and sympy's, for a linear divisor (whose remainder _prem
     takes as a value at the root), a constant one and a general one, each
     against a zero dividend, a shorter one, an associate, a multiple and a
-    general one, and _pgcd's result is monic.  _pquo takes only monic
+    general one, and _pgcd's result is monic.  _rquo takes only monic
     divisors, as every caller divides by a _pgcd result: of a multiple m·b
     by the monic associate b of each divisor it is m, as the schoolbook
     quotient and sympy's say, for a constant m (operands of one length, whose
-    quotient _pquo takes from the leading coefficients) or any other; and
-    _pquo(0, b) is 0.  _padd equals sympy's sum on operands of unequal length,
+    quotient _rquo takes from the leading coefficients) or any other; and
+    _rquo(0, b) is 0.  _rsum equals sympy's sum on operands of unequal length,
     keeping the longer one's leading coefficient, and on operands of one
     length whose sum cancels at the top or to 0."""
+    F = RationalFunctionField(q)
     sympy, to_poly, raw, trimmed = _sympy_polys(q)
     polys = _kernel_polys(q)
     lead = st.integers(1, q - 1)
@@ -1003,18 +1007,18 @@ def test_remainder_and_quotient_kernels(q, data):
         b = _pscale(b, pow(b[-1], -1, q), q)
         for m in ((c,), cofactor):
             a = _pmul_ref(b, m, q)
-            quo = _pquo(a, b, q)
+            quo = F._rquo(a, b)
             assert trimmed(quo)
             assert quo == m == _pdivmod_ref(a, b, q)[0] == raw(sympy.quo(to_poly(a), to_poly(b)))
-        assert _pquo((), b, q) == ()
+        assert F._rquo((), b) == ()
 
     u = data.draw(polys)
     longer = u + tuple(data.draw(st.lists(coeffs, max_size=3))) + (data.draw(lead),)
     top_cancels = tuple(data.draw(st.lists(coeffs, min_size=len(u) - 1, max_size=len(u) - 1)))
     top_cancels += ((-u[-1]) % q,)
     for x, y in ((u, longer), (longer, u), (u, top_cancels), (u, _pneg(u, q))):
-        total = _padd(x, y, q)
-        assert trimmed(total) and total == _padd(y, x, q)
+        total = F._rsum(x, y)
+        assert trimmed(total) and total == F._rsum(y, x)
         assert total == raw(to_poly(x) + to_poly(y))
-    assert _padd(u, longer, q)[-1] == longer[-1]
-    assert _padd(u, _pneg(u, q), q) == ()
+    assert F._rsum(u, longer)[-1] == longer[-1]
+    assert F._rsum(u, _pneg(u, q)) == ()
